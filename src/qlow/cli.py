@@ -313,6 +313,13 @@ def cmd_sample(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qlow",
@@ -326,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--seed", type=int, default=DEFAULT_SEED,
             help=f"master seed for all randomness (default {DEFAULT_SEED}, never entropy)",
         )
-        p.add_argument("--jobs", type=int, default=1, help="worker processes")
+        p.add_argument("--jobs", type=_positive_int, default=1, help="worker processes (>= 1)")
         p.add_argument("--out", default=None, help="output directory")
 
     p_solve = sub.add_parser("solve", help="optimize one instance from a manifest")

@@ -8,14 +8,15 @@ psi + (exp(-i beta) - 1) <u|psi> u with u the uniform state. kinetic_energy
 always uses the positive-semidefinite L_G = D_G - A_G, so it is >= 0 and
 vanishes exactly on the uniform state of a connected graph.
 
-CustomSparse and BallCut evolutions exponentiate the explicit matrix: dense
-eigendecomposition up to 4096 vertices, Krylov (expm_multiply) above, both
-accurate to well under 1e-10.
+CustomSparse and BallCut evolutions, single or batched over betas, share one
+spectral kernel on the explicit L_bar restricted to its support. Up to
+DENSE_EIG_VERTEX_CAP = 4096 vertices it applies a cached eigh of L_bar in
+its real eigenbasis, as two real matrix products; above it, expm_multiply
+runs once per beta. Both are accurate to well under 1e-10.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +25,7 @@ from scipy.sparse.linalg import expm_multiply
 
 from . import _bits
 from .errors import ConfigError, ResourceError
-from .statevector import Statevector, check_qubit_count, plus_state
+from .statevector import Statevector, check_qubit_count
 
 MATRIX_N_CAP = 16
 DENSE_EIG_VERTEX_CAP = 1 << 12
@@ -96,28 +97,6 @@ class CustomSparse:
     def laplacian(self) -> sp.csr_matrix:
         return sp.diags(self.degrees) - self.adjacency
 
-    def to_edge_json(self) -> str:
-        coo = sp.triu(self.adjacency, k=1).tocoo()
-        edges = sorted(
-            (int(u), int(v), float(w)) for u, v, w in zip(coo.row, coo.col, coo.data)
-        )
-        return json.dumps({"n": self.n, "edges": edges})
-
-    @staticmethod
-    def from_edge_json(text: str) -> "CustomSparse":
-        payload = json.loads(text)
-        n = payload["n"]
-        size = 1 << n
-        rows, cols, vals = [], [], []
-        for edge in payload["edges"]:
-            u, v = int(edge[0]), int(edge[1])
-            w = float(edge[2]) if len(edge) > 2 else 1.0
-            rows += [u, v]
-            cols += [v, u]
-            vals += [w, w]
-        adj = sp.csr_matrix((vals, (rows, cols)), shape=(size, size))
-        return CustomSparse(n, adj)
-
 
 def custom_from_edges(n: int, edges: list[tuple[int, int]] | list[tuple[int, int, float]]) -> CustomSparse:
     size = 1 << n
@@ -165,7 +144,7 @@ class BallCut:
     _lap: sp.csr_matrix | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        n = lap_qubits(self.inner)
+        n = self.inner.n
         if isinstance(self.inner, BallCut):
             raise ConfigError("nesting ball cuts is not supported")
         if not 0 <= self.radius <= n:
@@ -175,7 +154,7 @@ class BallCut:
 
     @property
     def n(self) -> int:
-        return lap_qubits(self.inner)
+        return self.inner.n
 
     def ball(self) -> np.ndarray:
         """Sorted basis indices inside the ball."""
@@ -192,10 +171,6 @@ class BallCut:
             deg = np.asarray(adj.sum(axis=1)).ravel()
             self._lap = (sp.diags(deg) - adj).tocsr()
         return self._lap
-
-
-def lap_qubits(lap) -> int:
-    return lap.n
 
 
 def _inner_adjacency(inner) -> sp.csr_matrix:
@@ -234,92 +209,84 @@ def hypercube_rotation(state: Statevector, thetas: np.ndarray) -> Statevector:
     return Statevector(n, amps)
 
 
-def _evolve_matrix(lap, state: Statevector, beta: float) -> Statevector:
-    """Generic path: exponentiate the explicit L_bar restricted to its support."""
-    if isinstance(lap, CustomSparse):
-        if lap.n > MATRIX_N_CAP:
-            raise ResourceError(f"custom graphs capped at n={MATRIX_N_CAP}")
-        size = 1 << lap.n
-        if lap.is_regular:
-            lbar = lap.adjacency
-        else:
-            lbar = lap.adjacency - sp.diags(lap.degrees)
-        if size <= DENSE_EIG_VERTEX_CAP:
-            if lap._eig is None:
-                lap._eig = np.linalg.eigh(lbar.toarray())
-            evals, evecs = lap._eig
-            phases = np.exp(-1j * beta * evals)
-            amps = evecs @ (phases * (evecs.conj().T @ state.amps))
-            return Statevector(state.n, amps)
-        amps = expm_multiply(-1j * beta * lbar.astype(np.complex128), state.amps)
-        return Statevector(state.n, amps)
+def _support(lap) -> np.ndarray | slice:
+    """Basis indices that a custom-graph or ball-cut evolution acts on."""
+    if not isinstance(lap, (CustomSparse, BallCut)):
+        raise ConfigError(f"unsupported Laplacian {type(lap).__name__}")
+    if lap.n > MATRIX_N_CAP:
+        raise ResourceError(f"custom graphs and ball cuts capped at n={MATRIX_N_CAP}")
+    return lap.ball() if isinstance(lap, BallCut) else slice(None)
 
+
+def _lbar(lap: CustomSparse | BallCut) -> sp.csr_matrix:
+    """L_bar on the support: -L on the ball; A, or A - D when not regular."""
     if isinstance(lap, BallCut):
-        if lap.n > MATRIX_N_CAP:
-            raise ResourceError(f"ball cuts capped at n={MATRIX_N_CAP}")
-        ball = lap.ball()
-        lball = lap.laplacian()
-        amps = state.amps.copy()
-        seg = amps[ball]
-        if ball.size <= DENSE_EIG_VERTEX_CAP:
-            if lap._eig is None:
-                lap._eig = np.linalg.eigh(lball.toarray())
-            evals, evecs = lap._eig
-            # L_bar = -L on the ball block.
-            seg = evecs @ (np.exp(1j * beta * evals) * (evecs.conj().T @ seg))
-        else:
-            seg = expm_multiply(1j * beta * lball.astype(np.complex128), seg)
-        amps[ball] = seg
-        return Statevector(state.n, amps)
+        return -lap.laplacian()
+    return lap.adjacency if lap.is_regular else lap.adjacency - sp.diags(lap.degrees)
 
-    raise ConfigError(f"unsupported Laplacian {type(lap).__name__}")
+
+def _spectral_evolve(lap: CustomSparse | BallCut, seg: np.ndarray, betas: np.ndarray) -> np.ndarray:
+    """Columns exp(-i b L_bar) seg for each b in betas, as an (m, k) array.
+
+    eigh of a real symmetric L_bar gives real eigenvectors V, so both products
+    are single real GEMMs against the real and imaginary parts stacked
+    together; no complex copy of V is ever made. The parts are stacked as rows
+    with V on the right (X^T V, then Z^T V^T): for so few vectors BLAS runs
+    that layout about twice as fast as V^T X and V Z.
+    """
+    if seg.size > DENSE_EIG_VERTEX_CAP:
+        lbar = _lbar(lap)
+        out = np.empty((seg.size, betas.size), dtype=np.complex128)
+        for j, b in enumerate(betas):
+            out[:, j] = expm_multiply(-1j * b * lbar, seg)
+        return out
+    if lap._eig is None:
+        lap._eig = np.linalg.eigh(_lbar(lap).toarray())
+    evals, evecs = lap._eig
+    y = np.stack([seg.real, seg.imag]) @ evecs
+    z = np.exp(-1j * np.outer(betas, evals)) * (y[0] + 1j * y[1])
+    rows = np.vstack([z.real, z.imag]) @ evecs.T
+    return (rows[: betas.size] + 1j * rows[betas.size :]).T
+
+
+def _check_qubits(state: Statevector, lap) -> None:
+    if lap.n != state.n:
+        raise ValueError(f"Laplacian is on {lap.n} qubits, state on {state.n}")
 
 
 def evolve(state: Statevector, lap, beta: float) -> Statevector:
     """Exact unitary exp(-i beta L_bar) applied to the state."""
-    if lap_qubits(lap) != state.n:
-        raise ValueError(
-            f"Laplacian is on {lap_qubits(lap)} qubits, state on {state.n}"
-        )
+    _check_qubits(state, lap)
     if isinstance(lap, WeightedHypercube):
         return hypercube_rotation(state, beta * np.asarray(lap.b))
     if isinstance(lap, CompleteGraph):
         shift = (np.exp(-1j * beta) - 1.0) * np.mean(state.amps)
         return Statevector(state.n, state.amps + shift)
-    return _evolve_matrix(lap, state, beta)
+    support = _support(lap)
+    amps = state.amps.copy()
+    amps[support] = _spectral_evolve(lap, state.amps[support], np.array([float(beta)]))[:, 0]
+    return Statevector(state.n, amps)
 
 
 def evolve_many(state: Statevector, lap, betas: np.ndarray) -> list[Statevector]:
-    """evolve(state, lap, b) for every b, batched into one GEMM where the
-    Laplacian is eigendecomposed anyway (grid scans would otherwise pay a full
-    matrix-vector product per grid point)."""
+    """evolve(state, lap, b) for every b in betas.
+
+    Custom graphs and ball cuts evolve all betas in one spectral-kernel call:
+    two real GEMMs against the cached real eigenbasis up to
+    DENSE_EIG_VERTEX_CAP vertices, one expm_multiply per beta above it.
+    """
     betas = np.asarray(betas, dtype=np.float64)
-    if isinstance(lap, BallCut) and lap.n <= MATRIX_N_CAP:
-        ball = lap.ball()
-        if ball.size <= DENSE_EIG_VERTEX_CAP:
-            if lap._eig is None:
-                lap._eig = np.linalg.eigh(lap.laplacian().toarray())
-            evals, evecs = lap._eig
-            y = evecs.conj().T @ state.amps[ball]
-            phases = np.exp(1j * np.outer(evals, betas))
-            segs = evecs @ (phases * y[:, None])
-            out = []
-            for j in range(betas.size):
-                amps = state.amps.copy()
-                amps[ball] = segs[:, j]
-                out.append(Statevector(state.n, amps))
-            return out
-    if isinstance(lap, CustomSparse) and lap.n <= MATRIX_N_CAP:
-        if (1 << lap.n) <= DENSE_EIG_VERTEX_CAP:
-            if lap._eig is None:
-                lbar = lap.adjacency if lap.is_regular else lap.adjacency - sp.diags(lap.degrees)
-                lap._eig = np.linalg.eigh(lbar.toarray())
-            evals, evecs = lap._eig
-            y = evecs.conj().T @ state.amps
-            phases = np.exp(-1j * np.outer(evals, betas))
-            batch = evecs @ (phases * y[:, None])
-            return [Statevector(state.n, batch[:, j]) for j in range(betas.size)]
-    return [evolve(state, lap, float(b)) for b in betas]
+    if isinstance(lap, (WeightedHypercube, CompleteGraph)):
+        return [evolve(state, lap, float(b)) for b in betas]
+    _check_qubits(state, lap)
+    support = _support(lap)
+    cols = _spectral_evolve(lap, state.amps[support], betas)
+    out = []
+    for j in range(betas.size):
+        amps = state.amps.copy()
+        amps[support] = cols[:, j]
+        out.append(Statevector(state.n, amps))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +355,3 @@ def randomize_phases(state: Statevector, seed: int) -> Statevector:
     nz = amps != 0
     amps[nz] = amps[nz] * np.exp(1j * thetas[nz])
     return Statevector(state.n, amps)
-
-
-def uniform_is_plus(n: int) -> Statevector:
-    """Alias kept for readers: the uniform vertex state is |+>^n."""
-    return plus_state(n)

@@ -2,8 +2,9 @@
 
 Amplitudes live in a flat array of length 2^n indexed little-endian: bit i of
 the index is qubit i, and Z_i |z> = (1 - 2 z_i) |z>. Hard cap n <= 24 unless
-the QLOW_MAX_QUBITS environment variable raises it. Every evolution keeps the
-norm within 1e-10; drift beyond that is renormalized and counted, never hidden.
+the QLOW_MAX_QUBITS environment variable raises it. Evolutions are exact
+unitaries and do not renormalize; only fwht checks the norm, renormalizing
+drift beyond NORM_TOL = 1e-10 and counting it in renormalization_events().
 """
 
 from __future__ import annotations
@@ -13,12 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResourceError
+from .errors import ConfigError, ResourceError
 
 DEFAULT_MAX_QUBITS = 24
 NORM_TOL = 1e-10
 
-# Running count of norm-drift renormalizations; see note_renormalization().
+# Running count of norm-drift renormalizations; see _finalize().
 _RENORMALIZATIONS = 0
 
 
@@ -27,7 +28,13 @@ def max_qubits() -> int:
     raw = os.environ.get("QLOW_MAX_QUBITS")
     if raw is None:
         return DEFAULT_MAX_QUBITS
-    return int(raw)
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0  # rejected below with the same message as any cap < 1
+    if cap < 1:
+        raise ConfigError(f"QLOW_MAX_QUBITS must be an integer >= 1, got {raw!r}")
+    return cap
 
 
 def renormalization_events() -> int:

@@ -110,6 +110,22 @@ def test_qubit_cap_is_resource_exit(tmp_path, capsys, monkeypatch):
     assert "resource cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("raw", ["abc", "0", "-3"])
+def test_bad_qubit_cap_is_config_exit(tmp_path, capsys, monkeypatch, raw):
+    monkeypatch.setenv("QLOW_MAX_QUBITS", raw)
+    path = write_manifest(tmp_path, SOLVE_UNCOUPLED)
+    assert main(["solve", "--manifest", path]) == 2
+    assert "QLOW_MAX_QUBITS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_usage_error(tmp_path, jobs):
+    path = write_manifest(tmp_path, SOLVE_UNCOUPLED)
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--manifest", path, "--jobs", jobs])
+    assert exc.value.code == 2
+
+
 def test_numeric_failure_is_exit_four(tmp_path, capsys, monkeypatch):
     import qlow.cli as cli_mod
 

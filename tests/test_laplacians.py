@@ -21,7 +21,6 @@ from qlow.laplacians import (
     hypercube_rotation,
     kinetic_energy,
     randomize_phases,
-    uniform_is_plus,
 )
 from qlow.statevector import Statevector, plus_state
 
@@ -163,6 +162,62 @@ def test_evolve_many_matches_single_calls():
             np.testing.assert_allclose(st_.amps, ref.amps, atol=1e-12)
 
 
+def test_evolve_many_matches_expm():
+    betas = np.array([-1.3, 0.0, 0.7, 17.0])
+    path = custom_from_edges(4, [(z, z + 1) for z in range(15)])  # irregular
+    adj = path.adjacency.toarray()
+    cut = BallCut(inner=hypercube(6), center=0b101001, radius=3)
+    ball = cut.ball()
+    for lap, support, lbar in ((path, np.arange(16), adj - np.diag(adj.sum(axis=1))),
+                               (cut, ball, -cut.laplacian().toarray())):
+        state = rand_state(lap.n, 9)
+        for out, b in zip(evolve_many(state, lap, betas), betas):
+            ref = state.amps.copy()
+            ref[support] = expm(-1j * b * lbar) @ state.amps[support]
+            np.testing.assert_allclose(out.amps, ref, atol=1e-12)
+
+
+# Above DENSE_EIG_VERTEX_CAP = 4096 vertices the spectral kernel runs
+# expm_multiply instead of the cached eigenbasis; n = 13 is the smallest size
+# that reaches it.
+
+
+@pytest.mark.parametrize("beta", [0.7, 17.0])
+def test_krylov_custom_matches_hypercube(beta):
+    n = 13
+    state = rand_state(n, 10)
+    out = evolve(state, CustomSparse(n, hypercube_adjacency(n)), beta)
+    ref = hypercube_rotation(state, np.full(n, beta))
+    np.testing.assert_allclose(out.amps, ref.amps, atol=1e-12)
+
+
+@pytest.mark.parametrize("beta", [0.7, 17.0])
+def test_krylov_full_ball_matches_hypercube(beta):
+    # Radius n keeps every vertex, so L_bar = A - n I: the hypercube mixer up
+    # to the phase exp(i beta n) that the degree term contributes.
+    n = 13
+    cut = BallCut(inner=hypercube(n), center=0, radius=n)
+    assert cut.ball().size == 1 << n
+    state = rand_state(n, 11)
+    out = evolve(state, cut, beta)
+    ref = hypercube_rotation(state, np.full(n, beta)).amps * np.exp(1j * beta * n)
+    np.testing.assert_allclose(out.amps, ref, atol=1e-12)
+
+
+def test_krylov_ballcut_batch_confined_and_unitary():
+    n = 13
+    cut = BallCut(inner=hypercube(n), center=5, radius=7)
+    ball = cut.ball()
+    assert ball.size == 5812
+    outside = np.setdiff1d(np.arange(1 << n), ball)
+    state = rand_state(n, 12)
+    betas = np.array([0.7, 17.0])
+    for out, b in zip(evolve_many(state, cut, betas), betas):
+        np.testing.assert_allclose(out.amps, evolve(state, cut, float(b)).amps, atol=1e-12)
+        np.testing.assert_array_equal(out.amps[outside], state.amps[outside])
+        assert abs(out.norm() - 1.0) < 1e-12
+
+
 @settings(max_examples=30)
 @given(random_states(max_n=4), angles)
 def test_evolution_is_unitary(state, beta):
@@ -217,10 +272,6 @@ def test_randomize_phases_keeps_magnitudes():
     np.testing.assert_allclose(np.abs(out.amps), np.abs(state.amps), atol=1e-14)
     again = randomize_phases(state, seed=3)
     np.testing.assert_allclose(out.amps, again.amps, atol=1e-15)
-
-
-def test_uniform_is_plus():
-    np.testing.assert_allclose(uniform_is_plus(4).amps, plus_state(4).amps)
 
 
 def test_weighted_hypercube_rejects_negative():
