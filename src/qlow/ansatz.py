@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .laplacians import WeightedHypercube, evolve, hypercube_rotation
+from .laplacians import WeightedHypercube, _check_qubits, evolve, hypercube_rotation
 from .problems import DiagonalProblem
 from .statevector import Statevector, apply_phase, plus_state
 
@@ -130,11 +130,9 @@ def multilinear_value(problem: DiagonalProblem, x: np.ndarray) -> float:
     return total
 
 
-def multilinear_gradient(problem: DiagonalProblem, x: np.ndarray) -> np.ndarray:
-    """d f-hat / d x_i; multilinearity makes each term's factor drop out once."""
-    x = np.asarray(x, dtype=np.float64)
-    s = 1.0 - 2.0 * x
-    grad = np.zeros(problem.n)
+def _leave_one_out(problem: DiagonalProblem, s: np.ndarray) -> np.ndarray:
+    """Per qubit q: sum over terms T containing q of coeff_T * prod_{i in T, i != q} s_i."""
+    out = np.zeros(problem.n)
     for t in problem.terms:
         if not t.qubits:
             continue
@@ -146,8 +144,15 @@ def multilinear_gradient(problem: DiagonalProblem, x: np.ndarray) -> np.ndarray:
                 rest = prod / v
             else:
                 rest = np.prod(np.delete(vals, pos))
-            grad[q] += t.coeff * (-2.0) * rest
-    return grad
+            out[q] += t.coeff * rest
+    return out
+
+
+def multilinear_gradient(problem: DiagonalProblem, x: np.ndarray) -> np.ndarray:
+    """d f-hat / d x_i; multilinearity makes each term's factor drop out once,
+    and d(1 - 2 x_i)/d x_i = -2."""
+    x = np.asarray(x, dtype=np.float64)
+    return -2.0 * _leave_one_out(problem, 1.0 - 2.0 * x)
 
 
 # ---------------------------------------------------------------------------
@@ -182,33 +187,16 @@ def meanfield_step(
     """
     if not isinstance(lap, WeightedHypercube):
         raise ConfigError("mean-field stepping is defined for hypercube mixers")
+    _check_qubits(problem.n, lap)
     qubits = np.asarray(qubits, dtype=np.complex128)
     if qubits.shape != (problem.n, 2):
         raise ConfigError("mean-field state must be an (n, 2) product array")
-    m = product_z_expectations(qubits)
-    fields = np.zeros(problem.n)
-    for t in problem.terms:
-        if not t.qubits:
-            continue
-        vals = m[list(t.qubits)]
-        prod = np.prod(vals)
-        for pos, q in enumerate(t.qubits):
-            v = vals[pos]
-            if abs(v) > 1e-30:
-                rest = prod / v
-            else:
-                rest = np.prod(np.delete(vals, pos))
-            fields[q] += t.coeff * rest
-    out = np.empty_like(qubits)
-    b = np.asarray(lap.b)
-    for j in range(problem.n):
-        a0 = qubits[j, 0] * np.exp(-1j * gamma * fields[j])
-        a1 = qubits[j, 1] * np.exp(+1j * gamma * fields[j])
-        th = beta * b[j]
-        c, s = np.cos(th), np.sin(th)
-        out[j, 0] = c * a0 - 1j * s * a1
-        out[j, 1] = c * a1 - 1j * s * a0
-    return out
+    fields = _leave_one_out(problem, product_z_expectations(qubits))
+    ph = -1j * gamma * fields
+    phased = qubits * np.exp(np.stack([ph, -ph], axis=1))
+    th = beta * np.asarray(lap.b)
+    # exp(-i th X) = [[c, -i s], [-i s, c]] per qubit; [:, ::-1] swaps a0 and a1
+    return np.cos(th)[:, None] * phased - 1j * np.sin(th)[:, None] * phased[:, ::-1]
 
 
 def meanfield_evolve(
@@ -234,11 +222,3 @@ def product_overlap(qubits: np.ndarray, target: int) -> float:
         bit = (target >> j) & 1
         p *= float(np.abs(qubits[j, bit]) ** 2)
     return p
-
-
-def product_to_statevector(qubits: np.ndarray) -> Statevector:
-    n = qubits.shape[0]
-    amps = np.array([1.0 + 0.0j])
-    for i in range(n - 1, -1, -1):
-        amps = np.kron(amps, qubits[i])
-    return Statevector(n, amps)

@@ -22,7 +22,6 @@ from . import _bits, experiments
 from .ansatz import Schedule, qaoa_state
 from .errors import ConfigError, NumericError, ResourceError
 from .laplacians import BallCut, CompleteGraph, WeightedHypercube, custom_from_edges, hypercube
-from .objectives import evaluate
 from .optimize import SearchConfig, optimize_schedule
 from .problems import (
     bush,
@@ -44,6 +43,8 @@ from .statevector import ground_state_mass
 DEFAULT_SEED = 7
 
 REPRODUCIBLE = ("fig2", "scale", "ce", "freedom", "shadow", "proxy", "rounding")
+# Pipelines that run their tasks in-process; they reject --jobs above 1.
+SERIAL = ("fig2", "ce", "shadow", "proxy")
 
 
 def _schema() -> dict:
@@ -210,7 +211,7 @@ def _run_experiment(experiment: str, params: dict, seed: int, jobs: int):
         records = experiments.run_scale_sweep(master_seed=seed, jobs=jobs, **params)
         return {"scale.csv": records}
     if experiment == "ce":
-        records = experiments.run_ce_baseline(master_seed=seed, jobs=jobs, **params)
+        records = experiments.run_ce_baseline(master_seed=seed, **params)
         return {"ce.csv": records}
     if experiment == "freedom":
         records = experiments.run_relaxation_compare(master_seed=seed, jobs=jobs, **params)
@@ -226,20 +227,18 @@ def _run_experiment(experiment: str, params: dict, seed: int, jobs: int):
         if variant in ("flat", "both"):
             kw = {k: v for k, v in params.items() if k in flat_keys}
             recs, _ = experiments.run_shadow_defect(
-                variant="flat", master_seed=seed, jobs=jobs, **kw
+                variant="flat", master_seed=seed, **kw
             )
             records.extend(recs)
         if variant in ("spike_cut", "both"):
             kw = {k: v for k, v in params.items() if k in cut_keys}
             recs, _ = experiments.run_shadow_defect(
-                variant="spike_cut", master_seed=seed, jobs=jobs, **kw
+                variant="spike_cut", master_seed=seed, **kw
             )
             records.extend(recs)
         return {"shadow.csv": records}
     if experiment == "proxy":
-        records, _ = experiments.run_improvement_proxy(
-            master_seed=seed, jobs=jobs, **params
-        )
+        records, _ = experiments.run_improvement_proxy(master_seed=seed, **params)
         return {"proxy.csv": records}
     if experiment == "rounding":
         records = experiments.run_rounding_curve(master_seed=seed, jobs=jobs, **params)
@@ -256,6 +255,10 @@ def cmd_reproduce(args) -> int:
     if args.id not in REPRODUCIBLE:
         raise ConfigError(
             f"unknown figure id {args.id!r}; choose from {', '.join(REPRODUCIBLE)}"
+        )
+    if args.jobs > 1 and args.id in SERIAL:
+        raise ConfigError(
+            f"reproduce {args.id} runs serially; --jobs must be 1, got {args.jobs}"
         )
     manifest = load_manifest(args.manifest) if args.manifest else _default_manifest(args.id)
     if manifest["experiment"] != args.id:

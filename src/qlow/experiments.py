@@ -20,12 +20,12 @@ import numpy as np
 
 from . import _bits
 from .analytic import distribution_qaoa, landau_zener, optimal_gamma
-from .ansatz import Schedule, qaoa_state
+from .ansatz import qaoa_state
 from .errors import ConfigError
 from .laplacians import (
     BallCut,
+    _rotate_qubits,
     ball_uniform_state,
-    evolve,
     hamming_shell_state,
     hypercube,
     randomize_phases,
@@ -35,12 +35,12 @@ from .objectives import (
     Gibbs,
     Mean,
     approximation_ratio,
-    evaluate,
     improvement_proxy,
 )
 from .optimize import (
     RoundingConfig,
     SearchConfig,
+    _grid_scan_p1,
     classical_restart_baseline,
     default_qaoa_solver,
     iterated_rounding,
@@ -54,9 +54,8 @@ from .problems import (
     grid_ferromagnet_2d,
     hamming_ramp,
     maxcut_3regular,
-    uncoupled_spins,
 )
-from .statevector import apply_phase, ground_state_mass, plus_state
+from .statevector import ground_state_mass, plus_state
 
 CSV_HEADER = [
     "experiment",
@@ -182,8 +181,9 @@ def objective_tag(obj) -> str:
 def _batched_uncoupled(dist: str, n: int, gamma: float, beta: float, n_seeds: int, seed: int):
     """Single round on n_seeds independent-spin instances at once.
 
-    Statevectors for all instances are evolved in one (n_seeds, 2^n) array;
-    this is the plain simulator algebra, just vectorized over instances.
+    The phase tables of all instances form one (n_seeds, 2^n) array, built
+    from the per-qubit parity signs; the mixer is the same per-qubit X
+    rotation kernel as hypercube_rotation, with the instance axis leading.
     """
     rng = np.random.default_rng(seed)
     if dist == "binary":
@@ -195,18 +195,10 @@ def _batched_uncoupled(dist: str, n: int, gamma: float, beta: float, n_seeds: in
     else:
         raise ConfigError(f"unknown distribution {dist!r}")
 
-    idx = _bits.indices(n)
-    signs = np.stack([1.0 - 2.0 * ((idx >> j) & 1) for j in range(n)])  # (n, 2^n)
+    signs = np.stack([_bits.parity_signs(n, 1 << j) for j in range(n)])  # (n, 2^n)
     values = alphas @ signs  # (S, 2^n)
     amps = np.exp(-1j * gamma * values) * 2.0 ** (-n / 2.0)
-
-    c, s = math.cos(beta), math.sin(beta)
-    for j in range(n):
-        shaped = amps.reshape(n_seeds, 1 << (n - 1 - j), 2, 1 << j)
-        a0 = shaped[:, :, 0, :].copy()
-        a1 = shaped[:, :, 1, :]
-        shaped[:, :, 0, :] = c * a0 - 1j * s * a1
-        shaped[:, :, 1, :] = c * a1 - 1j * s * a0
+    amps = _rotate_qubits(amps, np.full(n, beta))
 
     probs = np.abs(amps) ** 2
     energy = (probs * values).sum(axis=1) / n  # per-spin mean energy
@@ -216,7 +208,7 @@ def _batched_uncoupled(dist: str, n: int, gamma: float, beta: float, n_seeds: in
     # per-spin marginal probability of that spin's own ground value
     spin_hits = np.empty((n_seeds, n))
     for j in range(n):
-        p1 = probs @ ((idx >> j) & 1)
+        p1 = probs @ ((1.0 - signs[j]) / 2.0)  # P(spin j reads 1)
         spin_hits[:, j] = np.where(alphas[:, j] > 0, p1, 1.0 - p1)
 
     return {
@@ -357,7 +349,6 @@ def run_ce_baseline(
     objective_cfg=None,
     resolution=(48, 48),
     master_seed: int = 0,
-    jobs: int = 1,
 ) -> list[ExperimentRecord]:
     """Classical product-state restarts vs schedule depth, per instance seed."""
     obj = objective_from_config(objective_cfg)
@@ -479,14 +470,8 @@ def shell_landscape(n: int, resolution: int = 32):
     lap = hypercube(n)
     k = n // 2
     init = hamming_shell_state(n, k)
-    gammas = np.linspace(-math.pi, math.pi, resolution)
-    betas = np.linspace(0.0, math.pi, resolution)
-    table = np.empty((resolution, resolution))
-    for i, g in enumerate(gammas):
-        phased = apply_phase(init, problem.dense, float(g))
-        for j, b in enumerate(betas):
-            state = evolve(phased, lap, float(b))
-            table[i, j] = float(state.probabilities() @ problem.dense)
+    config = SearchConfig(resolution=(resolution, resolution))
+    _, _, table = _grid_scan_p1(problem, lap, Mean(), config, init)
     baseline = float(init.probabilities() @ problem.dense)
     row_dev = float(np.max(table.max(axis=0) - table.min(axis=0)))
     full_dev = float(table.max() - table.min())
@@ -533,7 +518,6 @@ def run_shadow_defect(
     spike_height: float | None = None,
     search_resolution=(64, 64),
     master_seed: int = 0,
-    jobs: int = 1,
 ):
     """flat: shell-state landscape scans. spike_cut: confined evolution vs
     free evolution when a barrier sits just outside the support ball.
@@ -616,7 +600,6 @@ def run_improvement_proxy(
     kinds=("uniform", "ball", "ball-phase", "ball-cut", "ball-phase-cut"),
     resolution=(64, 64),
     master_seed: int = 0,
-    jobs: int = 1,
 ):
     """Normalized one-round gain for differently prepared starting states."""
     records = []

@@ -3,7 +3,8 @@
 The mixer convention throughout is exp(-i beta L_bar) with L_bar = -L_G.
 Regular graphs (hypercube, complete graph) drop the degree term as a global
 phase, so the hypercube mixer is the product of per-qubit rotations
-exp(-i beta b_i X_i) and the complete-graph mixer is the rank-1 update
+exp(-i beta b_i X_i), applied by one kernel that also takes leading batch
+axes, and the complete-graph mixer is the rank-1 update
 psi + (exp(-i beta) - 1) <u|psi> u with u the uniform state. kinetic_energy
 always uses the positive-semidefinite L_G = D_G - A_G, so it is >= 0 and
 vanishes exactly on the uniform state of a connected graph.
@@ -190,23 +191,31 @@ def _inner_adjacency(inner) -> sp.csr_matrix:
 # evolution
 
 
-def hypercube_rotation(state: Statevector, thetas: np.ndarray) -> Statevector:
-    """prod_i exp(-i thetas[i] X_i) applied via the tensor structure."""
-    n = state.n
-    amps = state.amps
+def _rotate_qubits(amps: np.ndarray, thetas) -> np.ndarray:
+    """prod_i exp(-i thetas[i] X_i) on the last axis of amps; leading axes batch.
+
+    The input is copied once and then updated in place, one qubit at a time;
+    only the a0 half is copied per qubit, and zero angles are skipped.
+    """
+    out = np.array(amps, dtype=np.complex128)
+    lead = out.shape[:-1]
+    n = out.shape[-1].bit_length() - 1
     for i in range(n):
         th = float(thetas[i])
         if th == 0.0:
             continue
         c, s = np.cos(th), np.sin(th)
-        v = amps.reshape(1 << (n - 1 - i), 2, 1 << i)
-        a0 = v[:, 0, :]
-        a1 = v[:, 1, :]
-        out = np.empty_like(v)
-        out[:, 0, :] = c * a0 - 1j * s * a1
-        out[:, 1, :] = c * a1 - 1j * s * a0
-        amps = out.reshape(-1)
-    return Statevector(n, amps)
+        v = out.reshape(*lead, 1 << (n - 1 - i), 2, 1 << i)
+        a0 = v[..., 0, :].copy()
+        a1 = v[..., 1, :]
+        v[..., 0, :] = c * a0 - 1j * s * a1
+        v[..., 1, :] = c * a1 - 1j * s * a0
+    return out
+
+
+def hypercube_rotation(state: Statevector, thetas: np.ndarray) -> Statevector:
+    """prod_i exp(-i thetas[i] X_i) applied via the tensor structure."""
+    return Statevector(state.n, _rotate_qubits(state.amps, thetas))
 
 
 def _support(lap) -> np.ndarray | slice:
@@ -249,14 +258,14 @@ def _spectral_evolve(lap: CustomSparse | BallCut, seg: np.ndarray, betas: np.nda
     return (rows[: betas.size] + 1j * rows[betas.size :]).T
 
 
-def _check_qubits(state: Statevector, lap) -> None:
-    if lap.n != state.n:
-        raise ValueError(f"Laplacian is on {lap.n} qubits, state on {state.n}")
+def _check_qubits(n: int, lap) -> None:
+    if lap.n != n:
+        raise ValueError(f"Laplacian is on {lap.n} qubits, state on {n}")
 
 
 def evolve(state: Statevector, lap, beta: float) -> Statevector:
     """Exact unitary exp(-i beta L_bar) applied to the state."""
-    _check_qubits(state, lap)
+    _check_qubits(state.n, lap)
     if isinstance(lap, WeightedHypercube):
         return hypercube_rotation(state, beta * np.asarray(lap.b))
     if isinstance(lap, CompleteGraph):
@@ -278,7 +287,7 @@ def evolve_many(state: Statevector, lap, betas: np.ndarray) -> list[Statevector]
     betas = np.asarray(betas, dtype=np.float64)
     if isinstance(lap, (WeightedHypercube, CompleteGraph)):
         return [evolve(state, lap, float(b)) for b in betas]
-    _check_qubits(state, lap)
+    _check_qubits(state.n, lap)
     support = _support(lap)
     cols = _spectral_evolve(lap, state.amps[support], betas)
     out = []

@@ -4,7 +4,7 @@ iterated rounding, and a classical product-state restart baseline."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
@@ -17,7 +17,7 @@ from .ansatz import (
     qaoa_state,
 )
 from .errors import ConfigError
-from .laplacians import WeightedHypercube, hypercube
+from .laplacians import hypercube
 from .objectives import Mean, evaluate
 from .problems import DiagonalProblem, freeze
 from .statevector import Statevector
@@ -159,9 +159,11 @@ def optimize_schedule(
     flat_order = np.argsort(table, axis=None, kind="stable")
     grid_best_val = float(table.flat[flat_order[0]])
 
-    def fun1(x):
+    def fun(x):
+        """x holds the gammas of every round, then the betas."""
+        k = x.size // 2
         return evaluate_schedule(
-            problem, lap, Schedule([x[0]], [x[1]]), objective, initial
+            problem, lap, Schedule(x[:k], x[k:]), objective, initial
         )
 
     step1 = max(
@@ -172,7 +174,7 @@ def optimize_schedule(
     best_f1 = np.inf
     for flat_idx in flat_order[: config.top_k]:
         i, j = np.unravel_index(flat_idx, table.shape)
-        x, fx = _local_refine(fun1, np.array([gammas[i], betas[j]]), step1, config)
+        x, fx = _local_refine(fun, np.array([gammas[i], betas[j]]), step1, config)
         if fx < best_f1:
             best_x1, best_f1 = x, fx
     if best_f1 > grid_best_val:
@@ -180,18 +182,13 @@ def optimize_schedule(
         best_x1 = np.array([gammas[i], betas[j]])
         best_f1 = grid_best_val
     if p == 1:
-        return Schedule([best_x1[0]], [best_x1[1]]), best_f1
+        return Schedule(best_x1[:1], best_x1[1:]), best_f1
 
     g1, b1 = best_x1
     ks = np.arange(1, p + 1, dtype=np.float64)
     ramp = np.concatenate([(ks / p) * g1, (1.0 - (ks - 1) / p) * b1])
     embed = np.zeros(2 * p)
     embed[0], embed[p] = g1, b1
-
-    def funp(x):
-        return evaluate_schedule(
-            problem, lap, Schedule(x[:p], x[p:]), objective, initial
-        )
 
     starts = [ramp, embed]
     if config.restarts > 0:
@@ -202,11 +199,11 @@ def optimize_schedule(
             starts.append(np.concatenate([rg, rb]))
     best_x, best_f = None, np.inf
     for s in starts:
-        x, fx = _local_refine(funp, s, step1, config)
+        x, fx = _local_refine(fun, s, step1, config)
         if fx < best_f:
             best_x, best_f = x, fx
     if best_f > best_f1:
-        best_x, best_f = embed, funp(embed)
+        best_x, best_f = embed, fun(embed)
     return Schedule(best_x[:p], best_x[p:]), best_f
 
 
@@ -240,38 +237,20 @@ def optimize_relaxed_schedule(
         warm.betas[0] if warm.beta_relaxed else np.full(n, float(warm.betas[0]))
     )
 
-    if relax == "gamma":
-        x0 = np.concatenate([g_init, [float(np.mean(b_init))]])
+    # the relaxed side keeps its per-term or per-qubit angles; the other is averaged
+    g0 = g_init if relax != "beta" else np.array([float(np.mean(g_init))])
+    b0 = b_init if relax != "gamma" else np.array([float(np.mean(b_init))])
+    x0 = np.concatenate([g0, b0])
 
-        def fun(x):
-            return evaluate_schedule(
-                problem, lap, Schedule(x[:n_terms].reshape(1, -1), [x[-1]]), objective
-            )
-
-        unpack = lambda x: Schedule(x[:n_terms].reshape(1, -1), [x[-1]])
-    elif relax == "beta":
-        x0 = np.concatenate([[float(np.mean(g_init))], b_init])
-
-        def fun(x):
-            return evaluate_schedule(
-                problem, lap, Schedule([x[0]], x[1:].reshape(1, -1)), objective
-            )
-
-        unpack = lambda x: Schedule([x[0]], x[1:].reshape(1, -1))
-    else:
-        x0 = np.concatenate([g_init, b_init])
-
-        def fun(x):
-            return evaluate_schedule(
-                problem,
-                lap,
-                Schedule(x[:n_terms].reshape(1, -1), x[n_terms:].reshape(1, -1)),
-                objective,
-            )
-
-        unpack = lambda x: Schedule(
-            x[:n_terms].reshape(1, -1), x[n_terms:].reshape(1, -1)
+    def unpack(x):
+        g, b = x[: g0.size], x[g0.size :]
+        return Schedule(
+            g.reshape(1, -1) if relax != "beta" else g,
+            b.reshape(1, -1) if relax != "gamma" else b,
         )
+
+    def fun(x):
+        return evaluate_schedule(problem, lap, unpack(x), objective)
 
     f0 = fun(x0)
     step = (config.gamma_range[1] - config.gamma_range[0]) / config.resolution[0]
@@ -392,9 +371,8 @@ def iterated_rounding(
     trace: list[RoundingStep] = []
     prev_info = None
 
-    for iteration in range(rounding.n_f):
-        if len(frozen) == problem.n:
-            break
+    def solve(iteration):
+        """Freeze, call the solver, attach the trace so far to any failure."""
         sub, keep = freeze(problem, frozen)
         context = {
             "iteration": iteration,
@@ -402,10 +380,16 @@ def iterated_rounding(
             "reoptimize": rounding.reoptimize,
         }
         try:
-            state, prev_info = solver(sub, context)
+            state, info = solver(sub, context)
         except Exception as exc:
             exc.rounding_trace = trace
             raise
+        return sub, keep, state, info
+
+    for iteration in range(rounding.n_f):
+        if len(frozen) == problem.n:
+            break
+        sub, keep, state, prev_info = solve(iteration)
         probs = state.probabilities()
         margs = _marginals(state)
         d = np.abs(margs - 0.5)
@@ -435,17 +419,7 @@ def iterated_rounding(
     for q, b in frozen.items():
         assignment[q] = b
     if len(frozen) < problem.n:
-        sub, keep = freeze(problem, frozen)
-        context = {
-            "iteration": len(frozen),
-            "previous": prev_info,
-            "reoptimize": rounding.reoptimize,
-        }
-        try:
-            state, _ = solver(sub, context)
-        except Exception as exc:
-            exc.rounding_trace = trace
-            raise
+        sub, keep, state, _ = solve(len(frozen))
         probs = state.probabilities()
         z = int(np.argmax(probs))
         for jj, q in enumerate(keep):

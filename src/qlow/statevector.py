@@ -4,7 +4,7 @@ Amplitudes live in a flat array of length 2^n indexed little-endian: bit i of
 the index is qubit i, and Z_i |z> = (1 - 2 z_i) |z>. Hard cap n <= 24 unless
 the QLOW_MAX_QUBITS environment variable raises it. Evolutions are exact
 unitaries and do not renormalize; only fwht checks the norm, renormalizing
-drift beyond NORM_TOL = 1e-10 and counting it in renormalization_events().
+drift beyond NORM_TOL = 1e-10.
 """
 
 from __future__ import annotations
@@ -19,9 +19,6 @@ from .errors import ConfigError, ResourceError
 DEFAULT_MAX_QUBITS = 24
 NORM_TOL = 1e-10
 
-# Running count of norm-drift renormalizations; see _finalize().
-_RENORMALIZATIONS = 0
-
 
 def max_qubits() -> int:
     """Current qubit cap; QLOW_MAX_QUBITS overrides the default of 24."""
@@ -35,11 +32,6 @@ def max_qubits() -> int:
     if cap < 1:
         raise ConfigError(f"QLOW_MAX_QUBITS must be an integer >= 1, got {raw!r}")
     return cap
-
-
-def renormalization_events() -> int:
-    """How many times an operation had to renormalize drifted amplitudes."""
-    return _RENORMALIZATIONS
 
 
 def check_qubit_count(n: int) -> None:
@@ -76,10 +68,8 @@ class Statevector:
 
 def _finalize(n: int, amps: np.ndarray) -> Statevector:
     """Wrap raw amplitudes; renormalize only if drift exceeds NORM_TOL."""
-    global _RENORMALIZATIONS
     nrm2 = float(np.sum(np.abs(amps) ** 2))
     if abs(nrm2 - 1.0) > NORM_TOL:
-        _RENORMALIZATIONS += 1
         amps = amps / np.sqrt(nrm2)
     return Statevector(n, amps)
 

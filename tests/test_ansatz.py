@@ -17,7 +17,6 @@ from qlow.ansatz import (
     multilinear_value,
     product_overlap,
     product_state,
-    product_to_statevector,
     product_z_expectations,
     qaoa_state,
     schedule_p1,
@@ -206,8 +205,10 @@ def test_product_state_little_endian():
 
 
 def test_product_overlap_and_statevector_agree():
-    qubits = meanfield_plus(3)
-    state = product_to_statevector(qubits)
+    # unequal angles, so a bit-order mix-up between the two would show
+    thetas = np.array([0.3, 1.1, 0.7])
+    qubits = np.stack([np.cos(thetas), np.sin(thetas)], 1)
+    state = product_state(thetas)
     for target in range(8):
         assert product_overlap(qubits, target) == pytest.approx(
             abs(state.amps[target]) ** 2, abs=1e-12
@@ -235,6 +236,13 @@ def test_meanfield_multiqubit_terms_silent_from_plus():
     np.testing.assert_allclose(
         product_z_expectations(qubits), np.zeros(4), atol=1e-12
     )
+
+
+@pytest.mark.parametrize("mixer_n", [3, 5])
+def test_meanfield_step_rejects_mixer_size_mismatch(mixer_n):
+    prob = hamming_ramp(4)
+    with pytest.raises(ValueError, match=f"Laplacian is on {mixer_n} qubits, state on 4"):
+        meanfield_step(prob, hypercube(mixer_n), meanfield_plus(4), 0.3, 0.2)
 
 
 def test_meanfield_rejects_relaxed_schedules():

@@ -202,6 +202,36 @@ def test_reproduce_fig2_is_deterministic(tmp_path, capsys):
     assert len(strip_wall_ms(d1 / "fig2.csv")) == 8  # header + 7 rows
 
 
+@pytest.mark.parametrize("fig_id", ["fig2", "shadow", "proxy", "ce"])
+def test_reproduce_serial_pipelines_reject_jobs(tmp_path, capsys, fig_id):
+    out = tmp_path / "out"
+    assert main(["reproduce", fig_id, "--jobs", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"reproduce {fig_id}" in err
+    assert not out.exists()
+
+
+def test_reproduce_scale_jobs_do_not_change_rows(tmp_path, capsys):
+    manifest = write_manifest(
+        tmp_path,
+        {
+            "experiment": "scale",
+            "params": {
+                "family": "chain", "n": 6, "seeds": 2, "p_list": [1, 2],
+                "j2_list": [0.4, 1.0], "resolution": [6, 6],
+            },
+        },
+    )
+    d1, d2 = tmp_path / "j1", tmp_path / "j2"
+    for jobs, out in (("1", d1), ("2", d2)):
+        args = ["reproduce", "scale", "--manifest", manifest, "--jobs", jobs]
+        assert main(args + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    rows = strip_wall_ms(d1 / "scale.csv")
+    assert len(rows) == 1 + 2 * 2 * 2  # header + p_list x j2_list x seeds
+    assert rows == strip_wall_ms(d2 / "scale.csv")
+
+
 def test_reproduce_rejects_mismatched_manifest(tmp_path, capsys):
     manifest = write_manifest(tmp_path, {"experiment": "fig2", "params": {}})
     assert main(["reproduce", "scale", "--manifest", manifest]) == 2

@@ -11,6 +11,7 @@ from qlow.laplacians import (
     CompleteGraph,
     CustomSparse,
     WeightedHypercube,
+    _rotate_qubits,
     ball_uniform_state,
     custom_from_edges,
     evolve,
@@ -59,6 +60,20 @@ def test_hypercube_rotation_single_qubit_convention():
     beta = 0.42
     out = hypercube_rotation(Statevector(1, np.array([1.0, 0.0])), np.array([beta]))
     np.testing.assert_allclose(out.amps, [np.cos(beta), -1j * np.sin(beta)], atol=1e-14)
+
+
+def test_rotation_kernel_batch_axis_matches_single_rotations():
+    # the leading axis is a batch: each row equals its own single rotation,
+    # bit for bit, and the zero angle on qubit 2 takes the skip branch
+    n = 5
+    thetas = np.array([0.3, -1.2, 0.0, 2.5, 0.7])
+    rows = np.stack([rand_state(n, seed).amps for seed in range(4)])
+    out = _rotate_qubits(rows, thetas)
+    assert out.shape == (4, 1 << n)
+    for k in range(4):
+        single = hypercube_rotation(Statevector(n, rows[k]), thetas).amps
+        assert np.array_equal(out[k], single)
+    assert np.array_equal(rows, np.stack([rand_state(n, seed).amps for seed in range(4)]))
 
 
 def test_complete_graph_matches_projector_exponential():
