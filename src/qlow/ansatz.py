@@ -112,18 +112,23 @@ def product_state(thetas: np.ndarray) -> Statevector:
     return Statevector(n, amps)
 
 
+def _spins(problem: DiagonalProblem, x: np.ndarray) -> np.ndarray:
+    """1 - 2 x after checking that x is a point of [0, 1]^n."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (problem.n,):
+        raise ValueError("x must have one entry per qubit")
+    if np.any(x < -1e-12) or np.any(x > 1 + 1e-12):
+        raise ConfigError("x must lie in [0, 1]^n")
+    return 1.0 - 2.0 * x
+
+
 def multilinear_value(problem: DiagonalProblem, x: np.ndarray) -> float:
     """f-hat(x): term-wise expectation with each Z_i replaced by (1 - 2 x_i).
 
     Equals f(z) exactly on 0/1 vertices and the product-state expectation with
     x_i the per-qubit excitation probability.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (problem.n,):
-        raise ValueError("x must have one entry per qubit")
-    if np.any(x < -1e-12) or np.any(x > 1 + 1e-12):
-        raise ConfigError("x must lie in [0, 1]^n")
-    s = 1.0 - 2.0 * x
+    s = _spins(problem, x)
     total = 0.0
     for t in problem.terms:
         total += t.coeff * float(np.prod(s[list(t.qubits)]))
@@ -151,8 +156,7 @@ def _leave_one_out(problem: DiagonalProblem, s: np.ndarray) -> np.ndarray:
 def multilinear_gradient(problem: DiagonalProblem, x: np.ndarray) -> np.ndarray:
     """d f-hat / d x_i; multilinearity makes each term's factor drop out once,
     and d(1 - 2 x_i)/d x_i = -2."""
-    x = np.asarray(x, dtype=np.float64)
-    return -2.0 * _leave_one_out(problem, 1.0 - 2.0 * x)
+    return -2.0 * _leave_one_out(problem, _spins(problem, x))
 
 
 # ---------------------------------------------------------------------------

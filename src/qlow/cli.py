@@ -10,6 +10,7 @@ from entropy.
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib.resources
 import json
 import sys
@@ -47,13 +48,18 @@ REPRODUCIBLE = ("fig2", "scale", "ce", "freedom", "shadow", "proxy", "rounding")
 SERIAL = ("fig2", "ce", "shadow", "proxy")
 
 
-def _schema() -> dict:
+@functools.cache
+def _validator():
+    """The manifest schema's validator, with the schema itself checked once."""
     text = (
         importlib.resources.files("qlow")
         .joinpath("manifests", "schema.json")
         .read_text()
     )
-    return json.loads(text)
+    schema = json.loads(text)
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 def load_manifest(path: str | Path) -> dict:
@@ -69,12 +75,11 @@ def load_manifest(path: str | Path) -> dict:
 
 
 def validate_manifest(manifest: dict) -> None:
-    try:
-        jsonschema.validate(manifest, _schema())
-    except jsonschema.ValidationError as exc:
+    error = jsonschema.exceptions.best_match(_validator().iter_errors(manifest))
+    if error is not None:
         raise ConfigError(
-            f"manifest invalid at {exc.json_path}: {exc.message}"
-        ) from exc
+            f"manifest invalid at {error.json_path}: {error.message}"
+        ) from error
 
 
 def problem_from_manifest(spec: dict):
@@ -336,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--seed", type=int, default=DEFAULT_SEED,
             help=f"master seed for all randomness (default {DEFAULT_SEED}, never entropy)",
         )
-        p.add_argument("--jobs", type=_positive_int, default=1, help="worker processes (>= 1)")
         p.add_argument("--out", default=None, help="output directory")
 
     p_solve = sub.add_parser("solve", help="optimize one instance from a manifest")
@@ -347,6 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep = sub.add_parser("reproduce", help="regenerate a named table/figure CSV")
     p_rep.add_argument("id", choices=REPRODUCIBLE)
     p_rep.add_argument("--manifest", default=None, help="override the shipped manifest")
+    p_rep.add_argument("--jobs", type=_positive_int, default=1, help="worker processes (>= 1)")
     common(p_rep)
     p_rep.set_defaults(fn=cmd_reproduce)
 

@@ -313,6 +313,7 @@ def _x_expectations(state: Statevector) -> np.ndarray:
 
 def kinetic_energy(state: Statevector, lap) -> float:
     """<psi| L_G |psi> with L_G = D_G - A_G (>= 0; 0 iff uniform when connected)."""
+    _check_qubits(state.n, lap)
     if isinstance(lap, WeightedHypercube):
         b = np.asarray(lap.b)
         return float(np.sum(b * (1.0 - _x_expectations(state))))

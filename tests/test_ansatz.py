@@ -176,6 +176,14 @@ def test_multilinear_domain_check():
         multilinear_value(hamming_ramp(2), np.array([0.5, 1.2]))
 
 
+def test_multilinear_gradient_checks_like_value():
+    prob = hamming_ramp(3)
+    with pytest.raises(ValueError):
+        multilinear_gradient(prob, np.full(4, 0.5))
+    with pytest.raises(ConfigError):
+        multilinear_gradient(prob, np.array([0.1, 0.2, 7.0]))
+
+
 def test_multilinear_gradient_matches_finite_differences():
     prob = conflicted_pairs(4, 0.5, 3.0)
     x = np.array([0.3, 0.7, 0.5, 0.2])

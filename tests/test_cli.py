@@ -120,10 +120,19 @@ def test_bad_qubit_cap_is_config_exit(tmp_path, capsys, monkeypatch, raw):
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_jobs_below_one_is_usage_error(tmp_path, jobs):
+    with pytest.raises(SystemExit) as exc:
+        main(["reproduce", "scale", "--jobs", jobs, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", [["solve"], ["sample", "--shots", "1"]])
+def test_single_process_commands_reject_jobs(tmp_path, capsys, command):
     path = write_manifest(tmp_path, SOLVE_UNCOUPLED)
     with pytest.raises(SystemExit) as exc:
-        main(["solve", "--manifest", path, "--jobs", jobs])
+        main(command + ["--manifest", path, "--jobs", "2"])
     assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
 
 
 def test_numeric_failure_is_exit_four(tmp_path, capsys, monkeypatch):

@@ -255,6 +255,12 @@ def test_kinetic_energy_psd_and_plus_ground():
         assert kinetic_energy(state, lap) >= -1e-10
 
 
+@pytest.mark.parametrize("lap", [CompleteGraph(7), hypercube(3)], ids=["complete7", "hypercube3"])
+def test_kinetic_energy_rejects_qubit_count_mismatch(lap):
+    with pytest.raises(ValueError, match="state on 4"):
+        kinetic_energy(plus_state(4), lap)
+
+
 def test_kinetic_energy_matches_dense_quadratic_form():
     n = 3
     adj = hypercube_adjacency(n).toarray()

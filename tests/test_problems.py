@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qlow import _bits
 from qlow.errors import ConfigError
 from qlow.problems import (
+    WALSH_COEFF_CUTOFF,
     DiagonalProblem,
     ZTerm,
     bush,
@@ -26,6 +28,7 @@ from qlow.problems import (
     spike_band,
     uncoupled_spins,
 )
+from qlow.statevector import fwht_array
 
 from conftest import small_problems
 
@@ -75,6 +78,66 @@ def test_from_dense_recovers_terms():
 def test_dense_term_consistency_guard():
     with pytest.raises(ValueError):
         DiagonalProblem(2, [ZTerm((0,), 1.0)], np.zeros(4))
+
+
+def test_dense_term_consistency_guard_above_sixteen_qubits():
+    with pytest.raises(ValueError):
+        DiagonalProblem(17, [ZTerm((0,), 1.0)], np.zeros(2**17))
+
+
+def brute_scan(n, values):
+    """Reference Walsh scan: every mask in ascending order, cutoff applied."""
+    coeffs = fwht_array(np.asarray(values, dtype=np.float64)) * 2.0 ** (-n / 2)
+    out = []
+    for mask in range(1 << n):
+        c = float(coeffs[mask])
+        if abs(c) > WALSH_COEFF_CUTOFF:
+            out.append((tuple(i for i in range(n) if (mask >> i) & 1), c))
+    return out
+
+
+def test_from_dense_scan_matches_per_mask_loop():
+    n = 6
+    coeffs = np.random.default_rng(5).normal(size=1 << n)
+    coeffs[::5] = 0.0
+    near = {3: 2e-12, 10: -2e-12, 17: 5e-13, 40: -5e-13}
+    for mask, c in near.items():
+        coeffs[mask] = c
+    values = fwht_array(coeffs) * 2.0 ** (n / 2)
+    terms = [(t.qubits, t.coeff) for t in from_dense(n, values).terms]
+    assert terms == brute_scan(n, values)
+    kept = {_bits.mask_of(qs) for qs, _ in terms}
+    assert {3, 10} <= kept and not {17, 40} & kept
+    assert len(kept) == np.count_nonzero(np.abs(coeffs) > WALSH_COEFF_CUTOFF)
+
+
+@st.composite
+def term_lists(draw, n):
+    """Random terms on n qubits, always with a repeated mask and an identity term."""
+    def term(mask):
+        coeff = draw(st.floats(-5, 5, allow_nan=False))
+        return ZTerm(tuple(i for i in range(n) if (mask >> i) & 1), coeff)
+
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=12))
+    return [term(m) for m in masks] + [term(masks[0]), term(0)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 10), st.data())
+def test_terms_dense_round_trip(n, data):
+    values = data.draw(arrays(np.float64, 1 << n, elements=st.floats(-8, 8)))
+    again = from_terms(n, from_dense(n, values).terms)
+    np.testing.assert_allclose(again.dense, values, rtol=0.0, atol=1e-9)
+
+    terms = data.draw(term_lists(n))
+    summed = {}
+    for t in terms:
+        mask = _bits.mask_of(t.qubits)
+        summed[mask] = summed.get(mask, 0.0) + t.coeff
+    back = from_dense(n, from_terms(n, terms).dense)
+    recovered = {_bits.mask_of(t.qubits): t.coeff for t in back.terms}
+    for mask in summed.keys() | recovered.keys():
+        assert recovered.get(mask, 0.0) == pytest.approx(summed.get(mask, 0.0), abs=1e-9)
 
 
 def test_json_roundtrip():
