@@ -4,6 +4,10 @@ One round applies the problem phase exp(-i gamma f) and then the mixer
 exp(-i beta L_bar); rounds compose innermost-first. Relaxed-gamma schedules
 carry one angle per problem term, relaxed-beta one angle per qubit (hypercube
 mixers only, since per-qubit angles require the tensor structure).
+
+qaoa_state checks its inputs once and runs the rounds on one raw array through
+the shared kernels (statevector._phase, laplacians._mix, _rotate_qubits for
+per-qubit betas), which never write to their input; only the result is wrapped.
 """
 
 from __future__ import annotations
@@ -13,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .laplacians import WeightedHypercube, _check_qubits, evolve, hypercube_rotation
+from .laplacians import WeightedHypercube, _check_qubits, _mix, _rotate_qubits
 from .problems import DiagonalProblem
-from .statevector import Statevector, apply_phase, plus_state
+from .statevector import Statevector, _phase, _plus_amps
 
 
 @dataclass
@@ -73,9 +77,9 @@ def qaoa_state(
     schedule: Schedule,
     initial: Statevector | None = None,
 ) -> Statevector:
-    """Alternate phase and mixer evolutions, p rounds, innermost round first."""
-    state = plus_state(problem.n) if initial is None else initial
-    if state.n != problem.n:
+    """Alternate phase and mixer evolutions, p rounds, innermost round first;
+    `initial` is not changed."""
+    if initial is not None and initial.n != problem.n:
         raise ValueError("initial state size does not match problem")
     if schedule.beta_relaxed and not isinstance(lap, WeightedHypercube):
         raise ConfigError("per-qubit beta requires a hypercube mixer")
@@ -83,18 +87,18 @@ def qaoa_state(
         raise ConfigError("per-term gammas must match the problem's term count")
     if schedule.beta_relaxed and schedule.betas.shape[1] != problem.n:
         raise ConfigError("per-qubit betas must match the qubit count")
-    b = np.asarray(lap.b) if isinstance(lap, WeightedHypercube) else None
+    _check_qubits(problem.n, lap)
+    amps = _plus_amps(problem.n) if initial is None else initial.amps
     for k in range(schedule.rounds):
         if schedule.gamma_relaxed:
-            values = schedule.gammas[k] @ problem.term_tables()
-            state = apply_phase(state, values, 1.0)
+            amps = _phase(amps, schedule.gammas[k] @ problem.term_tables(), 1.0)
         else:
-            state = apply_phase(state, problem.dense, float(schedule.gammas[k]))
+            amps = _phase(amps, problem.dense, float(schedule.gammas[k]))
         if schedule.beta_relaxed:
-            state = hypercube_rotation(state, schedule.betas[k] * b)
+            amps = _rotate_qubits(amps, schedule.betas[k] * np.asarray(lap.b))
         else:
-            state = evolve(state, lap, float(schedule.betas[k]))
-    return state
+            amps = _mix(amps, lap, float(schedule.betas[k]))
+    return Statevector(problem.n, amps)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,6 @@ from .problems import (
     uncoupled_spins,
     ZTerm,
 )
-from .statevector import ground_state_mass
 
 DEFAULT_SEED = 7
 
@@ -168,20 +167,17 @@ def cmd_solve(args) -> int:
     p = int(manifest.get("p", 1))
     sched, value = optimize_schedule(problem, lap, p, objective, config)
     state = qaoa_state(problem, lap, sched)
-    probs = state.probabilities()
-    mean = float(probs @ problem.dense)
-    spread = problem.f_max - problem.f_min
-    ratio = (problem.f_max - mean) / spread if spread > 0 else None
-    argmax = int(np.argmax(probs))
+    mean, ground_prob, ratio = experiments._measure(problem, state)
+    argmax = int(np.argmax(state.probabilities()))
     out = {
         "gammas": sched.gammas.tolist(),
         "betas": sched.betas.tolist(),
         "objective": experiments.objective_tag(objective),
         "value": value,
         "mean": mean,
-        "ground_prob": ground_state_mass(state, problem.dense),
+        "ground_prob": ground_prob,
         "approx_ratio": ratio,
-        "ratio_flag": None if spread > 0 else "undefined-constant-problem",
+        "ratio_flag": None if ratio is not None else "undefined-constant-problem",
         "argmax_bitstring": _bits.bitstring(argmax, problem.n),
         "argmax_value": float(problem.dense[argmax]),
         "n": problem.n,
@@ -370,7 +366,7 @@ def main(argv=None) -> int:
         args.out = "out"
     try:
         return args.fn(args)
-    except (ConfigError, jsonschema.ValidationError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ResourceError as exc:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -55,7 +56,7 @@ from .problems import (
     hamming_ramp,
     maxcut_3regular,
 )
-from .statevector import ground_state_mass, plus_state
+from .statevector import Statevector, ground_state_mass, plus_state
 
 CSV_HEADER = [
     "experiment",
@@ -280,15 +281,19 @@ def _family_problem(family: str, n: int, j2: float, seed: int, rows: int, cols: 
     raise ConfigError(f"unknown family {family!r}")
 
 
+def _measure(problem: DiagonalProblem, state):
+    """(mean energy, ground-state mass, approximation ratio) of a final state;
+    the ratio is None for a constant problem."""
+    mean = float(state.probabilities() @ problem.dense)
+    ratio = approximation_ratio(problem, mean) if problem.f_max > problem.f_min else None
+    return mean, ground_state_mass(state, problem.dense), ratio
+
+
 def _solve_and_measure(problem, p, objective, config):
     lap = hypercube(problem.n)
     sched, val = optimize_schedule(problem, lap, p, objective, config)
-    state = qaoa_state(problem, lap, sched)
-    mean = float(state.probabilities() @ problem.dense)
-    ratio = None
-    if problem.f_max - problem.f_min > 0:
-        ratio = approximation_ratio(problem, mean)
-    return val, ground_state_mass(state, problem.dense), ratio
+    _, gmass, ratio = _measure(problem, qaoa_state(problem, lap, sched))
+    return val, gmass, ratio
 
 
 def run_scale_sweep(
@@ -425,38 +430,20 @@ def _relaxation_task(task):
     obj = objective_from_config(objective_cfg)
     config = SearchConfig(resolution=resolution)
     lap = hypercube(problem.n)
-
-    def measure(sched):
-        state = qaoa_state(problem, lap, sched)
-        mean = float(state.probabilities() @ problem.dense)
-        return ground_state_mass(state, problem.dense), approximation_ratio(problem, mean)
-
+    relaxed = functools.partial(optimize_relaxed_schedule, problem, lap, obj, config)
     out = {}
-    t0 = time.perf_counter()
-    std_sched, std_val = optimize_schedule(problem, lap, 1, obj, config)
-    gmass, ratio = measure(std_sched)
-    out["standard"] = (std_val, gmass, ratio, (time.perf_counter() - t0) * 1e3)
 
-    t0 = time.perf_counter()
-    g_sched, g_val = optimize_relaxed_schedule(
-        problem, lap, obj, config, relax="gamma", warm=std_sched
-    )
-    gmass, ratio = measure(g_sched)
-    out["relax-gamma"] = (g_val, gmass, ratio, (time.perf_counter() - t0) * 1e3)
+    def run(solver, search):
+        t0 = time.perf_counter()
+        sched, val = search()
+        _, gmass, ratio = _measure(problem, qaoa_state(problem, lap, sched))
+        out[solver] = (val, gmass, ratio, (time.perf_counter() - t0) * 1e3)
+        return sched
 
-    t0 = time.perf_counter()
-    b_sched, b_val = optimize_relaxed_schedule(
-        problem, lap, obj, config, relax="beta", warm=std_sched
-    )
-    gmass, ratio = measure(b_sched)
-    out["relax-beta"] = (b_val, gmass, ratio, (time.perf_counter() - t0) * 1e3)
-
-    t0 = time.perf_counter()
-    both_sched, both_val = optimize_relaxed_schedule(
-        problem, lap, obj, config, relax="both", warm=g_sched
-    )
-    gmass, ratio = measure(both_sched)
-    out["relax-both"] = (both_val, gmass, ratio, (time.perf_counter() - t0) * 1e3)
+    std_sched = run("standard", lambda: optimize_schedule(problem, lap, 1, obj, config))
+    g_sched = run("relax-gamma", lambda: relaxed(relax="gamma", warm=std_sched))
+    run("relax-beta", lambda: relaxed(relax="beta", warm=std_sched))
+    run("relax-both", lambda: relaxed(relax="both", warm=g_sched))
     return out
 
 
@@ -488,13 +475,9 @@ def shell_landscape(n: int, resolution: int = 32):
 
 def boosted_ball_state(n: int, center: int, radius: int, boost: float):
     """Ball state with the center's amplitude scaled up, then renormalized."""
-    state = ball_uniform_state(n, center, radius)
-    amps = state.amps.copy()
+    amps = ball_uniform_state(n, center, radius).amps
     amps[center] *= boost
-    amps /= np.linalg.norm(amps)
-    from .statevector import Statevector
-
-    return Statevector(n, amps)
+    return Statevector(n, amps / np.linalg.norm(amps))
 
 
 def _far_spike_problem(n: int, weight: int, height: float) -> DiagonalProblem:
@@ -570,11 +553,8 @@ def run_shadow_defect(
     for solver_name, lap, obj in solvers:
         for fam, problem in (("ramp", ramp), ("ramp-spike", spiked)):
             t0 = time.perf_counter()
-            sched, val = optimize_schedule(
-                problem, lap, 1, obj, config, initial=init.copy()
-            )
-            state = qaoa_state(problem, lap, sched, initial=init.copy())
-            gmass = ground_state_mass(state, problem.dense)
+            sched, val = optimize_schedule(problem, lap, 1, obj, config, initial=init)
+            _, gmass, _ = _measure(problem, qaoa_state(problem, lap, sched, initial=init))
             ms = (time.perf_counter() - t0) * 1e3
             records.append(
                 ExperimentRecord(

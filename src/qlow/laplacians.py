@@ -5,9 +5,11 @@ Regular graphs (hypercube, complete graph) drop the degree term as a global
 phase, so the hypercube mixer is the product of per-qubit rotations
 exp(-i beta b_i X_i), applied by one kernel that also takes leading batch
 axes, and the complete-graph mixer is the rank-1 update
-psi + (exp(-i beta) - 1) <u|psi> u with u the uniform state. kinetic_energy
-always uses the positive-semidefinite L_G = D_G - A_G, so it is >= 0 and
-vanishes exactly on the uniform state of a connected graph.
+psi + (exp(-i beta) - 1) <u|psi> u with u the uniform state. The raw-array
+kernel _mix runs every mixer into a new array; evolve checks and wraps it, and
+qaoa_state calls it directly. kinetic_energy always uses the positive-
+semidefinite L_G = D_G - A_G, so it is >= 0 and vanishes exactly on the
+uniform state of a connected graph.
 
 CustomSparse and BallCut evolutions, single or batched over betas, share one
 spectral kernel on the explicit L_bar restricted to its support. Up to
@@ -215,6 +217,8 @@ def _rotate_qubits(amps: np.ndarray, thetas) -> np.ndarray:
 
 def hypercube_rotation(state: Statevector, thetas: np.ndarray) -> Statevector:
     """prod_i exp(-i thetas[i] X_i) applied via the tensor structure."""
+    if np.shape(thetas) != (state.n,):
+        raise ValueError(f"{np.shape(thetas)} rotation angles for a {state.n}-qubit state")
     return Statevector(state.n, _rotate_qubits(state.amps, thetas))
 
 
@@ -263,18 +267,23 @@ def _check_qubits(n: int, lap) -> None:
         raise ValueError(f"Laplacian is on {lap.n} qubits, state on {n}")
 
 
+def _mix(amps: np.ndarray, lap, beta: float) -> np.ndarray:
+    """exp(-i beta L_bar) amps as a new array, for a Laplacian on as many qubits
+    as amps has; amps is not changed."""
+    if isinstance(lap, WeightedHypercube):
+        return _rotate_qubits(amps, beta * np.asarray(lap.b))
+    if isinstance(lap, CompleteGraph):
+        return amps + (np.exp(-1j * beta) - 1.0) * np.mean(amps)
+    support = _support(lap)
+    out = amps.copy()
+    out[support] = _spectral_evolve(lap, amps[support], np.array([float(beta)]))[:, 0]
+    return out
+
+
 def evolve(state: Statevector, lap, beta: float) -> Statevector:
     """Exact unitary exp(-i beta L_bar) applied to the state."""
     _check_qubits(state.n, lap)
-    if isinstance(lap, WeightedHypercube):
-        return hypercube_rotation(state, beta * np.asarray(lap.b))
-    if isinstance(lap, CompleteGraph):
-        shift = (np.exp(-1j * beta) - 1.0) * np.mean(state.amps)
-        return Statevector(state.n, state.amps + shift)
-    support = _support(lap)
-    amps = state.amps.copy()
-    amps[support] = _spectral_evolve(lap, state.amps[support], np.array([float(beta)]))[:, 0]
-    return Statevector(state.n, amps)
+    return Statevector(state.n, _mix(state.amps, lap, beta))
 
 
 def evolve_many(state: Statevector, lap, betas: np.ndarray) -> list[Statevector]:

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _bits
+from .ansatz import Schedule, qaoa_state
 from .errors import ConfigError, NumericError
 from .laplacians import kinetic_energy
 from .problems import DiagonalProblem
@@ -152,9 +153,7 @@ def improvement_proxy(
             return float(sched.gammas[0]), float(sched.betas[0])
 
     gamma, beta = optimizer(problem, lap, initial)
-    from .ansatz import Schedule, qaoa_state
-
-    final = qaoa_state(problem, lap, Schedule([gamma], [beta]), initial=initial.copy())
+    final = qaoa_state(problem, lap, Schedule([gamma], [beta]), initial=initial)
     degenerate = len(problem.argmin_set) > 1
     c0 = ground_state_mass(initial, problem.dense)
     cf = ground_state_mass(final, problem.dense)

@@ -17,10 +17,10 @@ from .ansatz import (
     qaoa_state,
 )
 from .errors import ConfigError
-from .laplacians import hypercube
+from .laplacians import evolve_many, hypercube
 from .objectives import Mean, evaluate
 from .problems import DiagonalProblem, freeze
-from .statevector import Statevector
+from .statevector import Statevector, apply_phase, plus_state
 
 
 @dataclass
@@ -124,9 +124,6 @@ def _grid_axes(config: SearchConfig):
 def _grid_scan_p1(problem, lap, objective, config, initial):
     """Objective on the full (gamma, beta) grid; phase states reused per row
     and the beta sweep batched through evolve_many."""
-    from .laplacians import evolve_many
-    from .statevector import apply_phase, plus_state
-
     gammas, betas = _grid_axes(config)
     base = plus_state(problem.n) if initial is None else initial
     table = np.empty((gammas.size, betas.size))

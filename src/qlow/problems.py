@@ -41,6 +41,11 @@ class ZTerm:
             raise ValueError("term coefficient must be finite")
 
 
+def _magnitude(values: np.ndarray) -> float:
+    """Scale of a table's rounding error, for its Walsh cutoff and check tolerance."""
+    return max(1.0, float(np.max(np.abs(values))))
+
+
 def _dense_from_terms(n: int, terms: Sequence[ZTerm]) -> np.ndarray:
     values = np.zeros(1 << n, dtype=np.float64)
     for t in terms:
@@ -79,7 +84,8 @@ class DiagonalProblem:
                 raise ValueError(f"term {t.qubits} references qubit >= n={self.n}")
         if self.terms:
             rebuilt = _dense_from_walsh(self.n, self.terms)
-            if not np.allclose(rebuilt, self.dense, rtol=0.0, atol=1e-9):
+            atol = 1e-9 * _magnitude(self.dense)
+            if not np.allclose(rebuilt, self.dense, rtol=0.0, atol=atol):
                 raise ValueError("dense table disagrees with term-list evaluation")
         self.f_min = float(self.dense.min())
         self.f_max = float(self.dense.max())
@@ -126,11 +132,12 @@ def from_dense(n: int, values: np.ndarray, meta: dict | None = None) -> Diagonal
     """Build a problem from a value table; terms recovered by Walsh expansion.
 
     The Pauli-Z coefficient of subset mask S is the normalized Walsh transform
-    2^{-n} sum_z f(z) (-1)^{popcount(z & S)}; coefficients below 1e-12 dropped.
+    2^{-n} sum_z f(z) (-1)^{popcount(z & S)}; coefficients below
+    WALSH_COEFF_CUTOFF times max(1, max |values|) are rounding noise and dropped.
     """
     values = np.asarray(values, dtype=np.float64)
     coeffs = fwht_array(values) * 2.0 ** (-n / 2)
-    masks = np.flatnonzero(np.abs(coeffs) > WALSH_COEFF_CUTOFF)
+    masks = np.flatnonzero(np.abs(coeffs) > WALSH_COEFF_CUTOFF * _magnitude(values))
     bits = ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
     qubits = np.arange(n)
     terms = [

@@ -62,9 +62,6 @@ class Statevector:
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amps) ** 2
 
-    def copy(self) -> "Statevector":
-        return Statevector(self.n, self.amps.copy())
-
 
 def _finalize(n: int, amps: np.ndarray) -> Statevector:
     """Wrap raw amplitudes; renormalize only if drift exceeds NORM_TOL."""
@@ -74,11 +71,14 @@ def _finalize(n: int, amps: np.ndarray) -> Statevector:
     return Statevector(n, amps)
 
 
+def _plus_amps(n: int) -> np.ndarray:
+    return np.full(1 << n, 2.0 ** (-n / 2), dtype=np.complex128)
+
+
 def plus_state(n: int) -> Statevector:
     """|+>^n: every amplitude 2^(-n/2), phase 0."""
     check_qubit_count(n)
-    amps = np.full(1 << n, 2.0 ** (-n / 2), dtype=np.complex128)
-    return Statevector(n, amps)
+    return Statevector(n, _plus_amps(n))
 
 
 def basis_state(n: int, z: int) -> Statevector:
@@ -90,18 +90,23 @@ def basis_state(n: int, z: int) -> Statevector:
     return Statevector(n, amps)
 
 
-def apply_phase(state: Statevector, values: np.ndarray, gamma: float) -> Statevector:
-    """amps[z] <- exp(-i * gamma * values[z]) * amps[z].
+def _phase(amps: np.ndarray, values: np.ndarray, gamma: float) -> np.ndarray:
+    """exp(-i * gamma * values[z]) * amps[z] as a new array; amps is not changed.
 
     values is the dense table f(z) in problem-energy units; the sign follows
     the ansatz convention exp(-i gamma f).
     """
+    return amps * np.exp(-1j * gamma * values)
+
+
+def apply_phase(state: Statevector, values: np.ndarray, gamma: float) -> Statevector:
+    """The phase kernel on a checked state and table, wrapped as a new state."""
     values = np.asarray(values, dtype=np.float64)
     if values.shape != state.amps.shape:
         raise ValueError(
             f"phase table length {values.shape} does not match state length {state.amps.shape}"
         )
-    return Statevector(state.n, state.amps * np.exp(-1j * gamma * values))
+    return Statevector(state.n, _phase(state.amps, values, gamma))
 
 
 def fwht(state: Statevector) -> Statevector:

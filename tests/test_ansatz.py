@@ -7,7 +7,17 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from qlow.errors import ConfigError
-from qlow.laplacians import CompleteGraph, WeightedHypercube, hypercube
+from qlow.laplacians import (
+    BallCut,
+    CompleteGraph,
+    WeightedHypercube,
+    ball_uniform_state,
+    custom_from_edges,
+    evolve,
+    hypercube,
+    hypercube_rotation,
+    randomize_phases,
+)
 from qlow.ansatz import (
     Schedule,
     meanfield_evolve,
@@ -29,7 +39,9 @@ from qlow.problems import (
     uncoupled_spins,
     ZTerm,
 )
-from qlow.statevector import ground_state_mass, plus_state
+from qlow.objectives import Mean
+from qlow.optimize import SearchConfig, optimize_schedule
+from qlow.statevector import apply_phase, ground_state_mass, plus_state
 
 from conftest import angles, small_problems
 
@@ -82,6 +94,60 @@ def test_qaoa_initial_state_override():
     np.testing.assert_allclose(a.amps, b.amps)
     with pytest.raises(ValueError):
         qaoa_state(prob, hypercube(3), schedule_p1(0.3, 0.4), initial=plus_state(2))
+
+
+def public_chain(problem, lap, schedule, initial=None):
+    """qaoa_state rebuilt from the checked public operations, one state per step."""
+    state = plus_state(problem.n) if initial is None else initial
+    for k in range(schedule.rounds):
+        if schedule.gamma_relaxed:
+            state = apply_phase(state, schedule.gammas[k] @ problem.term_tables(), 1.0)
+        else:
+            state = apply_phase(state, problem.dense, float(schedule.gammas[k]))
+        if schedule.beta_relaxed:
+            state = hypercube_rotation(state, schedule.betas[k] * np.asarray(lap.b))
+        else:
+            state = evolve(state, lap, float(schedule.betas[k]))
+    return state
+
+
+def chain_cases():
+    prob = conflicted_pairs(4, 0.5, 3.0)
+    terms = len(prob.terms)
+    weighted = WeightedHypercube((0.5, 1.0, 0.0, 2.0))
+    custom = custom_from_edges(4, [(0, 1), (1, 3, 0.5), (3, 7), (7, 15, 2.0), (2, 6)])
+    two = Schedule(np.array([0.37, -1.1]), np.array([0.6, 0.25]))
+    g_rows = np.array([np.linspace(-0.9, 0.8, terms), np.linspace(0.3, -0.4, terms)])
+    b_rows = np.array([[0.2, 0.9, -0.4, 1.3], [0.7, 0.0, 0.5, -0.1]])
+    phased = randomize_phases(ball_uniform_state(4, 5, 2), 11)
+    return {
+        "hypercube-p1": (prob, hypercube(4), schedule_p1(0.37, 0.6), None),
+        "weighted-p2": (prob, weighted, two, None),
+        "complete-p2": (prob, CompleteGraph(4), two, None),
+        "ballcut-p2": (prob, BallCut(hypercube(4), center=5, radius=2), two, phased),
+        "custom-p2": (prob, custom, two, phased),
+        "relaxed-gamma": (prob, weighted, Schedule(g_rows, two.betas), None),
+        "relaxed-beta": (prob, hypercube(4), Schedule(two.gammas, b_rows), phased),
+        "relaxed-both": (prob, weighted, Schedule(g_rows, b_rows), phased),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(chain_cases()))
+def test_qaoa_state_equals_public_chain_bitwise(case):
+    prob, lap, sched, initial = chain_cases()[case]
+    out = qaoa_state(prob, lap, sched, initial=initial)
+    assert np.array_equal(out.amps, public_chain(prob, lap, sched, initial).amps)
+
+
+def test_initial_state_is_not_changed():
+    prob = hamming_ramp(4)
+    init = randomize_phases(ball_uniform_state(4, 0, 2), 3)
+    before = init.amps.copy()
+    config = SearchConfig(resolution=(4, 4), max_iters=3)
+    for lap in (hypercube(4), CompleteGraph(4), BallCut(hypercube(4), center=0, radius=2)):
+        qaoa_state(prob, lap, Schedule([0.3, -0.2], [0.4, 0.9]), initial=init)
+        optimize_schedule(prob, lap, 1, Mean(), config, initial=init)
+        assert np.array_equal(init.amps, before)
 
 
 def test_schedule_shape_validation():

@@ -1,5 +1,7 @@
 import csv
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,6 +74,15 @@ def test_constant_problem_sets_ratio_flag(tmp_path, capsys):
     assert out["approx_ratio"] is None
     assert out["ratio_flag"] == "undefined-constant-problem"
     assert out["mean"] == pytest.approx(2.0, abs=1e-9)
+
+
+def test_search_seed_is_rejected(tmp_path, capsys):
+    # restarts are seeded from --seed; a seed under "search" would be ignored
+    payload = dict(SOLVE_UNCOUPLED, search={"resolution": [16, 16], "seed": 3})
+    path = write_manifest(tmp_path, payload)
+    assert main(["solve", "--manifest", path]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "$.search" in err and "'seed'" in err
 
 
 def test_malformed_json_is_config_error(tmp_path, capsys):
@@ -209,6 +220,37 @@ def test_reproduce_fig2_is_deterministic(tmp_path, capsys):
     capsys.readouterr()
     assert strip_wall_ms(d1 / "fig2.csv") == strip_wall_ms(d2 / "fig2.csv")
     assert len(strip_wall_ms(d1 / "fig2.csv")) == 8  # header + 7 rows
+
+
+GOLDEN = Path(__file__).with_name("data")
+TEXT_COLUMNS = {"experiment", "family", "solver", "objective"}
+
+
+def first_eleven_columns(path):
+    with open(path) as fh:
+        return [row[:11] for row in csv.reader(fh)]
+
+
+@pytest.mark.parametrize("fig_id", ["fig2", "shadow"])
+def test_reproduce_shipped_manifest_matches_golden_csv(tmp_path, capsys, fig_id):
+    # tests/data holds columns 1-11 of these runs; a change that moves a CSV
+    # value must update them on purpose. Text and empty cells must match
+    # exactly, numbers to 1e-9 relative; the 1e-12 absolute floor only covers
+    # the scan-gamma-rows values of shadow, the rounding residue (~1e-15) of a
+    # quantity that is exactly zero.
+    assert main(["reproduce", fig_id, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    got = first_eleven_columns(tmp_path / f"{fig_id}.csv")
+    want = first_eleven_columns(GOLDEN / f"{fig_id}.csv")
+    assert got[0] == want[0] and len(got) == len(want)
+    for row, ref in zip(got[1:], want[1:]):
+        for column, cell, expected in zip(want[0], row, ref):
+            if column in TEXT_COLUMNS or not expected:
+                assert cell == expected, (column, row)
+            else:
+                assert math.isclose(
+                    float(cell), float(expected), rel_tol=1e-9, abs_tol=1e-12
+                ), (column, row)
 
 
 @pytest.mark.parametrize("fig_id", ["fig2", "shadow", "proxy", "ce"])

@@ -62,6 +62,12 @@ def test_hypercube_rotation_single_qubit_convention():
     np.testing.assert_allclose(out.amps, [np.cos(beta), -1j * np.sin(beta)], atol=1e-14)
 
 
+@pytest.mark.parametrize("count", [2, 4])
+def test_hypercube_rotation_needs_one_angle_per_qubit(count):
+    with pytest.raises(ValueError, match="rotation angles"):
+        hypercube_rotation(plus_state(3), np.full(count, 0.3))
+
+
 def test_rotation_kernel_batch_axis_matches_single_rotations():
     # the leading axis is a batch: each row equals its own single rotation,
     # bit for bit, and the zero angle on qubit 2 takes the skip branch

@@ -85,13 +85,18 @@ def test_dense_term_consistency_guard_above_sixteen_qubits():
         DiagonalProblem(17, [ZTerm((0,), 1.0)], np.zeros(2**17))
 
 
+def scaled_cutoff(values):
+    return WALSH_COEFF_CUTOFF * max(1.0, float(np.max(np.abs(values))))
+
+
 def brute_scan(n, values):
     """Reference Walsh scan: every mask in ascending order, cutoff applied."""
     coeffs = fwht_array(np.asarray(values, dtype=np.float64)) * 2.0 ** (-n / 2)
+    cutoff = scaled_cutoff(values)
     out = []
     for mask in range(1 << n):
         c = float(coeffs[mask])
-        if abs(c) > WALSH_COEFF_CUTOFF:
+        if abs(c) > cutoff:
             out.append((tuple(i for i in range(n) if (mask >> i) & 1), c))
     return out
 
@@ -100,7 +105,11 @@ def test_from_dense_scan_matches_per_mask_loop():
     n = 6
     coeffs = np.random.default_rng(5).normal(size=1 << n)
     coeffs[::5] = 0.0
-    near = {3: 2e-12, 10: -2e-12, 17: 5e-13, 40: -5e-13}
+    # max |values| > 1 here, so the cutoff is scaled; four coefficients sit
+    # at twice and at half of it, of both signs
+    cutoff = scaled_cutoff(fwht_array(coeffs) * 2.0 ** (n / 2))
+    assert cutoff > WALSH_COEFF_CUTOFF
+    near = {3: 2 * cutoff, 10: -2 * cutoff, 17: cutoff / 2, 40: -cutoff / 2}
     for mask, c in near.items():
         coeffs[mask] = c
     values = fwht_array(coeffs) * 2.0 ** (n / 2)
@@ -108,7 +117,20 @@ def test_from_dense_scan_matches_per_mask_loop():
     assert terms == brute_scan(n, values)
     kept = {_bits.mask_of(qs) for qs, _ in terms}
     assert {3, 10} <= kept and not {17, 40} & kept
-    assert len(kept) == np.count_nonzero(np.abs(coeffs) > WALSH_COEFF_CUTOFF)
+    assert len(kept) == np.count_nonzero(np.abs(coeffs) > scaled_cutoff(values))
+
+
+@pytest.mark.parametrize("scale", [1e3, 1e5, 1e7])
+def test_from_dense_thresholds_scale_with_table(scale):
+    # s (popcount(z) + 0.1 z_0) / 3 is an identity term plus one Z term per
+    # qubit; rounding noise of the transform grows with s and must not turn
+    # into terms or fail the dense-vs-terms check
+    n = 12
+    values = scale * (_bits.popcounts(n) + 0.1 * (_bits.indices(n) & 1)) / 3
+    prob = from_dense(n, values)
+    assert [t.qubits for t in prob.terms] == [()] + [(i,) for i in range(n)]
+    expected = [scale * 6.05 / 3, -scale * 0.55 / 3] + [-scale * 0.5 / 3] * (n - 1)
+    np.testing.assert_allclose([t.coeff for t in prob.terms], expected, rtol=1e-12)
 
 
 @st.composite
