@@ -55,17 +55,6 @@ class Schedule:
     def beta_relaxed(self) -> bool:
         return self.betas.ndim == 2
 
-    def flat(self) -> np.ndarray:
-        """All angles as one parameter vector (gammas first)."""
-        return np.concatenate([self.gammas.ravel(), self.betas.ravel()])
-
-    def with_flat(self, params: np.ndarray) -> "Schedule":
-        """Rebuild a schedule of identical shape from a flat parameter vector."""
-        gs = self.gammas.size
-        g = np.asarray(params[:gs]).reshape(self.gammas.shape)
-        b = np.asarray(params[gs:]).reshape(self.betas.shape)
-        return Schedule(g, b)
-
 
 def schedule_p1(gamma: float, beta: float) -> Schedule:
     return Schedule(np.array([gamma]), np.array([beta]))

@@ -155,17 +155,24 @@ def search_from_manifest(spec: dict | None) -> SearchConfig:
         raise ConfigError(f"bad search config: {exc}") from exc
 
 
+def _search(manifest: dict, problem, lap, seed: int):
+    """optimize_schedule with the manifest's objective, search settings and p,
+    seeded from --seed; returns (objective, schedule, value)."""
+    objective = experiments.objective_from_config(manifest.get("objective"))
+    config = search_from_manifest(manifest.get("search"))
+    config.seed = seed
+    sched, value = optimize_schedule(problem, lap, int(manifest.get("p", 1)), objective, config)
+    return objective, sched, value
+
+
 def cmd_solve(args) -> int:
     manifest = load_manifest(args.manifest)
     if manifest["experiment"] != "solve":
         raise ConfigError("manifest experiment must be 'solve' for the solve command")
     problem = problem_from_manifest(manifest["problem"])
     lap = mixer_from_manifest(manifest.get("mixer"), problem.n)
-    objective = experiments.objective_from_config(manifest.get("objective"))
-    config = search_from_manifest(manifest.get("search"))
-    config.seed = args.seed
+    objective, sched, value = _search(manifest, problem, lap, args.seed)
     p = int(manifest.get("p", 1))
-    sched, value = optimize_schedule(problem, lap, p, objective, config)
     state = qaoa_state(problem, lap, sched)
     mean, ground_prob, ratio = experiments._measure(problem, state)
     argmax = int(np.argmax(state.probabilities()))
@@ -290,12 +297,7 @@ def cmd_sample(args) -> int:
             np.asarray(manifest["schedule"]["betas"], dtype=np.float64),
         )
     else:
-        objective = experiments.objective_from_config(manifest.get("objective"))
-        config = search_from_manifest(manifest.get("search"))
-        config.seed = args.seed
-        sched, _ = optimize_schedule(
-            problem, lap, int(manifest.get("p", 1)), objective, config
-        )
+        _, sched, _ = _search(manifest, problem, lap, args.seed)
     state = qaoa_state(problem, lap, sched)
     probs = state.probabilities()
     rng = np.random.default_rng(args.seed)

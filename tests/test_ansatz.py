@@ -159,11 +159,8 @@ def test_schedule_shape_validation():
         Schedule(np.array([np.inf]), np.zeros(1))
 
 
-def test_schedule_flat_roundtrip():
+def test_schedule_shape_properties():
     sched = Schedule(np.array([[0.1, 0.2], [0.3, 0.4]]), np.array([0.5, 0.6]))
-    again = sched.with_flat(sched.flat())
-    np.testing.assert_allclose(again.gammas, sched.gammas)
-    np.testing.assert_allclose(again.betas, sched.betas)
     assert sched.rounds == 2 and sched.gamma_relaxed and not sched.beta_relaxed
 
 

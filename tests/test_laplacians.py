@@ -44,15 +44,70 @@ def rand_state(n, seed):
     return Statevector(n, amps / np.linalg.norm(amps))
 
 
-def test_hypercube_rotation_matches_expm():
-    n = 3
-    b = np.array([0.7, 0.0, 1.3])
+def x_generator(thetas):
+    """sum_i thetas[i] X_i as a dense matrix."""
+    n = len(thetas)
+    return sum(t * kron_x(n, i) for i, t in enumerate(thetas))
+
+
+def rotate_per_qubit(amps, thetas):
+    """Reference: the 2x2 rotations applied one qubit at a time."""
+    out = np.array(amps, dtype=np.complex128)
+    n = out.shape[-1].bit_length() - 1
+    for i in range(n):
+        c, s = np.cos(thetas[i]), np.sin(thetas[i])
+        v = out.reshape(*out.shape[:-1], 1 << (n - 1 - i), 2, 1 << i)
+        a0, a1 = v[..., 0, :].copy(), v[..., 1, :].copy()
+        v[..., 0, :] = c * a0 - 1j * s * a1
+        v[..., 1, :] = c * a1 - 1j * s * a0
+    return out
+
+
+# unequal angles with a zero and some above pi; n = 1, 3 lie below the block
+# width of 4, n = 4 and 8 fill whole blocks, n = 5 and 9 end in a ragged block
+ANGLES = [3.9, 0.0, -1.3, 0.45, 2.2, -3.5, 0.0, 4.4, 5.1]
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 5, 8, 9])
+def test_hypercube_rotation_matches_expm(n):
+    thetas = np.array(ANGLES[:n])
+    state = rand_state(n, n)
+    out = hypercube_rotation(state, thetas)
+    np.testing.assert_allclose(out.amps, expm(-1j * x_generator(thetas)) @ state.amps, atol=1e-12)
+    # the weighted-hypercube mixer runs the same kernel with b = |thetas| / beta
     beta = 0.9
-    gen = sum(b[i] * kron_x(n, i) for i in range(n))
-    oracle = expm(-1j * beta * gen)
-    state = rand_state(n, 0)
+    b = np.abs(thetas) / beta
+    oracle = expm(-1j * beta * x_generator(b))
     out = evolve(state, WeightedHypercube(tuple(b)), beta)
     np.testing.assert_allclose(out.amps, oracle @ state.amps, atol=1e-12)
+
+
+def test_rotation_kernel_three_batch_axes_and_zero_blocks():
+    # a (2, 3, 2) batch on n = 6; the lowest block of 4 has only zero angles
+    n = 6
+    rng = np.random.default_rng(11)
+    amps = rng.normal(size=(2, 3, 2, 1 << n)) + 1j * rng.normal(size=(2, 3, 2, 1 << n))
+    before = amps.copy()
+    for thetas in ([0.0, 0.0, 0.0, 0.0, 0.8, -2.1], [0.3, -1.1, 3.6, 0.0, 0.8, -2.1]):
+        oracle = expm(-1j * x_generator(thetas))
+        out = _rotate_qubits(amps, np.array(thetas))
+        assert out.shape == amps.shape
+        np.testing.assert_allclose(out, amps @ oracle.T, atol=1e-12)
+    # all angles zero: an unchanged copy, never the input itself
+    out = _rotate_qubits(amps, np.zeros(n))
+    assert out is not amps and np.array_equal(out, amps)
+    assert np.array_equal(amps, before)
+
+
+def test_rotation_kernel_matches_per_qubit_loop_at_17_qubits():
+    # n = 17: the higher blocks run in 128-column chunks and the last block
+    # holds one qubit
+    n = 17
+    rng = np.random.default_rng(17)
+    thetas = rng.uniform(-4.0, 4.0, n)
+    thetas[5] = 0.0
+    amps = rand_state(n, 17).amps
+    np.testing.assert_allclose(_rotate_qubits(amps, thetas), rotate_per_qubit(amps, thetas), rtol=0, atol=1e-12)
 
 
 def test_hypercube_rotation_single_qubit_convention():
