@@ -19,14 +19,11 @@ def popcounts(n: int) -> np.ndarray:
     return np.bitwise_count(indices(n)).astype(np.int64)
 
 
-def parity_signs(n: int, mask: int) -> np.ndarray:
-    """(-1)^{popcount(z & mask)} for every z; the eigenvalue table of prod_{i in mask} Z_i."""
-    par = np.bitwise_count(indices(n) & np.uint32(mask)).astype(np.int64) & 1
+def parity_signs(n: int, mask) -> np.ndarray:
+    """(-1)^{popcount(z & mask)} for every z; the eigenvalue table of prod_{i in mask} Z_i.
+    Masks of shape (T, 1) give a (T, 2^n) table."""
+    par = np.bitwise_count(indices(n) & np.uint32(mask)) & 1
     return 1.0 - 2.0 * par
-
-
-def bit(z: int, i: int) -> int:
-    return (z >> i) & 1
 
 
 def mask_of(qubits: tuple[int, ...]) -> int:

@@ -122,28 +122,29 @@ def multilinear_value(problem: DiagonalProblem, x: np.ndarray) -> float:
     x_i the per-qubit excitation probability.
     """
     s = _spins(problem, x)
-    total = 0.0
-    for t in problem.terms:
-        total += t.coeff * float(np.prod(s[list(t.qubits)]))
-    return total
+    # the terms added one by one from 0.0, as a sum over a term list would
+    addends = np.concatenate(([0.0], problem.coeffs * _term_products(problem.masks, s)))
+    return float(np.cumsum(addends)[-1])
+
+
+def _term_products(masks: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """prod_{i in m} s_i for each mask m, multiplied in ascending qubit order."""
+    prods = np.ones(masks.shape)
+    for i, si in enumerate(s):
+        prods *= np.where((masks >> i) & 1, si, 1.0)
+    return prods
 
 
 def _leave_one_out(problem: DiagonalProblem, s: np.ndarray) -> np.ndarray:
-    """Per qubit q: sum over terms T containing q of coeff_T * prod_{i in T, i != q} s_i."""
-    out = np.zeros(problem.n)
-    for t in problem.terms:
-        if not t.qubits:
-            continue
-        vals = s[list(t.qubits)]
-        prod = np.prod(vals)
-        for pos, q in enumerate(t.qubits):
-            v = vals[pos]
-            if abs(v) > 1e-30:
-                rest = prod / v
-            else:
-                rest = np.prod(np.delete(vals, pos))
-            out[q] += t.coeff * rest
-    return out
+    """Per qubit q: sum over terms T containing q of coeff_T * prod_{i in T, i != q} s_i.
+    One entry per (term, qubit in it), its product taken over the term's mask
+    without that qubit (exact when s_q = 0); bincount adds them in term order."""
+    masks, n = problem.masks, problem.n
+    holders = [np.flatnonzero((masks >> q) & 1) for q in range(n)]
+    qubit = np.repeat(np.arange(n), [h.size for h in holders])
+    term = np.concatenate(holders)
+    rest = _term_products(masks[term] & ~(1 << qubit), s)
+    return np.bincount(qubit, weights=problem.coeffs[term] * rest, minlength=n)
 
 
 def multilinear_gradient(problem: DiagonalProblem, x: np.ndarray) -> np.ndarray:

@@ -196,7 +196,7 @@ def _batched_uncoupled(dist: str, n: int, gamma: float, beta: float, n_seeds: in
     else:
         raise ConfigError(f"unknown distribution {dist!r}")
 
-    signs = np.stack([_bits.parity_signs(n, 1 << j) for j in range(n)])  # (n, 2^n)
+    signs = _bits.parity_signs(n, 1 << np.arange(n)[:, None])  # (n, 2^n)
     values = alphas @ signs  # (S, 2^n)
     amps = np.exp(-1j * gamma * values) * 2.0 ** (-n / 2.0)
     amps = _rotate_qubits(amps, np.full(n, beta))

@@ -6,12 +6,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _bits
 from .ansatz import Schedule, qaoa_state
 from .errors import ConfigError, NumericError
 from .laplacians import kinetic_energy
 from .problems import DiagonalProblem
-from .statevector import Statevector, ground_state_mass
+from .statevector import Statevector, fwht_array, ground_state_mass
 
 
 @dataclass(frozen=True)
@@ -95,19 +94,11 @@ def mean_via_terms(problem: DiagonalProblem, state: Statevector) -> float:
     """Mean energy as sum over terms of coeff * <prod Z>.
 
     Independent of the dense-table route in evaluate(); kept separate so the
-    two can cross-check each other.
+    two can cross-check each other. <Z_S> for every mask S is one unnormalized
+    Walsh-Hadamard transform of the probabilities, read at the term masks.
     """
-    probs = state.probabilities()
-    total = 0.0
-    for t in problem.terms:
-        mask = 0
-        for q in t.qubits:
-            mask |= 1 << q
-        if mask == 0:
-            total += t.coeff
-        else:
-            total += t.coeff * float(probs @ _bits.parity_signs(problem.n, mask))
-    return total
+    signed = fwht_array(state.probabilities()) * 2.0 ** (problem.n / 2)
+    return float(problem.coeffs @ signed[problem.masks])
 
 
 def approximation_ratio(problem: DiagonalProblem, mean_value: float) -> float:

@@ -2,6 +2,12 @@
 
 Every problem is a real diagonal operator f = sum_t c_t prod_{i in t} Z_i with
 Z_i |z> = (1 - 2 z_i)|z>. Generators record true extrema of the dense table.
+
+`DiagonalProblem.terms`, a list of `ZTerm`s, is the API view. The problem
+stores the same terms in the same order as two arrays, `masks` (int64, bit i
+set when qubit i is in the term) and `coeffs` (float64), and every consumer
+reads those; duplicate masks add up.
+
 Every construction checks the dense table against the terms through the Walsh
 domain: the term coefficients, scattered onto their qubit masks, are one fast
 Walsh-Hadamard transform away from the table (O(n 2^n) at any n). Serialization
@@ -46,26 +52,40 @@ def _magnitude(values: np.ndarray) -> float:
     return max(1.0, float(np.max(np.abs(values))))
 
 
-def _dense_from_terms(n: int, terms: Sequence[ZTerm]) -> np.ndarray:
+def _term_arrays(n: int, terms: Sequence[ZTerm]) -> tuple[np.ndarray, np.ndarray]:
+    """(masks, coeffs) of `terms` in order, after checking every qubit is below n."""
+    masks = np.fromiter((_bits.mask_of(t.qubits) for t in terms), np.int64, len(terms))
+    coeffs = np.fromiter((t.coeff for t in terms), np.float64, len(terms))
+    bad = np.flatnonzero(masks >> n)
+    if bad.size:
+        raise ValueError(f"term {terms[bad[0]].qubits} references qubit >= n={n}")
+    return masks, coeffs
+
+
+def _qubit_tuples(masks: np.ndarray, n: int) -> list[tuple[int, ...]]:
+    """The ascending qubit tuple of each mask; the inverse of `_term_arrays`."""
+    return [tuple([i for i in range(n) if m >> i & 1]) for m in masks.tolist()]
+
+
+def _dense_from_terms(n: int, masks: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """sum_t c_t (-1)^{popcount(z & m_t)}, one parity table added per term in
+    term order: O(2^n) memory, and the same bits for the same term order."""
     values = np.zeros(1 << n, dtype=np.float64)
-    for t in terms:
-        values += t.coeff * _bits.parity_signs(n, _bits.mask_of(t.qubits))
+    for m, c in zip(masks, coeffs):
+        values += c * _bits.parity_signs(n, m)
     return values
 
 
-def _dense_from_walsh(n: int, terms: Sequence[ZTerm]) -> np.ndarray:
+def _dense_from_walsh(n: int, masks: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """The same table as `_dense_from_terms` by an independent route: scatter the
     coefficients onto their masks (duplicates and the identity add up), then one
     unnormalized Walsh-Hadamard transform."""
-    masks = np.fromiter((_bits.mask_of(t.qubits) for t in terms), np.int64, len(terms))
-    weights = np.fromiter((t.coeff for t in terms), np.float64, len(terms))
-    coeffs = np.bincount(masks, weights=weights, minlength=1 << n)
-    return fwht_array(coeffs) * 2.0 ** (n / 2)
+    return fwht_array(np.bincount(masks, weights=coeffs, minlength=1 << n)) * 2.0 ** (n / 2)
 
 
 @dataclass
 class DiagonalProblem:
-    """n qubits, Z-term list, dense value table, family metadata."""
+    """n qubits, Z-term list (stored as `masks`/`coeffs`), dense value table, metadata."""
 
     n: int
     terms: list[ZTerm]
@@ -79,11 +99,9 @@ class DiagonalProblem:
             raise ValueError("dense table length does not match 2^n")
         if not np.all(np.isfinite(self.dense)):
             raise ValueError("dense table contains non-finite entries")
-        for t in self.terms:
-            if t.qubits and t.qubits[-1] >= self.n:
-                raise ValueError(f"term {t.qubits} references qubit >= n={self.n}")
+        self.masks, self.coeffs = _term_arrays(self.n, self.terms)
         if self.terms:
-            rebuilt = _dense_from_walsh(self.n, self.terms)
+            rebuilt = _dense_from_walsh(self.n, self.masks, self.coeffs)
             atol = 1e-9 * _magnitude(self.dense)
             if not np.allclose(rebuilt, self.dense, rtol=0.0, atol=atol):
                 raise ValueError("dense table disagrees with term-list evaluation")
@@ -102,9 +120,7 @@ class DiagonalProblem:
     def term_tables(self) -> np.ndarray:
         """Per-term dense eigenvalue tables, shape (T, 2^n); cached."""
         if self._term_tables is None:
-            self._term_tables = np.stack(
-                [t.coeff * _bits.parity_signs(self.n, _bits.mask_of(t.qubits)) for t in self.terms]
-            )
+            self._term_tables = self.coeffs[:, None] * _bits.parity_signs(self.n, self.masks[:, None])
         return self._term_tables
 
     def to_json(self) -> str:
@@ -124,7 +140,7 @@ class DiagonalProblem:
 
 def from_terms(n: int, terms: Iterable[ZTerm], meta: dict | None = None) -> DiagonalProblem:
     terms = list(terms)
-    dense = _dense_from_terms(n, terms)
+    dense = _dense_from_terms(n, *_term_arrays(n, terms))
     return DiagonalProblem(n, terms, dense, meta or {})
 
 
@@ -138,12 +154,7 @@ def from_dense(n: int, values: np.ndarray, meta: dict | None = None) -> Diagonal
     values = np.asarray(values, dtype=np.float64)
     coeffs = fwht_array(values) * 2.0 ** (-n / 2)
     masks = np.flatnonzero(np.abs(coeffs) > WALSH_COEFF_CUTOFF * _magnitude(values))
-    bits = ((masks[:, None] >> np.arange(n)) & 1).astype(bool)
-    qubits = np.arange(n)
-    terms = [
-        ZTerm(tuple(qubits[row].tolist()), c)
-        for row, c in zip(bits, coeffs[masks].tolist())
-    ]
+    terms = [ZTerm(qs, c) for qs, c in zip(_qubit_tuples(masks, n), coeffs[masks].tolist())]
     return DiagonalProblem(n, terms, values, meta or {})
 
 
@@ -340,19 +351,16 @@ def freeze(problem: DiagonalProblem, assignment: dict[int, int]) -> tuple[Diagon
     keep = [q for q in range(problem.n) if q not in assignment]
     if not keep:
         raise ValueError("cannot freeze every qubit; evaluate the dense table instead")
-    relabel = {orig: new for new, orig in enumerate(keep)}
-    folded: dict[tuple[int, ...], float] = {}
-    for t in problem.terms:
-        coeff = t.coeff
-        rest = []
-        for q in t.qubits:
-            if q in assignment:
-                coeff *= 1.0 - 2.0 * assignment[q]
-            else:
-                rest.append(relabel[q])
-        key = tuple(sorted(rest))
-        folded[key] = folded.get(key, 0.0) + coeff
-    terms = [ZTerm(qs, c) for qs, c in sorted(folded.items()) if c != 0.0 or qs == ()]
+    ones = sum(1 << q for q, bit in assignment.items() if bit)
+    signs = 1.0 - 2.0 * (np.bitwise_count(problem.masks & ones) & 1)
+    relabeled = np.zeros_like(problem.masks)
+    for new, orig in enumerate(keep):
+        relabeled |= ((problem.masks >> orig) & 1) << new
+    # bincount adds each mask's coefficients in term order, starting from 0.0
+    masks, slot = np.unique(relabeled, return_inverse=True)
+    folded = np.bincount(slot, weights=problem.coeffs * signs, minlength=masks.size)
+    live = (folded != 0.0) | (masks == 0)
+    terms = sorted(zip(_qubit_tuples(masks[live], len(keep)), folded[live].tolist()))
     meta = dict(problem.meta)
     meta["frozen"] = {str(k): int(v) for k, v in sorted(assignment.items())}
-    return from_terms(len(keep), terms, meta), keep
+    return from_terms(len(keep), [ZTerm(qs, c) for qs, c in terms], meta), keep

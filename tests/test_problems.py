@@ -8,11 +8,19 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qlow import _bits
+from qlow.ansatz import (
+    _leave_one_out,
+    meanfield_plus,
+    multilinear_gradient,
+    multilinear_value,
+    product_z_expectations,
+)
 from qlow.errors import ConfigError
 from qlow.problems import (
     WALSH_COEFF_CUTOFF,
     DiagonalProblem,
     ZTerm,
+    _dense_from_terms,
     bush,
     chain_detuned,
     conflicted_pairs,
@@ -317,3 +325,145 @@ def test_freeze_all_raises():
 def test_term_tables_sum_to_dense():
     prob = conflicted_pairs(6, 0.25, 3.0)
     np.testing.assert_allclose(prob.term_tables().sum(axis=0), prob.dense, atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# Per-term reference loops: the code that walked ZTerms before the problem
+# kept (mask, coeff) arrays, kept here to check the array kernels term by term.
+
+
+def z_signs(n, qubits):
+    """prod_{q in qubits} (1 - 2 z_q) for every z, as exact +-1 floats."""
+    z = np.arange(1 << n)
+    out = np.ones(1 << n)
+    for q in qubits:
+        out *= 1 - 2 * ((z >> q) & 1)
+    return out
+
+
+def dense_per_term(n, terms):
+    values = np.zeros(1 << n)
+    for t in terms:
+        values += t.coeff * z_signs(n, t.qubits)
+    return values
+
+
+def freeze_per_term(problem, assignment):
+    keep = [q for q in range(problem.n) if q not in assignment]
+    relabel = {orig: new for new, orig in enumerate(keep)}
+    folded = {}
+    for t in problem.terms:
+        coeff = t.coeff
+        rest = []
+        for q in t.qubits:
+            if q in assignment:
+                coeff *= 1.0 - 2.0 * assignment[q]
+            else:
+                rest.append(relabel[q])
+        key = tuple(sorted(rest))
+        folded[key] = folded.get(key, 0.0) + coeff
+    terms = [(qs, c) for qs, c in sorted(folded.items()) if c != 0.0 or qs == ()]
+    return terms, keep
+
+
+def multilinear_per_term(problem, s):
+    total = 0.0
+    for t in problem.terms:
+        total += t.coeff * float(np.prod(s[list(t.qubits)]))
+    return total
+
+
+def leave_one_out_per_term(problem, s):
+    out = np.zeros(problem.n)
+    for t in problem.terms:
+        if not t.qubits:
+            continue
+        vals = s[list(t.qubits)]
+        prod = np.prod(vals)
+        for pos, q in enumerate(t.qubits):
+            v = vals[pos]
+            rest = prod / v if abs(v) > 1e-30 else np.prod(np.delete(vals, pos))
+            out[q] += t.coeff * rest
+    return out
+
+
+def mixed_terms():
+    """Identity terms, duplicate masks in both qubit orders, 3- and 4-body terms,
+    and a pair that cancels once qubit 0 is frozen to 1."""
+    return from_terms(5, [
+        ZTerm((), 1.5), ZTerm((0, 2), 0.7), ZTerm((2, 0), -0.2), ZTerm((1, 3, 4), 1.1),
+        ZTerm((3,), 0.4), ZTerm((), -0.25), ZTerm((4, 3, 1), 0.3), ZTerm((0, 1, 2, 3), -0.9),
+        ZTerm((0, 1), 0.5), ZTerm((1,), 0.5), ZTerm((2, 3, 4), -1.3),
+    ])
+
+
+DIFF_PROBLEMS = {
+    "mixed_terms": mixed_terms,
+    # every subset of 5 qubits up to the 5-body term, in mask order
+    "dense5": lambda: from_dense(5, np.random.default_rng(8).normal(size=32)),
+    "kspin4": lambda: kspin_ferromagnet(6, 4),
+    "grid": lambda: grid_ferromagnet_2d(2, 3, 0.5),
+}
+ASSIGNMENTS = [{0: 1}, {2: 0}, {0: 1, 3: 0}, {1: 1, 2: 1, 4: 0}, {0: 0, 1: 0, 2: 0, 3: 1}]
+
+
+@pytest.mark.parametrize("make", DIFF_PROBLEMS.values(), ids=DIFF_PROBLEMS.keys())
+def test_term_arrays_match_per_term_loops_bitwise(make):
+    prob = make()
+    assert prob.masks.tolist() == [_bits.mask_of(t.qubits) for t in prob.terms]
+    assert prob.coeffs.tolist() == [t.coeff for t in prob.terms]
+    expected = dense_per_term(prob.n, prob.terms)
+    assert np.array_equal(_dense_from_terms(prob.n, prob.masks, prob.coeffs), expected)
+    tables = np.stack([t.coeff * z_signs(prob.n, t.qubits) for t in prob.terms])
+    assert np.array_equal(prob.term_tables(), tables)
+    for assignment in ASSIGNMENTS:
+        sub, keep = freeze(prob, assignment)
+        terms, ref_keep = freeze_per_term(prob, assignment)
+        assert keep == ref_keep
+        assert [(t.qubits, t.coeff) for t in sub.terms] == terms
+        assert np.array_equal(sub.dense, dense_per_term(sub.n, sub.terms))
+
+
+def test_freeze_drops_cancelled_terms_and_keeps_the_identity():
+    sub, _ = freeze(mixed_terms(), {0: 1})
+    # 0.5 Z0 Z1 + 0.5 Z1 cancel on the new qubit 0
+    assert (0,) not in [t.qubits for t in sub.terms]
+    fields = from_terms(3, [ZTerm((0,), 1.0), ZTerm((1,), 1.0), ZTerm((2,), 1.0)])
+    sub, _ = freeze(fields, {0: 0, 1: 1})
+    # the constant folds to exactly 0 and stays as the identity term
+    assert [(t.qubits, t.coeff) for t in sub.terms] == [((), 0.0), ((0,), 1.0)]
+
+
+@pytest.mark.parametrize("make", DIFF_PROBLEMS.values(), ids=DIFF_PROBLEMS.keys())
+def test_multilinear_kernels_match_per_term_loops(make):
+    prob = make()
+    rng = np.random.default_rng(prob.n)
+    half = rng.uniform(0, 1, prob.n)
+    half[::2] = 0.5  # spins exactly 0 on multi-qubit terms
+    for x in (rng.uniform(0, 1, prob.n), half, np.full(prob.n, 0.5), (rng.uniform(size=prob.n) > 0.5) * 1.0):
+        s = 1.0 - 2.0 * x
+        assert multilinear_value(prob, x) == pytest.approx(multilinear_per_term(prob, s), abs=1e-12)
+        np.testing.assert_allclose(
+            multilinear_gradient(prob, x), -2.0 * leave_one_out_per_term(prob, s), rtol=0, atol=1e-12
+        )
+    # the mean-field fields of product states, with <Z_j> = 0 exactly on every
+    # qubit of |+>^n and on every other qubit of a random product state
+    thetas = rng.uniform(0, np.pi, prob.n)
+    mixed = np.stack([np.cos(thetas), np.sin(thetas)], axis=1).astype(complex)
+    mixed[1::2] = meanfield_plus(prob.n)[1::2]
+    for qubits in (meanfield_plus(prob.n), mixed):
+        s = product_z_expectations(qubits)
+        np.testing.assert_allclose(
+            _leave_one_out(prob, s), leave_one_out_per_term(prob, s), rtol=0, atol=1e-12
+        )
+
+
+def test_multilinear_value_adds_terms_in_order_bitwise():
+    prob = DIFF_PROBLEMS["dense5"]()
+    x = np.random.default_rng(2).uniform(0, 1, prob.n)
+    assert multilinear_value(prob, x) == multilinear_per_term(prob, 1.0 - 2.0 * x)
+
+
+def test_terms_beyond_n_are_rejected():
+    with pytest.raises(ValueError, match=r"term \(1, 3\) references qubit >= n=3"):
+        DiagonalProblem(3, [ZTerm((0,), 1.0), ZTerm((3, 1), 1.0)], np.zeros(8))
