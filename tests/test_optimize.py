@@ -248,6 +248,34 @@ def test_iterated_rounding_deterministic_under_seed():
     assert [s.qubit for s in t1] == [s.qubit for s in t2]
 
 
+class FixedMarginal:
+    """A one-qubit stand-in for a solver's state whose P(1) is exactly p1."""
+
+    n = 1
+
+    def __init__(self, p1):
+        self.probs = np.array([1.0 - p1, p1])
+
+    def probabilities(self):
+        return self.probs
+
+
+def test_iterated_rounding_treats_near_half_marginals_as_ties():
+    # one ulp below 0.5, as kernel rounding leaves an exact 0.5 on symmetric
+    # instances: the bit must be drawn as for 0.5 itself, not rounded down
+    assert 0.5 - 5.6e-17 < 0.5
+    prob = uncoupled_spins(1, "binary", seed=0)
+    bits = {}
+    for p1 in (0.5, 0.5 - 5.6e-17, 0.5 + 1e-13):
+        solver = lambda sub, ctx, p1=p1: (FixedMarginal(p1), None)
+        bits[p1] = [
+            iterated_rounding(prob, solver, RoundingConfig(n_f=1, seed=seed))[1][0].bit
+            for seed in range(8)
+        ]
+    assert set(bits[0.5]) == {0, 1}
+    assert bits[0.5 - 5.6e-17] == bits[0.5] == bits[0.5 + 1e-13]
+
+
 def test_default_solver_reuses_schedule_when_reoptimize_off():
     prob = uncoupled_spins(4, "binary", seed=6)
     solver = default_qaoa_solver(p=1, config=SearchConfig(resolution=(12, 12), top_k=1))
