@@ -122,7 +122,7 @@ def multilinear_value(problem: DiagonalProblem, x: np.ndarray) -> float:
     x_i the per-qubit excitation probability.
     """
     s = _spins(problem, x)
-    # the terms added one by one from 0.0, as a sum over a term list would
+    # cumsum adds the terms one by one from 0.0, in term order, as a loop would
     addends = np.concatenate(([0.0], problem.coeffs * _term_products(problem.masks, s)))
     return float(np.cumsum(addends)[-1])
 

@@ -22,10 +22,9 @@ from .objectives import Mean, evaluate
 from .problems import DiagonalProblem, freeze
 from .statevector import Statevector, apply_phase, plus_state
 
-# A marginal this close to 0.5 is a tie in iterated rounding. On symmetric
-# instances the exact answer is often 0.5, and which side of it the computed
-# marginal lands on is last-bit rounding noise of the kernels.
+# a rounding marginal this close to 0.5 is a tie: kernels miss an exact 0.5 by last bits
 MARGINAL_TIE_TOL = 1e-12
+
 
 @dataclass
 class SearchConfig:
@@ -397,10 +396,8 @@ def iterated_rounding(
         w = np.exp(rounding.beta_r * (d - d.max()))
         w = w / w.sum()
         j = int(rng.choice(len(keep), p=w))
-        if abs(margs[j] - 0.5) <= MARGINAL_TIE_TOL:
-            bit = int(rng.integers(2))
-        else:
-            bit = int(margs[j] > 0.5)
+        tie = abs(margs[j] - 0.5) <= MARGINAL_TIE_TOL
+        bit = int(rng.integers(2)) if tie else int(margs[j] > 0.5)
         success = _ground_mass_of_completions(problem, frozen, keep, probs)
         trace.append(
             RoundingStep(

@@ -3,10 +3,9 @@
 Every problem is a real diagonal operator f = sum_t c_t prod_{i in t} Z_i with
 Z_i |z> = (1 - 2 z_i)|z>. Generators record true extrema of the dense table.
 
-`DiagonalProblem.terms`, a list of `ZTerm`s, is the API view. The problem
-stores the same terms in the same order as two arrays, `masks` (int64, bit i
-set when qubit i is in the term) and `coeffs` (float64), and every consumer
-reads those; duplicate masks add up.
+`DiagonalProblem.terms` (`ZTerm`s) is the API view; the problem stores them, in
+order, as `masks` (int64, bit i for qubit i) and `coeffs` (float64) arrays, and
+every consumer reads those. Duplicate masks add up.
 
 Every construction checks the dense table against the terms through the Walsh
 domain: the term coefficients, scattered onto their qubit masks, are one fast
@@ -63,13 +62,16 @@ def _term_arrays(n: int, terms: Sequence[ZTerm]) -> tuple[np.ndarray, np.ndarray
 
 
 def _qubit_tuples(masks: np.ndarray, n: int) -> list[tuple[int, ...]]:
-    """The ascending qubit tuple of each mask; the inverse of `_term_arrays`."""
-    return [tuple([i for i in range(n) if m >> i & 1]) for m in masks.tolist()]
+    """The ascending qubit tuple of each mask, joined from 4-qubit lookup tables."""
+    out = [()] * masks.size
+    for lo in range(0, n, 4):
+        table = [tuple(lo + i for i in range(4) if v >> i & 1) for v in range(16)]
+        out = list(map(tuple.__add__, out, [table[v] for v in ((masks >> lo) & 15).tolist()]))
+    return out
 
 
 def _dense_from_terms(n: int, masks: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """sum_t c_t (-1)^{popcount(z & m_t)}, one parity table added per term in
-    term order: O(2^n) memory, and the same bits for the same term order."""
+    """sum_t c_t (-1)^{popcount(z & m_t)}, adding one parity table per term in order."""
     values = np.zeros(1 << n, dtype=np.float64)
     for m, c in zip(masks, coeffs):
         values += c * _bits.parity_signs(n, m)
@@ -140,8 +142,7 @@ class DiagonalProblem:
 
 def from_terms(n: int, terms: Iterable[ZTerm], meta: dict | None = None) -> DiagonalProblem:
     terms = list(terms)
-    dense = _dense_from_terms(n, *_term_arrays(n, terms))
-    return DiagonalProblem(n, terms, dense, meta or {})
+    return DiagonalProblem(n, terms, _dense_from_terms(n, *_term_arrays(n, terms)), meta or {})
 
 
 def from_dense(n: int, values: np.ndarray, meta: dict | None = None) -> DiagonalProblem:
