@@ -63,11 +63,10 @@ def _term_arrays(n: int, terms: Sequence[ZTerm]) -> tuple[np.ndarray, np.ndarray
 
 def _qubit_tuples(masks: np.ndarray, n: int) -> list[tuple[int, ...]]:
     """The ascending qubit tuple of each mask, joined from 4-qubit lookup tables."""
-    out = [()] * masks.size
-    for lo in range(0, n, 4):
-        table = [tuple(lo + i for i in range(4) if v >> i & 1) for v in range(16)]
-        out = list(map(tuple.__add__, out, [table[v] for v in ((masks >> lo) & 15).tolist()]))
-    return out
+    lows = range(0, n, 4)
+    tables = [[tuple(lo + i for i in range(4) if v >> i & 1) for v in range(16)] for lo in lows]
+    parts = [[table[v] for v in ((masks >> lo) & 15).tolist()] for lo, table in zip(lows, tables)]
+    return [sum(p, ()) for p in zip(*parts)]
 
 
 def _dense_from_terms(n: int, masks: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
