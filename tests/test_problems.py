@@ -341,13 +341,6 @@ def z_signs(n, qubits):
     return out
 
 
-def dense_per_term(n, terms):
-    values = np.zeros(1 << n)
-    for t in terms:
-        values += t.coeff * z_signs(n, t.qubits)
-    return values
-
-
 def freeze_per_term(problem, assignment):
     keep = [q for q in range(problem.n) if q not in assignment]
     relabel = {orig: new for new, orig in enumerate(keep)}
@@ -412,7 +405,7 @@ def test_term_arrays_match_per_term_loops_bitwise(make):
     prob = make()
     assert prob.masks.tolist() == [_bits.mask_of(t.qubits) for t in prob.terms]
     assert prob.coeffs.tolist() == [t.coeff for t in prob.terms]
-    expected = dense_per_term(prob.n, prob.terms)
+    expected = brute_values(prob.n, prob.terms)
     assert np.array_equal(_dense_from_terms(prob.n, prob.masks, prob.coeffs), expected)
     tables = np.stack([t.coeff * z_signs(prob.n, t.qubits) for t in prob.terms])
     assert np.array_equal(prob.term_tables(), tables)
@@ -421,7 +414,7 @@ def test_term_arrays_match_per_term_loops_bitwise(make):
         terms, ref_keep = freeze_per_term(prob, assignment)
         assert keep == ref_keep
         assert [(t.qubits, t.coeff) for t in sub.terms] == terms
-        assert np.array_equal(sub.dense, dense_per_term(sub.n, sub.terms))
+        assert np.array_equal(sub.dense, brute_values(sub.n, sub.terms))
 
 
 def test_freeze_drops_cancelled_terms_and_keeps_the_identity():
