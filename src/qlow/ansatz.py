@@ -72,7 +72,7 @@ def qaoa_state(
         raise ValueError("initial state size does not match problem")
     if schedule.beta_relaxed and not isinstance(lap, WeightedHypercube):
         raise ConfigError("per-qubit beta requires a hypercube mixer")
-    if schedule.gamma_relaxed and schedule.gammas.shape[1] != len(problem.terms):
+    if schedule.gamma_relaxed and schedule.gammas.shape[1] != problem.masks.size:
         raise ConfigError("per-term gammas must match the problem's term count")
     if schedule.beta_relaxed and schedule.betas.shape[1] != problem.n:
         raise ConfigError("per-qubit betas must match the qubit count")

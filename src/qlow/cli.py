@@ -116,6 +116,8 @@ def problem_from_manifest(spec: dict):
             return from_terms(spec["n"], terms)
     except KeyError as exc:
         raise ConfigError(f"problem spec for family {family!r} missing key {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"bad {family!r} problem spec: {exc}") from exc
     raise ConfigError(f"unknown problem family {family!r}")
 
 
@@ -125,6 +127,8 @@ def mixer_from_manifest(spec: dict | None, n: int):
     kind = spec.get("kind", "hypercube")
     if kind == "hypercube":
         b = spec.get("b")
+        if b is not None and len(b) != n:
+            raise ConfigError(f"hypercube mixer has {len(b)} weights b for {n} qubits")
         return hypercube(n) if b is None else WeightedHypercube(tuple(float(x) for x in b))
     if kind == "complete":
         return CompleteGraph(n)
@@ -134,8 +138,7 @@ def mixer_from_manifest(spec: dict | None, n: int):
             radius=int(spec["radius"]),
         )
     if kind == "custom":
-        edges = [tuple(e) for e in spec["edges"]]
-        return custom_from_edges(n, edges)
+        return custom_from_edges(n, spec["edges"])
     raise ConfigError(f"unknown mixer kind {kind!r}")
 
 

@@ -113,6 +113,8 @@ def custom_from_edges(n: int, edges: list[tuple[int, int]] | list[tuple[int, int
     rows, cols, vals = [], [], []
     for edge in edges:
         u, v = int(edge[0]), int(edge[1])
+        if not (0 <= u < size and 0 <= v < size):
+            raise ConfigError(f"edge {tuple(edge)} has an endpoint outside [0, 2^n = {size})")
         w = float(edge[2]) if len(edge) > 2 else 1.0
         rows += [u, v]
         cols += [v, u]
@@ -176,23 +178,23 @@ class BallCut:
     def laplacian(self) -> sp.csr_matrix:
         """Induced-subgraph Laplacian on the ball vertices (ball-local indexing)."""
         if self._lap is None:
-            ball = self.ball()
-            adj = _inner_adjacency(self.inner)[np.ix_(ball, ball)].tocsr()
+            adj = _ball_adjacency(self.inner, self.ball())
             deg = np.asarray(adj.sum(axis=1)).ravel()
             self._lap = (sp.diags(deg) - adj).tocsr()
         return self._lap
 
 
-def _inner_adjacency(inner) -> sp.csr_matrix:
-    if isinstance(inner, WeightedHypercube):
-        return hypercube_adjacency(inner.n, inner.b)
+def _ball_adjacency(inner, ball: np.ndarray) -> sp.csr_matrix:
+    """The inner graph's adjacency between the ball vertices; only that block is built."""
     if isinstance(inner, CompleteGraph):
-        size = 1 << inner.n
         # Normalization matching L_bar = P_plus: L = I - P_plus, edge weight 1/2^n.
-        adj = sp.csr_matrix(np.full((size, size), 1.0 / size) - np.eye(size) / size)
-        return adj
+        block = np.full((ball.size, ball.size), 1.0 / (1 << inner.n))
+        np.fill_diagonal(block, 0.0)
+        return sp.csr_matrix(block)
+    if isinstance(inner, WeightedHypercube):
+        return hypercube_adjacency(inner.n, inner.b)[np.ix_(ball, ball)].tocsr()
     if isinstance(inner, CustomSparse):
-        return inner.adjacency
+        return inner.adjacency[np.ix_(ball, ball)].tocsr()
     raise ConfigError(f"unsupported inner graph {type(inner).__name__}")
 
 

@@ -223,7 +223,7 @@ def optimize_relaxed_schedule(
         raise ConfigError("relax must be 'gamma', 'beta', or 'both'")
     if config is None:
         config = SearchConfig()
-    n_terms = len(problem.terms)
+    n_terms = problem.masks.size
     n = problem.n
 
     if warm is None:

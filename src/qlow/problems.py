@@ -1,11 +1,12 @@
-"""Diagonal cost-function generators, emitted as Z-term lists plus dense tables.
+"""Diagonal cost-function generators, emitted as Z-term arrays plus dense tables.
 
 Every problem is a real diagonal operator f = sum_t c_t prod_{i in t} Z_i with
 Z_i |z> = (1 - 2 z_i)|z>. Generators record true extrema of the dense table.
 
-`DiagonalProblem.terms` (`ZTerm`s) is the API view; the problem stores them, in
-order, as `masks` (int64, bit i for qubit i) and `coeffs` (float64) arrays, and
-every consumer reads those. Duplicate masks add up.
+A `DiagonalProblem` stores its terms only as `masks` (int64, bit i for qubit i)
+and `coeffs` (float64) arrays in term order; duplicate masks add up. `ZTerm`s
+live at the API edge: `from_terms` parses them once, while `to_json` and the
+`terms` view, rebuilt from the arrays on each access, build them.
 
 Every construction checks the dense table against the terms through the Walsh
 domain: the term coefficients, scattered onto their qubit masks, are one fast
@@ -52,12 +53,13 @@ def _magnitude(values: np.ndarray) -> float:
 
 
 def _term_arrays(n: int, terms: Sequence[ZTerm]) -> tuple[np.ndarray, np.ndarray]:
-    """(masks, coeffs) of `terms` in order, after checking every qubit is below n."""
+    """(masks, coeffs) of `terms` in order; every qubit is checked below n before
+    any mask is built, so no mask can overflow int64."""
+    for t in terms:
+        if t.qubits and t.qubits[-1] >= n:
+            raise ValueError(f"term {t.qubits} references qubit >= n={n}")
     masks = np.fromiter((_bits.mask_of(t.qubits) for t in terms), np.int64, len(terms))
     coeffs = np.fromiter((t.coeff for t in terms), np.float64, len(terms))
-    bad = np.flatnonzero(masks >> n)
-    if bad.size:
-        raise ValueError(f"term {terms[bad[0]].qubits} references qubit >= n={n}")
     return masks, coeffs
 
 
@@ -86,22 +88,31 @@ def _dense_from_walsh(n: int, masks: np.ndarray, coeffs: np.ndarray) -> np.ndarr
 
 @dataclass
 class DiagonalProblem:
-    """n qubits, Z-term list (stored as `masks`/`coeffs`), dense value table, metadata."""
+    """n qubits; Z terms stored only as equal-length `masks` (int64) and `coeffs`
+    (float64) arrays, of which `terms` is a read-only view; dense table; metadata."""
 
     n: int
-    terms: list[ZTerm]
+    masks: np.ndarray
+    coeffs: np.ndarray
     dense: np.ndarray
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         check_qubit_count(self.n)
+        self.masks = np.asarray(self.masks, dtype=np.int64)
+        self.coeffs = np.asarray(self.coeffs, dtype=np.float64)
+        if self.masks.ndim != 1 or self.masks.shape != self.coeffs.shape:
+            raise ValueError("masks and coeffs must be 1-D arrays of equal length")
+        if self.masks.size and (self.masks.min() < 0 or self.masks.max() >> self.n):
+            raise ValueError(f"term masks must lie in [0, 2^n) for n={self.n}")
         self.dense = np.asarray(self.dense, dtype=np.float64)
         if self.dense.shape != (1 << self.n,):
             raise ValueError("dense table length does not match 2^n")
         if not np.all(np.isfinite(self.dense)):
             raise ValueError("dense table contains non-finite entries")
-        self.masks, self.coeffs = _term_arrays(self.n, self.terms)
-        if self.terms:
+        if not np.all(np.isfinite(self.coeffs)):
+            raise ValueError("term coefficients must be finite")
+        if self.masks.size:
             rebuilt = _dense_from_walsh(self.n, self.masks, self.coeffs)
             atol = 1e-9 * _magnitude(self.dense)
             if not np.allclose(rebuilt, self.dense, rtol=0.0, atol=atol):
@@ -111,12 +122,15 @@ class DiagonalProblem:
         self._term_tables: np.ndarray | None = None
 
     @property
+    def terms(self) -> list[ZTerm]:
+        """The terms as `ZTerm`s in stored order, built from the arrays on each access."""
+        tuples = _qubit_tuples(self.masks, self.n)
+        return [ZTerm(qs, c) for qs, c in zip(tuples, self.coeffs.tolist())]
+
+    @property
     def argmin_set(self) -> np.ndarray:
         """All basis indices attaining f_min within 1e-9."""
         return np.flatnonzero(self.dense <= self.f_min + 1e-9)
-
-    def value(self, z: int) -> float:
-        return float(self.dense[z])
 
     def term_tables(self) -> np.ndarray:
         """Per-term dense eigenvalue tables, shape (T, 2^n); cached."""
@@ -140,8 +154,9 @@ class DiagonalProblem:
 
 
 def from_terms(n: int, terms: Iterable[ZTerm], meta: dict | None = None) -> DiagonalProblem:
-    terms = list(terms)
-    return DiagonalProblem(n, terms, _dense_from_terms(n, *_term_arrays(n, terms)), meta or {})
+    check_qubit_count(n)
+    masks, coeffs = _term_arrays(n, list(terms))
+    return DiagonalProblem(n, masks, coeffs, _dense_from_terms(n, masks, coeffs), meta or {})
 
 
 def from_dense(n: int, values: np.ndarray, meta: dict | None = None) -> DiagonalProblem:
@@ -152,10 +167,11 @@ def from_dense(n: int, values: np.ndarray, meta: dict | None = None) -> Diagonal
     WALSH_COEFF_CUTOFF times max(1, max |values|) are rounding noise and dropped.
     """
     values = np.asarray(values, dtype=np.float64)
+    if values.shape != (1 << n,):
+        raise ValueError(f"dense table has {values.size} values, not 2^n = {1 << n}")
     coeffs = fwht_array(values) * 2.0 ** (-n / 2)
     masks = np.flatnonzero(np.abs(coeffs) > WALSH_COEFF_CUTOFF * _magnitude(values))
-    terms = [ZTerm(qs, c) for qs, c in zip(_qubit_tuples(masks, n), coeffs[masks].tolist())]
-    return DiagonalProblem(n, terms, values, meta or {})
+    return DiagonalProblem(n, masks, coeffs[masks], values, meta or {})
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +375,11 @@ def freeze(problem: DiagonalProblem, assignment: dict[int, int]) -> tuple[Diagon
     # bincount adds each mask's coefficients in term order, starting from 0.0
     masks, slot = np.unique(relabeled, return_inverse=True)
     folded = np.bincount(slot, weights=problem.coeffs * signs, minlength=masks.size)
-    live = (folded != 0.0) | (masks == 0)
-    terms = sorted(zip(_qubit_tuples(masks[live], len(keep)), folded[live].tolist()))
+    live = np.flatnonzero((folded != 0.0) | (masks == 0))
+    tuples = _qubit_tuples(masks[live], len(keep))
+    order = live[sorted(range(live.size), key=tuples.__getitem__)]  # by qubit tuple
+    masks, folded = masks[order], folded[order]
     meta = dict(problem.meta)
     meta["frozen"] = {str(k): int(v) for k, v in sorted(assignment.items())}
-    return from_terms(len(keep), [ZTerm(qs, c) for qs, c in terms], meta), keep
+    dense = _dense_from_terms(len(keep), masks, folded)
+    return DiagonalProblem(len(keep), masks, folded, dense, meta), keep

@@ -350,6 +350,35 @@ def test_mixer_coverage():
         mixer_from_manifest({"kind": "torus"}, 3)
 
 
+def terms_on(*qubits):
+    term = {"qubits": list(qubits), "coeff": 1.0}
+    return {"problem": {"family": "terms", "n": 3, "terms": [term]}}
+
+
+BAD_INPUT = {
+    "qubit_beyond_n": terms_on(5),
+    "qubit_70": terms_on(70),
+    "repeated_qubit": terms_on(1, 1),
+    "dense_length": {"problem": {"family": "dense", "n": 3, "values": [0.0, 1.0, 2.0, 3.0]}},
+    "hypercube_b_length": {
+        "problem": {"family": "ramp", "n": 3},
+        "mixer": {"kind": "hypercube", "b": [1.0, 1.0]},
+    },
+    "custom_endpoint": {
+        "problem": {"family": "ramp", "n": 2},
+        "mixer": {"kind": "custom", "edges": [[0, 1], [2, 4]]},
+    },
+}
+
+
+@pytest.mark.parametrize("spec", BAD_INPUT.values(), ids=BAD_INPUT.keys())
+def test_bad_problem_and_mixer_input_is_config_exit(tmp_path, capsys, spec):
+    payload = {"experiment": "solve", "search": {"resolution": [4, 4], "top_k": 1}, **spec}
+    assert main(["solve", "--manifest", write_manifest(tmp_path, payload)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
+
+
 def test_search_config_errors():
     with pytest.raises(ConfigError):
         search_from_manifest({"stride": 3})

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -223,6 +225,45 @@ def test_ballcut_validation():
         BallCut(inner=hypercube(3), center=9, radius=1)
     with pytest.raises(ConfigError):
         BallCut(inner=BallCut(inner=hypercube(3), center=0, radius=1), center=0, radius=1)
+
+
+def whole_graph_adjacency(inner):
+    """The inner graph's full 2^n x 2^n adjacency, as ball cuts once sliced it."""
+    if isinstance(inner, CompleteGraph):
+        size = 1 << inner.n
+        return sp.csr_matrix(np.full((size, size), 1.0 / size) - np.eye(size) / size)
+    if isinstance(inner, CustomSparse):
+        return inner.adjacency
+    return hypercube_adjacency(inner.n, inner.b)
+
+
+@pytest.mark.parametrize(
+    "inner",
+    [CompleteGraph(5), hypercube(5), WeightedHypercube((1.0, 0.5, 2.0, 0.0, 1.5)),
+     custom_from_edges(5, [(0, 1), (1, 3, 0.5), (3, 7), (0, 31), (2, 12, 2.0)])],
+    ids=["complete", "hypercube", "weighted", "custom"],
+)
+def test_ballcut_laplacian_matches_the_whole_graph_slice_bitwise(inner):
+    cut = BallCut(inner=inner, center=0b10110, radius=2)
+    ball = cut.ball()
+    adj = whole_graph_adjacency(inner)[np.ix_(ball, ball)].tocsr()
+    ref = (sp.diags(np.asarray(adj.sum(axis=1)).ravel()) - adj).tocsr()
+    lap = cut.laplacian()
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(lap, attr), getattr(ref, attr))
+
+
+def test_ballcut_over_complete_graph_builds_only_the_ball_block():
+    cut = BallCut(inner=CompleteGraph(12), center=5, radius=1)
+    tracemalloc.start()
+    try:
+        lap = cut.laplacian()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lap.shape == (13, 13)
+    # the whole 2^12 x 2^12 dense matrix alone is 128 MiB
+    assert peak < 16 * 2**20
 
 
 def test_evolve_many_matches_single_calls():

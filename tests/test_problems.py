@@ -84,13 +84,13 @@ def test_from_dense_recovers_terms():
 
 
 def test_dense_term_consistency_guard():
-    with pytest.raises(ValueError):
-        DiagonalProblem(2, [ZTerm((0,), 1.0)], np.zeros(4))
+    with pytest.raises(ValueError, match="dense table disagrees with term-list evaluation"):
+        DiagonalProblem(2, [0b1], [1.0], np.zeros(4))
 
 
 def test_dense_term_consistency_guard_above_sixteen_qubits():
-    with pytest.raises(ValueError):
-        DiagonalProblem(17, [ZTerm((0,), 1.0)], np.zeros(2**17))
+    with pytest.raises(ValueError, match="dense table disagrees with term-list evaluation"):
+        DiagonalProblem(17, [0b1], [1.0], np.zeros(2**17))
 
 
 def scaled_cutoff(values):
@@ -459,4 +459,90 @@ def test_multilinear_value_adds_terms_in_order_bitwise():
 
 def test_terms_beyond_n_are_rejected():
     with pytest.raises(ValueError, match=r"term \(1, 3\) references qubit >= n=3"):
-        DiagonalProblem(3, [ZTerm((0,), 1.0), ZTerm((3, 1), 1.0)], np.zeros(8))
+        from_terms(3, [ZTerm((0,), 1.0), ZTerm((3, 1), 1.0)])
+
+    # a qubit of 64 or more is caught before its mask overflows int64
+    with pytest.raises(ValueError, match=r"term \(70,\) references qubit >= n=3"):
+        from_terms(3, [ZTerm((70,), 1.0)])
+
+
+# ---------------------------------------------------------------------------
+# The problem stores only (mask, coeff) arrays; ZTerms are built at the API edge.
+
+
+def random_table(n):
+    return np.random.default_rng(n).normal(size=1 << n)
+
+
+GENERATED = {
+    "uncoupled": lambda: uncoupled_spins(7, "gaussian", seed=3),
+    "ramp": lambda: hamming_ramp(6),
+    "spike": lambda: spike(8, 0.5, 1.25),
+    "bush": lambda: bush(6),
+    "kspin": lambda: kspin_ferromagnet(6, 3),
+    "conflicted": lambda: conflicted_pairs(6, 0.5, 3.0),
+    "fisher": lambda: fisher_chain(7, seed=4),
+    "chain": lambda: chain_detuned(7, 0.3),
+    "grid": lambda: grid_ferromagnet_2d(2, 3, 0.5),
+    "maxcut": lambda: maxcut_3regular(8, 0.5, 0.7, seed=9),
+    "mixed_terms": mixed_terms,
+    "dense6": lambda: from_dense(6, random_table(6)),
+    "dense10": lambda: from_dense(10, random_table(10)),
+    "freeze_grid": lambda: freeze(grid_ferromagnet_2d(2, 3, 0.5), {0: 1, 4: 0})[0],
+    "freeze_dense": lambda: freeze(from_dense(6, random_table(6)), {1: 1, 3: 0})[0],
+    "freeze_mixed": lambda: freeze(mixed_terms(), {0: 1})[0],
+}
+# built by from_dense, which keeps the table it is given
+GIVEN_TABLES = {"spike", "bush", "kspin", "dense6", "dense10"}
+
+
+@pytest.mark.parametrize("name", GENERATED)
+def test_terms_view_rebuilds_the_problem_bitwise(name):
+    prob = GENERATED[name]()
+    for again in (from_terms(prob.n, prob.terms), DiagonalProblem.from_json(prob.to_json())):
+        assert again.masks.dtype == np.int64 and again.coeffs.dtype == np.float64
+        assert np.array_equal(again.masks, prob.masks)
+        assert np.array_equal(again.coeffs, prob.coeffs)
+        if name in GIVEN_TABLES:
+            # the term sum reproduces a given table only to rounding
+            atol = 1e-12 * max(1.0, np.abs(prob.dense).max())
+            np.testing.assert_allclose(again.dense, prob.dense, rtol=0, atol=atol)
+        else:
+            assert np.array_equal(again.dense, prob.dense)
+
+
+def test_array_builders_construct_no_zterm(monkeypatch):
+    grid = grid_ferromagnet_2d(2, 3, 0.5)
+
+    def refuse(self):
+        raise AssertionError("ZTerm built")
+
+    monkeypatch.setattr(ZTerm, "__post_init__", refuse)
+    prob = from_dense(14, random_table(14))
+    assert prob.masks.size > 16000
+    for source in (grid, DIFF_PROBLEMS["dense5"]()):
+        for assignment in ASSIGNMENTS:
+            freeze(source, assignment)
+    with pytest.raises(AssertionError, match="ZTerm built"):
+        prob.terms
+
+
+@pytest.mark.parametrize(
+    "masks,coeffs,message",
+    [
+        ([0, -1], [1.0, 1.0], r"term masks must lie in \[0, 2\^n\)"),
+        ([0, 8], [1.0, 1.0], r"term masks must lie in \[0, 2\^n\)"),
+        ([0, 1], [1.0], "1-D arrays of equal length"),
+        ([[0, 1]], [[1.0, 1.0]], "1-D arrays of equal length"),
+        ([0, 1], [1.0, np.inf], "term coefficients must be finite"),
+        ([0, 1], [1.0, np.nan], "term coefficients must be finite"),
+    ],
+)
+def test_constructor_rejects_bad_term_arrays(masks, coeffs, message):
+    with pytest.raises(ValueError, match=message):
+        DiagonalProblem(3, masks, coeffs, np.zeros(8))
+
+
+def test_from_dense_rejects_a_table_of_the_wrong_length():
+    with pytest.raises(ValueError, match=r"dense table has 16 values, not 2\^n = 8"):
+        from_dense(3, np.zeros(16))
