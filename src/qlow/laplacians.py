@@ -112,6 +112,8 @@ def custom_from_edges(n: int, edges: list[tuple[int, int]] | list[tuple[int, int
     size = 1 << n
     rows, cols, vals = [], [], []
     for edge in edges:
+        if not all(float(e).is_integer() for e in edge[:2]):
+            raise ConfigError(f"edge {tuple(edge)} has a non-integral endpoint")
         u, v = int(edge[0]), int(edge[1])
         if not (0 <= u < size and 0 <= v < size):
             raise ConfigError(f"edge {tuple(edge)} has an endpoint outside [0, 2^n = {size})")
@@ -351,32 +353,36 @@ def evolve_many(state: Statevector, lap, betas: np.ndarray) -> list[Statevector]
 # kinetic energy <L_G> with the positive-semidefinite convention
 
 
-def _x_expectations(state: Statevector) -> np.ndarray:
-    n = state.n
+def _x_expectations(amps: np.ndarray) -> np.ndarray:
+    n = amps.size.bit_length() - 1
     out = np.empty(n)
     for i in range(n):
-        v = state.amps.reshape(1 << (n - 1 - i), 2, 1 << i)
+        v = amps.reshape(1 << (n - 1 - i), 2, 1 << i)
         out[i] = 2.0 * float(np.sum(v[:, 0, :].conj() * v[:, 1, :]).real)
     return out
+
+
+def _kinetic(amps: np.ndarray, lap) -> float:
+    """<psi| L_G |psi> of raw amplitudes, for a Laplacian on as many qubits."""
+    if isinstance(lap, WeightedHypercube):
+        b = np.asarray(lap.b)
+        return float(np.sum(b * (1.0 - _x_expectations(amps))))
+    if isinstance(lap, CompleteGraph):
+        u_amp = np.sum(amps) * 2.0 ** (-lap.n / 2)
+        return float(1.0 - abs(u_amp) ** 2)
+    if isinstance(lap, CustomSparse):
+        lmat = lap.laplacian()
+        return float(np.real(np.vdot(amps, lmat @ amps)))
+    if isinstance(lap, BallCut):
+        seg = amps[lap.ball()]
+        return float(np.real(np.vdot(seg, lap.laplacian() @ seg)))
+    raise ConfigError(f"unsupported Laplacian {type(lap).__name__}")
 
 
 def kinetic_energy(state: Statevector, lap) -> float:
     """<psi| L_G |psi> with L_G = D_G - A_G (>= 0; 0 iff uniform when connected)."""
     _check_qubits(state.n, lap)
-    if isinstance(lap, WeightedHypercube):
-        b = np.asarray(lap.b)
-        return float(np.sum(b * (1.0 - _x_expectations(state))))
-    if isinstance(lap, CompleteGraph):
-        u_amp = np.sum(state.amps) * 2.0 ** (-state.n / 2)
-        return float(1.0 - abs(u_amp) ** 2)
-    if isinstance(lap, CustomSparse):
-        lmat = lap.laplacian()
-        return float(np.real(np.vdot(state.amps, lmat @ state.amps)))
-    if isinstance(lap, BallCut):
-        ball = lap.ball()
-        seg = state.amps[ball]
-        return float(np.real(np.vdot(seg, lap.laplacian() @ seg)))
-    raise ConfigError(f"unsupported Laplacian {type(lap).__name__}")
+    return _kinetic(state.amps, lap)
 
 
 # ---------------------------------------------------------------------------

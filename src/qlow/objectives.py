@@ -8,7 +8,7 @@ import numpy as np
 
 from .ansatz import Schedule, qaoa_state
 from .errors import ConfigError, NumericError
-from .laplacians import kinetic_energy
+from .laplacians import _check_qubits, _kinetic
 from .problems import DiagonalProblem
 from .statevector import Statevector, fwht_array, ground_state_mass
 
@@ -58,35 +58,53 @@ def evaluate(
     problem: DiagonalProblem,
     lap=None,
 ) -> float:
-    probs = state.probabilities()
+    return _scorer(obj, problem, lap)(state.amps)
+
+
+def _scorer(obj: Objective, problem: DiagonalProblem, lap=None):
+    """The objective as a function of raw amplitudes (length 2^n, little-endian).
+
+    Tables that depend only on the problem (Gibbs weights, the CVaR order) are
+    built here, once; a search that scores many states builds one scorer.
+    evaluate() is the scorer applied to one state.
+    """
     values = problem.dense
     if isinstance(obj, Mean):
-        return float(probs @ values)
+        return lambda amps: float(np.abs(amps) ** 2 @ values)
     if isinstance(obj, Gibbs):
         t = -obj.eta * values
         shift = float(t.max())
-        g = float(probs @ np.exp(t - shift))
-        if not np.isfinite(g) or g <= 0.0:
-            raise NumericError("Gibbs objective overflowed despite max-shift")
-        return -(shift + np.log(g))
+        weights = np.exp(t - shift)
+
+        def gibbs(amps):
+            g = float(np.abs(amps) ** 2 @ weights)
+            if not np.isfinite(g) or g <= 0.0:
+                raise NumericError("Gibbs objective overflowed despite max-shift")
+            return -(shift + np.log(g))
+
+        return gibbs
     if isinstance(obj, CVaR):
         order = np.argsort(values, kind="stable")
-        p = probs[order]
         f = values[order]
-        cum = np.cumsum(p)
-        k = int(np.searchsorted(cum, obj.alpha))
-        if k >= len(p):
-            k = len(p) - 1
-        below = float(p[:k] @ f[:k])
-        taken = float(cum[k - 1]) if k > 0 else 0.0
-        below += (obj.alpha - taken) * float(f[k])
-        return below / obj.alpha
+
+        def cvar(amps):
+            p = (np.abs(amps) ** 2)[order]
+            cum = np.cumsum(p)
+            k = int(np.searchsorted(cum, obj.alpha))
+            if k >= len(p):
+                k = len(p) - 1
+            below = float(p[:k] @ f[:k])
+            taken = float(cum[k - 1]) if k > 0 else 0.0
+            below += (obj.alpha - taken) * float(f[k])
+            return below / obj.alpha
+
+        return cvar
     if isinstance(obj, Combined):
         if lap is None:
             raise ConfigError("Combined objective requires a Laplacian")
-        return obj.k1 * evaluate(obj.inner, state, problem, lap) + obj.k2 * kinetic_energy(
-            state, lap
-        )
+        _check_qubits(problem.n, lap)
+        inner = _scorer(obj.inner, problem, lap)
+        return lambda amps: obj.k1 * inner(amps) + obj.k2 * _kinetic(amps, lap)
     raise ConfigError(f"unknown objective {obj!r}")
 
 

@@ -1,5 +1,25 @@
 """Outer loops: grid + local search over schedules, greedy beta branches,
-iterated rounding, and a classical product-state restart baseline."""
+iterated rounding, and a classical product-state restart baseline.
+
+A compass search over relaxed p=1 angles on a hypercube mixer does not
+simulate its probes. The final state is psi = M P |+> with the phase
+P = exp(-i sum_T gamma_T c_T Z_T) and the mixer M = prod_q exp(-i theta_q X_q),
+theta_q = beta_q b_q. Two identities give every probe from psi:
+
+- beta_q -> beta_q +- s: the factors of M commute, so one more factor
+  exp(-+i s b_q X_q) goes in front, and the probe is
+  cos(s b_q) psi -+ i sin(s b_q) X_q psi. X_q psi is psi with bit q of the
+  index flipped.
+- gamma_T -> gamma_T +- s: exp(-+i s c_T Z_T) goes under the mixer. Z_q
+  anticommutes with X_q, so M Z_T = Z_T prod_{q in T} exp(+2i theta_q X_q) M,
+  and the probe is cos(s c_T) psi -+ i sin(s c_T) chi_T with
+  chi_T = Z_T prod_{q in T} exp(+2i theta_q X_q) psi: |T| one-qubit updates
+  and a parity sign.
+
+Both need M to be a product of commuting one-qubit X rotations. The
+complete-graph and ball-cut mixers are not, and a scalar gamma moves every
+term at once, so those probes stay full simulations.
+"""
 
 from __future__ import annotations
 
@@ -17,8 +37,8 @@ from .ansatz import (
     qaoa_state,
 )
 from .errors import ConfigError
-from .laplacians import evolve_many, hypercube
-from .objectives import Mean, evaluate
+from .laplacians import WeightedHypercube, _rotate_qubits, evolve_many, hypercube
+from .objectives import Mean, _scorer, evaluate
 from .problems import DiagonalProblem, freeze
 from .statevector import Statevector, apply_phase, plus_state
 
@@ -75,34 +95,45 @@ def evaluate_schedule(
     return evaluate(objective, state, problem, lap)
 
 
-def compass_minimize(fun, x0, step, tol, max_iters):
+def _trial(x, k, step):
+    """x moved along axis k // 2, by +step for even k and -step for odd k."""
+    trial = x.copy()
+    trial[k // 2] += step if k % 2 == 0 else -step
+    return trial
+
+
+def compass_minimize(fun, x0, step, tol, max_iters, probe=None):
     """Coordinate pattern search: probe +-step along each axis, move to the
-    best improving probe, halve the step when none improves."""
+    best improving probe, halve the step when none improves.
+
+    probe(x, step) returns the 2d probe values in the order (axis 0, +),
+    (axis 0, -), (axis 1, +), ...; by default each is fun of its trial point.
+    A probe that scores trials by another route makes fun score only the
+    accepted centres, so the returned value is always fun of the returned x."""
     x = np.asarray(x0, dtype=np.float64).copy()
     fx = fun(x)
     step = float(step)
-    d = x.size
     for _ in range(max_iters):
         if step < tol:
             break
-        best_f = fx
-        best_x = None
-        for i in range(d):
-            for sign in (1.0, -1.0):
-                trial = x.copy()
-                trial[i] += sign * step
-                ft = fun(trial)
-                if ft < best_f - 1e-15:
-                    best_f = ft
-                    best_x = trial
-        if best_x is None:
+        if probe is None:
+            values = [fun(_trial(x, k, step)) for k in range(2 * x.size)]
+        else:
+            values = probe(x, step)
+        best_f, best_k = fx, None
+        for k, ft in enumerate(values):
+            if ft < best_f - 1e-15:
+                best_f, best_k = ft, k
+        if best_k is None:
             step *= 0.5
         else:
-            x, fx = best_x, best_f
+            x = _trial(x, best_k, step)
+            fx = best_f if probe is None else fun(x)
     return x, fx
 
 
-def _local_refine(fun, x0, step, config: SearchConfig):
+def _local_refine(fun, x0, step, config: SearchConfig, probe=None):
+    """Nelder-Mead or compass_minimize from x0; only compass takes a probe."""
     if config.method == "simplex":
         res = scipy.optimize.minimize(
             fun,
@@ -115,7 +146,7 @@ def _local_refine(fun, x0, step, config: SearchConfig):
             },
         )
         return np.asarray(res.x), float(res.fun)
-    return compass_minimize(fun, x0, step, config.tol, config.max_iters)
+    return compass_minimize(fun, x0, step, config.tol, config.max_iters, probe)
 
 
 def _grid_axes(config: SearchConfig):
@@ -242,22 +273,84 @@ def optimize_relaxed_schedule(
     b0 = b_init if relax != "gamma" else np.array([float(np.mean(b_init))])
     x0 = np.concatenate([g0, b0])
 
-    def unpack(x):
-        g, b = x[: g0.size], x[g0.size :]
-        return Schedule(
-            g.reshape(1, -1) if relax != "beta" else g,
-            b.reshape(1, -1) if relax != "gamma" else b,
-        )
-
     def fun(x):
-        return evaluate_schedule(problem, lap, unpack(x), objective)
+        return evaluate_schedule(problem, lap, _relaxed(x, relax, g0.size), objective)
 
     f0 = fun(x0)
     step = (config.gamma_range[1] - config.gamma_range[0]) / config.resolution[0]
-    x, fx = _local_refine(fun, x0, step, config)
+    if isinstance(lap, WeightedHypercube) and config.method == "compass":
+        centre, probe = _hypercube_probe(problem, lap, objective, relax)
+        x, fx = _local_refine(centre, x0, step, config, probe)
+    else:
+        x, fx = _local_refine(fun, x0, step, config)
     if fx > f0:
         x, fx = x0, f0
-    return unpack(x), fx
+    return _relaxed(x, relax, g0.size), fx
+
+
+def _relaxed(x, relax, n_gamma) -> Schedule:
+    """The p=1 schedule of a relaxed search's point x: n_gamma gammas, then the betas."""
+    g, b = x[:n_gamma], x[n_gamma:]
+    return Schedule(
+        g.reshape(1, -1) if relax != "beta" else g,
+        b.reshape(1, -1) if relax != "gamma" else b,
+    )
+
+
+def _hypercube_probe(problem, lap: WeightedHypercube, objective, relax):
+    """(centre, probe): fun and probe for compass_minimize over a relaxed
+    search's points on a hypercube mixer.
+
+    centre(x) is the objective at x by the full route: qaoa_state, then the
+    scorer evaluate applies, built once here. It keeps psi, the final state
+    at x. probe(x, step) builds the probe states from psi by the identities in
+    the module docstring and scores them with the same scorer; only the probes
+    of a scalar gamma are simulated (evaluate_schedule)."""
+    n_gamma = 1 if relax == "beta" else problem.masks.size
+    score = _scorer(objective, problem, lap)
+    b = np.asarray(lap.b)
+    term_qubits = [np.flatnonzero((m >> np.arange(problem.n)) & 1) for m in problem.masks]
+    kept = {"x": None, "psi": None}
+
+    def centre(x):
+        state = qaoa_state(problem, lap, _relaxed(x, relax, n_gamma))
+        kept["x"], kept["psi"] = x.copy(), state.amps
+        return score(state.amps)
+
+    def pair(psi, other, angle):
+        """Scores of cos(angle) psi -+ i sin(angle) other, the + move first."""
+        head, tail = math.cos(angle) * psi, 1j * math.sin(angle) * other
+        return [score(head - tail), score(head + tail)]
+
+    def probe(x, step):
+        if kept["x"] is None or not np.array_equal(kept["x"], x):
+            centre(x)
+        psi = kept["psi"]
+        thetas = x[n_gamma:] * b
+        values = []
+        if relax == "beta":
+            for k in (0, 1):
+                trial = _relaxed(_trial(x, k, step), relax, n_gamma)
+                values.append(evaluate_schedule(problem, lap, trial, objective))
+        else:
+            for qubits, coeff in zip(term_qubits, problem.coeffs):
+                chi = psi
+                for q in qubits:
+                    # Z_q exp(2i theta_q X_q) = [[c, i s], [-i s, -c]] on (bit q = 0, bit q = 1)
+                    c, s = math.cos(2.0 * thetas[q]), math.sin(2.0 * thetas[q])
+                    v = chi.reshape(-1, 2, 1 << q)
+                    chi = np.stack([c * v[:, 0] + 1j * s * v[:, 1], -1j * s * v[:, 0] - c * v[:, 1]], 1)
+                    chi = chi.reshape(psi.shape)
+                values += pair(psi, chi, step * coeff)
+        if relax == "gamma":
+            values += [score(_rotate_qubits(psi, sign * step * b)) for sign in (1.0, -1.0)]
+        else:
+            for q in range(problem.n):
+                flipped = psi.reshape(-1, 2, 1 << q)[:, ::-1].reshape(psi.shape)
+                values += pair(psi, flipped, step * b[q])
+        return values
+
+    return centre, probe
 
 
 @dataclass(frozen=True)

@@ -253,6 +253,37 @@ def test_reproduce_shipped_manifest_matches_golden_csv(tmp_path, capsys, fig_id)
                 ), (column, row)
 
 
+FREEDOM_SMALL = {
+    "experiment": "freedom",
+    "params": {
+        "j2_list": [0.4, 1.0], "seeds": 1, "rows": 2, "cols": 3,
+        "objective_cfg": {"kind": "gibbs", "eta": 20.0}, "resolution": [12, 12],
+    },
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_reproduce_small_freedom_matches_golden_csv(tmp_path, capsys, jobs):
+    # tests/data/freedom_small.csv holds columns 1-11 of this run, recorded
+    # before the relaxed searches built their probes from the centre state;
+    # compared as test_reproduce_shipped_manifest_matches_golden_csv compares
+    manifest = write_manifest(tmp_path, FREEDOM_SMALL)
+    args = ["reproduce", "freedom", "--manifest", manifest, "--jobs", jobs]
+    assert main(args + ["--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    got = first_eleven_columns(tmp_path / "freedom.csv")
+    want = first_eleven_columns(GOLDEN / "freedom_small.csv")
+    assert got[0] == want[0] and len(got) == len(want)
+    for row, ref in zip(got[1:], want[1:]):
+        for column, cell, expected in zip(want[0], row, ref):
+            if column in TEXT_COLUMNS or not expected:
+                assert cell == expected, (column, row)
+            else:
+                assert math.isclose(
+                    float(cell), float(expected), rel_tol=1e-9, abs_tol=1e-12
+                ), (column, row)
+
+
 @pytest.mark.parametrize("fig_id", ["fig2", "shadow", "proxy", "ce"])
 def test_reproduce_serial_pipelines_reject_jobs(tmp_path, capsys, fig_id):
     out = tmp_path / "out"
@@ -368,6 +399,10 @@ BAD_INPUT = {
         "problem": {"family": "ramp", "n": 2},
         "mixer": {"kind": "custom", "edges": [[0, 1], [2, 4]]},
     },
+    "custom_nonintegral_endpoint": {
+        "problem": {"family": "ramp", "n": 2},
+        "mixer": {"kind": "custom", "edges": [[0, 1.5]]},
+    },
 }
 
 
@@ -377,6 +412,12 @@ def test_bad_problem_and_mixer_input_is_config_exit(tmp_path, capsys, spec):
     assert main(["solve", "--manifest", write_manifest(tmp_path, payload)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "Traceback" not in err
+
+
+def test_custom_edges_accept_integral_floats():
+    want = mixer_from_manifest({"kind": "custom", "edges": [[0, 3], [1, 2]]}, 2)
+    got = mixer_from_manifest({"kind": "custom", "edges": [[0, 3.0], [1.0, 2]]}, 2)
+    assert (got.adjacency != want.adjacency).nnz == 0
 
 
 def test_search_config_errors():

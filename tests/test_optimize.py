@@ -1,13 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
-from qlow.ansatz import Schedule
+from qlow.ansatz import Schedule, qaoa_state
 from qlow.errors import ConfigError
-from qlow.laplacians import hypercube
-from qlow.objectives import Mean
+from qlow.laplacians import WeightedHypercube, hypercube
+from qlow.objectives import CVaR, Combined, Gibbs, Mean, evaluate
 from qlow.optimize import (
     RoundingConfig,
     SearchConfig,
+    _hypercube_probe,
+    _relaxed,
+    _trial,
     classical_restart_baseline,
     compass_minimize,
     default_qaoa_solver,
@@ -118,6 +123,68 @@ def test_relaxed_never_worse_than_given_warm_schedule():
     )
     assert val <= f0 + 1e-12
     assert sched.gamma_relaxed and not sched.beta_relaxed
+
+
+def random_relaxed_instance(n, seed):
+    """Terms of weight 0 to 3 with random coefficients on a hypercube with
+    unequal weights: no symmetry ties two probes."""
+    rng = np.random.default_rng(seed)
+    terms = [ZTerm((), float(rng.normal()))]
+    for w in (1, 1, 2, 2, 2, 3, 3):
+        qubits = tuple(sorted(rng.choice(n, size=w, replace=False).tolist()))
+        terms.append(ZTerm(qubits, float(rng.normal())))
+    lap = WeightedHypercube(tuple(rng.uniform(0.3, 1.7, n)))
+    return from_terms(n, terms), lap, rng
+
+
+def relaxed_point(prob, relax, rng):
+    n_gamma = 1 if relax == "beta" else prob.masks.size
+    n_beta = 1 if relax == "gamma" else prob.n
+    return rng.uniform(-1.0, 1.0, n_gamma + n_beta), n_gamma
+
+
+PROBE_OBJECTIVES = [Mean(), Gibbs(4.0), CVaR(0.2), Combined(1.0, 0.5, Gibbs(2.0))]
+
+
+@pytest.mark.parametrize("relax", ["gamma", "beta", "both"])
+@pytest.mark.parametrize(
+    "objective", PROBE_OBJECTIVES, ids=["mean", "gibbs", "cvar", "combined"]
+)
+def test_hypercube_probe_matches_full_simulation(relax, objective):
+    prob, lap, rng = random_relaxed_instance(7, seed=11)
+    x, n_gamma = relaxed_point(prob, relax, rng)
+    centre, probe = _hypercube_probe(prob, lap, objective, relax)
+    assert centre(x) == evaluate_schedule(prob, lap, _relaxed(x, relax, n_gamma), objective)
+    for step in (0.37, 1e-3):
+        got = probe(x, step)
+        assert len(got) == 2 * x.size
+        for k, value in enumerate(got):
+            sched = _relaxed(_trial(x, k, step), relax, n_gamma)
+            want = evaluate(objective, qaoa_state(prob, lap, sched), prob, lap)
+            assert math.isclose(value, want, rel_tol=1e-12, abs_tol=1e-13), (k, value, want)
+
+
+@pytest.mark.parametrize("relax", ["gamma", "beta", "both"])
+def test_compass_with_hypercube_probe_follows_the_full_route(relax):
+    prob, lap, rng = random_relaxed_instance(6, seed=5)
+    x0, n_gamma = relaxed_point(prob, relax, rng)
+    obj = Gibbs(3.0)
+
+    def fun(x):
+        return evaluate_schedule(prob, lap, _relaxed(x, relax, n_gamma), obj)
+
+    centre, probe = _hypercube_probe(prob, lap, obj, relax)
+    x_probe, f_probe = compass_minimize(centre, x0, 0.2, 1e-4, 200, probe)
+    x_full, f_full = compass_minimize(fun, x0, 0.2, 1e-4, 200)
+    np.testing.assert_array_equal(x_probe, x_full)
+    assert f_probe == f_full == fun(x_full)
+
+
+def test_relaxed_search_returns_the_public_value_of_its_schedule():
+    prob, lap, _ = random_relaxed_instance(6, seed=3)
+    for relax in ("gamma", "beta", "both"):
+        sched, val = optimize_relaxed_schedule(prob, lap, Gibbs(3.0), FAST, relax=relax)
+        assert val == evaluate_schedule(prob, lap, sched, Gibbs(3.0))
 
 
 def test_relaxed_rejects_unknown_mode():
