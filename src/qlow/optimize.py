@@ -323,7 +323,7 @@ def _hypercube_probe(problem, lap: WeightedHypercube, objective, relax):
         return [score(head - tail), score(head + tail)]
 
     def probe(x, step):
-        if kept["x"] is None or not np.array_equal(kept["x"], x):
+        if not np.array_equal(kept["x"], x):
             centre(x)
         psi = kept["psi"]
         thetas = x[n_gamma:] * b
