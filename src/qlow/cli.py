@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import importlib.resources
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -42,20 +43,31 @@ from .problems import (
 
 DEFAULT_SEED = 7
 
-REPRODUCIBLE = ("fig2", "scale", "ce", "freedom", "shadow", "proxy", "rounding")
-# Pipelines that run their tasks in-process; they reject --jobs above 1.
-SERIAL = ("fig2", "ce", "shadow", "proxy")
+# The runner behind each `reproduce` id. The manifest's params are its keyword
+# arguments; --seed fills its master seed (`seed` for fig2, `master_seed` for
+# the others) and --jobs its `jobs`, if it takes one.
+PIPELINES = {
+    "fig2": experiments.run_fig2_table,
+    "scale": experiments.run_scale_sweep,
+    "ce": experiments.run_ce_baseline,
+    "freedom": experiments.run_relaxation_compare,
+    "shadow": experiments.run_shadow_defect,
+    "proxy": experiments.run_improvement_proxy,
+    "rounding": experiments.run_rounding_curve,
+}
+REPRODUCIBLE = tuple(PIPELINES)
+RESERVED_PARAMS = ("seed", "master_seed", "jobs")
+
+
+def _packaged_json(name: str) -> dict:
+    """A JSON file shipped in qlow/manifests."""
+    return json.loads(importlib.resources.files("qlow").joinpath("manifests", name).read_text())
 
 
 @functools.cache
 def _validator():
     """The manifest schema's validator, with the schema itself checked once."""
-    text = (
-        importlib.resources.files("qlow")
-        .joinpath("manifests", "schema.json")
-        .read_text()
-    )
-    schema = json.loads(text)
+    schema = _packaged_json("schema.json")
     cls = jsonschema.validators.validator_for(schema)
     cls.check_schema(schema)
     return cls(schema)
@@ -116,6 +128,8 @@ def problem_from_manifest(spec: dict):
             return from_terms(spec["n"], terms)
     except KeyError as exc:
         raise ConfigError(f"problem spec for family {family!r} missing key {exc}") from exc
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(f"bad {family!r} problem spec: {exc}") from exc
     raise ConfigError(f"unknown problem family {family!r}")
@@ -143,15 +157,8 @@ def mixer_from_manifest(spec: dict | None, n: int):
 
 
 def search_from_manifest(spec: dict | None) -> SearchConfig:
-    if spec is None:
-        return SearchConfig()
-    kwargs = dict(spec)
-    if "resolution" in kwargs:
-        kwargs["resolution"] = tuple(kwargs["resolution"])
-    if "gamma_range" in kwargs:
-        kwargs["gamma_range"] = tuple(kwargs["gamma_range"])
-    if "beta_range" in kwargs:
-        kwargs["beta_range"] = tuple(kwargs["beta_range"])
+    # JSON has no tuples: the ranges and the resolution arrive as lists
+    kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in (spec or {}).items()}
     try:
         return SearchConfig(**kwargs)
     except TypeError as exc:
@@ -203,85 +210,57 @@ def cmd_solve(args) -> int:
 
 
 def _default_manifest(experiment: str) -> dict:
-    text = (
-        importlib.resources.files("qlow")
-        .joinpath("manifests", f"{experiment}.json")
-        .read_text()
-    )
-    manifest = json.loads(text)
+    manifest = _packaged_json(f"{experiment}.json")
     validate_manifest(manifest)
     return manifest
 
 
-def _run_experiment(experiment: str, params: dict, seed: int, jobs: int):
-    params = dict(params)
-    if experiment == "fig2":
-        records, _ = experiments.run_fig2_table(seed=seed, **params)
-        return {"fig2.csv": records}
-    if experiment == "scale":
-        records = experiments.run_scale_sweep(master_seed=seed, jobs=jobs, **params)
-        return {"scale.csv": records}
-    if experiment == "ce":
-        records = experiments.run_ce_baseline(master_seed=seed, **params)
-        return {"ce.csv": records}
-    if experiment == "freedom":
-        records = experiments.run_relaxation_compare(master_seed=seed, jobs=jobs, **params)
-        return {"freedom.csv": records}
-    if experiment == "shadow":
-        variant = params.pop("variant", "both")
-        flat_keys = {"ns", "resolution"}
-        cut_keys = {
-            "n", "radius", "boost", "spike_weight", "spike_height",
-            "search_resolution",
-        }
-        records = []
-        if variant in ("flat", "both"):
-            kw = {k: v for k, v in params.items() if k in flat_keys}
-            recs, _ = experiments.run_shadow_defect(
-                variant="flat", master_seed=seed, **kw
-            )
-            records.extend(recs)
-        if variant in ("spike_cut", "both"):
-            kw = {k: v for k, v in params.items() if k in cut_keys}
-            recs, _ = experiments.run_shadow_defect(
-                variant="spike_cut", master_seed=seed, **kw
-            )
-            records.extend(recs)
-        return {"shadow.csv": records}
-    if experiment == "proxy":
-        records, _ = experiments.run_improvement_proxy(master_seed=seed, **params)
-        return {"proxy.csv": records}
-    if experiment == "rounding":
-        records = experiments.run_rounding_curve(master_seed=seed, jobs=jobs, **params)
-        by_j2: dict[float, list] = {}
-        for r in records:
-            by_j2.setdefault(r.j2, []).append(r)
-        return {
-            f"rounding_j2_{j2:g}.csv": recs for j2, recs in sorted(by_j2.items())
-        }
-    raise ConfigError(f"unknown experiment id {experiment!r}")
+def bind_pipeline(fig_id: str, params: dict, seed: int, jobs: int):
+    """The runner of `reproduce fig_id` with params, seed and jobs bound.
+
+    A param the runner does not take, a seed or jobs set inside params, and
+    --jobs above 1 for a runner that works in one process are ConfigErrors.
+    """
+    runner = PIPELINES[fig_id]
+    names = inspect.signature(runner).parameters
+    if jobs > 1 and "jobs" not in names:
+        raise ConfigError(f"reproduce {fig_id} runs serially; --jobs must be 1, got {jobs}")
+    known = [k for k in names if k not in RESERVED_PARAMS]
+    unknown = sorted(set(params) - set(known))
+    if unknown:
+        raise ConfigError(
+            f"reproduce {fig_id} takes no param {', '.join(unknown)} (seeds and "
+            f"workers come from --seed and --jobs); it takes {', '.join(known)}"
+        )
+    kwargs = dict(params)
+    kwargs["seed" if "seed" in names else "master_seed"] = seed
+    if "jobs" in names:
+        kwargs["jobs"] = jobs
+    return functools.partial(runner, **kwargs)
 
 
 def cmd_reproduce(args) -> int:
-    if args.id not in REPRODUCIBLE:
-        raise ConfigError(
-            f"unknown figure id {args.id!r}; choose from {', '.join(REPRODUCIBLE)}"
-        )
-    if args.jobs > 1 and args.id in SERIAL:
-        raise ConfigError(
-            f"reproduce {args.id} runs serially; --jobs must be 1, got {args.jobs}"
-        )
     manifest = load_manifest(args.manifest) if args.manifest else _default_manifest(args.id)
     if manifest["experiment"] != args.id:
         raise ConfigError(
             f"manifest experiment {manifest['experiment']!r} does not match id {args.id!r}"
         )
-    outputs = _run_experiment(args.id, manifest.get("params", {}), args.seed, args.jobs)
+    result = bind_pipeline(args.id, manifest.get("params", {}), args.seed, args.jobs)()
+    # fig2, shadow and proxy also return a details dict, which no CSV holds
+    records = result[0] if isinstance(result, tuple) else result
+    if not records:
+        raise ConfigError(
+            f"reproduce {args.id} produced no rows; its params leave no work to do"
+        )
+    files = {f"{args.id}.csv": records}
+    if args.id == "rounding":  # one file per J2
+        j2s = sorted({r.j2 for r in records})
+        files = {f"rounding_j2_{j2:g}.csv": [r for r in records if r.j2 == j2] for j2 in j2s}
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, records in outputs.items():
+    for name, recs in files.items():
         path = out_dir / name
-        experiments.write_records(records, path)
+        experiments.write_records(recs, path)
         print(path)
     return 0
 

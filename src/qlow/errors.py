@@ -2,7 +2,9 @@
 
 The CLI maps these onto exit codes: ConfigError -> 2, ResourceError -> 3,
 NumericError -> 4. Library code raises them directly; plain ValueError is
-reserved for programming errors that a manifest cannot trigger.
+reserved for programming errors that a manifest cannot trigger. ConfigError
+also subclasses ValueError: a bad argument value is a ValueError to library
+callers and exit 2 at the command line.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ class QlowError(Exception):
     """Base class for package errors."""
 
 
-class ConfigError(QlowError):
+class ConfigError(QlowError, ValueError):
     """Invalid configuration, manifest, or argument domain."""
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import concurrent.futures
 import csv
 import functools
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -143,11 +144,15 @@ def task_seed(master_seed: int, index: int) -> int:
     return int(np.random.SeedSequence([int(master_seed), int(index)]).generate_state(1)[0])
 
 
-def _map_tasks(fn, tasks, jobs: int):
+def _map_tasks(fn, tasks, jobs: int) -> list[ExperimentRecord]:
+    """The records fn returns for each task, concatenated in task order; the
+    tasks run in `jobs` worker processes when there is more than one."""
     if jobs <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(fn, tasks))
+        results = map(fn, tasks)
+    else:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
+            results = list(ex.map(fn, tasks))
+    return [record for records in results for record in records]
 
 
 def objective_from_config(cfg) -> object:
@@ -228,6 +233,8 @@ def run_fig2_table(n: int = 8, n_seeds: int = 10_000, seed: int = 0):
     Returns (records, summary) where summary maps each distribution to its
     analytic values, optimal gamma, and batched-simulation statistics.
     """
+    if n < 1 or n_seeds < 2:  # the standard errors need two instances
+        raise ConfigError(f"fig2 needs n >= 1 and n_seeds >= 2, got {n} and {n_seeds}")
     records: list[ExperimentRecord] = []
     summary: dict[str, dict] = {}
     beta = math.pi / 4
@@ -309,27 +316,12 @@ def run_scale_sweep(
     master_seed: int = 0,
     jobs: int = 1,
 ) -> list[ExperimentRecord]:
-    obj = objective_from_config(objective_cfg)
-    tasks = []
-    index = 0
-    for p in p_list:
-        for j2 in j2_list:
-            for s in range(seeds):
-                tasks.append((family, n, rows, cols, p, float(j2), s,
-                              task_seed(master_seed, index), objective_cfg, tuple(resolution)))
-                index += 1
-    results = _map_tasks(_scale_task, tasks, jobs)
-    records = []
-    for task, res in zip(tasks, results):
-        family_, _n, _rows, _cols, p, j2, s, _, _, _ = task
-        val, gmass, ratio, n_eff, ms = res
-        records.append(
-            ExperimentRecord(
-                "scale", family_, n_eff, p, j2, s, "qaoa", objective_tag(obj),
-                val, gmass, ratio, ms,
-            )
-        )
-    return records
+    tasks = [
+        (family, n, rows, cols, p, float(j2), s, task_seed(master_seed, index),
+         objective_cfg, tuple(resolution))
+        for index, (p, j2, s) in enumerate(itertools.product(p_list, j2_list, range(seeds)))
+    ]
+    return _map_tasks(_scale_task, tasks, jobs)
 
 
 def _scale_task(task):
@@ -339,7 +331,13 @@ def _scale_task(task):
     obj = objective_from_config(objective_cfg)
     config = SearchConfig(resolution=resolution)
     val, gmass, ratio = _solve_and_measure(problem, p, obj, config)
-    return val, gmass, ratio, problem.n, (time.perf_counter() - t0) * 1e3
+    ms = (time.perf_counter() - t0) * 1e3
+    return [
+        ExperimentRecord(
+            "scale", family, problem.n, p, j2, s, "qaoa", objective_tag(obj),
+            val, gmass, ratio, ms,
+        )
+    ]
 
 
 def run_ce_baseline(
@@ -408,43 +406,40 @@ def run_relaxation_compare(
     less-relaxed optimum, so their objective can only improve."""
     if objective_cfg is None:
         objective_cfg = {"kind": "gibbs", "eta": 20.0}
-    obj = objective_from_config(objective_cfg)
-    tasks = [(float(j2), rows, cols, objective_cfg, tuple(resolution)) for j2 in j2_list]
-    results = _map_tasks(_relaxation_task, tasks, jobs)
-    records = []
-    for (j2, *_), per_variant in zip(tasks, results):
-        for solver, (val, gmass, ratio, ms) in per_variant.items():
-            for s in range(seeds):
-                records.append(
-                    ExperimentRecord(
-                        "freedom", "grid", rows * cols, 1, j2, s, solver,
-                        objective_tag(obj), val, gmass, ratio, ms,
-                    )
-                )
-    return records
+    tasks = [(float(j2), rows, cols, seeds, objective_cfg, tuple(resolution)) for j2 in j2_list]
+    return _map_tasks(_relaxation_task, tasks, jobs)
 
 
 def _relaxation_task(task):
-    j2, rows, cols, objective_cfg, resolution = task
+    """The four searches on one grid instance; each result is replicated
+    over the seed indices, since the instance and searches are seed-free."""
+    j2, rows, cols, seeds, objective_cfg, resolution = task
     problem = grid_ferromagnet_2d(rows, cols, j2)
     obj = objective_from_config(objective_cfg)
     config = SearchConfig(resolution=resolution)
     lap = hypercube(problem.n)
     relaxed = functools.partial(optimize_relaxed_schedule, problem, lap, obj, config)
-    out = {}
+    records = []
 
     def run(solver, search):
         t0 = time.perf_counter()
         sched, val = search()
         _, gmass, ratio = _measure(problem, qaoa_state(problem, lap, sched))
-        out[solver] = (val, gmass, ratio, (time.perf_counter() - t0) * 1e3)
+        ms = (time.perf_counter() - t0) * 1e3
+        records.extend(
+            ExperimentRecord(
+                "freedom", "grid", problem.n, 1, j2, s, solver, objective_tag(obj),
+                val, gmass, ratio, ms,
+            )
+            for s in range(seeds)
+        )
         return sched
 
     std_sched = run("standard", lambda: optimize_schedule(problem, lap, 1, obj, config))
     g_sched = run("relax-gamma", lambda: relaxed(relax="gamma", warm=std_sched))
     run("relax-beta", lambda: relaxed(relax="beta", warm=std_sched))
     run("relax-both", lambda: relaxed(relax="both", warm=g_sched))
-    return out
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +486,7 @@ def _far_spike_problem(n: int, weight: int, height: float) -> DiagonalProblem:
 
 
 def run_shadow_defect(
-    variant: str = "spike_cut",
+    variant: str = "both",
     ns=(5, 7, 9),
     resolution: int = 32,
     n: int = 8,
@@ -503,40 +498,38 @@ def run_shadow_defect(
     master_seed: int = 0,
 ):
     """flat: shell-state landscape scans. spike_cut: confined evolution vs
-    free evolution when a barrier sits just outside the support ball.
+    free evolution when a barrier sits just outside the support ball. both:
+    flat, then spike_cut.
 
     Returns (records, details).
     """
+    if variant not in ("flat", "spike_cut", "both"):
+        raise ConfigError("variant must be 'flat', 'spike_cut' or 'both'")
+    if spike_weight is None:
+        spike_weight = n - n // 4
+    if spike_height is None:
+        spike_height = float(n)
+    if variant != "flat" and spike_weight <= radius:
+        raise ConfigError("barrier must sit outside the cut ball")
     records: list[ExperimentRecord] = []
-    if variant == "flat":
-        details = {}
+    details: dict = {}
+    if variant != "spike_cut":
         for n_ in ns:
             t0 = time.perf_counter()
             res = shell_landscape(n_, resolution)
             ms = (time.perf_counter() - t0) * 1e3
             details[n_] = res
-            records.append(
+            records.extend(
                 ExperimentRecord(
-                    "shadow", f"shell-k{res['k']}", n_, 1, None, 0, "scan-gamma-rows",
-                    "mean", res["gamma_row_deviation"], None, None, ms,
+                    "shadow", f"shell-k{res['k']}", n_, 1, None, 0, solver, "mean",
+                    res[key], None, None, ms,
                 )
+                for solver, key in (("scan-gamma-rows", "gamma_row_deviation"),
+                                    ("scan-full-grid", "full_variation"))
             )
-            records.append(
-                ExperimentRecord(
-                    "shadow", f"shell-k{res['k']}", n_, 1, None, 0, "scan-full-grid",
-                    "mean", res["full_variation"], None, None, ms,
-                )
-            )
+    if variant == "flat":
         return records, details
-    if variant != "spike_cut":
-        raise ConfigError("variant must be 'flat' or 'spike_cut'")
 
-    if spike_weight is None:
-        spike_weight = n - n // 4
-    if spike_height is None:
-        spike_height = float(n)
-    if spike_weight <= radius:
-        raise ConfigError("barrier must sit outside the cut ball")
     ramp = hamming_ramp(n)
     spiked = _far_spike_problem(n, spike_weight, spike_height)
     init = boosted_ball_state(n, 0, radius, boost)
@@ -549,7 +542,7 @@ def run_shadow_defect(
         ("nocut-gibbs", free, Gibbs(20.0)),
         ("ballcut", cut, Mean()),
     ]
-    details = {"initial_mass": float(init.probabilities()[0]), "boost": boost}
+    details.update(initial_mass=float(init.probabilities()[0]), boost=boost)
     for solver_name, lap, obj in solvers:
         for fam, problem in (("ramp", ramp), ("ramp-spike", spiked)):
             t0 = time.perf_counter()
@@ -646,33 +639,16 @@ def run_rounding_curve(
     solver tag (rounding-00, rounding-01, ...) since the schema has no
     iteration column.
     """
-    obj = objective_from_config(objective_cfg)
-    tasks = []
-    index = 0
-    for j2 in j2_list:
-        for s in range(seeds):
-            tasks.append(
-                (float(j2), s, rows, cols, beta_r, n_f, p, objective_cfg,
-                 tuple(resolution), top_k, task_seed(master_seed, index))
-            )
-            index += 1
-    results = _map_tasks(_rounding_task, tasks, jobs)
-    records = []
-    for task, (trace_rows, ms_total) in zip(tasks, results):
-        j2, s = task[0], task[1]
-        for k, value, success in trace_rows:
-            records.append(
-                ExperimentRecord(
-                    "rounding", "grid", rows * cols, p, j2, s,
-                    f"rounding-{k:02d}", objective_tag(obj), value, success,
-                    None, ms_total / max(1, len(trace_rows)),
-                )
-            )
-    return records
+    tasks = [
+        (float(j2), s, rows, cols, beta_r, n_f, p, objective_cfg,
+         tuple(resolution), top_k, task_seed(master_seed, index))
+        for index, (j2, s) in enumerate(itertools.product(j2_list, range(seeds)))
+    ]
+    return _map_tasks(_rounding_task, tasks, jobs)
 
 
 def _rounding_task(task):
-    (j2, _s, rows, cols, beta_r, n_f, p, objective_cfg, resolution, top_k,
+    (j2, s, rows, cols, beta_r, n_f, p, objective_cfg, resolution, top_k,
      rng_seed) = task
     problem = grid_ferromagnet_2d(rows, cols, j2)
     obj = objective_from_config(objective_cfg)
@@ -686,8 +662,11 @@ def _rounding_task(task):
     )
     t0 = time.perf_counter()
     _assignment, trace = iterated_rounding(problem, solver, rc)
-    ms = (time.perf_counter() - t0) * 1e3
-    rows_out = [
-        (step.iteration, step.value, step.success_prob) for step in trace
+    ms = (time.perf_counter() - t0) * 1e3 / max(1, len(trace))
+    return [
+        ExperimentRecord(
+            "rounding", "grid", problem.n, p, j2, s, f"rounding-{step.iteration:02d}",
+            objective_tag(obj), step.value, step.success_prob, None, ms,
+        )
+        for step in trace
     ]
-    return rows_out, ms

@@ -36,7 +36,7 @@ def max_qubits() -> int:
 
 def check_qubit_count(n: int) -> None:
     if n < 1:
-        raise ValueError(f"qubit count must be >= 1, got {n}")
+        raise ConfigError(f"qubit count must be >= 1, got {n}")
     if n > max_qubits():
         raise ResourceError(f"n={n} exceeds the cap of {max_qubits()} qubits")
 

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import math
 from pathlib import Path
@@ -8,8 +9,10 @@ import pytest
 
 from qlow.cli import (
     DEFAULT_SEED,
+    PIPELINES,
     REPRODUCIBLE,
     _default_manifest,
+    bind_pipeline,
     main,
     mixer_from_manifest,
     problem_from_manifest,
@@ -330,6 +333,41 @@ def test_default_manifests_ship_valid():
     for ident in REPRODUCIBLE:
         manifest = _default_manifest(ident)
         assert manifest["experiment"] == ident
+
+
+@pytest.mark.parametrize("fig_id", REPRODUCIBLE)
+def test_shipped_params_bind_to_runner(fig_id):
+    run = bind_pipeline(fig_id, _default_manifest(fig_id).get("params", {}), DEFAULT_SEED, 1)
+    assert run.func is PIPELINES[fig_id]
+    inspect.signature(run.func).bind(*run.args, **run.keywords)
+    assert DEFAULT_SEED in (run.keywords.get("seed"), run.keywords.get("master_seed"))
+
+
+MALFORMED_PARAMS = {
+    "unknown_key": ("fig2", {"bogus": 1}),
+    "seed_in_params": ("scale", {"seed": 3}),
+    "master_seed_in_params": ("freedom", {"master_seed": 3}),
+    "jobs_in_params": ("scale", {"jobs": 2}),
+    "bad_shadow_variant": ("shadow", {"variant": "nope"}),
+    "fig2_zero_spins": ("fig2", {"n": 0}),
+    "fig2_one_instance": ("fig2", {"n_seeds": 1}),
+    "rounding_zero_rows": ("rounding", {"rows": 0}),
+    "shadow_zero_qubits": ("shadow", {"ns": [0]}),
+    "scale_zero_seeds": ("scale", {"seeds": 0}),
+    "freedom_no_couplings": ("freedom", {"j2_list": []}),
+}
+
+
+@pytest.mark.parametrize(
+    "fig_id,params", MALFORMED_PARAMS.values(), ids=MALFORMED_PARAMS.keys()
+)
+def test_reproduce_malformed_params_is_config_exit(tmp_path, capsys, fig_id, params):
+    manifest = write_manifest(tmp_path, {"experiment": fig_id, "params": params})
+    out = tmp_path / "out"
+    assert main(["reproduce", fig_id, "--manifest", manifest, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
+    assert not out.exists()
 
 
 FAMILY_SPECS = [

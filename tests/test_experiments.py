@@ -195,6 +195,15 @@ def test_shadow_defect_validation():
         run_shadow_defect(variant="spike_cut", n=6, radius=5, spike_weight=4)
 
 
+def test_shadow_defect_default_runs_both_halves():
+    kw = dict(ns=(4,), resolution=6, n=6, radius=3, search_resolution=(6, 6))
+    both, both_details = run_shadow_defect(**kw)
+    flat, flat_details = run_shadow_defect(variant="flat", **kw)
+    cut, cut_details = run_shadow_defect(variant="spike_cut", **kw)
+    assert [r.row()[:11] for r in both] == [r.row()[:11] for r in flat + cut]
+    assert both_details.keys() == flat_details.keys() | cut_details.keys()
+
+
 def test_improvement_proxy_pipeline_smoke():
     records, details = run_improvement_proxy(
         n_list=(4,), kinds=("uniform", "ball"), resolution=(12, 12)
