@@ -1,0 +1,98 @@
+#!/usr/bin/env python3
+"""Per-call costs of the small-n simulation path, and the import of qlow.cli.
+
+Times, at --n qubits on uncoupled gaussian spins with a hypercube mixer:
+a p=1 qaoa_state; the raw simulation core the search loops call, where the
+checkout has one (ansatz._simulate); the mixer kernel _rotate_qubits and the
+phase kernel _phase; one grid point of a 24x24 p=1 scan under Mean and under
+Gibbs; and one p=1 optimize_schedule with the search settings of acceptance
+criterion 8a. The single-state timings draw a new beta on every call, from
+more values than laplacians keeps block unitaries for, so no call reuses one;
+raw_core_p1_same_beta_us repeats one beta, so every call after the first does.
+Each figure is the fastest of --repeats timeit runs, which on a shared
+machine is the least disturbed. The import time is the median over --imports
+fresh interpreters. Prints one JSON object; run it with PYTHONPATH pointing at
+the src directory of the checkout to time.
+"""
+
+import argparse
+import itertools
+import json
+import statistics
+import subprocess
+import sys
+import time
+import timeit
+
+import numpy as np
+
+from qlow import ansatz, laplacians, statevector
+from qlow.ansatz import Schedule, qaoa_state
+from qlow.laplacians import hypercube
+from qlow.objectives import Gibbs, Mean
+from qlow.optimize import SearchConfig, _grid_scan_p1, optimize_schedule
+from qlow.problems import uncoupled_spins
+
+
+def per_call_us(fn, repeats: int, budget_s: float = 0.2) -> float:
+    """The fastest over repeats of the mean time of one call, in microseconds."""
+    t0 = time.perf_counter()
+    fn()
+    number = max(1, int(budget_s / max(time.perf_counter() - t0, 1e-7)))
+    return min(timeit.repeat(fn, number=number, repeat=repeats)) / number * 1e6
+
+
+def import_s(count: int) -> float:
+    code = "import time; t = time.perf_counter(); import qlow.cli; print(time.perf_counter() - t)"
+    runs = [float(subprocess.check_output([sys.executable, "-c", code])) for _ in range(count)]
+    return statistics.median(runs)
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("--n", type=int, default=10)
+    ap.add_argument("--repeats", type=int, default=7)
+    ap.add_argument("--imports", type=int, default=5)
+    args = ap.parse_args()
+
+    n = args.n
+    problem = uncoupled_spins(n, "gaussian", 0)
+    lap = hypercube(n)
+    betas = itertools.cycle(np.linspace(0.1, 3.0, 4099).reshape(-1, 1))
+    plus = statevector._plus_amps(n)
+    grid = SearchConfig(resolution=(24, 24), top_k=3)
+    out = {"n": n, "numpy": np.__version__}
+    out["qaoa_state_p1_us"] = per_call_us(
+        lambda: qaoa_state(problem, lap, Schedule([0.37], next(betas))), args.repeats
+    )
+    core = getattr(ansatz, "_simulate", None)
+    if core is not None:
+        gammas = np.array([0.37])
+        out["raw_core_p1_us"] = per_call_us(
+            lambda: core(plus, problem, lap, gammas, next(betas)), args.repeats
+        )
+        beta = next(betas)
+        out["raw_core_p1_same_beta_us"] = per_call_us(
+            lambda: core(plus, problem, lap, gammas, beta), args.repeats
+        )
+    out["rotate_qubits_us"] = per_call_us(
+        lambda: laplacians._rotate_qubits(plus, np.full(n, next(betas)[0])), args.repeats
+    )
+    out["phase_us"] = per_call_us(
+        lambda: statevector._phase(plus, problem.dense, 0.37), args.repeats
+    )
+    for name, obj in (("mean", Mean()), ("gibbs", Gibbs(20.0))):
+        scan_us = per_call_us(
+            lambda: _grid_scan_p1(problem, lap, obj, grid, None), args.repeats, 1.0
+        )
+        out[f"grid_point_{name}_us"] = scan_us / 576
+    out["optimize_p1_8a_ms"] = per_call_us(
+        lambda: optimize_schedule(problem, lap, 1, Mean(), grid), args.repeats, 1.0
+    ) / 1e3
+    if args.imports:
+        out["import_qlow_cli_s"] = import_s(args.imports)
+    print(json.dumps(out, indent=2))
+
+
+if __name__ == "__main__":
+    main()

@@ -11,6 +11,8 @@ exp(-i beta L_bar) with L_bar = -(D - A), and printed bitstrings put qubit 0
 leftmost.
 """
 
+from types import ModuleType as _Module
+
 from .analytic import (
     GammaBound,
     LandauZener,
@@ -90,70 +92,5 @@ from .statevector import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BallCut",
-    "CVaR",
-    "Combined",
-    "CompleteGraph",
-    "ConfigError",
-    "CustomSparse",
-    "DiagonalProblem",
-    "GammaBound",
-    "Gibbs",
-    "LandauZener",
-    "Mean",
-    "NumericError",
-    "QlowError",
-    "ResourceError",
-    "RoundingConfig",
-    "Schedule",
-    "SearchConfig",
-    "Statevector",
-    "WeightedHypercube",
-    "ZTerm",
-    "apply_phase",
-    "approximation_ratio",
-    "ball_uniform_state",
-    "basis_state",
-    "bush",
-    "chain_detuned",
-    "classical_restart_baseline",
-    "conflicted_pairs",
-    "custom_from_edges",
-    "distribution_qaoa",
-    "evaluate",
-    "evolve",
-    "fisher_chain",
-    "freeze",
-    "from_dense",
-    "from_terms",
-    "fwht",
-    "gamma_success_bound",
-    "greedy_beta_branch",
-    "grid_ferromagnet_2d",
-    "ground_state_mass",
-    "hamming_ramp",
-    "hamming_shell_state",
-    "hypercube",
-    "improvement_proxy",
-    "iterated_rounding",
-    "kinetic_energy",
-    "kspin_ferromagnet",
-    "landau_zener",
-    "maxcut_3regular",
-    "mean_via_terms",
-    "meanfield_evolve",
-    "meanfield_step",
-    "measure_vote_bound",
-    "multilinear_value",
-    "optimal_gamma",
-    "optimize_relaxed_schedule",
-    "optimize_schedule",
-    "plus_state",
-    "product_state",
-    "qaoa_state",
-    "randomize_phases",
-    "single_spin_overlap",
-    "spike",
-    "uncoupled_spins",
-]
+# every class and function imported above; the submodules are not part of the API
+__all__ = sorted(k for k, v in globals().items() if k[0] != "_" and not isinstance(v, _Module))

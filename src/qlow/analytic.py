@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
-import scipy.optimize
 
 from .errors import ConfigError, NumericError
 
@@ -62,6 +60,7 @@ def _overlap(dist: str, gamma: float, beta: float) -> float:
             return 0.5
         return 0.5 * (1.0 - s2b * (1.0 - math.cos(2.0 * gamma)) / (2.0 * gamma))
     if dist == "gaussian":
+        import scipy.integrate
         val, err = scipy.integrate.quad(
             lambda a: single_spin_overlap(a, gamma, beta) * float(_gauss_density(np.array(a))),
             -8.0,
@@ -116,6 +115,7 @@ def optimal_gamma(dist: str, beta: float = math.pi / 4) -> float:
     brackets = {"binary": (-1.4, -0.3), "uniform": (-1.5, -0.6), "gaussian": (-1.1, -0.3)}
     if dist not in brackets:
         raise ConfigError(f"unknown distribution {dist!r}")
+    import scipy.optimize
     res = scipy.optimize.minimize_scalar(
         lambda g: _c_m(dist, g, beta), bounds=brackets[dist], method="bounded",
         options={"xatol": 1e-10},
@@ -166,6 +166,7 @@ def landau_zener(gamma_rate: float) -> LandauZener:
 
 def lz_overlap_quadrature(gamma_rate: float) -> float:
     """O as a direct average of p_lz over the gaussian field, for checking."""
+    import scipy.integrate
     lz = LandauZener(gamma_rate)
     val, err = scipy.integrate.quad(
         lambda a: lz.p_lz(a) * float(_gauss_density(np.array(a))),
@@ -203,6 +204,7 @@ def lz_numeric_success(
         d1 = -1j * (alpha * a0 - gamma_rate * t * a1)
         return [d0.real, d0.imag, d1.real, d1.imag]
 
+    import scipy.integrate
     checkpoints = np.linspace(0.8 * t_final, t_final, 25)
     sol = scipy.integrate.solve_ivp(
         rhs,

@@ -5,9 +5,11 @@ exp(-i beta L_bar); rounds compose innermost-first. Relaxed-gamma schedules
 carry one angle per problem term, relaxed-beta one angle per qubit (hypercube
 mixers only, since per-qubit angles require the tensor structure).
 
-qaoa_state checks its inputs once and runs the rounds on one raw array through
-the shared kernels (statevector._phase, laplacians._mix, _rotate_qubits for
-per-qubit betas), which never write to their input; only the result is wrapped.
+_simulate runs the rounds on one raw array through the shared kernels
+(statevector._phase, laplacians._mix, _rotate_qubits for per-qubit betas),
+which never write to their input. qaoa_state checks its inputs once, calls it
+and wraps the result; the search loops in optimize call it directly on flat
+angle arrays.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from .errors import ConfigError
 from .laplacians import WeightedHypercube, _check_qubits, _mix, _rotate_qubits
 from .problems import DiagonalProblem
-from .statevector import Statevector, _phase, _plus_amps
+from .statevector import Statevector, _phase, _plus_amps, check_qubit_count
 
 
 @dataclass
@@ -56,8 +58,27 @@ class Schedule:
         return self.betas.ndim == 2
 
 
-def schedule_p1(gamma: float, beta: float) -> Schedule:
-    return Schedule(np.array([gamma]), np.array([beta]))
+def _start(problem: DiagonalProblem, lap, initial: Statevector | None) -> np.ndarray:
+    """The checked first amplitudes of a simulation: initial's, or |+>^n."""
+    if initial is not None and initial.n != problem.n:
+        raise ValueError("initial state size does not match problem")
+    _check_qubits(problem.n, lap)
+    check_qubit_count(problem.n)
+    return _plus_amps(problem.n) if initial is None else initial.amps
+
+
+def _simulate(amps, problem: DiagonalProblem, lap, gammas, betas) -> np.ndarray:
+    """The rounds of qaoa_state on raw amplitudes, unchecked; amps is not changed.
+
+    gammas has shape (p,) or (p, T), betas (p,) or (p, n), as in a Schedule."""
+    b = np.asarray(lap.b) if betas.ndim == 2 else None
+    for gamma, beta in zip(gammas, betas):
+        if gammas.ndim == 2:
+            amps = _phase(amps, gamma @ problem.term_tables(), 1.0)
+        else:
+            amps = _phase(amps, problem.dense, float(gamma))
+        amps = _mix(amps, lap, float(beta)) if b is None else _rotate_qubits(amps, beta * b)
+    return amps
 
 
 def qaoa_state(
@@ -68,26 +89,14 @@ def qaoa_state(
 ) -> Statevector:
     """Alternate phase and mixer evolutions, p rounds, innermost round first;
     `initial` is not changed."""
-    if initial is not None and initial.n != problem.n:
-        raise ValueError("initial state size does not match problem")
     if schedule.beta_relaxed and not isinstance(lap, WeightedHypercube):
         raise ConfigError("per-qubit beta requires a hypercube mixer")
     if schedule.gamma_relaxed and schedule.gammas.shape[1] != problem.masks.size:
         raise ConfigError("per-term gammas must match the problem's term count")
     if schedule.beta_relaxed and schedule.betas.shape[1] != problem.n:
         raise ConfigError("per-qubit betas must match the qubit count")
-    _check_qubits(problem.n, lap)
-    amps = _plus_amps(problem.n) if initial is None else initial.amps
-    for k in range(schedule.rounds):
-        if schedule.gamma_relaxed:
-            amps = _phase(amps, schedule.gammas[k] @ problem.term_tables(), 1.0)
-        else:
-            amps = _phase(amps, problem.dense, float(schedule.gammas[k]))
-        if schedule.beta_relaxed:
-            amps = _rotate_qubits(amps, schedule.betas[k] * np.asarray(lap.b))
-        else:
-            amps = _mix(amps, lap, float(schedule.betas[k]))
-    return Statevector(problem.n, amps)
+    amps = _start(problem, lap, initial)
+    return Statevector(problem.n, _simulate(amps, problem, lap, schedule.gammas, schedule.betas))
 
 
 # ---------------------------------------------------------------------------

@@ -215,11 +215,24 @@ def _default_manifest(experiment: str) -> dict:
     return manifest
 
 
+def _has_default_type(value, default) -> bool:
+    """Whether a JSON param value has the type of the runner's default: an int, a number
+    for a float, a str, a list of those for a tuple; a default of None takes anything."""
+    if default is None:
+        return True
+    if isinstance(default, tuple):
+        return isinstance(value, list) and all(_has_default_type(v, default[0]) for v in value)
+    if isinstance(value, bool):
+        return isinstance(default, bool)
+    return isinstance(value, (int, float) if isinstance(default, float) else type(default))
+
+
 def bind_pipeline(fig_id: str, params: dict, seed: int, jobs: int):
     """The runner of `reproduce fig_id` with params, seed and jobs bound.
 
-    A param the runner does not take, a seed or jobs set inside params, and
-    --jobs above 1 for a runner that works in one process are ConfigErrors.
+    A param the runner does not take or of another type than its default, a
+    seed or jobs set inside params, and --jobs above 1 for a runner that works
+    in one process are ConfigErrors.
     """
     runner = PIPELINES[fig_id]
     names = inspect.signature(runner).parameters
@@ -232,6 +245,13 @@ def bind_pipeline(fig_id: str, params: dict, seed: int, jobs: int):
             f"reproduce {fig_id} takes no param {', '.join(unknown)} (seeds and "
             f"workers come from --seed and --jobs); it takes {', '.join(known)}"
         )
+    for name, value in params.items():
+        default = names[name].default
+        if not _has_default_type(value, default):
+            raise ConfigError(
+                f"reproduce {fig_id} param {name} must have the type of its default "
+                f"{default!r}, got {value!r}"
+            )
     kwargs = dict(params)
     kwargs["seed" if "seed" in names else "master_seed"] = seed
     if "jobs" in names:

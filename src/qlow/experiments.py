@@ -57,7 +57,7 @@ from .problems import (
     hamming_ramp,
     maxcut_3regular,
 )
-from .statevector import Statevector, ground_state_mass, plus_state
+from .statevector import Statevector, _expect, ground_state_mass, plus_state
 
 CSV_HEADER = [
     "experiment",
@@ -291,7 +291,7 @@ def _family_problem(family: str, n: int, j2: float, seed: int, rows: int, cols: 
 def _measure(problem: DiagonalProblem, state):
     """(mean energy, ground-state mass, approximation ratio) of a final state;
     the ratio is None for a constant problem."""
-    mean = float(state.probabilities() @ problem.dense)
+    mean = _expect(state.probabilities(), problem.dense)
     ratio = approximation_ratio(problem, mean) if problem.f_max > problem.f_min else None
     return mean, ground_state_mass(state, problem.dense), ratio
 
@@ -454,7 +454,7 @@ def shell_landscape(n: int, resolution: int = 32):
     init = hamming_shell_state(n, k)
     config = SearchConfig(resolution=(resolution, resolution))
     _, _, table = _grid_scan_p1(problem, lap, Mean(), config, init)
-    baseline = float(init.probabilities() @ problem.dense)
+    baseline = _expect(init.probabilities(), problem.dense)
     row_dev = float(np.max(table.max(axis=0) - table.min(axis=0)))
     full_dev = float(table.max() - table.min())
     return {

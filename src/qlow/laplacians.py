@@ -9,7 +9,7 @@ one complex GEMM, so the state is read and written once per block instead of
 once per qubit. The complete-graph mixer is the rank-1 update
 psi + (exp(-i beta) - 1) <u|psi> u with u the uniform state. The raw-array
 kernel _mix runs every mixer into a new array; evolve checks and wraps it, and
-qaoa_state calls it directly. kinetic_energy always uses the positive-
+ansatz._simulate calls it directly. kinetic_energy always uses the positive-
 semidefinite L_G = D_G - A_G, so it is >= 0 and vanishes exactly on the
 uniform state of a connected graph.
 
@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import expm_multiply
 
 from . import _bits
 from .errors import ConfigError, ResourceError
@@ -39,6 +38,7 @@ ROTATION_BLOCK = 4
 ROTATION_GEMM_COLS = 128
 # entry (r, c) of a block unitary depends only on which qubits differ: r ^ c
 _BLOCK_XOR = np.bitwise_xor.outer(np.arange(1 << ROTATION_BLOCK), np.arange(1 << ROTATION_BLOCK))
+BLOCK_UNITARY_CACHE = 256
 
 
 @dataclass(frozen=True)
@@ -46,6 +46,8 @@ class WeightedHypercube:
     """L_bar = sum_i b_i X_i; b_i >= 0 are per-qubit edge weights."""
 
     b: tuple[float, ...]
+    # _mix's block unitaries, kept across calls as BallCut keeps its eigh
+    _unitaries: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         b = tuple(float(x) for x in self.b)
@@ -204,7 +206,7 @@ def _ball_adjacency(inner, ball: np.ndarray) -> sp.csr_matrix:
 # evolution
 
 
-def _rotate_qubits(amps: np.ndarray, thetas) -> np.ndarray:
+def _rotate_qubits(amps: np.ndarray, thetas, unitaries: dict | None = None) -> np.ndarray:
     """prod_i exp(-i thetas[i] X_i) on the last axis of amps; leading axes batch.
 
     Qubit i is bit i of the basis index. The qubits go in blocks of
@@ -226,24 +228,28 @@ def _rotate_qubits(amps: np.ndarray, thetas) -> np.ndarray:
     time. On a 2-vCPU Xeon VM at n = 18 this takes about 11-16 ms per call;
     rotating one qubit at a time took about 50 ms.
 
-    Blocks whose angles are all zero are skipped. The input is never written;
-    the result is a new array. It agrees with applying the 2x2 rotations one
-    qubit at a time to rounding, not bit for bit, since the GEMM sums the 16
-    products in its own order.
+    Blocks whose angles are all zero are skipped. A block reuses the unitary
+    of an earlier block with the same angle bytes, in this call or in one
+    given the same `unitaries` dict (cleared at BLOCK_UNITARY_CACHE entries).
+    The input is never written; the result is a new array. It agrees with
+    applying the 2x2 rotations one qubit at a time to rounding, not bit for
+    bit, since the GEMM sums the 16 products in its own order.
     """
     src = np.asarray(amps, dtype=np.complex128)
     n = src.shape[-1].bit_length() - 1
     thetas = np.asarray(thetas, dtype=np.float64)
+    unitaries = {} if unitaries is None else unitaries
     cur, spare = src, None
     for lo in range(0, n, ROTATION_BLOCK):
         block = thetas[lo : lo + ROTATION_BLOCK]
         if not block.any():
             continue
         k = block.size
-        factors = np.ones(1, dtype=np.complex128)
-        for c, s in zip(np.cos(block), np.sin(block)):
-            factors = np.multiply.outer(np.array([c, -1j * s]), factors).ravel()
-        u = factors[_BLOCK_XOR[: 1 << k, : 1 << k]]
+        u = unitaries.get(block.tobytes())
+        if u is None:
+            if len(unitaries) >= BLOCK_UNITARY_CACHE:
+                unitaries.clear()
+            u = unitaries[block.tobytes()] = _block_unitary(block)
         dst = np.empty(src.shape, dtype=np.complex128) if spare is None else spare
         if lo == 0:
             shape = (-1, math.gcd(src.size >> k, ROTATION_GEMM_COLS), 1 << k)
@@ -255,6 +261,18 @@ def _rotate_qubits(amps: np.ndarray, thetas) -> np.ndarray:
         spare = None if cur is src else cur
         cur = dst
     return np.array(src) if cur is src else cur
+
+
+def _block_unitary(block: np.ndarray) -> np.ndarray:
+    """The read-only tensor product of exp(-i theta X) over a block's angles; its factor
+    table multiplies Python complex scalars by numpy's formula, highest qubit leftmost."""
+    factors = [1 + 0j]
+    for c, s in zip(np.cos(block).tolist(), np.sin(block).tolist()):
+        same, flip = complex(c, 0.0), -1j * s
+        factors = [same * f for f in factors] + [flip * f for f in factors]
+    u = np.array(factors)[_BLOCK_XOR[: 1 << block.size, : 1 << block.size]]
+    u.flags.writeable = False
+    return u
 
 
 def hypercube_rotation(state: Statevector, thetas: np.ndarray) -> Statevector:
@@ -290,6 +308,7 @@ def _spectral_evolve(lap: CustomSparse | BallCut, seg: np.ndarray, betas: np.nda
     that layout about twice as fast as V^T X and V Z.
     """
     if seg.size > DENSE_EIG_VERTEX_CAP:
+        from scipy.sparse.linalg import expm_multiply
         lbar = _lbar(lap)
         out = np.empty((seg.size, betas.size), dtype=np.complex128)
         for j, b in enumerate(betas):
@@ -313,13 +332,10 @@ def _mix(amps: np.ndarray, lap, beta: float) -> np.ndarray:
     """exp(-i beta L_bar) amps as a new array, for a Laplacian on as many qubits
     as amps has; amps is not changed."""
     if isinstance(lap, WeightedHypercube):
-        return _rotate_qubits(amps, beta * np.asarray(lap.b))
+        return _rotate_qubits(amps, beta * np.asarray(lap.b), lap._unitaries)
     if isinstance(lap, CompleteGraph):
         return amps + (np.exp(-1j * beta) - 1.0) * np.mean(amps)
-    support = _support(lap)
-    out = amps.copy()
-    out[support] = _spectral_evolve(lap, amps[support], np.array([float(beta)]))[:, 0]
-    return out
+    return _mix_many(amps, lap, np.array([float(beta)]))[0]
 
 
 def evolve(state: Statevector, lap, beta: float) -> Statevector:
@@ -328,25 +344,26 @@ def evolve(state: Statevector, lap, beta: float) -> Statevector:
     return Statevector(state.n, _mix(state.amps, lap, beta))
 
 
-def evolve_many(state: Statevector, lap, betas: np.ndarray) -> list[Statevector]:
-    """evolve(state, lap, b) for every b in betas.
-
-    Custom graphs and ball cuts evolve all betas in one spectral-kernel call:
-    two real GEMMs against the cached real eigenbasis up to
-    DENSE_EIG_VERTEX_CAP vertices, one expm_multiply per beta above it.
-    """
-    betas = np.asarray(betas, dtype=np.float64)
+def _mix_many(amps: np.ndarray, lap, betas: np.ndarray) -> list[np.ndarray]:
+    """_mix(amps, lap, b) for every b in betas. Custom graphs and ball cuts
+    evolve all betas in one spectral-kernel call: two real GEMMs against the
+    cached real eigenbasis up to DENSE_EIG_VERTEX_CAP vertices, one
+    expm_multiply per beta above it."""
     if isinstance(lap, (WeightedHypercube, CompleteGraph)):
-        return [evolve(state, lap, float(b)) for b in betas]
-    _check_qubits(state.n, lap)
+        return [_mix(amps, lap, float(b)) for b in betas]
     support = _support(lap)
-    cols = _spectral_evolve(lap, state.amps[support], betas)
-    out = []
-    for j in range(betas.size):
-        amps = state.amps.copy()
-        amps[support] = cols[:, j]
-        out.append(Statevector(state.n, amps))
+    cols = _spectral_evolve(lap, amps[support], betas)
+    out = [amps.copy() for _ in range(betas.size)]
+    for j, col in enumerate(out):
+        col[support] = cols[:, j]
     return out
+
+
+def evolve_many(state: Statevector, lap, betas: np.ndarray) -> list[Statevector]:
+    """evolve(state, lap, b) for every b in betas, through _mix_many."""
+    _check_qubits(state.n, lap)
+    betas = np.asarray(betas, dtype=np.float64)
+    return [Statevector(state.n, amps) for amps in _mix_many(state.amps, lap, betas)]
 
 
 # ---------------------------------------------------------------------------

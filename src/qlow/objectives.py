@@ -10,7 +10,7 @@ from .ansatz import Schedule, qaoa_state
 from .errors import ConfigError, NumericError
 from .laplacians import _check_qubits, _kinetic
 from .problems import DiagonalProblem
-from .statevector import Statevector, fwht_array, ground_state_mass
+from .statevector import Statevector, _expect, fwht_array, ground_state_mass
 
 
 @dataclass(frozen=True)
@@ -70,14 +70,14 @@ def _scorer(obj: Objective, problem: DiagonalProblem, lap=None):
     """
     values = problem.dense
     if isinstance(obj, Mean):
-        return lambda amps: float(np.abs(amps) ** 2 @ values)
+        return lambda amps: _expect(np.abs(amps) ** 2, values)
     if isinstance(obj, Gibbs):
         t = -obj.eta * values
         shift = float(t.max())
         weights = np.exp(t - shift)
 
         def gibbs(amps):
-            g = float(np.abs(amps) ** 2 @ weights)
+            g = _expect(np.abs(amps) ** 2, weights)
             if not np.isfinite(g) or g <= 0.0:
                 raise NumericError("Gibbs objective overflowed despite max-shift")
             return -(shift + np.log(g))
@@ -93,7 +93,7 @@ def _scorer(obj: Objective, problem: DiagonalProblem, lap=None):
             k = int(np.searchsorted(cum, obj.alpha))
             if k >= len(p):
                 k = len(p) - 1
-            below = float(p[:k] @ f[:k])
+            below = _expect(p[:k], f[:k])
             taken = float(cum[k - 1]) if k > 0 else 0.0
             below += (obj.alpha - taken) * float(f[k])
             return below / obj.alpha
@@ -116,7 +116,7 @@ def mean_via_terms(problem: DiagonalProblem, state: Statevector) -> float:
     Walsh-Hadamard transform of the probabilities, read at the term masks.
     """
     signed = fwht_array(state.probabilities()) * 2.0 ** (problem.n / 2)
-    return float(problem.coeffs @ signed[problem.masks])
+    return _expect(problem.coeffs, signed[problem.masks])
 
 
 def approximation_ratio(problem: DiagonalProblem, mean_value: float) -> float:

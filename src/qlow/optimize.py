@@ -27,20 +27,21 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from . import _bits
 from .ansatz import (
     Schedule,
+    _simulate,
+    _start,
     multilinear_gradient,
     multilinear_value,
     qaoa_state,
 )
 from .errors import ConfigError
-from .laplacians import WeightedHypercube, _rotate_qubits, evolve_many, hypercube
+from .laplacians import WeightedHypercube, _mix_many, _rotate_qubits, hypercube
 from .objectives import Mean, _scorer, evaluate
 from .problems import DiagonalProblem, freeze
-from .statevector import Statevector, apply_phase, plus_state
+from .statevector import Statevector, _expect, _phase
 
 # a rounding marginal this close to 0.5 is a tie: kernels miss an exact 0.5 by last bits
 MARGINAL_TIE_TOL = 1e-12
@@ -135,6 +136,7 @@ def compass_minimize(fun, x0, step, tol, max_iters, probe=None):
 def _local_refine(fun, x0, step, config: SearchConfig, probe=None):
     """Nelder-Mead or compass_minimize from x0; only compass takes a probe."""
     if config.method == "simplex":
+        import scipy.optimize
         res = scipy.optimize.minimize(
             fun,
             np.asarray(x0, dtype=np.float64),
@@ -149,22 +151,19 @@ def _local_refine(fun, x0, step, config: SearchConfig, probe=None):
     return compass_minimize(fun, x0, step, config.tol, config.max_iters, probe)
 
 
-def _grid_axes(config: SearchConfig):
+def _grid_scan_p1(problem, lap, objective, config, initial):
+    """Objective on the full (gamma, beta) grid, scored by one scorer: one
+    phase per gamma row, then the row's beta sweep through _mix_many."""
     gammas = np.linspace(*config.gamma_range, config.resolution[0])
     betas = np.linspace(*config.beta_range, config.resolution[1])
-    return gammas, betas
-
-
-def _grid_scan_p1(problem, lap, objective, config, initial):
-    """Objective on the full (gamma, beta) grid; phase states reused per row
-    and the beta sweep batched through evolve_many."""
-    gammas, betas = _grid_axes(config)
-    base = plus_state(problem.n) if initial is None else initial
+    base = _start(problem, lap, initial)
+    score = _scorer(objective, problem, lap)
     table = np.empty((gammas.size, betas.size))
     for i, g in enumerate(gammas):
-        phased = apply_phase(base, problem.dense, float(g))
-        for j, state in enumerate(evolve_many(phased, lap, betas)):
-            table[i, j] = evaluate(objective, state, problem, lap)
+        phased = _phase(base, problem.dense, float(g))
+        # amps outlives the row: freeing all its states at once made glibc refault them
+        for j, amps in enumerate(_mix_many(phased, lap, betas)):
+            table[i, j] = score(amps)
     return gammas, betas, table
 
 
@@ -189,13 +188,13 @@ def optimize_schedule(
     gammas, betas, table = _grid_scan_p1(problem, lap, objective, config, initial)
     flat_order = np.argsort(table, axis=None, kind="stable")
     grid_best_val = float(table.flat[flat_order[0]])
+    base = _start(problem, lap, initial)
+    score = _scorer(objective, problem, lap)
 
     def fun(x):
         """x holds the gammas of every round, then the betas."""
         k = x.size // 2
-        return evaluate_schedule(
-            problem, lap, Schedule(x[:k], x[k:]), objective, initial
-        )
+        return score(_simulate(base, problem, lap, x[:k], x[k:]))
 
     step1 = max(
         (config.gamma_range[1] - config.gamma_range[0]) / config.resolution[0],
@@ -252,6 +251,8 @@ def optimize_relaxed_schedule(
     when given), so the refined value can only improve on it."""
     if relax not in ("gamma", "beta", "both"):
         raise ConfigError("relax must be 'gamma', 'beta', or 'both'")
+    if relax != "gamma" and not isinstance(lap, WeightedHypercube):
+        raise ConfigError("per-qubit beta requires a hypercube mixer")
     if config is None:
         config = SearchConfig()
     n_terms = problem.masks.size
@@ -272,28 +273,36 @@ def optimize_relaxed_schedule(
     g0 = g_init if relax != "beta" else np.array([float(np.mean(g_init))])
     b0 = b_init if relax != "gamma" else np.array([float(np.mean(b_init))])
     x0 = np.concatenate([g0, b0])
-
-    def fun(x):
-        return evaluate_schedule(problem, lap, _relaxed(x, relax, g0.size), objective)
-
+    if isinstance(lap, WeightedHypercube) and config.method == "compass":
+        fun, probe = _hypercube_probe(problem, lap, objective, relax)
+    else:
+        score, simulate = _relaxed_route(problem, lap, objective, relax)
+        fun, probe = (lambda x: score(simulate(x))), None
     f0 = fun(x0)
     step = (config.gamma_range[1] - config.gamma_range[0]) / config.resolution[0]
-    if isinstance(lap, WeightedHypercube) and config.method == "compass":
-        centre, probe = _hypercube_probe(problem, lap, objective, relax)
-        x, fx = _local_refine(centre, x0, step, config, probe)
-    else:
-        x, fx = _local_refine(fun, x0, step, config)
+    x, fx = _local_refine(fun, x0, step, config, probe)
     if fx > f0:
         x, fx = x0, f0
-    return _relaxed(x, relax, g0.size), fx
+    return Schedule(*_relaxed(x, relax, g0.size)), fx
 
 
-def _relaxed(x, relax, n_gamma) -> Schedule:
-    """The p=1 schedule of a relaxed search's point x: n_gamma gammas, then the betas."""
+def _relaxed(x, relax, n_gamma):
+    """(gammas, betas) of a relaxed search's point x, shaped as in a p=1
+    Schedule: n_gamma gammas, then the betas."""
     g, b = x[:n_gamma], x[n_gamma:]
-    return Schedule(
+    return (
         g.reshape(1, -1) if relax != "beta" else g,
         b.reshape(1, -1) if relax != "gamma" else b,
+    )
+
+
+def _relaxed_route(problem, lap, objective, relax):
+    """(score, simulate): a relaxed search's one scorer, and simulate(x), the
+    final amplitudes at its point x from |+>^n by the raw core."""
+    n_gamma = 1 if relax == "beta" else problem.masks.size
+    plus = _start(problem, lap, None)
+    return _scorer(objective, problem, lap), (
+        lambda x: _simulate(plus, problem, lap, *_relaxed(x, relax, n_gamma))
     )
 
 
@@ -301,21 +310,19 @@ def _hypercube_probe(problem, lap: WeightedHypercube, objective, relax):
     """(centre, probe): fun and probe for compass_minimize over a relaxed
     search's points on a hypercube mixer.
 
-    centre(x) is the objective at x by the full route: qaoa_state, then the
-    scorer evaluate applies, built once here. It keeps psi, the final state
-    at x. probe(x, step) builds the probe states from psi by the identities in
-    the module docstring and scores them with the same scorer; only the probes
-    of a scalar gamma are simulated (evaluate_schedule)."""
+    centre(x) scores simulate(x) (_relaxed_route) and keeps psi, the final
+    state at x. probe(x, step) builds the probe states from psi by the
+    identities in the module docstring and scores them with the same scorer;
+    only the probes of a scalar gamma are simulated."""
     n_gamma = 1 if relax == "beta" else problem.masks.size
-    score = _scorer(objective, problem, lap)
+    score, simulate = _relaxed_route(problem, lap, objective, relax)
     b = np.asarray(lap.b)
     term_qubits = [np.flatnonzero((m >> np.arange(problem.n)) & 1) for m in problem.masks]
     kept = {"x": None, "psi": None}
 
     def centre(x):
-        state = qaoa_state(problem, lap, _relaxed(x, relax, n_gamma))
-        kept["x"], kept["psi"] = x.copy(), state.amps
-        return score(state.amps)
+        kept["x"], kept["psi"] = x.copy(), simulate(x)
+        return score(kept["psi"])
 
     def pair(psi, other, angle):
         """Scores of cos(angle) psi -+ i sin(angle) other, the + move first."""
@@ -329,9 +336,7 @@ def _hypercube_probe(problem, lap: WeightedHypercube, objective, relax):
         thetas = x[n_gamma:] * b
         values = []
         if relax == "beta":
-            for k in (0, 1):
-                trial = _relaxed(_trial(x, k, step), relax, n_gamma)
-                values.append(evaluate_schedule(problem, lap, trial, objective))
+            values += [score(simulate(_trial(x, k, step))) for k in (0, 1)]
         else:
             for qubits, coeff in zip(term_qubits, problem.coeffs):
                 chi = psi
@@ -364,11 +369,10 @@ def _best_gamma_for_betas(problem, betas, objective, config):
     lap = hypercube(problem.n)
     grid = np.linspace(*config.gamma_range, config.resolution[0])
     brow = np.asarray(betas, dtype=np.float64).reshape(1, -1)
+    plus, score = _start(problem, lap, None), _scorer(objective, problem, lap)
 
     def fun(g):
-        return evaluate_schedule(
-            problem, lap, Schedule(np.atleast_1d(g)[:1], brow), objective
-        )
+        return score(_simulate(plus, problem, lap, np.atleast_1d(g)[:1], brow))
 
     vals = [fun(g) for g in grid]
     i = int(np.argmin(vals))
@@ -427,7 +431,7 @@ def _marginals(state: Statevector) -> np.ndarray:
     probs = state.probabilities()
     idx = _bits.indices(state.n)
     return np.array(
-        [float(probs @ ((idx >> j) & 1)) for j in range(state.n)]
+        [_expect(probs, ((idx >> j) & 1).astype(np.float64)) for j in range(state.n)]
     )
 
 
@@ -498,7 +502,7 @@ def iterated_rounding(
                 qubit=keep[j],
                 bit=bit,
                 marginals={q: float(margs[i]) for i, q in enumerate(keep)},
-                value=float(probs @ sub.dense),
+                value=_expect(probs, sub.dense),
                 success_prob=success,
             )
         )
@@ -519,7 +523,7 @@ def iterated_rounding(
                 qubit=-1,
                 bit=-1,
                 marginals={q: float(m) for q, m in zip(keep, _marginals(state))},
-                value=float(probs @ sub.dense),
+                value=_expect(probs, sub.dense),
                 success_prob=_ground_mass_of_completions(problem, frozen, keep, probs),
             )
         )
@@ -538,11 +542,13 @@ def default_qaoa_solver(p: int = 1, objective=None, config: SearchConfig | None 
         lap = hypercube(sub.n)
         prev = context.get("previous")
         if not context.get("reoptimize", True) and prev is not None:
-            sched = prev["schedule"]
-            state = qaoa_state(sub, lap, sched)
-            return state, {"schedule": sched, "value": evaluate(objective, state, sub, lap)}
-        sched, val = optimize_schedule(sub, lap, p, objective, config)
-        return qaoa_state(sub, lap, sched), {"schedule": sched, "value": val}
+            sched, value = prev["schedule"], None
+        else:
+            sched, value = optimize_schedule(sub, lap, p, objective, config)
+        amps = _simulate(_start(sub, lap, None), sub, lap, sched.gammas, sched.betas)
+        if value is None:
+            value = _scorer(objective, sub, lap)(amps)
+        return Statevector(sub.n, amps), {"schedule": sched, "value": value}
 
     return solve
 
@@ -555,6 +561,7 @@ def classical_restart_baseline(
     chain rule keeps the gradient exact and cheap."""
     if restarts < 1:
         raise ConfigError("need at least one restart")
+    import scipy.optimize
     rng = np.random.default_rng(seed)
     hits = 0
     for _ in range(restarts):

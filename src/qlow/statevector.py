@@ -18,6 +18,8 @@ from .errors import ConfigError, ResourceError
 
 DEFAULT_MAX_QUBITS = 24
 NORM_TOL = 1e-10
+# OpenBLAS splits a longer dot across its threads, and the split changes the last bits
+EXPECT_CHUNK = 1 << 12
 
 
 def max_qubits() -> int:
@@ -63,14 +65,6 @@ class Statevector:
         return np.abs(self.amps) ** 2
 
 
-def _finalize(n: int, amps: np.ndarray) -> Statevector:
-    """Wrap raw amplitudes; renormalize only if drift exceeds NORM_TOL."""
-    nrm2 = float(np.sum(np.abs(amps) ** 2))
-    if abs(nrm2 - 1.0) > NORM_TOL:
-        amps = amps / np.sqrt(nrm2)
-    return Statevector(n, amps)
-
-
 def _plus_amps(n: int) -> np.ndarray:
     return np.full(1 << n, 2.0 ** (-n / 2), dtype=np.complex128)
 
@@ -99,6 +93,16 @@ def _phase(amps: np.ndarray, values: np.ndarray, gamma: float) -> np.ndarray:
     return amps * np.exp(-1j * gamma * values)
 
 
+def _expect(weights: np.ndarray, values: np.ndarray) -> float:
+    """weights @ values for two 1-D float arrays, as one dot per EXPECT_CHUNK
+    entries with the partial sums added in order, so that the result does not
+    depend on the BLAS thread count. Up to 2^12 entries it is one plain dot."""
+    total = float(weights[:EXPECT_CHUNK] @ values[:EXPECT_CHUNK])
+    for lo in range(EXPECT_CHUNK, weights.size, EXPECT_CHUNK):
+        total += float(weights[lo : lo + EXPECT_CHUNK] @ values[lo : lo + EXPECT_CHUNK])
+    return total
+
+
 def apply_phase(state: Statevector, values: np.ndarray, gamma: float) -> Statevector:
     """The phase kernel on a checked state and table, wrapped as a new state."""
     values = np.asarray(values, dtype=np.float64)
@@ -110,9 +114,13 @@ def apply_phase(state: Statevector, values: np.ndarray, gamma: float) -> Stateve
 
 
 def fwht(state: Statevector) -> Statevector:
-    """H^{tensor n} with 2^(-n/2) normalization; self-inverse, O(n 2^n)."""
+    """H^{tensor n} with 2^(-n/2) normalization; self-inverse, O(n 2^n).
+    The result is renormalized only if its norm drifts beyond NORM_TOL."""
     amps = fwht_array(state.amps)
-    return _finalize(state.n, amps)
+    nrm2 = float(np.sum(np.abs(amps) ** 2))
+    if abs(nrm2 - 1.0) > NORM_TOL:
+        amps = amps / np.sqrt(nrm2)
+    return Statevector(state.n, amps)
 
 
 def fwht_array(values: np.ndarray) -> np.ndarray:

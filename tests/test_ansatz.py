@@ -29,7 +29,6 @@ from qlow.ansatz import (
     product_state,
     product_z_expectations,
     qaoa_state,
-    schedule_p1,
 )
 from qlow.problems import (
     conflicted_pairs,
@@ -78,7 +77,7 @@ def test_qaoa_state_matches_dense_oracle(problem, gammas, data):
 
 def test_uncoupled_binary_exact_for_every_seed():
     # (gamma, beta) = (-pi/4, pi/4) solves every +-1 uncoupled instance, n <= 10
-    sched = schedule_p1(-np.pi / 4, np.pi / 4)
+    sched = Schedule([-np.pi / 4], [np.pi / 4])
     for n in (2, 5, 10):
         for seed in range(8):
             prob = uncoupled_spins(n, "binary", seed)
@@ -89,11 +88,11 @@ def test_uncoupled_binary_exact_for_every_seed():
 def test_qaoa_initial_state_override():
     prob = hamming_ramp(3)
     init = plus_state(3)
-    a = qaoa_state(prob, hypercube(3), schedule_p1(0.3, 0.4))
-    b = qaoa_state(prob, hypercube(3), schedule_p1(0.3, 0.4), initial=init)
+    a = qaoa_state(prob, hypercube(3), Schedule([0.3], [0.4]))
+    b = qaoa_state(prob, hypercube(3), Schedule([0.3], [0.4]), initial=init)
     np.testing.assert_allclose(a.amps, b.amps)
     with pytest.raises(ValueError):
-        qaoa_state(prob, hypercube(3), schedule_p1(0.3, 0.4), initial=plus_state(2))
+        qaoa_state(prob, hypercube(3), Schedule([0.3], [0.4]), initial=plus_state(2))
 
 
 def public_chain(problem, lap, schedule, initial=None):
@@ -121,7 +120,7 @@ def chain_cases():
     b_rows = np.array([[0.2, 0.9, -0.4, 1.3], [0.7, 0.0, 0.5, -0.1]])
     phased = randomize_phases(ball_uniform_state(4, 5, 2), 11)
     return {
-        "hypercube-p1": (prob, hypercube(4), schedule_p1(0.37, 0.6), None),
+        "hypercube-p1": (prob, hypercube(4), Schedule([0.37], [0.6]), None),
         "weighted-p2": (prob, weighted, two, None),
         "complete-p2": (prob, CompleteGraph(4), two, None),
         "ballcut-p2": (prob, BallCut(hypercube(4), center=5, radius=2), two, phased),
@@ -167,7 +166,7 @@ def test_schedule_shape_properties():
 def test_relaxed_gamma_reduces_to_scalar():
     prob = conflicted_pairs(4, 0.5, 3.0)
     g = 0.37
-    uniform = qaoa_state(prob, hypercube(4), schedule_p1(g, 0.6))
+    uniform = qaoa_state(prob, hypercube(4), Schedule([g], [0.6]))
     row = np.full((1, len(prob.terms)), g)
     relaxed = qaoa_state(prob, hypercube(4), Schedule(row, np.array([0.6])))
     np.testing.assert_allclose(relaxed.amps, uniform.amps, atol=1e-12)
@@ -176,7 +175,7 @@ def test_relaxed_gamma_reduces_to_scalar():
 def test_relaxed_beta_reduces_to_scalar():
     prob = hamming_ramp(4)
     b = 0.81
-    uniform = qaoa_state(prob, hypercube(4), schedule_p1(0.2, b))
+    uniform = qaoa_state(prob, hypercube(4), Schedule([0.2], [b]))
     row = np.full((1, 4), b)
     relaxed = qaoa_state(prob, hypercube(4), Schedule(np.array([0.2]), row))
     np.testing.assert_allclose(relaxed.amps, uniform.amps, atol=1e-12)
@@ -189,7 +188,7 @@ def test_relaxed_gamma_acts_per_term():
     sub = from_terms(3, terms[:1])
     row = np.array([[0.9, 0.0]])
     relaxed = qaoa_state(prob, hypercube(3), Schedule(row, np.array([0.5])))
-    plain = qaoa_state(sub, hypercube(3), schedule_p1(0.9, 0.5))
+    plain = qaoa_state(sub, hypercube(3), Schedule([0.9], [0.5]))
     np.testing.assert_allclose(relaxed.amps, plain.amps, atol=1e-12)
 
 

@@ -2,6 +2,9 @@ import csv
 import inspect
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -355,6 +358,8 @@ MALFORMED_PARAMS = {
     "shadow_zero_qubits": ("shadow", {"ns": [0]}),
     "scale_zero_seeds": ("scale", {"seeds": 0}),
     "freedom_no_couplings": ("freedom", {"j2_list": []}),
+    "scale_scalar_resolution": ("scale", {"resolution": 5}),
+    "rounding_string_seeds": ("rounding", {"seeds": "2"}),
 }
 
 
@@ -463,3 +468,33 @@ def test_search_config_errors():
         search_from_manifest({"stride": 3})
     cfg = search_from_manifest({"resolution": [8, 8], "method": "simplex"})
     assert cfg.resolution == (8, 8) and cfg.method == "simplex"
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def run_fresh(args, **env):
+    """stdout of a fresh interpreter that imports qlow from this checkout."""
+    env = {**os.environ, "PYTHONPATH": str(SRC), **env}
+    done = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_cli_import_leaves_heavy_scipy_modules_unloaded():
+    # tests import scipy themselves, so only a fresh interpreter shows what qlow loads
+    code = (
+        "import sys, qlow.cli; "
+        "print([m for m in ('scipy.optimize', 'scipy.integrate', 'scipy.sparse.linalg') "
+        "if m in sys.modules])"
+    )
+    assert run_fresh(["-c", code]).strip() == "[]"
+
+
+def test_solve_output_does_not_depend_on_blas_threads():
+    # at n=16 a plain 2^n-long dot splits across OpenBLAS threads and moves the last bits
+    args = ["-m", "qlow.cli", "solve", "--manifest", str(DATA / "maxcut16_solve.json"), "--seed", "1"]
+    one, two = (run_fresh(args, OPENBLAS_NUM_THREADS=t) for t in ("1", "2"))
+    assert json.loads(one)["n"] == 16
+    assert one == two

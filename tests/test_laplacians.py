@@ -12,7 +12,10 @@ from qlow.laplacians import (
     BallCut,
     CompleteGraph,
     CustomSparse,
+    BLOCK_UNITARY_CACHE,
     WeightedHypercube,
+    _BLOCK_XOR,
+    _block_unitary,
     _rotate_qubits,
     ball_uniform_state,
     custom_from_edges,
@@ -137,6 +140,34 @@ def test_rotation_kernel_batch_axis_matches_single_rotations():
         single = hypercube_rotation(Statevector(n, rows[k]), thetas).amps
         assert np.array_equal(out[k], single)
     assert np.array_equal(rows, np.stack([rand_state(n, seed).amps for seed in range(4)]))
+
+
+def test_block_unitary_matches_the_outer_product_table_bitwise():
+    # the reference is the numpy table the kernel built before: one
+    # np.multiply.outer per qubit, the highest qubit outermost
+    rng = np.random.default_rng(5)
+    blocks = [rng.uniform(-4.0, 4.0, k) for k in (1, 2, 3, 4) for _ in range(25)]
+    blocks += [np.array([0.0, -0.0, np.pi / 2, -np.pi]), np.array([0.7, 0.0, 0.7])]
+    for block in blocks:
+        factors = np.ones(1, dtype=np.complex128)
+        for c, s in zip(np.cos(block), np.sin(block)):
+            factors = np.multiply.outer(np.array([c, -1j * s]), factors).ravel()
+        want = factors[_BLOCK_XOR[: 1 << block.size, : 1 << block.size]]
+        assert _block_unitary(block).tobytes() == want.tobytes()
+
+
+def test_kept_block_unitaries_change_no_bit_and_stay_bounded():
+    n = 10
+    rng = np.random.default_rng(6)
+    amps = rand_state(n, 6).amps
+    lap = hypercube(n)
+    angle_sets = [rng.uniform(0.0, np.pi, 3) for _ in range(BLOCK_UNITARY_CACHE // 2)]
+    for betas in angle_sets * 2:  # the second pass reuses the kept unitaries
+        fresh = [_rotate_qubits(amps, np.full(n, b)) for b in betas]
+        kept = evolve_many(Statevector(n, amps), lap, betas)
+        assert all(a.tobytes() == s.amps.tobytes() for a, s in zip(fresh, kept))
+        assert len(lap._unitaries) <= BLOCK_UNITARY_CACHE
+    assert lap == hypercube(n) and hash(lap) == hash(hypercube(n))
 
 
 def test_complete_graph_matches_projector_exponential():

@@ -1,15 +1,25 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from qlow.ansatz import Schedule, qaoa_state
+from qlow import optimize
+from qlow.ansatz import Schedule, _simulate, qaoa_state
 from qlow.errors import ConfigError
-from qlow.laplacians import WeightedHypercube, hypercube
+from qlow.laplacians import (
+    BallCut,
+    CompleteGraph,
+    WeightedHypercube,
+    ball_uniform_state,
+    hypercube,
+    randomize_phases,
+)
 from qlow.objectives import CVaR, Combined, Gibbs, Mean, evaluate
 from qlow.optimize import (
     RoundingConfig,
     SearchConfig,
+    _grid_scan_p1,
     _hypercube_probe,
     _relaxed,
     _trial,
@@ -23,7 +33,7 @@ from qlow.optimize import (
     optimize_schedule,
 )
 from qlow.problems import ZTerm, conflicted_pairs, freeze, from_dense, from_terms, uncoupled_spins
-from qlow.statevector import basis_state
+from qlow.statevector import Statevector, basis_state
 
 FAST = SearchConfig(resolution=(16, 16), top_k=2)
 
@@ -154,12 +164,12 @@ def test_hypercube_probe_matches_full_simulation(relax, objective):
     prob, lap, rng = random_relaxed_instance(7, seed=11)
     x, n_gamma = relaxed_point(prob, relax, rng)
     centre, probe = _hypercube_probe(prob, lap, objective, relax)
-    assert centre(x) == evaluate_schedule(prob, lap, _relaxed(x, relax, n_gamma), objective)
+    assert centre(x) == evaluate_schedule(prob, lap, Schedule(*_relaxed(x, relax, n_gamma)), objective)
     for step in (0.37, 1e-3):
         got = probe(x, step)
         assert len(got) == 2 * x.size
         for k, value in enumerate(got):
-            sched = _relaxed(_trial(x, k, step), relax, n_gamma)
+            sched = Schedule(*_relaxed(_trial(x, k, step), relax, n_gamma))
             want = evaluate(objective, qaoa_state(prob, lap, sched), prob, lap)
             assert math.isclose(value, want, rel_tol=1e-12, abs_tol=1e-13), (k, value, want)
 
@@ -171,7 +181,7 @@ def test_compass_with_hypercube_probe_follows_the_full_route(relax):
     obj = Gibbs(3.0)
 
     def fun(x):
-        return evaluate_schedule(prob, lap, _relaxed(x, relax, n_gamma), obj)
+        return evaluate_schedule(prob, lap, Schedule(*_relaxed(x, relax, n_gamma)), obj)
 
     centre, probe = _hypercube_probe(prob, lap, obj, relax)
     x_probe, f_probe = compass_minimize(centre, x0, 0.2, 1e-4, 200, probe)
@@ -366,3 +376,78 @@ def test_classical_restart_rate_is_a_seeded_fraction():
     assert (r1 * 16) == pytest.approx(round(r1 * 16))
     with pytest.raises(ConfigError):
         classical_restart_baseline(prob, restarts=0)
+
+
+CORE_MIXERS = {
+    "hypercube": WeightedHypercube((0.5, 1.0, 0.0, 2.0)),
+    "complete": CompleteGraph(4),
+    "ballcut": BallCut(hypercube(4), center=5, radius=2),
+}
+CORE_OBJECTIVES = {"mean": Mean(), "gibbs": Gibbs(3.0), "combined": Combined(1.0, 0.5, Gibbs(2.0))}
+
+
+@pytest.fixture
+def core_calls(monkeypatch):
+    """Every call the search loops make to the raw core, with its result,
+    recorded by a spy in optimize's namespace."""
+    calls = []
+
+    def spy(amps, problem, lap, gammas, betas):
+        out = _simulate(amps, problem, lap, gammas, betas)
+        calls.append((amps, problem, lap, gammas.copy(), betas.copy(), out))
+        return out
+
+    monkeypatch.setattr(optimize, "_simulate", spy)
+    return calls
+
+
+def assert_core_calls_match_qaoa_state(calls):
+    assert calls
+    for start, prob, lap, gammas, betas, out in calls:
+        initial = Statevector(prob.n, start)
+        want = qaoa_state(prob, lap, Schedule(gammas, betas), initial=initial)
+        assert out.tobytes() == want.amps.tobytes()
+
+
+@pytest.mark.parametrize("with_initial", [False, True], ids=["plus", "initial"])
+@pytest.mark.parametrize("obj_kind", sorted(CORE_OBJECTIVES))
+@pytest.mark.parametrize("mixer", sorted(CORE_MIXERS))
+def test_search_loops_on_the_raw_core_match_evaluate_schedule(
+    core_calls, mixer, obj_kind, with_initial
+):
+    prob = conflicted_pairs(4, 0.5, 3.0)
+    lap, obj = CORE_MIXERS[mixer], CORE_OBJECTIVES[obj_kind]
+    initial = randomize_phases(ball_uniform_state(4, 5, 2), 11) if with_initial else None
+    config = SearchConfig(resolution=(5, 4), top_k=2, max_iters=8)
+    gammas, betas, table = _grid_scan_p1(prob, lap, obj, config, initial)
+    for (i, g), (j, b) in itertools.product(enumerate(gammas), enumerate(betas)):
+        assert table[i, j] == evaluate_schedule(prob, lap, Schedule([g], [b]), obj, initial)
+    for p in (1, 2):
+        sched, val = optimize_schedule(prob, lap, p, obj, config, initial=initial)
+        assert val == evaluate_schedule(prob, lap, sched, obj, initial)
+    if not with_initial:
+        relaxations = ("gamma", "beta", "both") if mixer == "hypercube" else ("gamma",)
+        for relax in relaxations:
+            sched, val = optimize_relaxed_schedule(prob, lap, obj, config, relax=relax)
+            assert val == evaluate_schedule(prob, lap, sched, obj)
+    assert_core_calls_match_qaoa_state(core_calls)
+
+
+@pytest.mark.parametrize("obj_kind", sorted(CORE_OBJECTIVES))
+def test_rounding_solver_and_greedy_on_the_raw_core_match_evaluate_schedule(core_calls, obj_kind):
+    prob, obj = conflicted_pairs(4, 0.5, 3.0), CORE_OBJECTIVES[obj_kind]
+    config = SearchConfig(resolution=(6, 5), top_k=1, max_iters=8)
+    for p in (1, 2):
+        solver = default_qaoa_solver(p=p, objective=obj, config=config)
+        previous = None
+        for reoptimize, frozen in ((True, {}), (False, {1: 0})):
+            sub, _ = freeze(prob, frozen)
+            context = {"iteration": 0, "previous": previous, "reoptimize": reoptimize}
+            state, previous = solver(sub, context)
+            lap, sched = hypercube(sub.n), previous["schedule"]
+            assert previous["value"] == evaluate_schedule(sub, lap, sched, obj)
+            assert state.amps.tobytes() == qaoa_state(sub, lap, sched).amps.tobytes()
+    result = greedy_beta_branch(prob, 1, obj, config)
+    sched = Schedule([result.gamma], result.betas.reshape(1, -1))
+    assert result.value == evaluate_schedule(prob, hypercube(4), sched, obj)
+    assert_core_calls_match_qaoa_state(core_calls)
