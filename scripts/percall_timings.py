@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Per-call costs of the small-n simulation path, and the import of qlow.cli.
+"""Per-call costs of the small-n simulation path and of ball-cut mixers, and the
+import of qlow.cli.
 
 Times, at --n qubits on uncoupled gaussian spins with a hypercube mixer:
 a p=1 qaoa_state; the raw simulation core the search loops call, where the
@@ -9,6 +10,11 @@ Gibbs; and one p=1 optimize_schedule with the search settings of acceptance
 criterion 8a. The single-state timings draw a new beta on every call, from
 more values than laplacians keeps block unitaries for, so no call reuses one;
 raw_core_p1_same_beta_us repeats one beta, so every call after the first does.
+The ball-cut rows time a unit-hypercube ball cut centred on 0 at n=12, radius 6
+(the size of the ballcut-ramp12 benchmark workload and the largest ball of
+`reproduce proxy`) and at n=8, radius 5 (the ball of `reproduce shadow`): the
+first evolution, which builds the eigenbasis, then one single-beta and one
+64-beta evolution on the kept basis.
 Each figure is the fastest of --repeats timeit runs, which on a shared
 machine is the least disturbed. The import time is the median over --imports
 fresh interpreters. Prints one JSON object; run it with PYTHONPATH pointing at
@@ -28,7 +34,7 @@ import numpy as np
 
 from qlow import ansatz, laplacians, statevector
 from qlow.ansatz import Schedule, qaoa_state
-from qlow.laplacians import hypercube
+from qlow.laplacians import BallCut, hypercube
 from qlow.objectives import Gibbs, Mean
 from qlow.optimize import SearchConfig, _grid_scan_p1, optimize_schedule
 from qlow.problems import uncoupled_spins
@@ -89,6 +95,21 @@ def main() -> None:
     out["optimize_p1_8a_ms"] = per_call_us(
         lambda: optimize_schedule(problem, lap, 1, Mean(), grid), args.repeats, 1.0
     ) / 1e3
+    for bn, radius in ((12, 6), (8, 5)):
+        cut = BallCut(hypercube(bn), center=0, radius=radius)
+        amps = statevector._plus_amps(bn)
+
+        def first_evolution():
+            cut._eig = None
+            laplacians._mix(amps, cut, 0.37)
+
+        key = f"ballcut_n{bn}_r{radius}"
+        out[f"{key}_vertices"] = int(cut.ball().size)
+        out[f"{key}_first_evolve_ms"] = per_call_us(first_evolution, args.repeats) / 1e3
+        out[f"{key}_evolve_us"] = per_call_us(lambda: laplacians._mix(amps, cut, 0.37), args.repeats)
+        out[f"{key}_evolve_64_betas_us"] = per_call_us(
+            lambda: laplacians._mix_many(amps, cut, np.linspace(0.1, 3.0, 64)), args.repeats
+        )
     if args.imports:
         out["import_qlow_cli_s"] = import_s(args.imports)
     print(json.dumps(out, indent=2))

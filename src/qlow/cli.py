@@ -135,10 +135,28 @@ def problem_from_manifest(spec: dict):
     raise ConfigError(f"unknown problem family {family!r}")
 
 
+# (required, optional) keys of each mixer kind besides "kind"
+MIXER_KEYS = {
+    "hypercube": ((), ("b",)),
+    "complete": ((), ()),
+    "ballcut": (("radius",), ("center",)),
+    "custom": (("edges",), ()),
+}
+
+
 def mixer_from_manifest(spec: dict | None, n: int):
     if spec is None:
         return hypercube(n)
     kind = spec.get("kind", "hypercube")
+    if kind not in MIXER_KEYS:
+        raise ConfigError(f"unknown mixer kind {kind!r}")
+    required, optional = MIXER_KEYS[kind]
+    missing = [k for k in required if k not in spec]
+    if missing:
+        raise ConfigError(f"{kind} mixer is missing key {missing[0]!r}")
+    foreign = sorted(set(spec) - {"kind", *required, *optional})
+    if foreign:
+        raise ConfigError(f"{kind} mixer does not take key {foreign[0]!r}")
     if kind == "hypercube":
         b = spec.get("b")
         if b is not None and len(b) != n:
@@ -151,9 +169,7 @@ def mixer_from_manifest(spec: dict | None, n: int):
             inner=hypercube(n), center=int(spec.get("center", 0)),
             radius=int(spec["radius"]),
         )
-    if kind == "custom":
-        return custom_from_edges(n, spec["edges"])
-    raise ConfigError(f"unknown mixer kind {kind!r}")
+    return custom_from_edges(n, spec["edges"])
 
 
 def search_from_manifest(spec: dict | None) -> SearchConfig:

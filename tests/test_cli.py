@@ -446,6 +446,22 @@ BAD_INPUT = {
         "problem": {"family": "ramp", "n": 2},
         "mixer": {"kind": "custom", "edges": [[0, 1.5]]},
     },
+    "ballcut_without_radius": {
+        "problem": {"family": "ramp", "n": 3},
+        "mixer": {"kind": "ballcut", "center": 1},
+    },
+    "custom_without_edges": {
+        "problem": {"family": "ramp", "n": 2},
+        "mixer": {"kind": "custom"},
+    },
+    "ballcut_with_weights": {
+        "problem": {"family": "ramp", "n": 3},
+        "mixer": {"kind": "ballcut", "radius": 1, "b": [1.0, 1.0, 1.0]},
+    },
+    "complete_with_radius": {
+        "problem": {"family": "ramp", "n": 3},
+        "mixer": {"kind": "complete", "radius": 1},
+    },
 }
 
 
@@ -498,3 +514,10 @@ def test_solve_output_does_not_depend_on_blas_threads():
     one, two = (run_fresh(args, OPENBLAS_NUM_THREADS=t) for t in ("1", "2"))
     assert json.loads(one)["n"] == 16
     assert one == two
+
+
+def test_ballcut_data_manifest_solves(capsys):
+    # the manifest CI runs through the installed console script
+    assert main(["solve", "--manifest", str(DATA / "ballcut8_solve.json"), "--seed", "1"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["n"] == 8 and 0.0 < out["ground_prob"] <= 1.0

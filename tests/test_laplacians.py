@@ -16,6 +16,7 @@ from qlow.laplacians import (
     WeightedHypercube,
     _BLOCK_XOR,
     _block_unitary,
+    _lbar,
     _rotate_qubits,
     ball_uniform_state,
     custom_from_edges,
@@ -364,6 +365,66 @@ def test_krylov_ballcut_batch_confined_and_unitary():
         np.testing.assert_allclose(out.amps, evolve(state, cut, float(b)).amps, atol=1e-12)
         np.testing.assert_array_equal(out.amps[outside], state.amps[outside])
         assert abs(out.norm() - 1.0) < 1e-12
+
+
+# Ball cuts over hypercubes and complete graphs take their eigenbasis sector by
+# sector (qubit pairs whose swap leaves the graph unchanged); every other
+# spectral mixer still runs one eigh of the whole L_bar.
+
+
+def sector_inners(n):
+    """A hypercube, a weighted one with equal pairs (1, 0.5, 0) and a lone 2.0, a complete graph."""
+    weights = (1.0, 0.5, 1.0, 2.0, 0.5, 1.0, 0.0, 0.0)[:n]
+    return [hypercube(n), WeightedHypercube(weights), CompleteGraph(n)]
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 7, 8])
+def test_ballcut_sector_eigenbasis_matches_expm(n):
+    beta = 1.3  # L_bar is real, so exp(+i beta L_bar) is the conjugate of the expm
+    for inner in sector_inners(n):
+        for center in {0, (1 << n) - 1, 0b1011010 & ((1 << n) - 1)}:
+            for radius in range(n + 1):
+                cut = BallCut(inner=inner, center=center, radius=radius)
+                ball = cut.ball()
+                lbar = -cut.laplacian().toarray()
+                state = rand_state(n, 100 * n + radius)
+                single = evolve(state, cut, beta)
+                evals, evecs = cut._eig
+                np.testing.assert_allclose(evecs.T @ evecs, np.eye(ball.size), rtol=0, atol=1e-12)
+                np.testing.assert_allclose((evecs * evals) @ evecs.T, lbar, rtol=0, atol=1e-12)
+                u = expm(-1j * beta * lbar)
+                for out, u_b in zip([single, *evolve_many(state, cut, np.array([beta, -beta]))],
+                                    [u, u, u.conj()]):
+                    ref = state.amps.copy()
+                    ref[ball] = u_b @ state.amps[ball]
+                    np.testing.assert_allclose(out.amps, ref, rtol=0, atol=1e-12)
+
+
+def test_custom_graph_eigenbasis_is_one_whole_eigh():
+    edges = [(0, 1), (1, 3, 0.5), (3, 7), (0, 31), (2, 12, 2.0), (12, 13), (5, 21, 1.5)]
+    for lap in (CustomSparse(5, hypercube_adjacency(5)), custom_from_edges(5, edges),
+                BallCut(inner=custom_from_edges(5, edges), center=0b00110, radius=3),
+                BallCut(inner=CustomSparse(5, hypercube_adjacency(5)), center=9, radius=2)):
+        evolve(rand_state(5, 13), lap, 0.7)
+        want = np.linalg.eigh(_lbar(lap).toarray())
+        assert all(np.array_equal(got, ref) for got, ref in zip(lap._eig, want))
+
+
+def test_ballcut_eigh_takes_no_block_above_the_largest_sector(monkeypatch):
+    # one eigh of the whole 2510-vertex ball took 2.3 s and most of 300 MiB
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    cut = BallCut(inner=hypercube(12), center=1234, radius=6)
+    evolve(rand_state(12, 14), cut, 0.7)
+    assert cut.ball().size == 2510
+    assert len(shapes) == 64 and sum(s[0] for s in shapes) == 2510
+    assert max(max(s) for s in shapes) == 435
 
 
 @settings(max_examples=30)
