@@ -15,6 +15,8 @@ import importlib.resources
 import inspect
 import json
 import sys
+import types
+import typing
 from pathlib import Path
 
 import jsonschema
@@ -23,23 +25,9 @@ import numpy as np
 from . import _bits, experiments
 from .ansatz import Schedule, qaoa_state
 from .errors import ConfigError, NumericError, ResourceError
-from .laplacians import BallCut, CompleteGraph, WeightedHypercube, custom_from_edges, hypercube
+from .laplacians import MIXERS
 from .optimize import SearchConfig, optimize_schedule
-from .problems import (
-    bush,
-    chain_detuned,
-    conflicted_pairs,
-    fisher_chain,
-    from_dense,
-    from_terms,
-    grid_ferromagnet_2d,
-    hamming_ramp,
-    kspin_ferromagnet,
-    maxcut_3regular,
-    spike,
-    uncoupled_spins,
-    ZTerm,
-)
+from .problems import PROBLEMS
 
 DEFAULT_SEED = 7
 
@@ -93,92 +81,71 @@ def validate_manifest(manifest: dict) -> None:
         ) from error
 
 
+def _fits(value, kind) -> bool:
+    """Whether a JSON value fits the annotation kind: an int (not a bool) for
+    int, any number for float, a list or tuple of fitting items for a generic
+    sequence, a fit to one member for a union."""
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin is types.UnionType:
+        return any(_fits(value, member) for member in args)
+    if origin is not None:
+        return isinstance(value, (list, tuple)) and all(_fits(v, args[0]) for v in value)
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def bind(fn, spec: dict, what: str, fixed=()) -> functools.partial:
+    """fn with the keys of spec bound as its keyword arguments.
+
+    A key that fn does not take or that is in `fixed` (the caller supplies those), a
+    parameter with no default that spec leaves out, and a value that does not
+    fit the parameter's annotation are ConfigErrors.
+    """
+    sig = inspect.signature(fn, eval_str=True).parameters
+    params = {k: param for k, param in sig.items() if k not in fixed}
+    unknown = sorted(set(spec) - set(params))
+    if unknown:
+        raise ConfigError(
+            f"{what} takes no key {', '.join(unknown)}; it takes {', '.join(params) or 'none'}"
+        )
+    missing = [k for k, param in params.items() if param.default is param.empty and k not in spec]
+    if missing:
+        raise ConfigError(f"{what} is missing key {missing[0]!r}")
+    for k, value in spec.items():
+        kind = params[k].annotation
+        if not _fits(value, kind):
+            shown = inspect.formatannotation(kind)
+            raise ConfigError(f"{what} key {k} must be {shown}, got {value!r}")
+    return functools.partial(fn, **spec)
+
+
+def bind_choice(section: str, table: dict, spec: dict, key: str, default=None, fixed=()):
+    """bind for the entry of table that spec[key] names (default when spec has
+    no key), on the other keys of spec; a name not in table is a ConfigError."""
+    rest = dict(spec)
+    choice = rest.pop(key, default)
+    if not isinstance(choice, str) or choice not in table:
+        raise ConfigError(f"unknown {section} {key} {choice!r}; known: {', '.join(table)}")
+    return bind(table[choice], rest, f"{choice} {section}", fixed)
+
+
 def problem_from_manifest(spec: dict):
-    family = spec.get("family")
+    build = bind_choice("problem", PROBLEMS, spec, "family")
     try:
-        if family == "ramp":
-            return hamming_ramp(spec["n"])
-        if family == "uncoupled":
-            return uncoupled_spins(spec["n"], spec["dist"], spec.get("seed", 0))
-        if family == "chain":
-            return chain_detuned(spec["n"], spec.get("j2", 1.0))
-        if family == "grid":
-            return grid_ferromagnet_2d(spec["rows"], spec["cols"], spec.get("j2", 1.0))
-        if family == "maxcut":
-            return maxcut_3regular(
-                spec["n"], spec.get("fraction", 0.5), spec.get("j2", 1.0),
-                spec.get("seed", 0),
-            )
-        if family == "spike":
-            return spike(spec["n"], spec.get("a", 0.0), spec.get("b", 1.0))
-        if family == "bush":
-            return bush(spec["n"])
-        if family == "kspin":
-            return kspin_ferromagnet(spec["n"], spec.get("k", 3))
-        if family == "conflicted":
-            return conflicted_pairs(
-                spec["n"], spec.get("epsilon", 0.1), spec.get("delta", 2.2)
-            )
-        if family == "fisher":
-            return fisher_chain(spec["n"], spec.get("seed", 0))
-        if family == "dense":
-            return from_dense(spec["n"], np.asarray(spec["values"], dtype=np.float64))
-        if family == "terms":
-            terms = [ZTerm(tuple(t["qubits"]), float(t["coeff"])) for t in spec["terms"]]
-            return from_terms(spec["n"], terms)
-    except KeyError as exc:
-        raise ConfigError(f"problem spec for family {family!r} missing key {exc}") from exc
-    except ConfigError:
-        raise
+        return build()
     except ValueError as exc:
-        raise ConfigError(f"bad {family!r} problem spec: {exc}") from exc
-    raise ConfigError(f"unknown problem family {family!r}")
-
-
-# (required, optional) keys of each mixer kind besides "kind"
-MIXER_KEYS = {
-    "hypercube": ((), ("b",)),
-    "complete": ((), ()),
-    "ballcut": (("radius",), ("center",)),
-    "custom": (("edges",), ()),
-}
+        raise ConfigError(f"bad {spec['family']!r} problem spec: {exc}") from exc
 
 
 def mixer_from_manifest(spec: dict | None, n: int):
-    if spec is None:
-        return hypercube(n)
-    kind = spec.get("kind", "hypercube")
-    if kind not in MIXER_KEYS:
-        raise ConfigError(f"unknown mixer kind {kind!r}")
-    required, optional = MIXER_KEYS[kind]
-    missing = [k for k in required if k not in spec]
-    if missing:
-        raise ConfigError(f"{kind} mixer is missing key {missing[0]!r}")
-    foreign = sorted(set(spec) - {"kind", *required, *optional})
-    if foreign:
-        raise ConfigError(f"{kind} mixer does not take key {foreign[0]!r}")
-    if kind == "hypercube":
-        b = spec.get("b")
-        if b is not None and len(b) != n:
-            raise ConfigError(f"hypercube mixer has {len(b)} weights b for {n} qubits")
-        return hypercube(n) if b is None else WeightedHypercube(tuple(float(x) for x in b))
-    if kind == "complete":
-        return CompleteGraph(n)
-    if kind == "ballcut":
-        return BallCut(
-            inner=hypercube(n), center=int(spec.get("center", 0)),
-            radius=int(spec["radius"]),
-        )
-    return custom_from_edges(n, spec["edges"])
+    return bind_choice("mixer", MIXERS, spec or {}, "kind", "hypercube", fixed=("n",))(n)
 
 
 def search_from_manifest(spec: dict | None) -> SearchConfig:
     # JSON has no tuples: the ranges and the resolution arrive as lists
     kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in (spec or {}).items()}
-    try:
-        return SearchConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"bad search config: {exc}") from exc
+    return bind(SearchConfig, kwargs, "search")()
 
 
 def _search(manifest: dict, problem, lap, seed: int):
@@ -198,7 +165,6 @@ def cmd_solve(args) -> int:
     problem = problem_from_manifest(manifest["problem"])
     lap = mixer_from_manifest(manifest.get("mixer"), problem.n)
     objective, sched, value = _search(manifest, problem, lap, args.seed)
-    p = int(manifest.get("p", 1))
     state = qaoa_state(problem, lap, sched)
     mean, ground_prob, ratio = experiments._measure(problem, state)
     argmax = int(np.argmax(state.probabilities()))
@@ -214,7 +180,7 @@ def cmd_solve(args) -> int:
         "argmax_bitstring": _bits.bitstring(argmax, problem.n),
         "argmax_value": float(problem.dense[argmax]),
         "n": problem.n,
-        "p": p,
+        "p": sched.rounds,
         "seed": args.seed,
     }
     print(json.dumps(out, indent=2))
@@ -231,48 +197,22 @@ def _default_manifest(experiment: str) -> dict:
     return manifest
 
 
-def _has_default_type(value, default) -> bool:
-    """Whether a JSON param value has the type of the runner's default: an int, a number
-    for a float, a str, a list of those for a tuple; a default of None takes anything."""
-    if default is None:
-        return True
-    if isinstance(default, tuple):
-        return isinstance(value, list) and all(_has_default_type(v, default[0]) for v in value)
-    if isinstance(value, bool):
-        return isinstance(default, bool)
-    return isinstance(value, (int, float) if isinstance(default, float) else type(default))
-
-
 def bind_pipeline(fig_id: str, params: dict, seed: int, jobs: int):
     """The runner of `reproduce fig_id` with params, seed and jobs bound.
 
-    A param the runner does not take or of another type than its default, a
-    seed or jobs set inside params, and --jobs above 1 for a runner that works
-    in one process are ConfigErrors.
+    params bind as by bind: a seed or jobs set inside params is a key the
+    runner does not take. --jobs above 1 for a runner that works in one
+    process is a ConfigError too.
     """
     runner = PIPELINES[fig_id]
     names = inspect.signature(runner).parameters
     if jobs > 1 and "jobs" not in names:
         raise ConfigError(f"reproduce {fig_id} runs serially; --jobs must be 1, got {jobs}")
-    known = [k for k in names if k not in RESERVED_PARAMS]
-    unknown = sorted(set(params) - set(known))
-    if unknown:
-        raise ConfigError(
-            f"reproduce {fig_id} takes no param {', '.join(unknown)} (seeds and "
-            f"workers come from --seed and --jobs); it takes {', '.join(known)}"
-        )
-    for name, value in params.items():
-        default = names[name].default
-        if not _has_default_type(value, default):
-            raise ConfigError(
-                f"reproduce {fig_id} param {name} must have the type of its default "
-                f"{default!r}, got {value!r}"
-            )
-    kwargs = dict(params)
-    kwargs["seed" if "seed" in names else "master_seed"] = seed
+    kwargs = {"seed" if "seed" in names else "master_seed": seed}
     if "jobs" in names:
         kwargs["jobs"] = jobs
-    return functools.partial(runner, **kwargs)
+    run = bind(runner, params, f"reproduce {fig_id}", RESERVED_PARAMS)
+    return functools.partial(run, **kwargs)
 
 
 def cmd_reproduce(args) -> int:
@@ -310,10 +250,7 @@ def cmd_sample(args) -> int:
     problem = problem_from_manifest(manifest["problem"])
     lap = mixer_from_manifest(manifest.get("mixer"), problem.n)
     if "schedule" in manifest:
-        sched = Schedule(
-            np.asarray(manifest["schedule"]["gammas"], dtype=np.float64),
-            np.asarray(manifest["schedule"]["betas"], dtype=np.float64),
-        )
+        sched = Schedule(**manifest["schedule"])
     else:
         _, sched, _ = _search(manifest, problem, lap, args.seed)
     state = qaoa_state(problem, lap, sched)

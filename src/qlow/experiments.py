@@ -16,7 +16,7 @@ import functools
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -32,13 +32,7 @@ from .laplacians import (
     hypercube,
     randomize_phases,
 )
-from .objectives import (
-    CVaR,
-    Gibbs,
-    Mean,
-    approximation_ratio,
-    improvement_proxy,
-)
+from .objectives import OBJECTIVES, Gibbs, Mean, approximation_ratio, improvement_proxy
 from .optimize import (
     RoundingConfig,
     SearchConfig,
@@ -155,28 +149,21 @@ def _map_tasks(fn, tasks, jobs: int) -> list[ExperimentRecord]:
     return [record for records in results for record in records]
 
 
-def objective_from_config(cfg) -> object:
-    if cfg is None:
-        return Mean()
-    if isinstance(cfg, str):
-        cfg = {"kind": cfg}
-    kind = cfg.get("kind", "mean")
-    if kind == "mean":
-        return Mean()
-    if kind == "gibbs":
-        return Gibbs(eta=float(cfg.get("eta", 20.0)))
-    if kind == "cvar":
-        return CVaR(alpha=float(cfg.get("alpha", 0.1)))
-    raise ConfigError(f"unknown objective kind {kind!r}")
+def objective_from_config(cfg: str | dict | None) -> object:
+    """The objective a manifest names: a kind with its defaults, or an object
+    {"kind": ..., field: value, ...}; None and a missing kind are "mean"."""
+    from .cli import bind_choice  # cli imports this module
+
+    spec = {"kind": cfg} if isinstance(cfg, str) else cfg or {}
+    return bind_choice("objective", OBJECTIVES, spec, "kind", "mean")()
 
 
 def objective_tag(obj) -> str:
-    if isinstance(obj, Mean):
-        return "mean"
-    if isinstance(obj, Gibbs):
-        return f"gibbs{obj.eta:g}"
-    if isinstance(obj, CVaR):
-        return f"cvar{obj.alpha:g}"
+    """The kind of an OBJECTIVES objective followed by its fields (mean, gibbs20,
+    cvar0.25); the class name of any other."""
+    for kind, cls in OBJECTIVES.items():
+        if type(obj) is cls:
+            return kind + "".join(f"{value:g}" for value in astuple(obj))
     return type(obj).__name__.lower()
 
 
@@ -305,14 +292,14 @@ def _solve_and_measure(problem, p, objective, config):
 
 def run_scale_sweep(
     family: str = "maxcut",
-    p_list=(1, 2),
-    j2_list=(0.2, 0.4, 0.6, 0.8, 1.0),
+    p_list: tuple[int, ...] = (1, 2),
+    j2_list: tuple[float, ...] = (0.2, 0.4, 0.6, 0.8, 1.0),
     seeds: int = 8,
     n: int = 12,
     rows: int = 3,
     cols: int = 4,
-    objective_cfg=None,
-    resolution=(48, 48),
+    objective_cfg: str | dict | None = None,
+    resolution: tuple[int, int] = (48, 48),
     master_seed: int = 0,
     jobs: int = 1,
 ) -> list[ExperimentRecord]:
@@ -342,15 +329,15 @@ def _scale_task(task):
 
 def run_ce_baseline(
     family: str = "grid",
-    p_list=(1, 2, 3, 4, 6),
+    p_list: tuple[int, ...] = (1, 2, 3, 4, 6),
     seeds: int = 4,
     n: int = 12,
     rows: int = 3,
     cols: int = 4,
     j2: float = 1.0,
     restarts: int = 64,
-    objective_cfg=None,
-    resolution=(48, 48),
+    objective_cfg: str | dict | None = None,
+    resolution: tuple[int, int] = (48, 48),
     master_seed: int = 0,
 ) -> list[ExperimentRecord]:
     """Classical product-state restarts vs schedule depth, per instance seed."""
@@ -392,12 +379,12 @@ def run_ce_baseline(
 
 
 def run_relaxation_compare(
-    j2_list=(0.2, 0.4, 0.6, 0.8, 1.0),
+    j2_list: tuple[float, ...] = (0.2, 0.4, 0.6, 0.8, 1.0),
     seeds: int = 20,
     rows: int = 3,
     cols: int = 4,
-    objective_cfg=None,
-    resolution=(48, 48),
+    objective_cfg: str | dict | None = None,
+    resolution: tuple[int, int] = (48, 48),
     master_seed: int = 0,
     jobs: int = 1,
 ) -> list[ExperimentRecord]:
@@ -487,14 +474,14 @@ def _far_spike_problem(n: int, weight: int, height: float) -> DiagonalProblem:
 
 def run_shadow_defect(
     variant: str = "both",
-    ns=(5, 7, 9),
+    ns: tuple[int, ...] = (5, 7, 9),
     resolution: int = 32,
     n: int = 8,
     radius: int = 5,
     boost: float = 8.0,
     spike_weight: int | None = None,
     spike_height: float | None = None,
-    search_resolution=(64, 64),
+    search_resolution: tuple[int, int] = (64, 64),
     master_seed: int = 0,
 ):
     """flat: shell-state landscape scans. spike_cut: confined evolution vs
@@ -569,9 +556,9 @@ def run_shadow_defect(
 
 
 def run_improvement_proxy(
-    n_list=(6, 8, 10, 12),
-    kinds=("uniform", "ball", "ball-phase", "ball-cut", "ball-phase-cut"),
-    resolution=(64, 64),
+    n_list: tuple[int, ...] = (6, 8, 10, 12),
+    kinds: tuple[str, ...] = ("uniform", "ball", "ball-phase", "ball-cut", "ball-phase-cut"),
+    resolution: tuple[int, int] = (64, 64),
     master_seed: int = 0,
 ):
     """Normalized one-round gain for differently prepared starting states."""
@@ -620,15 +607,15 @@ def run_improvement_proxy(
 
 
 def run_rounding_curve(
-    j2_list=(0.2, 1.0),
+    j2_list: tuple[float, ...] = (0.2, 1.0),
     seeds: int = 20,
     rows: int = 3,
     cols: int = 3,
     beta_r: float = 10.0,
     n_f: int | None = None,
     p: int = 1,
-    objective_cfg=None,
-    resolution=(32, 32),
+    objective_cfg: str | dict | None = None,
+    resolution: tuple[int, int] = (32, 32),
     top_k: int = 3,
     master_seed: int = 0,
     jobs: int = 1,

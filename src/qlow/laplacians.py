@@ -35,6 +35,7 @@ keep the one eigh of the whole matrix.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,7 +43,7 @@ import scipy.sparse as sp
 
 from . import _bits
 from .errors import ConfigError, ResourceError
-from .statevector import Statevector, check_qubit_count
+from .statevector import Statevector, _expect, check_qubit_count
 
 MATRIX_N_CAP = 16
 DENSE_EIG_VERTEX_CAP = 1 << 12
@@ -122,7 +123,8 @@ class CustomSparse:
         return sp.diags(self.degrees) - self.adjacency
 
 
-def custom_from_edges(n: int, edges: list[tuple[int, int]] | list[tuple[int, int, float]]) -> CustomSparse:
+def custom_from_edges(n: int, edges: Sequence[Sequence[float]]) -> CustomSparse:
+    """The graph of (u, v) or (u, v, weight) edges; endpoints are integral numbers."""
     size = 1 << n
     rows, cols, vals = [], [], []
     for edge in edges:
@@ -218,6 +220,26 @@ def _ball_adjacency(inner, ball: np.ndarray) -> sp.csr_matrix:
     if isinstance(inner, CustomSparse):
         return inner.adjacency[np.ix_(ball, ball)].tocsr()
     raise ConfigError(f"unsupported inner graph {type(inner).__name__}")
+
+
+def _hypercube_mixer(n: int, b: list[float] | None = None) -> WeightedHypercube:
+    if b is not None and len(b) != n:
+        raise ConfigError(f"hypercube mixer has {len(b)} weights b for {n} qubits")
+    return hypercube(n) if b is None else WeightedHypercube(tuple(b))
+
+
+def _ballcut_mixer(n: int, radius: int, center: int = 0) -> BallCut:
+    return BallCut(inner=hypercube(n), center=center, radius=radius)
+
+
+# The builder behind each manifest mixer kind: the kind's keys are its keyword
+# arguments after the qubit count.
+MIXERS = {
+    "hypercube": _hypercube_mixer,
+    "complete": CompleteGraph,
+    "ballcut": _ballcut_mixer,
+    "custom": custom_from_edges,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -483,12 +505,11 @@ def _kinetic(amps: np.ndarray, lap) -> float:
     if isinstance(lap, CompleteGraph):
         u_amp = np.sum(amps) * 2.0 ** (-lap.n / 2)
         return float(1.0 - abs(u_amp) ** 2)
-    if isinstance(lap, CustomSparse):
-        lmat = lap.laplacian()
-        return float(np.real(np.vdot(amps, lmat @ amps)))
-    if isinstance(lap, BallCut):
-        seg = amps[lap.ball()]
-        return float(np.real(np.vdot(seg, lap.laplacian() @ seg)))
+    if isinstance(lap, (CustomSparse, BallCut)):
+        # Re<seg|L seg> as two chunked real dots, so no BLAS thread split moves its bits
+        seg = amps[lap.ball()] if isinstance(lap, BallCut) else amps
+        lseg = lap.laplacian() @ seg
+        return _expect(seg.real, lseg.real) + _expect(seg.imag, lseg.imag)
     raise ConfigError(f"unsupported Laplacian {type(lap).__name__}")
 
 

@@ -51,6 +51,9 @@ class Combined:
 
 Objective = Mean | Gibbs | CVaR | Combined
 
+# The objective behind each manifest kind: the kind's keys are its fields.
+OBJECTIVES = {"mean": Mean, "gibbs": Gibbs, "cvar": CVaR}
+
 
 def evaluate(
     obj: Objective,

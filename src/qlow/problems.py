@@ -178,7 +178,7 @@ def from_dense(n: int, values: np.ndarray, meta: dict | None = None) -> Diagonal
 # generators
 
 
-def uncoupled_spins(n: int, dist: str, seed: int) -> DiagonalProblem:
+def uncoupled_spins(n: int, dist: str, seed: int = 0) -> DiagonalProblem:
     """f = sum_i alpha_i Z_i with i.i.d. alpha_i from the named measure.
 
     binary: +-1 equiprobable; uniform: U[-1, 1]; gaussian: density
@@ -213,7 +213,7 @@ def spike_band(n: int, a: float) -> tuple[int, int]:
     return max(lo, 0), min(hi, n)
 
 
-def spike(n: int, a: float, b: float) -> DiagonalProblem:
+def spike(n: int, a: float = 0.0, b: float = 1.0) -> DiagonalProblem:
     """Ramp plus a barrier: values[z] = w + n^b on the weight band around n/4."""
     check_qubit_count(n)
     if n % 4 != 0:
@@ -237,7 +237,7 @@ def bush(n: int) -> DiagonalProblem:
     return from_dense(n, values, {"family": "bush"})
 
 
-def kspin_ferromagnet(n: int, k: int) -> DiagonalProblem:
+def kspin_ferromagnet(n: int, k: int = 3) -> DiagonalProblem:
     """f = -(sum_i Z_i)^k, values[z] = -(n - 2 popcount(z))^k."""
     check_qubit_count(n)
     if k < 1:
@@ -246,7 +246,7 @@ def kspin_ferromagnet(n: int, k: int) -> DiagonalProblem:
     return from_dense(n, -(s**k), {"family": "kspin", "k": k})
 
 
-def conflicted_pairs(n: int, epsilon: float, delta: float) -> DiagonalProblem:
+def conflicted_pairs(n: int, epsilon: float = 0.1, delta: float = 2.2) -> DiagonalProblem:
     """Pairs (2i, 2i+1): -(1+eps) Z_{2i} - Z_{2i+1} + delta Z_{2i} Z_{2i+1}.
 
     Requires delta > 2 + eps > 2 so the coupling wins: each pair's ground state
@@ -270,7 +270,7 @@ def conflicted_pairs(n: int, epsilon: float, delta: float) -> DiagonalProblem:
     )
 
 
-def fisher_chain(n: int, seed: int) -> DiagonalProblem:
+def fisher_chain(n: int, seed: int = 0) -> DiagonalProblem:
     """Open chain sum_i (J_i/2)(1 - Z_i Z_{i+1}) with J_i drawn from {1, 2}."""
     check_qubit_count(n)
     rng = np.random.default_rng(seed)
@@ -280,7 +280,7 @@ def fisher_chain(n: int, seed: int) -> DiagonalProblem:
     return from_terms(n, terms, {"family": "fisher_chain", "seed": seed, "J": js.tolist()})
 
 
-def chain_detuned(n: int, j2: float) -> DiagonalProblem:
+def chain_detuned(n: int, j2: float = 1.0) -> DiagonalProblem:
     """Open ferromagnetic chain: first half couplings -1, second half -j2."""
     check_qubit_count(n)
     terms = []
@@ -290,7 +290,7 @@ def chain_detuned(n: int, j2: float) -> DiagonalProblem:
     return from_terms(n, terms, {"family": "chain", "j2": j2})
 
 
-def grid_ferromagnet_2d(rows: int, cols: int, j2: float) -> DiagonalProblem:
+def grid_ferromagnet_2d(rows: int, cols: int, j2: float = 1.0) -> DiagonalProblem:
     """Nearest-neighbor ferromagnet on a rows x cols grid, split into two column
     blocks at ceil(cols/2): block-one edges couple at -1, block two and the seam
     at -j2. Qubit index = r * cols + c."""
@@ -326,15 +326,15 @@ def _random_regular_edges(d: int, n: int, rng: np.random.Generator) -> list[tupl
     raise NumericError("rejection sampling failed to produce a simple regular graph")
 
 
-def maxcut_3regular(n: int, j2_fraction: float, j2: float, seed: int) -> DiagonalProblem:
+def maxcut_3regular(n: int, fraction: float = 0.5, j2: float = 1.0, seed: int = 0) -> DiagonalProblem:
     """H = sum_{(i,j) in E} J_ij Z_i Z_j on a random simple 3-regular graph;
-    round(|E| * j2_fraction) uniformly chosen edges get coupling j2, rest 1."""
+    round(|E| * fraction) uniformly chosen edges get coupling j2, rest 1."""
     check_qubit_count(n)
     if n % 2 != 0 or n < 4:
         raise ConfigError("3-regular graphs need even n >= 4")
     rng = np.random.default_rng(seed)
     edges = _random_regular_edges(3, n, rng)
-    k = int(round(len(edges) * j2_fraction))
+    k = int(round(len(edges) * fraction))
     detuned = set(rng.choice(len(edges), size=k, replace=False).tolist()) if k else set()
     terms = [
         ZTerm(e, float(j2) if idx in detuned else 1.0) for idx, e in enumerate(edges)
@@ -345,11 +345,38 @@ def maxcut_3regular(n: int, j2_fraction: float, j2: float, seed: int) -> Diagona
         {
             "family": "maxcut",
             "j2": j2,
-            "j2_fraction": j2_fraction,
+            "j2_fraction": fraction,
             "seed": seed,
             "edges": [list(e) for e in edges],
         },
     )
+
+
+def _dense(n: int, values: list) -> DiagonalProblem:
+    # values stays a bare list: checking its 2^n items would cost more than the table
+    return from_dense(n, values)
+
+
+def _terms(n: int, terms: list[dict]) -> DiagonalProblem:
+    return from_terms(n, [ZTerm(tuple(t["qubits"]), t["coeff"]) for t in terms])
+
+
+# The generator behind each manifest problem family: the family's keys are its
+# keyword arguments, and its defaults are the family's defaults.
+PROBLEMS = {
+    "ramp": hamming_ramp,
+    "uncoupled": uncoupled_spins,
+    "chain": chain_detuned,
+    "grid": grid_ferromagnet_2d,
+    "maxcut": maxcut_3regular,
+    "spike": spike,
+    "bush": bush,
+    "kspin": kspin_ferromagnet,
+    "conflicted": conflicted_pairs,
+    "fisher": fisher_chain,
+    "dense": _dense,
+    "terms": _terms,
+}
 
 
 # ---------------------------------------------------------------------------

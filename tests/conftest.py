@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -40,3 +45,14 @@ angles = st.floats(min_value=-np.pi, max_value=np.pi, allow_nan=False)
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_fresh(args, **env):
+    """stdout of a fresh interpreter that imports qlow from this checkout."""
+    env = {**os.environ, "PYTHONPATH": str(SRC), **env}
+    done = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout

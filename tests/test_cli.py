@@ -2,9 +2,6 @@ import csv
 import inspect
 import json
 import math
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +12,7 @@ from qlow.cli import (
     PIPELINES,
     REPRODUCIBLE,
     _default_manifest,
+    _packaged_json,
     bind_pipeline,
     main,
     mixer_from_manifest,
@@ -23,7 +21,12 @@ from qlow.cli import (
     validate_manifest,
 )
 from qlow.errors import ConfigError, NumericError
-from qlow.laplacians import BallCut, CompleteGraph, CustomSparse, WeightedHypercube
+from qlow.laplacians import MIXERS, BallCut, CompleteGraph, CustomSparse, WeightedHypercube
+from qlow.objectives import OBJECTIVES
+from qlow.optimize import SearchConfig
+from qlow.problems import PROBLEMS
+
+from conftest import run_fresh
 
 
 def write_manifest(tmp_path, payload, name="m.json"):
@@ -360,6 +363,10 @@ MALFORMED_PARAMS = {
     "freedom_no_couplings": ("freedom", {"j2_list": []}),
     "scale_scalar_resolution": ("scale", {"resolution": 5}),
     "rounding_string_seeds": ("rounding", {"seeds": "2"}),
+    "rounding_string_n_f": ("rounding", {"n_f": "2"}),
+    "shadow_string_spike_height": ("shadow", {"spike_height": "x"}),
+    "scale_scalar_objective_cfg": ("scale", {"objective_cfg": 5}),
+    "ce_string_gibbs_eta": ("ce", {"objective_cfg": {"kind": "gibbs", "eta": "hot"}}),
 }
 
 
@@ -462,6 +469,24 @@ BAD_INPUT = {
         "problem": {"family": "ramp", "n": 3},
         "mixer": {"kind": "complete", "radius": 1},
     },
+    "ramp_float_n": {"problem": {"family": "ramp", "n": 4.0}},
+    "grid_float_rows": {"problem": {"family": "grid", "rows": 2.0, "cols": 2}},
+    "kspin_float_k": {"problem": {"family": "kspin", "n": 3, "k": 3.0}},
+    "ballcut_float_radius": {
+        "problem": {"family": "ramp", "n": 3},
+        "mixer": {"kind": "ballcut", "radius": 1.0},
+    },
+    "ramp_with_j2": {"problem": {"family": "ramp", "n": 4, "j2": 0.3, "seed": 9}},
+    "grid_with_n": {"problem": {"family": "grid", "rows": 2, "cols": 2, "n": 9}},
+    "maxcut_with_dist": {"problem": {"family": "maxcut", "n": 4, "dist": "binary"}},
+    "mean_with_eta": {
+        "problem": {"family": "ramp", "n": 3},
+        "objective": {"kind": "mean", "eta": 5},
+    },
+    "gibbs_with_alpha": {
+        "problem": {"family": "ramp", "n": 3},
+        "objective": {"kind": "gibbs", "alpha": 0.2},
+    },
 }
 
 
@@ -479,6 +504,20 @@ def test_custom_edges_accept_integral_floats():
     assert (got.adjacency != want.adjacency).nnz == 0
 
 
+def test_schema_sections_match_builder_tables():
+    # each family or kind the schema admits has a builder, and each key it
+    # admits is a parameter of a builder of that section
+    defs = _packaged_json("schema.json")["$defs"]
+    for section, table, name in (
+        ("problem", PROBLEMS, "family"), ("mixer", MIXERS, "kind"), ("objective", OBJECTIVES, "kind"),
+    ):
+        keys = defs[section]["properties"]
+        assert set(keys[name]["enum"]) == set(table), section
+        params = {p for build in table.values() for p in inspect.signature(build).parameters}
+        assert set(keys) - {name} <= params, section
+    assert set(defs["search"]["properties"]) <= set(inspect.signature(SearchConfig).parameters)
+
+
 def test_search_config_errors():
     with pytest.raises(ConfigError):
         search_from_manifest({"stride": 3})
@@ -486,16 +525,7 @@ def test_search_config_errors():
     assert cfg.resolution == (8, 8) and cfg.method == "simplex"
 
 
-SRC = Path(__file__).resolve().parents[1] / "src"
 DATA = Path(__file__).resolve().parent / "data"
-
-
-def run_fresh(args, **env):
-    """stdout of a fresh interpreter that imports qlow from this checkout."""
-    env = {**os.environ, "PYTHONPATH": str(SRC), **env}
-    done = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
-    return done.stdout
 
 
 def test_cli_import_leaves_heavy_scipy_modules_unloaded():

@@ -31,7 +31,7 @@ from qlow.laplacians import (
 )
 from qlow.statevector import Statevector, plus_state
 
-from conftest import angles, random_states
+from conftest import angles, random_states, run_fresh
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -462,6 +462,40 @@ def test_kinetic_energy_matches_dense_quadratic_form():
     state = rand_state(n, 8)
     expected = float(np.real(state.amps.conj() @ (lmat @ state.amps)))
     assert kinetic_energy(state, hypercube(n)) == pytest.approx(expected, abs=1e-10)
+
+
+def test_custom_and_ballcut_kinetic_energy_match_dense_quadratic_form():
+    n = 5
+    state = rand_state(n, 9)
+    weighted = custom_from_edges(n, [(0, 1, 0.5), (1, 7), (3, 30, 2.0), (7, 30)])
+    lmat = weighted.laplacian().toarray()
+    assert kinetic_energy(state, weighted) == pytest.approx(
+        float(np.real(np.vdot(state.amps, lmat @ state.amps))), abs=1e-12
+    )
+    cut = BallCut(hypercube(n), center=6, radius=2)
+    seg = state.amps[cut.ball()]
+    lmat = cut.laplacian().toarray()
+    assert kinetic_energy(state, cut) == pytest.approx(
+        float(np.real(np.vdot(seg, lmat @ seg))), abs=1e-12
+    )
+
+
+KINETIC_N15 = """
+import numpy as np, scipy.sparse as sp
+from qlow.laplacians import BallCut, CustomSparse, _kinetic, hypercube
+rng = np.random.default_rng(0)
+amps = rng.normal(size=1 << 15) + 1j * rng.normal(size=1 << 15)
+upper = sp.triu(sp.random(1 << 15, 1 << 15, density=1e-4, random_state=rng), k=1)
+for lap in (CustomSparse(15, upper + upper.T), BallCut(hypercube(15), center=12345, radius=9)):
+    print(repr(_kinetic(amps, lap)))
+"""
+
+
+def test_kinetic_energy_does_not_depend_on_blas_threads():
+    # a complex dot of 2^15 entries splits across OpenBLAS threads and moves the last bits
+    one, two = (run_fresh(["-c", KINETIC_N15], OPENBLAS_NUM_THREADS=t) for t in ("1", "2"))
+    assert len(one.split()) == 2
+    assert one == two
 
 
 def test_ball_uniform_state_support():
