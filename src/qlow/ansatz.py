@@ -32,14 +32,17 @@ class Schedule:
     betas:  shape (p,) or (p, n) with n the qubit count.
     """
 
-    gammas: np.ndarray
-    betas: np.ndarray
+    gammas: np.ndarray | list[float | list[float]]
+    betas: np.ndarray | list[float | list[float]]
 
     def __post_init__(self) -> None:
-        self.gammas = np.atleast_1d(np.asarray(self.gammas, dtype=np.float64))
-        self.betas = np.atleast_1d(np.asarray(self.betas, dtype=np.float64))
-        if self.gammas.ndim > 2 or self.betas.ndim > 2:
-            raise ConfigError("schedule arrays must be 1- or 2-dimensional")
+        try:
+            self.gammas = np.atleast_1d(np.asarray(self.gammas, dtype=np.float64))
+            self.betas = np.atleast_1d(np.asarray(self.betas, dtype=np.float64))
+        except ValueError as exc:  # such as rows of unequal length
+            raise ConfigError(f"schedule angles must be numbers or equal rows: {exc}") from exc
+        if self.gammas.ndim > 2 or self.betas.ndim > 2 or 0 in self.gammas.shape[1:]:
+            raise ConfigError("schedule arrays must be 1- or 2-dimensional, with no empty rows")
         if not (np.all(np.isfinite(self.gammas)) and np.all(np.isfinite(self.betas))):
             raise ConfigError("schedule angles must be finite")
         if self.rounds != (self.betas.shape[0] if self.betas.ndim else 1):

@@ -15,17 +15,15 @@ import importlib.resources
 import inspect
 import json
 import sys
-import types
-import typing
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import _bits, experiments
 from .ansatz import Schedule, qaoa_state
-from .errors import ConfigError, NumericError, ResourceError
+from .errors import ConfigError, NumericError, ResourceError, bind, bind_choice
 from .laplacians import MIXERS
+from .objectives import OBJECTIVES
 from .optimize import SearchConfig, optimize_schedule
 from .problems import PROBLEMS
 
@@ -47,25 +45,15 @@ REPRODUCIBLE = tuple(PIPELINES)
 RESERVED_PARAMS = ("seed", "master_seed", "jobs")
 
 
-def _packaged_json(name: str) -> dict:
-    """A JSON file shipped in qlow/manifests."""
-    return json.loads(importlib.resources.files("qlow").joinpath("manifests", name).read_text())
-
-
-@functools.cache
-def _validator():
-    """The manifest schema's validator, with the schema itself checked once."""
-    schema = _packaged_json("schema.json")
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+def _not_a_number(name: str):
+    raise ValueError(f"{name} is not a JSON number")
 
 
 def load_manifest(path: str | Path) -> dict:
     try:
-        with open(path) as fh:
-            manifest = json.load(fh)
-    except json.JSONDecodeError as exc:
+        with open(path, encoding="utf-8") as fh:
+            manifest = json.load(fh, parse_constant=_not_a_number)
+    except ValueError as exc:  # a JSONDecodeError, a UnicodeDecodeError, or NaN/Infinity
         raise ConfigError(f"manifest {path} is not valid JSON: {exc}") from exc
     except OSError as exc:
         raise ConfigError(f"cannot read manifest {path}: {exc}") from exc
@@ -73,65 +61,48 @@ def load_manifest(path: str | Path) -> dict:
     return manifest
 
 
-def validate_manifest(manifest: dict) -> None:
-    error = jsonschema.exceptions.best_match(_validator().iter_errors(manifest))
-    if error is not None:
-        raise ConfigError(
-            f"manifest invalid at {error.json_path}: {error.message}"
-        ) from error
+# The top level of each kind of manifest, as a signature to bind against. A
+# None default marks an optional section; JSON null fits no dict.
+def _solve_keys(problem: dict, mixer: dict = None, p: int = 1, objective: dict = None,
+                search: dict = None): ...
 
 
-def _fits(value, kind) -> bool:
-    """Whether a JSON value fits the annotation kind: an int (not a bool) for
-    int, any number for float, a list or tuple of fitting items for a generic
-    sequence, a fit to one member for a union."""
-    origin, args = typing.get_origin(kind), typing.get_args(kind)
-    if origin is types.UnionType:
-        return any(_fits(value, member) for member in args)
-    if origin is not None:
-        return isinstance(value, (list, tuple)) and all(_fits(v, args[0]) for v in value)
-    if isinstance(value, bool):
-        return kind is bool
-    return isinstance(value, (int, float) if kind is float else kind)
+def _sample_keys(problem: dict, mixer: dict = None, p: int = 1, objective: dict = None,
+                 search: dict = None, schedule: dict = None): ...
 
 
-def bind(fn, spec: dict, what: str, fixed=()) -> functools.partial:
-    """fn with the keys of spec bound as its keyword arguments.
-
-    A key that fn does not take or that is in `fixed` (the caller supplies those), a
-    parameter with no default that spec leaves out, and a value that does not
-    fit the parameter's annotation are ConfigErrors.
-    """
-    sig = inspect.signature(fn, eval_str=True).parameters
-    params = {k: param for k, param in sig.items() if k not in fixed}
-    unknown = sorted(set(spec) - set(params))
-    if unknown:
-        raise ConfigError(
-            f"{what} takes no key {', '.join(unknown)}; it takes {', '.join(params) or 'none'}"
-        )
-    missing = [k for k, param in params.items() if param.default is param.empty and k not in spec]
-    if missing:
-        raise ConfigError(f"{what} is missing key {missing[0]!r}")
-    for k, value in spec.items():
-        kind = params[k].annotation
-        if not _fits(value, kind):
-            shown = inspect.formatannotation(kind)
-            raise ConfigError(f"{what} key {k} must be {shown}, got {value!r}")
-    return functools.partial(fn, **spec)
+def _reproduce_keys(params: dict = None): ...
 
 
-def bind_choice(section: str, table: dict, spec: dict, key: str, default=None, fixed=()):
-    """bind for the entry of table that spec[key] names (default when spec has
-    no key), on the other keys of spec; a name not in table is a ConfigError."""
-    rest = dict(spec)
-    choice = rest.pop(key, default)
-    if not isinstance(choice, str) or choice not in table:
-        raise ConfigError(f"unknown {section} {key} {choice!r}; known: {', '.join(table)}")
-    return bind(table[choice], rest, f"{choice} {section}", fixed)
+MANIFESTS = {"solve": _solve_keys, "sample": _sample_keys} | dict.fromkeys(PIPELINES, _reproduce_keys)
+
+# Each section bound to the function behind it, not yet called; the search's
+# seed comes from --seed.
+SECTIONS = {
+    "problem": lambda spec: bind_choice("$.problem", PROBLEMS, spec, "family"),
+    "mixer": lambda spec: bind_choice("$.mixer", MIXERS, spec, "kind", "hypercube", fixed=("n",)),
+    "objective": lambda spec: bind_choice("$.objective", OBJECTIVES, spec, "kind", "mean"),
+    "search": lambda spec: bind(SearchConfig, spec, "$.search", fixed=("seed",)),
+    "schedule": lambda spec: bind(Schedule, spec, "$.schedule"),
+}
+
+
+def validate_manifest(manifest) -> None:
+    """Bind every section of manifest and build nothing: a bad one fails before any work."""
+    if not isinstance(manifest, dict):
+        raise ConfigError(f"$ must be an object, got {manifest!r:.60}")
+    top = bind_choice("$", MANIFESTS, manifest, "experiment").keywords
+    if top.get("p", 1) < 1:
+        raise ConfigError(f"$ key 'p' must be >= 1, got {top['p']}")
+    for key, spec in top.items():
+        if key == "params":
+            bind(PIPELINES[manifest["experiment"]], spec, "$.params", RESERVED_PARAMS)
+        elif key != "p":
+            SECTIONS[key](spec)
 
 
 def problem_from_manifest(spec: dict):
-    build = bind_choice("problem", PROBLEMS, spec, "family")
+    build = SECTIONS["problem"](spec)
     try:
         return build()
     except ValueError as exc:
@@ -139,22 +110,19 @@ def problem_from_manifest(spec: dict):
 
 
 def mixer_from_manifest(spec: dict | None, n: int):
-    return bind_choice("mixer", MIXERS, spec or {}, "kind", "hypercube", fixed=("n",))(n)
+    return SECTIONS["mixer"](spec)(n)
 
 
-def search_from_manifest(spec: dict | None) -> SearchConfig:
-    # JSON has no tuples: the ranges and the resolution arrive as lists
-    kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in (spec or {}).items()}
-    return bind(SearchConfig, kwargs, "search")()
+def search_from_manifest(spec: dict | None, seed: int = 0) -> SearchConfig:
+    return SECTIONS["search"](spec or {})(seed=seed)
 
 
 def _search(manifest: dict, problem, lap, seed: int):
     """optimize_schedule with the manifest's objective, search settings and p,
     seeded from --seed; returns (objective, schedule, value)."""
-    objective = experiments.objective_from_config(manifest.get("objective"))
-    config = search_from_manifest(manifest.get("search"))
-    config.seed = seed
-    sched, value = optimize_schedule(problem, lap, int(manifest.get("p", 1)), objective, config)
+    objective = SECTIONS["objective"](manifest.get("objective"))()
+    config = search_from_manifest(manifest.get("search"), seed)
+    sched, value = optimize_schedule(problem, lap, manifest.get("p", 1), objective, config)
     return objective, sched, value
 
 
@@ -192,9 +160,7 @@ def cmd_solve(args) -> int:
 
 
 def _default_manifest(experiment: str) -> dict:
-    manifest = _packaged_json(f"{experiment}.json")
-    validate_manifest(manifest)
-    return manifest
+    return load_manifest(importlib.resources.files("qlow") / "manifests" / f"{experiment}.json")
 
 
 def bind_pipeline(fig_id: str, params: dict, seed: int, jobs: int):
@@ -211,7 +177,7 @@ def bind_pipeline(fig_id: str, params: dict, seed: int, jobs: int):
     kwargs = {"seed" if "seed" in names else "master_seed": seed}
     if "jobs" in names:
         kwargs["jobs"] = jobs
-    run = bind(runner, params, f"reproduce {fig_id}", RESERVED_PARAMS)
+    run = bind(runner, params, "$.params", RESERVED_PARAMS)
     return functools.partial(run, **kwargs)
 
 
@@ -247,11 +213,10 @@ def cmd_sample(args) -> int:
         raise ConfigError("manifest experiment must be 'sample' (or 'solve') here")
     if args.shots < 0:
         raise ConfigError("shots must be >= 0")
+    sched = SECTIONS["schedule"](manifest["schedule"])() if "schedule" in manifest else None
     problem = problem_from_manifest(manifest["problem"])
     lap = mixer_from_manifest(manifest.get("mixer"), problem.n)
-    if "schedule" in manifest:
-        sched = Schedule(**manifest["schedule"])
-    else:
+    if sched is None:
         _, sched, _ = _search(manifest, problem, lap, args.seed)
     state = qaoa_state(problem, lap, sched)
     probs = state.probabilities()

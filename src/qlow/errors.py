@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the manifest binder
+that raises ConfigError for whatever does not fit a function's signature.
 
 The CLI maps these onto exit codes: ConfigError -> 2, ResourceError -> 3,
 NumericError -> 4. Library code raises them directly; plain ValueError is
@@ -8,6 +9,11 @@ callers and exit 2 at the command line.
 """
 
 from __future__ import annotations
+
+import functools
+import inspect
+import types
+import typing
 
 
 class QlowError(Exception):
@@ -24,3 +30,51 @@ class ResourceError(QlowError):
 
 class NumericError(QlowError):
     """A numeric routine failed to converge or overflowed despite shifting."""
+
+
+def _fits(value, kind) -> bool:
+    """Whether a JSON value fits the annotation kind: an int (not a bool) for
+    int, any number for float, a list or tuple of fitting items for a sequence
+    (one per member of a fixed-length tuple), a fit to one member for a union."""
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin is types.UnionType:
+        return any(_fits(value, member) for member in args)
+    if origin is not None:
+        if not isinstance(value, (list, tuple)):
+            return False
+        kinds = args if origin is tuple and ... not in args else args[:1] * len(value)
+        return len(value) == len(kinds) and all(map(_fits, value, kinds))
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def bind(fn, spec: dict, what: str, fixed=()) -> functools.partial:
+    """fn with the keys of spec bound as its keyword arguments.
+
+    A key that fn does not take or that is in `fixed` (the caller supplies those), a
+    parameter with no default that spec leaves out, and a value that does not
+    fit the parameter's annotation are ConfigErrors that name spec as `what`.
+    """
+    sig = inspect.signature(fn, eval_str=True)
+    params = [param for name, param in sig.parameters.items() if name not in fixed]
+    try:
+        sig.replace(parameters=params).bind(**spec)
+    except TypeError as exc:
+        takes = ", ".join(param.name for param in params) or "no keys"
+        raise ConfigError(f"{what} takes {takes}: {exc}") from None
+    for k, value in spec.items():
+        if not _fits(value, kind := sig.parameters[k].annotation):
+            shown = inspect.formatannotation(kind)
+            raise ConfigError(f"{what} key {k!r} must be {shown}, got {value!r:.60}")
+    return functools.partial(fn, **spec)
+
+
+def bind_choice(path: str, table: dict, spec: dict | None, key: str, default=None, fixed=()):
+    """bind for the entry of table that spec[key] names, on the other keys of
+    spec. Only a missing spec (None) takes the default entry."""
+    rest = {key: default} if spec is None else dict(spec)
+    choice = rest.pop(key, None)
+    if not isinstance(choice, str) or choice not in table:
+        raise ConfigError(f"{path}.{key} must be one of {', '.join(table)}; got {choice!r}")
+    return bind(table[choice], rest, f"{path} ({choice})", fixed)

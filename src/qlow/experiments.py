@@ -23,7 +23,7 @@ import numpy as np
 from . import _bits
 from .analytic import distribution_qaoa, landau_zener, optimal_gamma
 from .ansatz import qaoa_state
-from .errors import ConfigError
+from .errors import ConfigError, bind_choice
 from .laplacians import (
     BallCut,
     _rotate_qubits,
@@ -150,12 +150,10 @@ def _map_tasks(fn, tasks, jobs: int) -> list[ExperimentRecord]:
 
 
 def objective_from_config(cfg: str | dict | None) -> object:
-    """The objective a manifest names: a kind with its defaults, or an object
-    {"kind": ..., field: value, ...}; None and a missing kind are "mean"."""
-    from .cli import bind_choice  # cli imports this module
-
-    spec = {"kind": cfg} if isinstance(cfg, str) else cfg or {}
-    return bind_choice("objective", OBJECTIVES, spec, "kind", "mean")()
+    """The objective a pipeline's objective_cfg names: a kind with its
+    defaults, or an object {"kind": ..., field: value, ...}; None is "mean"."""
+    spec = {"kind": cfg} if isinstance(cfg, str) else cfg
+    return bind_choice("$.params.objective_cfg", OBJECTIVES, spec, "kind", "mean")()
 
 
 def objective_tag(obj) -> str:
@@ -383,7 +381,7 @@ def run_relaxation_compare(
     seeds: int = 20,
     rows: int = 3,
     cols: int = 4,
-    objective_cfg: str | dict | None = None,
+    objective_cfg: str | dict | None = "gibbs",
     resolution: tuple[int, int] = (48, 48),
     master_seed: int = 0,
     jobs: int = 1,
@@ -391,8 +389,6 @@ def run_relaxation_compare(
     """Standard vs gamma-relaxed vs beta-relaxed vs both, p=1, one grid
     instance per coupling ratio. Relaxed searches warm-start from the
     less-relaxed optimum, so their objective can only improve."""
-    if objective_cfg is None:
-        objective_cfg = {"kind": "gibbs", "eta": 20.0}
     tasks = [(float(j2), rows, cols, seeds, objective_cfg, tuple(resolution)) for j2 in j2_list]
     return _map_tasks(_relaxation_task, tasks, jobs)
 

@@ -128,6 +128,8 @@ def custom_from_edges(n: int, edges: Sequence[Sequence[float]]) -> CustomSparse:
     size = 1 << n
     rows, cols, vals = [], [], []
     for edge in edges:
+        if len(edge) not in (2, 3):
+            raise ConfigError(f"edge {tuple(edge)} is not (u, v) or (u, v, weight)")
         if not all(float(e).is_integer() for e in edge[:2]):
             raise ConfigError(f"edge {tuple(edge)} has a non-integral endpoint")
         u, v = int(edge[0]), int(edge[1])

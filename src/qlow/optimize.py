@@ -60,6 +60,8 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        self.gamma_range, self.beta_range = tuple(self.gamma_range), tuple(self.beta_range)
+        self.resolution = tuple(self.resolution)  # a manifest gives JSON lists
         if self.resolution[0] < 2 or self.resolution[1] < 2:
             raise ConfigError("grid resolution must be at least 2 per axis")
         for lo, hi in (self.gamma_range, self.beta_range):
@@ -67,8 +69,8 @@ class SearchConfig:
                 raise ConfigError("search ranges must be finite and ordered")
         if self.method not in ("compass", "simplex"):
             raise ConfigError("local method must be 'compass' or 'simplex'")
-        if self.top_k < 1 or self.max_iters < 1 or self.tol <= 0:
-            raise ConfigError("top_k, max_iters, tol must be positive")
+        if self.top_k < 1 or self.max_iters < 1 or self.tol <= 0 or self.restarts < 0:
+            raise ConfigError("top_k, max_iters, tol must be positive and restarts >= 0")
 
 
 @dataclass

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import _bits
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, bind
 from .statevector import check_qubit_count, fwht_array
 
 WALSH_COEFF_CUTOFF = 1e-12
@@ -294,6 +294,8 @@ def grid_ferromagnet_2d(rows: int, cols: int, j2: float = 1.0) -> DiagonalProble
     """Nearest-neighbor ferromagnet on a rows x cols grid, split into two column
     blocks at ceil(cols/2): block-one edges couple at -1, block two and the seam
     at -j2. Qubit index = r * cols + c."""
+    if rows < 1 or cols < 1:
+        raise ConfigError(f"grid needs rows and cols >= 1, got {rows} x {cols}")
     n = rows * cols
     check_qubit_count(n)
     split = (cols + 1) // 2
@@ -332,6 +334,8 @@ def maxcut_3regular(n: int, fraction: float = 0.5, j2: float = 1.0, seed: int = 
     check_qubit_count(n)
     if n % 2 != 0 or n < 4:
         raise ConfigError("3-regular graphs need even n >= 4")
+    if not 0 <= fraction <= 1:
+        raise ConfigError(f"maxcut fraction must lie in [0, 1], got {fraction}")
     rng = np.random.default_rng(seed)
     edges = _random_regular_edges(3, n, rng)
     k = int(round(len(edges) * fraction))
@@ -352,13 +356,12 @@ def maxcut_3regular(n: int, fraction: float = 0.5, j2: float = 1.0, seed: int = 
     )
 
 
-def _dense(n: int, values: list) -> DiagonalProblem:
-    # values stays a bare list: checking its 2^n items would cost more than the table
+def _dense(n: int, values: list[float]) -> DiagonalProblem:
     return from_dense(n, values)
 
 
 def _terms(n: int, terms: list[dict]) -> DiagonalProblem:
-    return from_terms(n, [ZTerm(tuple(t["qubits"]), t["coeff"]) for t in terms])
+    return from_terms(n, [bind(ZTerm, t, f"$.problem.terms[{i}]")() for i, t in enumerate(terms)])
 
 
 # The generator behind each manifest problem family: the family's keys are its

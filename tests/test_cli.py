@@ -12,7 +12,6 @@ from qlow.cli import (
     PIPELINES,
     REPRODUCIBLE,
     _default_manifest,
-    _packaged_json,
     bind_pipeline,
     main,
     mixer_from_manifest,
@@ -21,10 +20,7 @@ from qlow.cli import (
     validate_manifest,
 )
 from qlow.errors import ConfigError, NumericError
-from qlow.laplacians import MIXERS, BallCut, CompleteGraph, CustomSparse, WeightedHypercube
-from qlow.objectives import OBJECTIVES
-from qlow.optimize import SearchConfig
-from qlow.problems import PROBLEMS
+from qlow.laplacians import BallCut, CompleteGraph, CustomSparse, WeightedHypercube
 
 from conftest import run_fresh
 
@@ -367,6 +363,8 @@ MALFORMED_PARAMS = {
     "shadow_string_spike_height": ("shadow", {"spike_height": "x"}),
     "scale_scalar_objective_cfg": ("scale", {"objective_cfg": 5}),
     "ce_string_gibbs_eta": ("ce", {"objective_cfg": {"kind": "gibbs", "eta": "hot"}}),
+    "scale_one_item_resolution": ("scale", {"resolution": [6]}),
+    "scale_three_item_resolution": ("scale", {"resolution": [6, 6, 6]}),
 }
 
 
@@ -498,24 +496,133 @@ def test_bad_problem_and_mixer_input_is_config_exit(tmp_path, capsys, spec):
     assert err.startswith("config error: ") and "Traceback" not in err
 
 
+RAMP = {"family": "ramp", "n": 3}
+SCHEDULE = {"gammas": [0.1], "betas": [0.2]}
+
+
+def solve_with(**sections):
+    return {"experiment": "solve", "problem": RAMP, "search": {"resolution": [4, 4]}, **sections}
+
+
+def sample_with(**sections):
+    return {"experiment": "sample", "problem": RAMP, **sections}
+
+
+def dense_with(*values):
+    return solve_with(problem={"family": "dense", "n": 1, "values": list(values)})
+
+
+def terms_with(*terms):
+    return solve_with(problem={"family": "terms", "n": 2, "terms": list(terms)})
+
+
+def custom_edges(*edges):
+    return solve_with(mixer={"kind": "custom", "edges": list(edges)})
+
+
+# the whole manifest binds: the top level against the keys of its experiment,
+# every section against the function behind it
+BAD_MANIFESTS = {
+    "not_an_object": ("solve", [SOLVE_UNCOUPLED]),
+    "no_experiment": ("solve", {"problem": RAMP}),
+    "solve_without_problem": ("solve", {"experiment": "solve"}),
+    "foreign_top_level_key": ("solve", solve_with(shots=100)),
+    "params_on_solve": ("solve", solve_with(params={})),
+    "schedule_on_solve": ("sample", solve_with(schedule=SCHEDULE)),
+    "float_p": ("solve", solve_with(p=1.5)),
+    "string_p": ("solve", solve_with(p="2")),
+    "bool_p": ("solve", solve_with(p=True)),
+    "zero_p_beside_schedule": ("sample", sample_with(p=0, schedule=SCHEDULE)),
+    "string_mixer": ("solve", solve_with(mixer="complete")),
+    "string_objective": ("solve", solve_with(objective="gibbs")),
+    "list_search": ("solve", solve_with(search=[4, 4])),
+    "null_mixer": ("solve", solve_with(mixer=None)),
+    "negative_grid": ("solve", solve_with(problem={"family": "grid", "rows": -1, "cols": -2})),
+    "negative_maxcut_fraction": (
+        "solve", solve_with(problem={"family": "maxcut", "n": 4, "fraction": -0.01})
+    ),
+    "string_dense_values": ("solve", dense_with("0", 1.0)),
+    "bool_dense_values": ("solve", dense_with(True, 1.0)),
+    "term_without_coeff": ("solve", terms_with({"qubits": [0]})),
+    "term_with_foreign_key": ("solve", terms_with({"qubits": [0], "coeff": 1.0, "weight": 2})),
+    "term_with_string_coeff": ("solve", terms_with({"qubits": [0], "coeff": "1"})),
+    "one_item_edge": ("solve", custom_edges([0, 1], [2])),
+    "four_item_edge": ("solve", custom_edges([0, 1, 1.0, 2.0])),
+    "mixer_without_kind": ("solve", solve_with(mixer={"b": [1.0, 1.0, 1.0]})),
+    "objective_without_kind": ("solve", solve_with(objective={"eta": 5.0})),
+    "one_number_range": ("solve", solve_with(search={"gamma_range": [0.5]})),
+    "three_number_range": ("solve", solve_with(search={"beta_range": [0.0, 0.5, 1.0]})),
+    "one_item_resolution": ("solve", solve_with(search={"resolution": [4]})),
+    "three_item_resolution": ("solve", solve_with(search={"resolution": [4, 4, 4]})),
+    "negative_restarts": ("solve", solve_with(search={"resolution": [4, 4], "restarts": -1})),
+    "schedule_without_betas": ("sample", sample_with(schedule={"gammas": [0.1]})),
+    "schedule_with_foreign_key": ("sample", sample_with(schedule={**SCHEDULE, "p": 1})),
+    "string_angles": ("sample", sample_with(schedule={"gammas": ["0.1"], "betas": [0.2]})),
+    "scalar_angles": ("sample", sample_with(schedule={"gammas": 0.1, "betas": 0.2})),
+    "ragged_schedule": (
+        "sample", sample_with(schedule={"gammas": [[0.1, 0.2], [0.3]], "betas": [0.1, 0.2]})
+    ),
+    "empty_gamma_row": ("sample", sample_with(
+        problem={"family": "dense", "n": 1, "values": [0.0, 0.0]},  # no terms, so no row length
+        schedule={"gammas": [[]], "betas": [0.1]},
+    )),
+    "problem_on_fig2": ("reproduce fig2", {"experiment": "fig2", "problem": RAMP}),
+}
+
+
+@pytest.mark.parametrize("command,payload", BAD_MANIFESTS.values(), ids=BAD_MANIFESTS.keys())
+def test_bad_manifest_is_config_exit(tmp_path, capsys, command, payload):
+    out = tmp_path / "out"
+    argv = [*command.split(), "--manifest", write_manifest(tmp_path, payload), "--out", str(out)]
+    assert main(argv + (["--shots", "3"] if command == "sample" else [])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+RAMP_SOLVE = '{"experiment": "solve", "problem": {"family": "ramp", "n": 3}, '
+NONSTANDARD_JSON = {
+    "gibbs_eta_infinity": ("solve", RAMP_SOLVE + '"objective": {"kind": "gibbs", "eta": Infinity}}'),
+    "search_tol_nan": ("solve", RAMP_SOLVE + '"search": {"tol": NaN}}'),
+    "range_minus_infinity": ("solve", RAMP_SOLVE + '"search": {"gamma_range": [-Infinity, 1.0]}}'),
+    "rounding_beta_r_nan": (
+        "reproduce rounding", '{"experiment": "rounding", "params": {"beta_r": NaN}}'
+    ),
+}
+
+
+@pytest.mark.parametrize("command,text", NONSTANDARD_JSON.values(), ids=NONSTANDARD_JSON.keys())
+def test_nonstandard_json_numbers_are_config_exit(tmp_path, capsys, command, text):
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    assert main([*command.split(), "--manifest", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "is not a JSON number" in capsys.readouterr().err
+
+
+def test_manifest_that_is_not_utf8_is_config_exit(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_bytes('{"experiment": "solve", "note": "caf\xe9"}'.encode("latin-1"))
+    assert main(["solve", "--manifest", str(path)]) == 2
+    assert "not valid JSON" in capsys.readouterr().err
+
+
+def test_freedom_null_objective_is_mean(tmp_path, capsys):
+    # a null objective_cfg means Mean in every pipeline; freedom's default is Gibbs
+    params = {"j2_list": [0.6], "seeds": 1, "rows": 2, "cols": 2, "resolution": [6, 6]}
+    tags = {}
+    for name, extra in (("default", {}), ("null", {"objective_cfg": None})):
+        manifest = write_manifest(tmp_path, {"experiment": "freedom", "params": params | extra})
+        out = tmp_path / name
+        assert main(["reproduce", "freedom", "--manifest", manifest, "--out", str(out)]) == 0
+        with open(out / "freedom.csv", newline="") as fh:
+            tags[name] = {row["objective"] for row in csv.DictReader(fh)}
+    assert tags == {"default": {"gibbs20"}, "null": {"mean"}}
+
+
 def test_custom_edges_accept_integral_floats():
     want = mixer_from_manifest({"kind": "custom", "edges": [[0, 3], [1, 2]]}, 2)
     got = mixer_from_manifest({"kind": "custom", "edges": [[0, 3.0], [1.0, 2]]}, 2)
     assert (got.adjacency != want.adjacency).nnz == 0
-
-
-def test_schema_sections_match_builder_tables():
-    # each family or kind the schema admits has a builder, and each key it
-    # admits is a parameter of a builder of that section
-    defs = _packaged_json("schema.json")["$defs"]
-    for section, table, name in (
-        ("problem", PROBLEMS, "family"), ("mixer", MIXERS, "kind"), ("objective", OBJECTIVES, "kind"),
-    ):
-        keys = defs[section]["properties"]
-        assert set(keys[name]["enum"]) == set(table), section
-        params = {p for build in table.values() for p in inspect.signature(build).parameters}
-        assert set(keys) - {name} <= params, section
-    assert set(defs["search"]["properties"]) <= set(inspect.signature(SearchConfig).parameters)
 
 
 def test_search_config_errors():
@@ -532,8 +639,8 @@ def test_cli_import_leaves_heavy_scipy_modules_unloaded():
     # tests import scipy themselves, so only a fresh interpreter shows what qlow loads
     code = (
         "import sys, qlow.cli; "
-        "print([m for m in ('scipy.optimize', 'scipy.integrate', 'scipy.sparse.linalg') "
-        "if m in sys.modules])"
+        "print([m for m in ('scipy.optimize', 'scipy.integrate', 'scipy.sparse.linalg', "
+        "'jsonschema') if m in sys.modules])"
     )
     assert run_fresh(["-c", code]).strip() == "[]"
 
