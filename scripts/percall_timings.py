@@ -14,7 +14,11 @@ The ball-cut rows time a unit-hypercube ball cut centred on 0 at n=12, radius 6
 (the size of the ballcut-ramp12 benchmark workload and the largest ball of
 `reproduce proxy`) and at n=8, radius 5 (the ball of `reproduce shadow`): the
 first evolution, which builds the eigenbasis, then one single-beta and one
-64-beta evolution on the kept basis.
+64-beta evolution on the kept basis. sample_dense14_calls_ms times three
+in-process `qlow sample` calls through qlow.cli.main, each on its own random
+n=14 dense table with a two-round schedule and 1000 shots, the shape of the
+sample-dense14 benchmark workload; it goes only through main, so it times any
+checkout alike.
 Each figure is the fastest of --repeats timeit runs, which on a shared
 machine is the least disturbed. The import time is the median over --imports
 fresh interpreters. Prints one JSON object; run it with PYTHONPATH pointing at
@@ -22,17 +26,21 @@ the src directory of the checkout to time.
 """
 
 import argparse
+import contextlib
+import io
 import itertools
 import json
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 import timeit
+from pathlib import Path
 
 import numpy as np
 
-from qlow import ansatz, laplacians, statevector
+from qlow import ansatz, cli, laplacians, statevector
 from qlow.ansatz import Schedule, qaoa_state
 from qlow.laplacians import BallCut, hypercube
 from qlow.objectives import Gibbs, Mean
@@ -52,6 +60,30 @@ def import_s(count: int) -> float:
     code = "import time; t = time.perf_counter(); import qlow.cli; print(time.perf_counter() - t)"
     runs = [float(subprocess.check_output([sys.executable, "-c", code])) for _ in range(count)]
     return statistics.median(runs)
+
+
+def sample_manifests(folder: Path) -> list[str]:
+    """Three sample manifests, each a random n=14 dense table and a two-round schedule."""
+    paths = []
+    for index in range(3):
+        rng = np.random.default_rng([5, index, 14])
+        values = rng.normal(size=1 << 14)
+        gammas, betas = rng.uniform(-0.6, 0.6, size=2), rng.uniform(0.1, 1.4, size=2)
+        path = folder / f"sample{index}.json"
+        path.write_text(json.dumps({
+            "experiment": "sample",
+            "problem": {"family": "dense", "n": 14, "values": values.tolist()},
+            "schedule": {"gammas": gammas.tolist(), "betas": betas.tolist()},
+        }))
+        paths.append(str(path))
+    return paths
+
+
+def sample_calls(paths: list[str]) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        for path in paths:
+            if cli.main(["sample", "--manifest", path, "--shots", "1000", "--seed", "5"]) != 0:
+                raise RuntimeError(f"qlow sample failed on {path}")
 
 
 def main() -> None:
@@ -110,6 +142,10 @@ def main() -> None:
         out[f"{key}_evolve_64_betas_us"] = per_call_us(
             lambda: laplacians._mix_many(amps, cut, np.linspace(0.1, 3.0, 64)), args.repeats
         )
+    with tempfile.TemporaryDirectory() as folder:
+        paths = sample_manifests(Path(folder))
+        sample_us = per_call_us(lambda: sample_calls(paths), args.repeats)
+        out["sample_dense14_calls_ms"] = sample_us / 1e3
     if args.imports:
         out["import_qlow_cli_s"] = import_s(args.imports)
     print(json.dumps(out, indent=2))

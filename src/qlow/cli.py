@@ -49,7 +49,9 @@ def _not_a_number(name: str):
     raise ValueError(f"{name} is not a JSON number")
 
 
-def load_manifest(path: str | Path) -> dict:
+def load_manifest(path: str | Path, accepts: tuple | None = None, wrong: str = "") -> dict:
+    """The manifest at path as validate_manifest binds it. An experiment not in
+    accepts (when given) is a ConfigError: wrong, formatted with the experiment."""
     try:
         with open(path, encoding="utf-8") as fh:
             manifest = json.load(fh, parse_constant=_not_a_number)
@@ -57,8 +59,10 @@ def load_manifest(path: str | Path) -> dict:
         raise ConfigError(f"manifest {path} is not valid JSON: {exc}") from exc
     except OSError as exc:
         raise ConfigError(f"cannot read manifest {path}: {exc}") from exc
-    validate_manifest(manifest)
-    return manifest
+    bound = validate_manifest(manifest)
+    if accepts is not None and bound["experiment"] not in accepts:
+        raise ConfigError(wrong.format(bound["experiment"]))
+    return bound
 
 
 # The top level of each kind of manifest, as a signature to bind against. A
@@ -76,63 +80,63 @@ def _reproduce_keys(params: dict = None): ...
 
 MANIFESTS = {"solve": _solve_keys, "sample": _sample_keys} | dict.fromkeys(PIPELINES, _reproduce_keys)
 
-# Each section bound to the function behind it, not yet called; the search's
-# seed comes from --seed.
+# Each section bound to the function behind it, not yet called. A left-out
+# section (None) takes its default; a left-out schedule stays None.
 SECTIONS = {
     "problem": lambda spec: bind_choice("$.problem", PROBLEMS, spec, "family"),
     "mixer": lambda spec: bind_choice("$.mixer", MIXERS, spec, "kind", "hypercube", fixed=("n",)),
     "objective": lambda spec: bind_choice("$.objective", OBJECTIVES, spec, "kind", "mean"),
-    "search": lambda spec: bind(SearchConfig, spec, "$.search", fixed=("seed",)),
-    "schedule": lambda spec: bind(Schedule, spec, "$.schedule"),
+    "search": lambda spec: bind(SearchConfig, spec or {}, "$.search", fixed=("seed",)),
+    "schedule": lambda spec: spec if spec is None else bind(Schedule, spec, "$.schedule"),
 }
 
 
-def validate_manifest(manifest) -> None:
-    """Bind every section of manifest and build nothing: a bad one fails before any work."""
+def validate_manifest(manifest) -> dict:
+    """Bind every section of manifest and build nothing: a bad one fails before
+    any work. Returns the experiment, p, each section of its kind of manifest
+    as SECTIONS binds it, and params bound against the runner."""
     if not isinstance(manifest, dict):
         raise ConfigError(f"$ must be an object, got {manifest!r:.60}")
-    top = bind_choice("$", MANIFESTS, manifest, "experiment").keywords
-    if top.get("p", 1) < 1:
-        raise ConfigError(f"$ key 'p' must be >= 1, got {top['p']}")
-    for key, spec in top.items():
+    top = bind_choice("$", MANIFESTS, manifest, "experiment")
+    if top.keywords.get("p", 1) < 1:
+        raise ConfigError(f"$ key 'p' must be >= 1, got {top.keywords['p']}")
+    unused = sorted({"p", "objective", "search"} & top.keywords.keys())
+    if "schedule" in top.keywords and unused:
+        raise ConfigError(f"$ key 'schedule' fixes the angles, so {', '.join(unused)} must go")
+    sections = inspect.signature(top.func).bind(**top.keywords)
+    sections.apply_defaults()
+    bound = {"experiment": manifest["experiment"]}
+    for key, spec in sections.arguments.items():
         if key == "params":
-            bind(PIPELINES[manifest["experiment"]], spec, "$.params", RESERVED_PARAMS)
+            spec = bind(PIPELINES[bound["experiment"]], spec or {}, "$.params", RESERVED_PARAMS)
         elif key != "p":
-            SECTIONS[key](spec)
+            spec = SECTIONS[key](spec)
+        bound[key] = spec
+    return bound
 
 
-def problem_from_manifest(spec: dict):
-    build = SECTIONS["problem"](spec)
+def _run(bound: dict, seed: int):
+    """(problem, mixer, objective, schedule, value) of a bound solve or sample
+    manifest: its schedule if it has one (value None), or else the one that
+    optimize_schedule finds with its objective, search (seeded from seed) and p."""
+    sched = bound["schedule"]() if bound.get("schedule") else None
+    objective, config = bound["objective"](), bound["search"](seed=seed)
+    build = bound["problem"]
     try:
-        return build()
+        problem = build()
     except ValueError as exc:
-        raise ConfigError(f"bad {spec['family']!r} problem spec: {exc}") from exc
-
-
-def mixer_from_manifest(spec: dict | None, n: int):
-    return SECTIONS["mixer"](spec)(n)
-
-
-def search_from_manifest(spec: dict | None, seed: int = 0) -> SearchConfig:
-    return SECTIONS["search"](spec or {})(seed=seed)
-
-
-def _search(manifest: dict, problem, lap, seed: int):
-    """optimize_schedule with the manifest's objective, search settings and p,
-    seeded from --seed; returns (objective, schedule, value)."""
-    objective = SECTIONS["objective"](manifest.get("objective"))()
-    config = search_from_manifest(manifest.get("search"), seed)
-    sched, value = optimize_schedule(problem, lap, manifest.get("p", 1), objective, config)
-    return objective, sched, value
+        family = next(name for name, fn in PROBLEMS.items() if fn is build.func)
+        raise ConfigError(f"bad {family!r} problem spec: {exc}") from exc
+    lap, value = bound["mixer"](problem.n), None
+    if sched is None:
+        sched, value = optimize_schedule(problem, lap, bound["p"], objective, config)
+    return problem, lap, objective, sched, value
 
 
 def cmd_solve(args) -> int:
-    manifest = load_manifest(args.manifest)
-    if manifest["experiment"] != "solve":
-        raise ConfigError("manifest experiment must be 'solve' for the solve command")
-    problem = problem_from_manifest(manifest["problem"])
-    lap = mixer_from_manifest(manifest.get("mixer"), problem.n)
-    objective, sched, value = _search(manifest, problem, lap, args.seed)
+    wrong = "manifest experiment must be 'solve' for the solve command"
+    bound = load_manifest(args.manifest, ("solve",), wrong)
+    problem, lap, objective, sched, value = _run(bound, args.seed)
     state = qaoa_state(problem, lap, sched)
     mean, ground_prob, ratio = experiments._measure(problem, state)
     argmax = int(np.argmax(state.probabilities()))
@@ -163,37 +167,28 @@ def _default_manifest(experiment: str) -> dict:
     return load_manifest(importlib.resources.files("qlow") / "manifests" / f"{experiment}.json")
 
 
-def bind_pipeline(fig_id: str, params: dict, seed: int, jobs: int):
-    """The runner of `reproduce fig_id` with params, seed and jobs bound.
-
-    params bind as by bind: a seed or jobs set inside params is a key the
-    runner does not take. --jobs above 1 for a runner that works in one
-    process is a ConfigError too.
-    """
-    runner = PIPELINES[fig_id]
-    names = inspect.signature(runner).parameters
+def bind_pipeline(fig_id: str, run: functools.partial, seed: int, jobs: int):
+    """run, the runner of `reproduce fig_id` with its params bound, with seed and
+    jobs bound too. --jobs above 1 for a runner that works in one process is a
+    ConfigError."""
+    names = inspect.signature(PIPELINES[fig_id]).parameters
     if jobs > 1 and "jobs" not in names:
         raise ConfigError(f"reproduce {fig_id} runs serially; --jobs must be 1, got {jobs}")
     kwargs = {"seed" if "seed" in names else "master_seed": seed}
     if "jobs" in names:
         kwargs["jobs"] = jobs
-    run = bind(runner, params, "$.params", RESERVED_PARAMS)
     return functools.partial(run, **kwargs)
 
 
 def cmd_reproduce(args) -> int:
-    manifest = load_manifest(args.manifest) if args.manifest else _default_manifest(args.id)
-    if manifest["experiment"] != args.id:
-        raise ConfigError(
-            f"manifest experiment {manifest['experiment']!r} does not match id {args.id!r}"
-        )
-    result = bind_pipeline(args.id, manifest.get("params", {}), args.seed, args.jobs)()
+    wrong = f"manifest experiment {{!r}} does not match id {args.id!r}"
+    bound = (load_manifest(args.manifest, (args.id,), wrong) if args.manifest
+             else _default_manifest(args.id))
+    result = bind_pipeline(args.id, bound["params"], args.seed, args.jobs)()
     # fig2, shadow and proxy also return a details dict, which no CSV holds
     records = result[0] if isinstance(result, tuple) else result
     if not records:
-        raise ConfigError(
-            f"reproduce {args.id} produced no rows; its params leave no work to do"
-        )
+        raise ConfigError(f"reproduce {args.id} produced no rows; its params leave no work to do")
     files = {f"{args.id}.csv": records}
     if args.id == "rounding":  # one file per J2
         j2s = sorted({r.j2 for r in records})
@@ -208,16 +203,11 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    manifest = load_manifest(args.manifest)
-    if manifest["experiment"] not in ("sample", "solve"):
-        raise ConfigError("manifest experiment must be 'sample' (or 'solve') here")
+    wrong = "manifest experiment must be 'sample' (or 'solve') here"
+    bound = load_manifest(args.manifest, ("sample", "solve"), wrong)
     if args.shots < 0:
         raise ConfigError("shots must be >= 0")
-    sched = SECTIONS["schedule"](manifest["schedule"])() if "schedule" in manifest else None
-    problem = problem_from_manifest(manifest["problem"])
-    lap = mixer_from_manifest(manifest.get("mixer"), problem.n)
-    if sched is None:
-        _, sched, _ = _search(manifest, problem, lap, args.seed)
+    problem, lap, _, sched, _ = _run(bound, args.seed)
     state = qaoa_state(problem, lap, sched)
     probs = state.probabilities()
     rng = np.random.default_rng(args.seed)
@@ -233,9 +223,7 @@ def cmd_sample(args) -> int:
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "samples.csv").write_text(
-            "\n".join(["bitstring,value"] + lines) + "\n"
-        )
+        (out_dir / "samples.csv").write_text("\n".join(["bitstring,value"] + lines) + "\n")
     return 0
 
 

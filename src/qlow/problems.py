@@ -41,6 +41,8 @@ class ZTerm:
         qs = tuple(sorted(self.qubits))
         if len(set(qs)) != len(qs):
             raise ValueError(f"duplicate qubit in term {self.qubits}")
+        if qs and qs[0] < 0:
+            raise ValueError(f"negative qubit {qs[0]} in term {self.qubits}")
         object.__setattr__(self, "qubits", qs)
         object.__setattr__(self, "coeff", float(self.coeff))
         if not math.isfinite(self.coeff):
@@ -166,6 +168,7 @@ def from_dense(n: int, values: np.ndarray, meta: dict | None = None) -> Diagonal
     2^{-n} sum_z f(z) (-1)^{popcount(z & S)}; coefficients below
     WALSH_COEFF_CUTOFF times max(1, max |values|) are rounding noise and dropped.
     """
+    check_qubit_count(n)
     values = np.asarray(values, dtype=np.float64)
     if values.shape != (1 << n,):
         raise ValueError(f"dense table has {values.size} values, not 2^n = {1 << n}")

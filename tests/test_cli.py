@@ -14,9 +14,6 @@ from qlow.cli import (
     _default_manifest,
     bind_pipeline,
     main,
-    mixer_from_manifest,
-    problem_from_manifest,
-    search_from_manifest,
     validate_manifest,
 )
 from qlow.errors import ConfigError, NumericError
@@ -339,7 +336,7 @@ def test_default_manifests_ship_valid():
 
 @pytest.mark.parametrize("fig_id", REPRODUCIBLE)
 def test_shipped_params_bind_to_runner(fig_id):
-    run = bind_pipeline(fig_id, _default_manifest(fig_id).get("params", {}), DEFAULT_SEED, 1)
+    run = bind_pipeline(fig_id, _default_manifest(fig_id)["params"], DEFAULT_SEED, 1)
     assert run.func is PIPELINES[fig_id]
     inspect.signature(run.func).bind(*run.args, **run.keywords)
     assert DEFAULT_SEED in (run.keywords.get("seed"), run.keywords.get("master_seed"))
@@ -399,34 +396,42 @@ FAMILY_SPECS = [
 ]
 
 
+def bound_section(key, spec):
+    """Section `key` of a ramp solve manifest as validate_manifest binds it;
+    a spec of None leaves the section out."""
+    manifest = {"experiment": "solve", "problem": {"family": "ramp", "n": 3}}
+    if spec is not None:
+        manifest[key] = spec
+    return validate_manifest(manifest)[key]
+
+
 @pytest.mark.parametrize("spec,n", FAMILY_SPECS)
 def test_problem_family_coverage(spec, n):
-    validate_manifest({"experiment": "solve", "problem": spec})
-    prob = problem_from_manifest(spec)
+    prob = bound_section("problem", spec)()
     assert prob.n == n
     assert prob.dense.size == 1 << n
 
 
 def test_problem_spec_errors():
     with pytest.raises(ConfigError):
-        problem_from_manifest({"family": "mystery"})
+        bound_section("problem", {"family": "mystery"})
     with pytest.raises(ConfigError):
-        problem_from_manifest({"family": "ramp"})  # missing n
+        bound_section("problem", {"family": "ramp"})  # missing n
 
 
 def test_mixer_coverage():
-    assert isinstance(mixer_from_manifest(None, 3), WeightedHypercube)
-    weighted = mixer_from_manifest({"kind": "hypercube", "b": [1.0, 0.0, 2.0]}, 3)
+    assert isinstance(bound_section("mixer", None)(3), WeightedHypercube)
+    weighted = bound_section("mixer", {"kind": "hypercube", "b": [1.0, 0.0, 2.0]})(3)
     assert weighted.b == (1.0, 0.0, 2.0)
-    assert isinstance(mixer_from_manifest({"kind": "complete"}, 3), CompleteGraph)
-    cut = mixer_from_manifest({"kind": "ballcut", "radius": 2}, 4)
+    assert isinstance(bound_section("mixer", {"kind": "complete"})(3), CompleteGraph)
+    cut = bound_section("mixer", {"kind": "ballcut", "radius": 2})(4)
     assert isinstance(cut, BallCut) and cut.radius == 2 and cut.center == 0
-    custom = mixer_from_manifest(
-        {"kind": "custom", "edges": [[0, 1], [1, 2, 0.5]]}, 2
-    )
+    custom = bound_section(
+        "mixer", {"kind": "custom", "edges": [[0, 1], [1, 2, 0.5]]}
+    )(2)
     assert isinstance(custom, CustomSparse)
     with pytest.raises(ConfigError):
-        mixer_from_manifest({"kind": "torus"}, 3)
+        bound_section("mixer", {"kind": "torus"})
 
 
 def terms_on(*qubits):
@@ -437,6 +442,8 @@ def terms_on(*qubits):
 BAD_INPUT = {
     "qubit_beyond_n": terms_on(5),
     "qubit_70": terms_on(70),
+    "negative_qubit": terms_on(-1),
+    "negative_dense_n": {"problem": {"family": "dense", "n": -2, "values": [1.0]}},
     "repeated_qubit": terms_on(1, 1),
     "dense_length": {"problem": {"family": "dense", "n": 3, "values": [0.0, 1.0, 2.0, 3.0]}},
     "hypercube_b_length": {
@@ -496,6 +503,24 @@ def test_bad_problem_and_mixer_input_is_config_exit(tmp_path, capsys, spec):
     assert err.startswith("config error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("case,named", [
+    ("negative_qubit", "negative qubit -1"),
+    ("negative_dense_n", "qubit count must be >= 1, got -2"),
+])
+def test_negative_qubit_or_count_is_named(tmp_path, capsys, case, named):
+    payload = {"experiment": "solve", **BAD_INPUT[case]}
+    assert main(["solve", "--manifest", write_manifest(tmp_path, payload)]) == 2
+    err = capsys.readouterr().err
+    assert named in err and "shift count" not in err
+
+
+def test_dense_beyond_qubit_cap_is_resource_exit(tmp_path, capsys):
+    payload = {"experiment": "solve", "problem": {"family": "dense", "n": 70, "values": [1.0]}}
+    assert main(["solve", "--manifest", write_manifest(tmp_path, payload)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("resource cap: ") and "n=70" in err
+
+
 RAMP = {"family": "ramp", "n": 3}
 SCHEDULE = {"gammas": [0.1], "betas": [0.2]}
 
@@ -533,6 +558,11 @@ BAD_MANIFESTS = {
     "string_p": ("solve", solve_with(p="2")),
     "bool_p": ("solve", solve_with(p=True)),
     "zero_p_beside_schedule": ("sample", sample_with(p=0, schedule=SCHEDULE)),
+    "p_beside_schedule": ("sample", sample_with(p=3, schedule=SCHEDULE)),
+    "objective_beside_schedule": (
+        "sample", sample_with(objective={"kind": "gibbs"}, schedule=SCHEDULE)
+    ),
+    "search_beside_schedule": ("sample", sample_with(search={"top_k": 1}, schedule=SCHEDULE)),
     "string_mixer": ("solve", solve_with(mixer="complete")),
     "string_objective": ("solve", solve_with(objective="gibbs")),
     "list_search": ("solve", solve_with(search=[4, 4])),
@@ -620,16 +650,57 @@ def test_freedom_null_objective_is_mean(tmp_path, capsys):
 
 
 def test_custom_edges_accept_integral_floats():
-    want = mixer_from_manifest({"kind": "custom", "edges": [[0, 3], [1, 2]]}, 2)
-    got = mixer_from_manifest({"kind": "custom", "edges": [[0, 3.0], [1.0, 2]]}, 2)
+    want = bound_section("mixer", {"kind": "custom", "edges": [[0, 3], [1, 2]]})(2)
+    got = bound_section("mixer", {"kind": "custom", "edges": [[0, 3.0], [1.0, 2]]})(2)
     assert (got.adjacency != want.adjacency).nnz == 0
 
 
 def test_search_config_errors():
     with pytest.raises(ConfigError):
-        search_from_manifest({"stride": 3})
-    cfg = search_from_manifest({"resolution": [8, 8], "method": "simplex"})
+        bound_section("search", {"stride": 3})
+    cfg = bound_section("search", {"resolution": [8, 8], "method": "simplex"})(seed=0)
     assert cfg.resolution == (8, 8) and cfg.method == "simplex"
+
+
+def test_each_command_binds_the_manifest_once(tmp_path, capsys, monkeypatch):
+    # the commands run what validate_manifest bound: the `values` list is
+    # type-checked once per call, and a bad search stops a call before the
+    # problem is built
+    import qlow.errors
+    import qlow.problems
+
+    values = [0.0, 1.0, -1.0, 2.0, 0.5, -0.5, 3.0, 1.5]
+    checks, builds = [], []
+    fits, from_dense = qlow.errors._fits, qlow.problems.from_dense
+
+    def counting_fits(value, kind):
+        if kind == list[float] and isinstance(value, list) and len(value) == len(values):
+            checks.append(value)
+        return fits(value, kind)
+
+    def counting_from_dense(*args, **kwargs):
+        builds.append(args)
+        return from_dense(*args, **kwargs)
+
+    monkeypatch.setattr(qlow.errors, "_fits", counting_fits)
+    monkeypatch.setattr(qlow.problems, "from_dense", counting_from_dense)
+    manifest = {
+        "experiment": "solve",
+        "problem": {"family": "dense", "n": 3, "values": values},
+        "search": {"resolution": [4, 4], "top_k": 1},
+    }
+    path = write_manifest(tmp_path, manifest)
+    for command in (["solve"], ["sample", "--shots", "2"]):
+        checks.clear()
+        builds.clear()
+        assert main([*command, "--manifest", path]) == 0
+        assert len(checks) == 1 and len(builds) == 1
+    for search in ({"resolution": [4, 4], "stride": 3}, {"resolution": [4, 4], "restarts": -1}):
+        builds.clear()
+        bad = write_manifest(tmp_path, manifest | {"search": search}, "bad.json")
+        assert main(["solve", "--manifest", bad]) == 2
+        assert builds == []
+        assert capsys.readouterr().err.startswith("config error: ")
 
 
 DATA = Path(__file__).resolve().parent / "data"
