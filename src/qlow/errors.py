@@ -35,15 +35,19 @@ class NumericError(QlowError):
 def _fits(value, kind) -> bool:
     """Whether a JSON value fits the annotation kind: an int (not a bool) for
     int, any number for float, a list or tuple of fitting items for a sequence
-    (one per member of a fixed-length tuple), a fit to one member for a union."""
+    (one per member of a fixed-length tuple; else one item per type when the
+    item kind is a plain class, whose verdict depends on the type alone), a fit
+    to one member for a union."""
     origin, args = typing.get_origin(kind), typing.get_args(kind)
     if origin is types.UnionType:
         return any(_fits(value, member) for member in args)
     if origin is not None:
         if not isinstance(value, (list, tuple)):
             return False
-        kinds = args if origin is tuple and ... not in args else args[:1] * len(value)
-        return len(value) == len(kinds) and all(map(_fits, value, kinds))
+        if origin is tuple and ... not in args:
+            return len(value) == len(args) and all(map(_fits, value, args))
+        items = value if typing.get_origin(args[0]) else {type(v): v for v in value}.values()
+        return all(_fits(v, args[0]) for v in items)
     if isinstance(value, bool):
         return kind is bool
     return isinstance(value, (int, float) if kind is float else kind)

@@ -19,7 +19,7 @@ DENSE_EIG_VERTEX_CAP = 4096 vertices it applies a cached eigh of L_bar in
 its real eigenbasis, as two real matrix products; above it, expm_multiply
 runs once per beta. Both are accurate to well under 1e-10.
 
-A ball cut over a hypercube or a complete graph takes that eigenbasis by
+A ball cut, always over a weighted hypercube, takes that eigenbasis by
 qubit-pair symmetry sectors. In y = z XOR center the ball is |y| <= radius,
 and swapping two qubits of equal weight maps the graph and the ball onto
 themselves, so it commutes with L_bar. Pair such qubits; on each pair keep
@@ -28,8 +28,8 @@ keep their Hamming weight, so they span the ball exactly, and L_bar is block-
 diagonal in them, one block per set of antisymmetric pairs. Each block gets its
 own eigh (64 blocks of at most 435 instead of one 2510 x 2510 at n = 12,
 radius 6), and the eigenvectors go back into one dense matrix in ball order,
-so the evolution itself is unchanged. Custom graphs have no known pairs and
-keep the one eigh of the whole matrix.
+so the evolution itself is unchanged. Custom graphs and hypercubes with no
+equal-weight pair keep the one eigh of the whole matrix.
 """
 
 from __future__ import annotations
@@ -158,23 +158,38 @@ def hypercube_adjacency(n: int, b: tuple[float, ...] | None = None) -> sp.csr_ma
     )
 
 
+def _check_ball(n: int, center: int, radius: int) -> None:
+    if not 0 <= radius <= n:
+        raise ConfigError(f"radius must lie in [0, {n}]")
+    if not 0 <= center < (1 << n):
+        raise ConfigError("center out of range")
+
+
+def _hamming_ball(n: int, center: int, radius: int) -> np.ndarray:
+    """Sorted indices z with popcount(z ^ center) <= radius, center and radius checked."""
+    _check_ball(n, center, radius)
+    dist = np.bitwise_count(_bits.indices(n) ^ np.uint32(center))
+    return np.flatnonzero(dist <= radius)
+
+
 @dataclass
 class BallCut:
-    """The inner graph restricted to the Hamming ball B(center, radius).
+    """A weighted hypercube restricted to the Hamming ball B(center, radius).
 
     Vertices outside the ball are deleted: evolution acts as identity there and
     never exchanges amplitude across the boundary. Inside, the full induced
     Laplacian D - A is used (boundary vertices lose degree, so the degree term
-    is not a global phase and must be kept).
+    is not a global phase and must be kept). A ball over another graph G is
+    CustomSparse over G's ball-induced edges: outside vertices have degree 0.
 
-    The first evolution builds the eigenbasis of -(D - A) and keeps it in _eig.
-    Over a hypercube or a complete graph it is built by qubit-pair symmetry
-    sectors (_block_eigh): swapping two equal-weight qubits of y = z ^ center
-    preserves both the graph and the ball, so -(D - A) commutes with it and
-    splits exactly into one block per set of antisymmetric pairs.
+    The first evolution builds the eigenbasis of -(D - A) and keeps it in _eig,
+    by qubit-pair symmetry sectors (_block_eigh): swapping two equal-weight
+    qubits of y = z ^ center preserves both the graph and the ball, so -(D - A)
+    commutes with it and splits exactly into one block per set of antisymmetric
+    pairs.
     """
 
-    inner: WeightedHypercube | CompleteGraph | CustomSparse
+    inner: WeightedHypercube
     center: int
     radius: int
     _ball: np.ndarray | None = field(default=None, repr=False)
@@ -182,13 +197,9 @@ class BallCut:
     _lap: sp.csr_matrix | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        n = self.inner.n
-        if isinstance(self.inner, BallCut):
-            raise ConfigError("nesting ball cuts is not supported")
-        if not 0 <= self.radius <= n:
-            raise ConfigError(f"radius must lie in [0, {n}]")
-        if not 0 <= self.center < (1 << n):
-            raise ConfigError("center out of range")
+        if not isinstance(self.inner, WeightedHypercube):
+            raise ConfigError(f"ball cuts take a WeightedHypercube, not {type(self.inner).__name__}")
+        _check_ball(self.n, self.center, self.radius)
 
     @property
     def n(self) -> int:
@@ -197,31 +208,16 @@ class BallCut:
     def ball(self) -> np.ndarray:
         """Sorted basis indices inside the ball."""
         if self._ball is None:
-            dist = np.bitwise_count(_bits.indices(self.n) ^ np.uint32(self.center))
-            self._ball = np.flatnonzero(dist <= self.radius)
+            self._ball = _hamming_ball(self.n, self.center, self.radius)
         return self._ball
 
     def laplacian(self) -> sp.csr_matrix:
         """Induced-subgraph Laplacian on the ball vertices (ball-local indexing)."""
         if self._lap is None:
-            adj = _ball_adjacency(self.inner, self.ball())
+            adj = hypercube_adjacency(self.n, self.inner.b)[np.ix_(self.ball(), self.ball())].tocsr()
             deg = np.asarray(adj.sum(axis=1)).ravel()
             self._lap = (sp.diags(deg) - adj).tocsr()
         return self._lap
-
-
-def _ball_adjacency(inner, ball: np.ndarray) -> sp.csr_matrix:
-    """The inner graph's adjacency between the ball vertices; only that block is built."""
-    if isinstance(inner, CompleteGraph):
-        # Normalization matching L_bar = P_plus: L = I - P_plus, edge weight 1/2^n.
-        block = np.full((ball.size, ball.size), 1.0 / (1 << inner.n))
-        np.fill_diagonal(block, 0.0)
-        return sp.csr_matrix(block)
-    if isinstance(inner, WeightedHypercube):
-        return hypercube_adjacency(inner.n, inner.b)[np.ix_(ball, ball)].tocsr()
-    if isinstance(inner, CustomSparse):
-        return inner.adjacency[np.ix_(ball, ball)].tocsr()
-    raise ConfigError(f"unsupported inner graph {type(inner).__name__}")
 
 
 def _hypercube_mixer(n: int, b: list[float] | None = None) -> WeightedHypercube:
@@ -340,13 +336,8 @@ def _lbar(lap: CustomSparse | BallCut) -> sp.csr_matrix:
     return lap.adjacency if lap.is_regular else lap.adjacency - sp.diags(lap.degrees)
 
 
-def _swap_pairs(inner) -> list[tuple[int, int]]:
-    """Disjoint qubit pairs (i, j) whose bit swap is an automorphism of the inner
-    graph: equal-weight qubits of a hypercube, any qubits of a complete graph."""
-    if isinstance(inner, CompleteGraph):
-        return [(q, q + 1) for q in range(0, inner.n - 1, 2)]
-    if not isinstance(inner, WeightedHypercube):
-        return []
+def _swap_pairs(inner: WeightedHypercube) -> list[tuple[int, int]]:
+    """Disjoint pairs (i, j) of equal-weight qubits; each swap maps the hypercube to itself."""
     by_weight: dict[float, list[int]] = {}
     for q, w in enumerate(inner.b):
         by_weight.setdefault(w, []).append(q)
@@ -394,10 +385,9 @@ def _block_eigh(lap: CustomSparse | BallCut) -> tuple[np.ndarray, np.ndarray]:
     eigenvectors go back to ball coordinates as Q_s^T V_s. The result is one
     dense, real, orthonormal eigenvector matrix, rows in ball order, columns
     sector by sector (eigenvalues ascend within a sector only). At n = 12,
-    radius 6 the 2510-vertex ball splits into 64 blocks of at most 435, and
-    the first evolution takes about 0.1 s instead of about 1.8 s for one eigh
-    of the whole matrix. With no pairs (custom graphs, ball cuts over them) it
-    is that one eigh, on the same matrix as before.
+    radius 6 that is 64 blocks of at most 435: about 0.1 s, against 1.8 s for
+    one eigh of the whole matrix, which custom graphs and ball cuts with no
+    equal-weight pair still take.
     """
     pairs = _swap_pairs(lap.inner) if isinstance(lap, BallCut) else []
     if not pairs:
@@ -528,12 +518,9 @@ def kinetic_energy(state: Statevector, lap) -> float:
 def ball_uniform_state(n: int, center: int, radius: int) -> Statevector:
     """Equal positive amplitudes on the Hamming ball B(center, radius)."""
     check_qubit_count(n)
-    if radius > n or radius < 0:
-        raise ConfigError(f"radius must lie in [0, {n}]")
-    dist = np.bitwise_count(_bits.indices(n) ^ np.uint32(center))
-    mask = dist <= radius
+    ball = _hamming_ball(n, center, radius)
     amps = np.zeros(1 << n, dtype=np.complex128)
-    amps[mask] = 1.0 / np.sqrt(mask.sum())
+    amps[ball] = 1.0 / np.sqrt(ball.size)
     return Statevector(n, amps)
 
 

@@ -5,18 +5,16 @@ Z_i |z> = (1 - 2 z_i)|z>. Generators record true extrema of the dense table.
 
 A `DiagonalProblem` stores its terms only as `masks` (int64, bit i for qubit i)
 and `coeffs` (float64) arrays in term order; duplicate masks add up. `ZTerm`s
-live at the API edge: `from_terms` parses them once, while `to_json` and the
-`terms` view, rebuilt from the arrays on each access, build them.
+live at the API edge: `from_terms` parses them once, and the `terms` view
+rebuilds them from the arrays on each access.
 
 Every construction checks the dense table against the terms through the Walsh
 domain: the term coefficients, scattered onto their qubit masks, are one fast
-Walsh-Hadamard transform away from the table (O(n 2^n) at any n). Serialization
-carries terms and metadata only; dense tables are always recomputable.
+Walsh-Hadamard transform away from the table (O(n 2^n) at any n).
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -139,20 +137,6 @@ class DiagonalProblem:
         if self._term_tables is None:
             self._term_tables = self.coeffs[:, None] * _bits.parity_signs(self.n, self.masks[:, None])
         return self._term_tables
-
-    def to_json(self) -> str:
-        payload = {
-            "n": self.n,
-            "terms": [{"qubits": list(t.qubits), "coeff": t.coeff} for t in self.terms],
-            "meta": self.meta,
-        }
-        return json.dumps(payload, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "DiagonalProblem":
-        payload = json.loads(text)
-        terms = [ZTerm(tuple(t["qubits"]), t["coeff"]) for t in payload["terms"]]
-        return from_terms(payload["n"], terms, payload.get("meta", {}))
 
 
 def from_terms(n: int, terms: Iterable[ZTerm], meta: dict | None = None) -> DiagonalProblem:

@@ -16,7 +16,7 @@ from qlow.cli import (
     main,
     validate_manifest,
 )
-from qlow.errors import ConfigError, NumericError
+from qlow.errors import ConfigError, NumericError, _fits
 from qlow.laplacians import BallCut, CompleteGraph, CustomSparse, WeightedHypercube
 
 from conftest import run_fresh
@@ -701,6 +701,26 @@ def test_each_command_binds_the_manifest_once(tmp_path, capsys, monkeypatch):
         assert main(["solve", "--manifest", bad]) == 2
         assert builds == []
         assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize(
+    "value, item, fits",
+    [
+        ([0.5, True, 1.0], float, False),
+        ([1, 2, 3], int, True),
+        ([1, 2.0, 3], int, False),
+        ([1, 2.5, -3], float, True),
+        ([0.5, "1.0", 2.0], float, False),
+        ([], float, True),
+        ([[0.5, 1], [], [2.0]], list[float], True),
+        ([[0.5, 1], [False]], list[float], False),
+        ([1, None, 2], int | None, True),
+    ],
+)
+def test_fits_checks_a_list_like_each_of_its_items(value, item, fits):
+    # a plain item class is checked on one item per distinct type
+    assert _fits(value, list[item]) is fits
+    assert all(_fits(v, item) for v in value) is fits
 
 
 DATA = Path(__file__).resolve().parent / "data"

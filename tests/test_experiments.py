@@ -168,6 +168,12 @@ def test_boosted_ball_state_shape():
     assert abs(state.amps[0]) == pytest.approx(8.0 * abs(others[0]), abs=1e-12)
 
 
+@pytest.mark.parametrize("center", [9, -1])
+def test_boosted_ball_state_rejects_a_center_out_of_range(center):
+    with pytest.raises(ConfigError, match="center out of range"):
+        boosted_ball_state(3, center, 1, 8.0)
+
+
 def test_far_spike_problem_values():
     prob = _far_spike_problem(6, weight=5, height=3.5)
     w = _bits.popcounts(6)

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -255,47 +253,29 @@ def test_ballcut_validation():
         BallCut(inner=hypercube(3), center=0, radius=7)
     with pytest.raises(ConfigError):
         BallCut(inner=hypercube(3), center=9, radius=1)
-    with pytest.raises(ConfigError):
-        BallCut(inner=BallCut(inner=hypercube(3), center=0, radius=1), center=0, radius=1)
-
-
-def whole_graph_adjacency(inner):
-    """The inner graph's full 2^n x 2^n adjacency, as ball cuts once sliced it."""
-    if isinstance(inner, CompleteGraph):
-        size = 1 << inner.n
-        return sp.csr_matrix(np.full((size, size), 1.0 / size) - np.eye(size) / size)
-    if isinstance(inner, CustomSparse):
-        return inner.adjacency
-    return hypercube_adjacency(inner.n, inner.b)
+    inners = {
+        "BallCut": BallCut(inner=hypercube(3), center=0, radius=1),
+        "CompleteGraph": CompleteGraph(3),
+        "CustomSparse": CustomSparse(3, hypercube_adjacency(3)),
+    }
+    for name, inner in inners.items():
+        with pytest.raises(ConfigError, match=f"WeightedHypercube, not {name}"):
+            BallCut(inner=inner, center=0, radius=1)
 
 
 @pytest.mark.parametrize(
     "inner",
-    [CompleteGraph(5), hypercube(5), WeightedHypercube((1.0, 0.5, 2.0, 0.0, 1.5)),
-     custom_from_edges(5, [(0, 1), (1, 3, 0.5), (3, 7), (0, 31), (2, 12, 2.0)])],
-    ids=["complete", "hypercube", "weighted", "custom"],
+    [hypercube(5), WeightedHypercube((1.0, 0.5, 2.0, 0.0, 1.5))],
+    ids=["hypercube", "weighted"],
 )
 def test_ballcut_laplacian_matches_the_whole_graph_slice_bitwise(inner):
     cut = BallCut(inner=inner, center=0b10110, radius=2)
     ball = cut.ball()
-    adj = whole_graph_adjacency(inner)[np.ix_(ball, ball)].tocsr()
+    adj = hypercube_adjacency(inner.n, inner.b)[np.ix_(ball, ball)].tocsr()  # the whole graph, sliced
     ref = (sp.diags(np.asarray(adj.sum(axis=1)).ravel()) - adj).tocsr()
     lap = cut.laplacian()
     for attr in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(lap, attr), getattr(ref, attr))
-
-
-def test_ballcut_over_complete_graph_builds_only_the_ball_block():
-    cut = BallCut(inner=CompleteGraph(12), center=5, radius=1)
-    tracemalloc.start()
-    try:
-        lap = cut.laplacian()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert lap.shape == (13, 13)
-    # the whole 2^12 x 2^12 dense matrix alone is 128 MiB
-    assert peak < 16 * 2**20
 
 
 def test_evolve_many_matches_single_calls():
@@ -367,15 +347,15 @@ def test_krylov_ballcut_batch_confined_and_unitary():
         assert abs(out.norm() - 1.0) < 1e-12
 
 
-# Ball cuts over hypercubes and complete graphs take their eigenbasis sector by
-# sector (qubit pairs whose swap leaves the graph unchanged); every other
-# spectral mixer still runs one eigh of the whole L_bar.
+# Ball cuts take their eigenbasis sector by sector (pairs of equal-weight
+# qubits, whose swap leaves the hypercube unchanged); custom graphs and ball
+# cuts with no such pair still run one eigh of the whole L_bar.
 
 
 def sector_inners(n):
-    """A hypercube, a weighted one with equal pairs (1, 0.5, 0) and a lone 2.0, a complete graph."""
+    """A hypercube, and a weighted one with equal pairs (1, 0.5, 0) and a lone 2.0."""
     weights = (1.0, 0.5, 1.0, 2.0, 0.5, 1.0, 0.0, 0.0)[:n]
-    return [hypercube(n), WeightedHypercube(weights), CompleteGraph(n)]
+    return [hypercube(n), WeightedHypercube(weights)]
 
 
 @pytest.mark.parametrize("n", [1, 3, 4, 7, 8])
@@ -402,9 +382,9 @@ def test_ballcut_sector_eigenbasis_matches_expm(n):
 
 def test_custom_graph_eigenbasis_is_one_whole_eigh():
     edges = [(0, 1), (1, 3, 0.5), (3, 7), (0, 31), (2, 12, 2.0), (12, 13), (5, 21, 1.5)]
+    unpaired = WeightedHypercube((1.0, 0.5, 2.0, 0.0, 1.5))
     for lap in (CustomSparse(5, hypercube_adjacency(5)), custom_from_edges(5, edges),
-                BallCut(inner=custom_from_edges(5, edges), center=0b00110, radius=3),
-                BallCut(inner=CustomSparse(5, hypercube_adjacency(5)), center=9, radius=2)):
+                BallCut(inner=unpaired, center=0b00110, radius=3)):
         evolve(rand_state(5, 13), lap, 0.7)
         want = np.linalg.eigh(_lbar(lap).toarray())
         assert all(np.array_equal(got, ref) for got, ref in zip(lap._eig, want))
@@ -498,12 +478,22 @@ def test_kinetic_energy_does_not_depend_on_blas_threads():
     assert one == two
 
 
+@pytest.mark.parametrize("center", [9, -1])
+def test_ball_uniform_state_rejects_a_center_out_of_range(center):
+    # 9 once wrapped to the basis state |001>, -1 ended in numpy's OverflowError
+    with pytest.raises(ConfigError, match="center out of range"):
+        ball_uniform_state(3, center, 1)
+
+
 def test_ball_uniform_state_support():
-    state = ball_uniform_state(5, 0b00011, 1)
-    nz = np.flatnonzero(state.amps)
-    dist = np.array([bin(z ^ 0b00011).count("1") for z in nz])
-    assert np.all(dist <= 1)
-    assert state.norm() == pytest.approx(1.0, abs=1e-14)
+    # the state and the ball cut share one ball
+    for n, center, radius in ((5, 0b00011, 1), (1, 1, 0), (6, 37, 3), (6, 63, 6)):
+        state = ball_uniform_state(n, center, radius)
+        dist = np.array([bin(z ^ center).count("1") for z in range(1 << n)])
+        ball = np.flatnonzero(dist <= radius)
+        assert np.array_equal(np.flatnonzero(state.amps), ball)
+        assert np.array_equal(BallCut(hypercube(n), center=center, radius=radius).ball(), ball)
+        assert state.norm() == pytest.approx(1.0, abs=1e-14)
 
 
 def test_hamming_shell_state():
