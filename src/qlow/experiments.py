@@ -51,7 +51,7 @@ from .problems import (
     hamming_ramp,
     maxcut_3regular,
 )
-from .statevector import Statevector, _expect, ground_state_mass, plus_state
+from .statevector import Statevector, _expect, _phase, _plus_amps, ground_state_mass, plus_state
 
 CSV_HEADER = [
     "experiment",
@@ -173,8 +173,9 @@ def _batched_uncoupled(dist: str, n: int, gamma: float, beta: float, n_seeds: in
     """Single round on n_seeds independent-spin instances at once.
 
     The phase tables of all instances form one (n_seeds, 2^n) array, built
-    from the per-qubit parity signs; the mixer is the same per-qubit X
-    rotation kernel as hypercube_rotation, with the instance axis leading.
+    from the per-qubit parity signs. The phase and the mixer are the shared
+    kernels statevector._phase and laplacians._rotate_qubits, with the
+    instance axis leading.
     """
     rng = np.random.default_rng(seed)
     if dist == "binary":
@@ -188,8 +189,7 @@ def _batched_uncoupled(dist: str, n: int, gamma: float, beta: float, n_seeds: in
 
     signs = _bits.parity_signs(n, 1 << np.arange(n)[:, None])  # (n, 2^n)
     values = alphas @ signs  # (S, 2^n)
-    amps = np.exp(-1j * gamma * values) * 2.0 ** (-n / 2.0)
-    amps = _rotate_qubits(amps, np.full(n, beta))
+    amps = _rotate_qubits(_phase(_plus_amps(n), values, gamma), np.full(n, beta))
 
     probs = np.abs(amps) ** 2
     energy = (probs * values).sum(axis=1) / n  # per-spin mean energy
@@ -640,7 +640,6 @@ def _rounding_task(task):
     rc = RoundingConfig(
         beta_r=beta_r,
         n_f=problem.n if n_f is None else n_f,
-        reoptimize=True,
         seed=rng_seed,
     )
     t0 = time.perf_counter()

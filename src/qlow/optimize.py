@@ -77,7 +77,6 @@ class SearchConfig:
 class RoundingConfig:
     beta_r: float = 100.0
     n_f: int = 0
-    reoptimize: bool = True
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -153,6 +152,23 @@ def _local_refine(fun, x0, step, config: SearchConfig, probe=None):
     return compass_minimize(fun, x0, step, config.tol, config.max_iters, probe)
 
 
+def _refine(fun, starts, step, config: SearchConfig, probe=None, floor=(None, math.inf)):
+    """The lowest (x, value) that _local_refine reaches from the starts, the
+    first start winning a tie; floor, an (x, value) pair, when every start
+    ends above floor's value.
+
+    The floor is the point a search started from, with the value another
+    route gave it: the scan table, the hypercube probe route and the batched
+    spectral evolution can differ from fun in the last bits, so without the
+    floor a search could end a hair above its own start."""
+    best_x, best_f = None, math.inf
+    for start in starts:
+        x, fx = _local_refine(fun, start, step, config, probe)
+        if fx < best_f:
+            best_x, best_f = x, fx
+    return floor if best_f > floor[1] else (best_x, best_f)
+
+
 def _grid_scan_p1(problem, lap, objective, config, initial):
     """Objective on the full (gamma, beta) grid, scored by one scorer: one
     phase per gamma row, then the row's beta sweep through _mix_many."""
@@ -179,9 +195,11 @@ def optimize_schedule(
 ) -> tuple[Schedule, float]:
     """Grid scan + local refinement at p=1; ramp-initialized refinement above.
 
-    The returned value is never worse than the best scanned grid point: local
-    searches start from grid points for p=1, and for p>1 the best p=1 point is
-    included as a candidate with the extra rounds zeroed out (identity)."""
+    The returned value is never worse than the best scanned grid point. At
+    p=1, _refine starts from the top_k grid points and falls back to the
+    best of them. For p>1 one start is the p=1 optimum with the extra rounds
+    zeroed out (the identity, up to last bits on a spectral mixer), and no
+    local search ends above its start."""
     if config is None:
         config = SearchConfig()
     if p < 1:
@@ -189,7 +207,10 @@ def optimize_schedule(
 
     gammas, betas, table = _grid_scan_p1(problem, lap, objective, config, initial)
     flat_order = np.argsort(table, axis=None, kind="stable")
-    grid_best_val = float(table.flat[flat_order[0]])
+    grid_points = [
+        np.array([gammas[i], betas[j]])
+        for i, j in zip(*np.unravel_index(flat_order[: config.top_k], table.shape))
+    ]
     base = _start(problem, lap, initial)
     score = _scorer(objective, problem, lap)
 
@@ -198,45 +219,29 @@ def optimize_schedule(
         k = x.size // 2
         return score(_simulate(base, problem, lap, x[:k], x[k:]))
 
-    step1 = max(
+    step = max(
         (config.gamma_range[1] - config.gamma_range[0]) / config.resolution[0],
         (config.beta_range[1] - config.beta_range[0]) / config.resolution[1],
     )
-    best_x1 = None
-    best_f1 = np.inf
-    for flat_idx in flat_order[: config.top_k]:
-        i, j = np.unravel_index(flat_idx, table.shape)
-        x, fx = _local_refine(fun, np.array([gammas[i], betas[j]]), step1, config)
-        if fx < best_f1:
-            best_x1, best_f1 = x, fx
-    if best_f1 > grid_best_val:
-        i, j = np.unravel_index(flat_order[0], table.shape)
-        best_x1 = np.array([gammas[i], betas[j]])
-        best_f1 = grid_best_val
+    floor = (grid_points[0], float(table.flat[flat_order[0]]))
+    x1, f1 = _refine(fun, grid_points, step, config, floor=floor)
     if p == 1:
-        return Schedule(best_x1[:1], best_x1[1:]), best_f1
+        return Schedule(x1[:1], x1[1:]), f1
 
-    g1, b1 = best_x1
+    g1, b1 = x1
     ks = np.arange(1, p + 1, dtype=np.float64)
     ramp = np.concatenate([(ks / p) * g1, (1.0 - (ks - 1) / p) * b1])
     embed = np.zeros(2 * p)
     embed[0], embed[p] = g1, b1
 
     starts = [ramp, embed]
-    if config.restarts > 0:
-        rng = np.random.default_rng(config.seed)
-        for _ in range(config.restarts):
-            rg = rng.uniform(*config.gamma_range, size=p)
-            rb = rng.uniform(*config.beta_range, size=p)
-            starts.append(np.concatenate([rg, rb]))
-    best_x, best_f = None, np.inf
-    for s in starts:
-        x, fx = _local_refine(fun, s, step1, config)
-        if fx < best_f:
-            best_x, best_f = x, fx
-    if best_f > best_f1:
-        best_x, best_f = embed, fun(embed)
-    return Schedule(best_x[:p], best_x[p:]), best_f
+    rng = np.random.default_rng(config.seed)
+    for _ in range(config.restarts):
+        rg = rng.uniform(*config.gamma_range, size=p)
+        rb = rng.uniform(*config.beta_range, size=p)
+        starts.append(np.concatenate([rg, rb]))
+    x, fx = _refine(fun, starts, step, config)
+    return Schedule(x[:p], x[p:]), fx
 
 
 def optimize_relaxed_schedule(
@@ -275,16 +280,14 @@ def optimize_relaxed_schedule(
     g0 = g_init if relax != "beta" else np.array([float(np.mean(g_init))])
     b0 = b_init if relax != "gamma" else np.array([float(np.mean(b_init))])
     x0 = np.concatenate([g0, b0])
-    if isinstance(lap, WeightedHypercube) and config.method == "compass":
+    if isinstance(lap, WeightedHypercube):
         fun, probe = _hypercube_probe(problem, lap, objective, relax)
     else:
         score, simulate = _relaxed_route(problem, lap, objective, relax)
         fun, probe = (lambda x: score(simulate(x))), None
-    f0 = fun(x0)
+    floor = (x0, fun(x0))
     step = (config.gamma_range[1] - config.gamma_range[0]) / config.resolution[0]
-    x, fx = _local_refine(fun, x0, step, config, probe)
-    if fx > f0:
-        x, fx = x0, f0
+    x, fx = _refine(fun, [x0], step, config, probe, floor)
     return Schedule(*_relaxed(x, relax, g0.size)), fx
 
 
@@ -373,17 +376,13 @@ def _best_gamma_for_betas(problem, betas, objective, config):
     brow = np.asarray(betas, dtype=np.float64).reshape(1, -1)
     plus, score = _start(problem, lap, None), _scorer(objective, problem, lap)
 
-    def fun(g):
-        return score(_simulate(plus, problem, lap, np.atleast_1d(g)[:1], brow))
+    def fun(gamma):
+        return score(_simulate(plus, problem, lap, gamma, brow))
 
-    vals = [fun(g) for g in grid]
+    vals = [fun(grid[i : i + 1]) for i in range(grid.size)]
     i = int(np.argmin(vals))
-    x, fx = compass_minimize(
-        lambda v: fun(v[0]), np.array([grid[i]]), grid[1] - grid[0], config.tol,
-        config.max_iters,
-    )
-    if fx > vals[i]:
-        return float(grid[i]), float(vals[i])
+    start = grid[i : i + 1]
+    x, fx = _refine(fun, [start], grid[1] - grid[0], config, floor=(start, vals[i]))
     return float(x[0]), float(fx)
 
 
@@ -457,100 +456,63 @@ def iterated_rounding(
 ) -> tuple[np.ndarray, list[RoundingStep]]:
     """Freeze one variable at a time, sampled by polarization, and fold it in.
 
-    solver(sub_problem, context) -> (state, info); context carries the
-    iteration number, the previous solver info, and the reoptimize flag.
-    After n_f freezes the residual qubits are read off a final solve by
-    measurement-argmax. Softmax selection is max-shifted and normalized over
-    unfrozen indices only.
+    solver(sub_problem) returns a state on the sub-problem's qubits. Each
+    step freezes, solves and records one RoundingStep, whose iteration is the
+    frozen count. After n_f freezes the residual qubits are read off one more
+    solve by measurement-argmax. Softmax selection is max-shifted and
+    normalized over unfrozen indices only. A solver error carries the steps
+    recorded so far as its rounding_trace.
     """
     if rounding.n_f > problem.n:
         raise ConfigError("n_f cannot exceed the qubit count")
     rng = np.random.default_rng(rounding.seed)
     frozen: dict[int, int] = {}
     trace: list[RoundingStep] = []
-    prev_info = None
-
-    def solve(iteration):
-        """Freeze, call the solver, attach the trace so far to any failure."""
+    while len(frozen) < problem.n:
         sub, keep = freeze(problem, frozen)
-        context = {
-            "iteration": iteration,
-            "previous": prev_info,
-            "reoptimize": rounding.reoptimize,
-        }
         try:
-            state, info = solver(sub, context)
+            state = solver(sub)
         except Exception as exc:
             exc.rounding_trace = trace
             raise
-        return sub, keep, state, info
-
-    for iteration in range(rounding.n_f):
-        if len(frozen) == problem.n:
-            break
-        sub, keep, state, prev_info = solve(iteration)
-        probs = state.probabilities()
-        margs = _marginals(state)
-        d = np.abs(margs - 0.5)
-        w = np.exp(rounding.beta_r * (d - d.max()))
-        w = w / w.sum()
-        j = int(rng.choice(len(keep), p=w))
-        tie = abs(margs[j] - 0.5) <= MARGINAL_TIE_TOL
-        bit = int(rng.integers(2)) if tie else int(margs[j] > 0.5)
-        success = _ground_mass_of_completions(problem, frozen, keep, probs)
-        trace.append(
-            RoundingStep(
-                iteration=iteration,
-                qubit=keep[j],
-                bit=bit,
-                marginals={q: float(margs[i]) for i, q in enumerate(keep)},
-                value=_expect(probs, sub.dense),
-                success_prob=success,
-            )
-        )
-        frozen[keep[j]] = bit
-
-    assignment = np.zeros(problem.n, dtype=np.int64)
-    for q, b in frozen.items():
-        assignment[q] = b
-    if len(frozen) < problem.n:
-        sub, keep, state, _ = solve(len(frozen))
-        probs = state.probabilities()
-        z = int(np.argmax(probs))
-        for jj, q in enumerate(keep):
-            assignment[q] = (z >> jj) & 1
+        probs, margs = state.probabilities(), _marginals(state)
+        if len(frozen) < rounding.n_f:
+            d = np.abs(margs - 0.5)
+            w = np.exp(rounding.beta_r * (d - d.max()))
+            j = int(rng.choice(len(keep), p=w / w.sum()))
+            tie = abs(margs[j] - 0.5) <= MARGINAL_TIE_TOL
+            qubit, bit = keep[j], int(rng.integers(2)) if tie else int(margs[j] > 0.5)
+        else:
+            qubit = bit = -1
         trace.append(
             RoundingStep(
                 iteration=len(frozen),
-                qubit=-1,
-                bit=-1,
-                marginals={q: float(m) for q, m in zip(keep, _marginals(state))},
+                qubit=qubit,
+                bit=bit,
+                marginals={q: float(m) for q, m in zip(keep, margs)},
                 value=_expect(probs, sub.dense),
                 success_prob=_ground_mass_of_completions(problem, frozen, keep, probs),
             )
         )
-    return assignment, trace
+        if qubit < 0:  # the read-off: each residual qubit takes its bit in the likeliest outcome
+            z = int(np.argmax(probs))
+            frozen.update({q: (z >> i) & 1 for i, q in enumerate(keep)})
+        else:
+            frozen[qubit] = bit
+    return np.array([frozen[q] for q in range(problem.n)], dtype=np.int64), trace
 
 
 def default_qaoa_solver(p: int = 1, objective=None, config: SearchConfig | None = None):
-    """Solver for iterated_rounding: optimize a p-round schedule per call.
-
-    With reoptimize off, the schedule found on the first call is reused on
-    later (smaller) sub-problems and only the state is recomputed."""
+    """Solver for iterated_rounding: solve(sub) optimizes a p-round schedule
+    on sub over the plain hypercube mixer and returns its final state."""
     objective = Mean() if objective is None else objective
     config = SearchConfig() if config is None else config
 
-    def solve(sub: DiagonalProblem, context: dict):
+    def solve(sub: DiagonalProblem) -> Statevector:
         lap = hypercube(sub.n)
-        prev = context.get("previous")
-        if not context.get("reoptimize", True) and prev is not None:
-            sched, value = prev["schedule"], None
-        else:
-            sched, value = optimize_schedule(sub, lap, p, objective, config)
+        sched, _ = optimize_schedule(sub, lap, p, objective, config)
         amps = _simulate(_start(sub, lap, None), sub, lap, sched.gammas, sched.betas)
-        if value is None:
-            value = _scorer(objective, sub, lap)(amps)
-        return Statevector(sub.n, amps), {"schedule": sched, "value": value}
+        return Statevector(sub.n, amps)
 
     return solve
 

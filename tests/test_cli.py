@@ -233,17 +233,19 @@ def first_eleven_columns(path):
         return [row[:11] for row in csv.reader(fh)]
 
 
-@pytest.mark.parametrize("fig_id", ["fig2", "shadow"])
-def test_reproduce_shipped_manifest_matches_golden_csv(tmp_path, capsys, fig_id):
-    # tests/data holds columns 1-11 of these runs; a change that moves a CSV
-    # value must update them on purpose. Text and empty cells must match
-    # exactly, numbers to 1e-9 relative; the 1e-12 absolute floor only covers
-    # the scan-gamma-rows values of shadow, the rounding residue (~1e-15) of a
-    # quantity that is exactly zero.
-    assert main(["reproduce", fig_id, "--out", str(tmp_path)]) == 0
-    capsys.readouterr()
-    got = first_eleven_columns(tmp_path / f"{fig_id}.csv")
-    want = first_eleven_columns(GOLDEN / f"{fig_id}.csv")
+def assert_matches_golden(paths, golden):
+    """Columns 1-11 of the CSVs at paths, their rows in that order under one
+    header, against tests/data/<golden>. A change that moves a CSV value must
+    update the golden file on purpose. Text and empty cells must match
+    exactly, numbers to 1e-9 relative; the 1e-12 absolute floor only covers
+    the scan-gamma-rows values of shadow, the rounding residue (~1e-15) of a
+    quantity that is exactly zero."""
+    got = first_eleven_columns(paths[0])
+    for path in paths[1:]:
+        header, *rows = first_eleven_columns(path)
+        assert header == got[0]
+        got += rows
+    want = first_eleven_columns(GOLDEN / golden)
     assert got[0] == want[0] and len(got) == len(want)
     for row, ref in zip(got[1:], want[1:]):
         for column, cell, expected in zip(want[0], row, ref):
@@ -253,6 +255,21 @@ def test_reproduce_shipped_manifest_matches_golden_csv(tmp_path, capsys, fig_id)
                 assert math.isclose(
                     float(cell), float(expected), rel_tol=1e-9, abs_tol=1e-12
                 ), (column, row)
+
+
+@pytest.mark.parametrize("fig_id", ["fig2", "shadow"])
+def test_reproduce_shipped_manifest_matches_golden_csv(tmp_path, capsys, fig_id):
+    assert main(["reproduce", fig_id, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert_matches_golden([tmp_path / f"{fig_id}.csv"], f"{fig_id}.csv")
+
+
+def reproduce_small(tmp_path, capsys, manifest, jobs):
+    """Run `qlow reproduce` on manifest, a dict, with --jobs jobs into tmp_path."""
+    path = write_manifest(tmp_path, manifest)
+    args = ["reproduce", manifest["experiment"], "--manifest", path, "--jobs", jobs]
+    assert main(args + ["--out", str(tmp_path)]) == 0
+    capsys.readouterr()
 
 
 FREEDOM_SMALL = {
@@ -262,28 +279,45 @@ FREEDOM_SMALL = {
         "objective_cfg": {"kind": "gibbs", "eta": 20.0}, "resolution": [12, 12],
     },
 }
+ROUNDING_SMALL = {
+    "experiment": "rounding",
+    "params": {
+        "j2_list": [0.2, 1.0], "seeds": 2, "rows": 2, "cols": 3,
+        "resolution": [8, 8], "top_k": 2,
+    },
+}
+SCALE_SMALL = {
+    "experiment": "scale",
+    "params": {
+        "family": "maxcut", "n": 8, "p_list": [1, 2], "j2_list": [0.4, 1.0],
+        "seeds": 2, "resolution": [12, 12],
+    },
+}
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_reproduce_small_freedom_matches_golden_csv(tmp_path, capsys, jobs):
     # tests/data/freedom_small.csv holds columns 1-11 of this run, recorded
-    # before the relaxed searches built their probes from the centre state;
-    # compared as test_reproduce_shipped_manifest_matches_golden_csv compares
-    manifest = write_manifest(tmp_path, FREEDOM_SMALL)
-    args = ["reproduce", "freedom", "--manifest", manifest, "--jobs", jobs]
-    assert main(args + ["--out", str(tmp_path)]) == 0
-    capsys.readouterr()
-    got = first_eleven_columns(tmp_path / "freedom.csv")
-    want = first_eleven_columns(GOLDEN / "freedom_small.csv")
-    assert got[0] == want[0] and len(got) == len(want)
-    for row, ref in zip(got[1:], want[1:]):
-        for column, cell, expected in zip(want[0], row, ref):
-            if column in TEXT_COLUMNS or not expected:
-                assert cell == expected, (column, row)
-            else:
-                assert math.isclose(
-                    float(cell), float(expected), rel_tol=1e-9, abs_tol=1e-12
-                ), (column, row)
+    # before the relaxed searches built their probes from the centre state
+    reproduce_small(tmp_path, capsys, FREEDOM_SMALL, jobs)
+    assert_matches_golden([tmp_path / "freedom.csv"], "freedom_small.csv")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_reproduce_small_rounding_matches_golden_csv(tmp_path, capsys, jobs):
+    # tests/data/rounding_small.csv holds columns 1-11 of this run, both J2
+    # files in turn, recorded before the rounding solver took one argument
+    reproduce_small(tmp_path, capsys, ROUNDING_SMALL, jobs)
+    files = [tmp_path / f"rounding_j2_{j2}.csv" for j2 in ("0.2", "1")]
+    assert_matches_golden(files, "rounding_small.csv")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_reproduce_small_scale_matches_golden_csv(tmp_path, capsys, jobs):
+    # tests/data/scale_small.csv holds columns 1-11 of this run, recorded
+    # before the p=1 and p>1 searches shared one refinement step
+    reproduce_small(tmp_path, capsys, SCALE_SMALL, jobs)
+    assert_matches_golden([tmp_path / "scale.csv"], "scale_small.csv")
 
 
 @pytest.mark.parametrize("fig_id", ["fig2", "shadow", "proxy", "ce"])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -276,6 +278,20 @@ def test_ballcut_laplacian_matches_the_whole_graph_slice_bitwise(inner):
     lap = cut.laplacian()
     for attr in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(lap, attr), getattr(ref, attr))
+
+
+def test_ballcut_laplacian_of_a_small_ball_builds_nothing_of_the_whole_cube():
+    # a 137-vertex ball in 2^16 vertices: the whole-cube adjacency peaked at 61 MiB
+    cut = BallCut(hypercube(16), center=0, radius=2)
+    tracemalloc.start()
+    try:
+        lap = cut.laplacian()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the diagonal, then both directions of 16 centre edges and of 2 edges per weight-2 vertex
+    assert lap.shape == (137, 137) and lap.nnz == 137 + 2 * (16 + 2 * 120)
+    assert peak < 2**20
 
 
 def test_evolve_many_matches_single_calls():

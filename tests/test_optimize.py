@@ -273,7 +273,7 @@ def test_iterated_rounding_solves_uncoupled_binary():
 def test_iterated_rounding_nf_zero_reads_argmax():
     vals = np.array([3.0, 2.0, 4.0, 1.0, 5.0, -1.0, 6.0, 0.0])
     prob = from_dense(3, vals)
-    solver = lambda sub, ctx: (basis_state(sub.n, 5), None)
+    solver = lambda sub: basis_state(sub.n, 5)
     assignment, trace = iterated_rounding(prob, solver, RoundingConfig(n_f=0))
     assert list(assignment) == [1, 0, 1]
     assert len(trace) == 1
@@ -297,18 +297,18 @@ def test_iterated_rounding_trace_marginals_use_original_labels():
 def test_iterated_rounding_rejects_nf_beyond_n():
     prob = uncoupled_spins(3, "binary", seed=0)
     with pytest.raises(ConfigError):
-        iterated_rounding(prob, lambda s, c: None, RoundingConfig(n_f=4))
+        iterated_rounding(prob, lambda sub: None, RoundingConfig(n_f=4))
 
 
 def test_iterated_rounding_attaches_trace_to_solver_errors():
     prob = uncoupled_spins(4, "binary", seed=2)
     calls = {"k": 0}
 
-    def solver(sub, ctx):
+    def solver(sub):
         if calls["k"] >= 2:
             raise RuntimeError("solver gave up")
         calls["k"] += 1
-        return basis_state(sub.n, 0), None
+        return basis_state(sub.n, 0)
 
     with pytest.raises(RuntimeError) as exc_info:
         iterated_rounding(prob, solver, RoundingConfig(beta_r=1e3, n_f=4, seed=0))
@@ -344,22 +344,13 @@ def test_iterated_rounding_treats_near_half_marginals_as_ties():
     prob = uncoupled_spins(1, "binary", seed=0)
     bits = {}
     for p1 in (0.5, 0.5 - 5.6e-17, 0.5 + 1e-13):
-        solver = lambda sub, ctx, p1=p1: (FixedMarginal(p1), None)
+        solver = lambda sub, p1=p1: FixedMarginal(p1)
         bits[p1] = [
             iterated_rounding(prob, solver, RoundingConfig(n_f=1, seed=seed))[1][0].bit
             for seed in range(8)
         ]
     assert set(bits[0.5]) == {0, 1}
     assert bits[0.5 - 5.6e-17] == bits[0.5] == bits[0.5 + 1e-13]
-
-
-def test_default_solver_reuses_schedule_when_reoptimize_off():
-    prob = uncoupled_spins(4, "binary", seed=6)
-    solver = default_qaoa_solver(p=1, config=SearchConfig(resolution=(12, 12), top_k=1))
-    _, info1 = solver(prob, {"iteration": 0, "previous": None, "reoptimize": False})
-    sub, _ = freeze(prob, {0: 1})
-    _, info2 = solver(sub, {"iteration": 1, "previous": info1, "reoptimize": False})
-    assert info2["schedule"] is info1["schedule"]
 
 
 def test_classical_restarts_always_solve_uncoupled():
@@ -439,13 +430,11 @@ def test_rounding_solver_and_greedy_on_the_raw_core_match_evaluate_schedule(core
     config = SearchConfig(resolution=(6, 5), top_k=1, max_iters=8)
     for p in (1, 2):
         solver = default_qaoa_solver(p=p, objective=obj, config=config)
-        previous = None
-        for reoptimize, frozen in ((True, {}), (False, {1: 0})):
+        for frozen in ({}, {1: 0}):
             sub, _ = freeze(prob, frozen)
-            context = {"iteration": 0, "previous": previous, "reoptimize": reoptimize}
-            state, previous = solver(sub, context)
-            lap, sched = hypercube(sub.n), previous["schedule"]
-            assert previous["value"] == evaluate_schedule(sub, lap, sched, obj)
+            state, lap = solver(sub), hypercube(sub.n)
+            sched, value = optimize_schedule(sub, lap, p, obj, config)
+            assert value == evaluate_schedule(sub, lap, sched, obj)
             assert state.amps.tobytes() == qaoa_state(sub, lap, sched).amps.tobytes()
     result = greedy_beta_branch(prob, 1, obj, config)
     sched = Schedule([result.gamma], result.betas.reshape(1, -1))
