@@ -79,7 +79,8 @@ def _simulate(amps, problem: DiagonalProblem, lap, gammas, betas) -> np.ndarray:
         if gammas.ndim == 2:
             amps = _phase(amps, gamma @ problem.term_tables(), 1.0)
         else:
-            amps = _phase(amps, problem.dense, float(gamma))
+            levels, index = problem.phase_table
+            amps = _phase(amps, levels, float(gamma), index)
         amps = _mix(amps, lap, float(beta)) if b is None else _rotate_qubits(amps, beta * b)
     return amps
 

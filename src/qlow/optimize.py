@@ -177,8 +177,9 @@ def _grid_scan_p1(problem, lap, objective, config, initial):
     base = _start(problem, lap, initial)
     score = _scorer(objective, problem, lap)
     table = np.empty((gammas.size, betas.size))
+    levels, index = problem.phase_table
     for i, g in enumerate(gammas):
-        phased = _phase(base, problem.dense, float(g))
+        phased = _phase(base, levels, float(g), index)
         # amps outlives the row: freeing all its states at once made glibc refault them
         for j, amps in enumerate(_mix_many(phased, lap, betas)):
             table[i, j] = score(amps)

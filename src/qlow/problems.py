@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -131,6 +132,18 @@ class DiagonalProblem:
     def argmin_set(self) -> np.ndarray:
         """All basis indices attaining f_min within 1e-9."""
         return np.flatnonzero(self.dense <= self.f_min + 1e-9)
+
+    @cached_property
+    def phase_table(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """(levels, index) with levels[index] bitwise equal to dense (-0.0 and 0.0
+        apart), index uint8 or uint16; (dense, None) above 2^n/8 or 2^16 levels."""
+        # Per phase at n=12-18 (2 vCPUs, numpy 2.4.6) levels took 0.12-0.2 of the
+        # dense time at under 25 levels, 0.3-0.5 at 2^n/8 and 1.06-1.13 with all
+        # 4096 distinct (gaussian n=12); the unique costs 1-1.5 dense phases.
+        bits, index = np.unique(self.dense.view(np.int64), return_inverse=True)
+        if bits.size > min(self.dense.size >> 3, 1 << 16):
+            return self.dense, None
+        return bits.view(np.float64), index.astype(np.uint8 if bits.size <= 256 else np.uint16)
 
     def term_tables(self) -> np.ndarray:
         """Per-term dense eigenvalue tables, shape (T, 2^n); cached."""

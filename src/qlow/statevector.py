@@ -5,6 +5,10 @@ the index is qubit i, and Z_i |z> = (1 - 2 z_i) |z>. Hard cap n <= 24 unless
 the QLOW_MAX_QUBITS environment variable raises it. Evolutions are exact
 unitaries and do not renormalize; only fwht checks the norm, renormalizing
 drift beyond NORM_TOL = 1e-10.
+
+The scalar-gamma phases of ansatz._simulate and optimize._grid_scan_p1 take a
+problem's level table (DiagonalProblem.phase_table) when it has one; all other
+phases are dense. The bytes match: each entry is the same exp of the same product.
 """
 
 from __future__ import annotations
@@ -84,13 +88,19 @@ def basis_state(n: int, z: int) -> Statevector:
     return Statevector(n, amps)
 
 
-def _phase(amps: np.ndarray, values: np.ndarray, gamma: float) -> np.ndarray:
-    """exp(-i * gamma * values[z]) * amps[z] as a new array; amps is not changed.
-
-    values is the dense table f(z) in problem-energy units; the sign follows
+def _phase(amps: np.ndarray, values: np.ndarray, gamma: float, index=None) -> np.ndarray:
+    """exp(-i * gamma * f(z)) * amps[z] as a new array; amps is not changed. f is
+    values, or values[index] with values the distinct costs bit for bit: each
+    entry is the same exp of the same product on both routes. The sign follows
     the ansatz convention exp(-i gamma f).
+
+    amps multiplies an unnamed temporary on both routes: from 2^14 entries numpy
+    reuses it with the operands swapped, and the complex product is not
+    commutative in its last bit.
     """
-    return amps * np.exp(-1j * gamma * values)
+    if index is None:
+        return amps * np.exp(-1j * gamma * values)
+    return amps * np.exp(-1j * gamma * values)[index]
 
 
 def _expect(weights: np.ndarray, values: np.ndarray) -> float:

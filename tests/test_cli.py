@@ -778,6 +778,13 @@ def test_solve_output_does_not_depend_on_blas_threads():
     assert one == two
 
 
+@pytest.mark.parametrize("name", ["maxcut16", "ballcut8"])
+def test_solve_prints_the_recorded_bytes(name, capsys):
+    # a change that moves any printed digit of a seeded solve fails here; CI cmps the same file
+    assert main(["solve", "--manifest", str(DATA / f"{name}_solve.json"), "--seed", "1"]) == 0
+    assert capsys.readouterr().out == (DATA / f"{name}_solve.stdout").read_text()
+
+
 def test_ballcut_data_manifest_solves(capsys):
     # the manifest CI runs through the installed console script
     assert main(["solve", "--manifest", str(DATA / "ballcut8_solve.json"), "--seed", "1"]) == 0

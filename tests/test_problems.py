@@ -8,14 +8,18 @@ from hypothesis.extra.numpy import arrays
 
 from qlow import _bits
 from qlow.ansatz import (
+    Schedule,
     _leave_one_out,
     meanfield_plus,
     multilinear_gradient,
     multilinear_value,
     product_z_expectations,
+    qaoa_state,
 )
 from qlow.errors import ConfigError
+from qlow.laplacians import hypercube
 from qlow.problems import (
+    PROBLEMS,
     WALSH_COEFF_CUTOFF,
     DiagonalProblem,
     ZTerm,
@@ -35,7 +39,7 @@ from qlow.problems import (
     spike_band,
     uncoupled_spins,
 )
-from qlow.statevector import fwht_array
+from qlow.statevector import _phase, fwht_array
 
 from conftest import small_problems
 
@@ -538,3 +542,77 @@ def test_constructor_rejects_bad_term_arrays(masks, coeffs, message):
 def test_from_dense_rejects_a_table_of_the_wrong_length():
     with pytest.raises(ValueError, match=r"dense table has 16 values, not 2\^n = 8"):
         from_dense(3, np.zeros(16))
+
+
+# ---------------------------------------------------------------------------
+# The level table behind the scalar-gamma phase: one exp per distinct value.
+
+LEVEL_FAMILIES = {
+    "ramp": dict(n=8),
+    "uncoupled": dict(n=8, dist="binary", seed=2),
+    "chain": dict(n=8, j2=0.3),
+    "grid": dict(rows=2, cols=4, j2=0.5),
+    "maxcut": dict(n=8, seed=3),
+    "spike": dict(n=8, a=0.5, b=1.25),
+    "bush": dict(n=8),
+    "kspin": dict(n=8, k=3),  # its s = 0 entries are -0.0
+    "conflicted": dict(n=8, epsilon=0.5, delta=3.0),
+    "fisher": dict(n=8, seed=4),
+    "dense": dict(n=8, values=np.random.default_rng(5).integers(-3, 4, 256).astype(float).tolist()),
+    "terms": dict(n=8, terms=[{"qubits": [0, 3], "coeff": 0.5}, {"qubits": [2, 5, 7], "coeff": 2.0}]),
+}
+LEVEL_PROBLEMS = {
+    **{name: lambda name=name: PROBLEMS[name](**LEVEL_FAMILIES[name]) for name in PROBLEMS},
+    "maxcut18": lambda: maxcut_3regular(18),
+    "freeze_maxcut": lambda: freeze(maxcut_3regular(12, seed=2), {0: 1, 5: 0, 7: 1})[0],
+}
+
+
+def test_level_families_cover_every_problem_family():
+    assert set(LEVEL_FAMILIES) == set(PROBLEMS)
+
+
+@pytest.mark.parametrize("name", LEVEL_PROBLEMS)
+def test_level_phase_equals_the_dense_phase_bitwise(name):
+    prob = LEVEL_PROBLEMS[name]()
+    levels, index = prob.phase_table
+    assert index is not None and index.dtype == np.uint8
+    assert np.array_equal(levels[index].view(np.int64), prob.dense.view(np.int64))
+    rng = np.random.default_rng(17)
+    amps = rng.normal(size=prob.dense.size) + 1j * rng.normal(size=prob.dense.size)
+    # large |gamma| too, so that a numpy whose complex exp depends on the array fails here
+    for gamma in [*rng.uniform(-np.pi, np.pi, 3), *rng.uniform(-1e3, 1e3, 2), 1e3, -1e3]:
+        plain = amps * np.exp(-1j * gamma * prob.dense)  # the kernel before level tables
+        assert np.array_equal(_phase(amps, prob.dense, gamma), plain)
+        assert np.array_equal(_phase(amps, levels, gamma, index), plain)
+
+
+def test_all_distinct_table_takes_the_dense_route():
+    prob = uncoupled_spins(12, "gaussian")
+    levels, index = prob.phase_table
+    assert index is None and levels is prob.dense
+
+
+def test_more_than_256_levels_index_as_uint16():
+    values = np.arange(1 << 12, dtype=np.float64) % 300
+    levels, index = from_dense(12, values).phase_table
+    assert levels.size == 300 and index.dtype == np.uint16
+    assert np.array_equal(levels[index], values)
+
+
+def test_signed_zeros_stay_apart_in_the_level_table():
+    values = np.tile([0.0, -0.0, 1.0, 2.0], 8)
+    levels, index = from_dense(5, values).phase_table
+    assert levels.size == 4 and np.array_equal(levels[index].view(np.int64), values.view(np.int64))
+
+
+def test_level_table_is_built_once_per_problem(monkeypatch):
+    prob, lap = maxcut_3regular(8), hypercube(8)
+    calls = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(1) or unique(*a, **k))
+    schedule = Schedule([0.3, -0.2], [0.4, 0.1])
+    qaoa_state(prob, lap, schedule)
+    table = prob.phase_table
+    qaoa_state(prob, lap, schedule)
+    assert prob.phase_table is table and len(calls) == 1
