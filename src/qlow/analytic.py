@@ -21,6 +21,17 @@ DISTRIBUTIONS = ("binary", "uniform", "gaussian")
 SK_REFERENCE_ENERGY = -1.0 / math.sqrt(4.0 * math.e)
 
 
+def draw_fields(dist: str, rng: np.random.Generator, size: int | tuple[int, ...]) -> np.ndarray:
+    """i.i.d. per-spin fields alpha of the named distribution, shaped size."""
+    if dist == "binary":
+        return rng.integers(0, 2, size) * 2.0 - 1.0
+    if dist == "uniform":
+        return rng.uniform(-1.0, 1.0, size)
+    if dist == "gaussian":
+        return rng.normal(0.0, math.sqrt(0.5), size)
+    raise ConfigError(f"unknown distribution {dist!r}")
+
+
 def single_spin_overlap(alpha: float, gamma: float, beta: float) -> float:
     """Probability of the single-spin ground state after one round.
 

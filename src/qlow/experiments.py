@@ -16,12 +16,12 @@ import functools
 import itertools
 import math
 import time
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
 from . import _bits
-from .analytic import distribution_qaoa, landau_zener, optimal_gamma
+from .analytic import DISTRIBUTIONS, distribution_qaoa, draw_fields, landau_zener, optimal_gamma
 from .ansatz import qaoa_state
 from .errors import ConfigError, bind_choice
 from .laplacians import (
@@ -51,26 +51,13 @@ from .problems import (
     hamming_ramp,
     maxcut_3regular,
 )
-from .statevector import Statevector, _expect, _phase, _plus_amps, ground_state_mass, plus_state
-
-CSV_HEADER = [
-    "experiment",
-    "family",
-    "n",
-    "p",
-    "j2",
-    "seed",
-    "solver",
-    "objective",
-    "value",
-    "ground_prob",
-    "approx_ratio",
-    "wall_ms",
-]
+from .statevector import GROUND_TOL, Statevector, _expect, _phase, _plus_amps, ground_state_mass, plus_state
 
 
 @dataclass(frozen=True)
 class ExperimentRecord:
+    """One CSV row: the fields, in order, are the columns."""
+
     experiment: str
     family: str
     n: int
@@ -89,40 +76,26 @@ class ExperimentRecord:
             raise ValueError("ground probability outside [0, 1]")
 
     def row(self) -> list[str]:
-        def fmt(x):
+        def cell(name, x):
+            if name == "wall_ms":
+                return f"{x:.3f}"
             if x is None:
                 return ""
             if isinstance(x, float):
                 return f"{x:.10g}"
             return str(x)
 
-        return [
-            self.experiment,
-            self.family,
-            str(self.n),
-            str(self.p),
-            fmt(self.j2),
-            str(self.seed),
-            self.solver,
-            self.objective,
-            fmt(self.value),
-            fmt(self.ground_prob),
-            fmt(self.approx_ratio),
-            f"{self.wall_ms:.3f}",
-        ]
+        return [cell(name, getattr(self, name)) for name in CSV_HEADER]
+
+
+CSV_HEADER = [f.name for f in fields(ExperimentRecord)]
+# rows sort by the columns before the measured ones; a missing j2 sorts first
+_KEY_COLUMNS = CSV_HEADER[: CSV_HEADER.index("value")]
 
 
 def record_sort_key(r: ExperimentRecord):
-    return (
-        r.experiment,
-        r.family,
-        r.n,
-        r.p,
-        r.j2 if r.j2 is not None else -math.inf,
-        r.seed,
-        r.solver,
-        r.objective,
-    )
+    key = (getattr(r, name) for name in _KEY_COLUMNS)
+    return tuple(-math.inf if x is None else x for x in key)
 
 
 def write_records(records: list[ExperimentRecord], path) -> None:
@@ -170,23 +143,15 @@ def objective_tag(obj) -> str:
 
 
 def _batched_uncoupled(dist: str, n: int, gamma: float, beta: float, n_seeds: int, seed: int):
-    """Single round on n_seeds independent-spin instances at once.
+    """Single round on n_seeds independent-spin instances at once, their
+    fields drawn by `analytic.draw_fields`.
 
     The phase tables of all instances form one (n_seeds, 2^n) array, built
     from the per-qubit parity signs. The phase and the mixer are the shared
     kernels statevector._phase and laplacians._rotate_qubits, with the
     instance axis leading.
     """
-    rng = np.random.default_rng(seed)
-    if dist == "binary":
-        alphas = rng.integers(0, 2, size=(n_seeds, n)) * 2.0 - 1.0
-    elif dist == "uniform":
-        alphas = rng.uniform(-1.0, 1.0, size=(n_seeds, n))
-    elif dist == "gaussian":
-        alphas = rng.normal(0.0, math.sqrt(0.5), size=(n_seeds, n))
-    else:
-        raise ConfigError(f"unknown distribution {dist!r}")
-
+    alphas = draw_fields(dist, np.random.default_rng(seed), (n_seeds, n))
     signs = _bits.parity_signs(n, 1 << np.arange(n)[:, None])  # (n, 2^n)
     values = alphas @ signs  # (S, 2^n)
     amps = _rotate_qubits(_phase(_plus_amps(n), values, gamma), np.full(n, beta))
@@ -194,7 +159,7 @@ def _batched_uncoupled(dist: str, n: int, gamma: float, beta: float, n_seeds: in
     probs = np.abs(amps) ** 2
     energy = (probs * values).sum(axis=1) / n  # per-spin mean energy
     gmin = values.min(axis=1, keepdims=True)
-    gmass = np.where(values <= gmin + 1e-9, probs, 0.0).sum(axis=1)
+    gmass = np.where(values <= gmin + GROUND_TOL, probs, 0.0).sum(axis=1)
 
     # per-spin marginal probability of that spin's own ground value
     spin_hits = np.empty((n_seeds, n))
@@ -223,7 +188,7 @@ def run_fig2_table(n: int = 8, n_seeds: int = 10_000, seed: int = 0):
     records: list[ExperimentRecord] = []
     summary: dict[str, dict] = {}
     beta = math.pi / 4
-    for i, dist in enumerate(("binary", "uniform", "gaussian")):
+    for i, dist in enumerate(DISTRIBUTIONS):
         t0 = time.perf_counter()
         g_star = optimal_gamma(dist, beta)
         ana = distribution_qaoa(dist, g_star, beta)
@@ -551,13 +516,18 @@ def run_shadow_defect(
 # single-round information gain
 
 
+PROXY_KINDS = ("uniform", "ball", "ball-phase", "ball-cut", "ball-phase-cut")
+
+
 def run_improvement_proxy(
     n_list: tuple[int, ...] = (6, 8, 10, 12),
-    kinds: tuple[str, ...] = ("uniform", "ball", "ball-phase", "ball-cut", "ball-phase-cut"),
+    kinds: tuple[str, ...] = PROXY_KINDS,
     resolution: tuple[int, int] = (64, 64),
     master_seed: int = 0,
 ):
     """Normalized one-round gain for differently prepared starting states."""
+    if not set(kinds) <= set(PROXY_KINDS):
+        raise ConfigError(f"proxy state kinds must be among {PROXY_KINDS}, got {list(kinds)}")
     records = []
     details = {}
     config = SearchConfig(resolution=tuple(resolution))
@@ -571,20 +541,17 @@ def run_improvement_proxy(
         free = hypercube(n)
         radius = n // 2
         cut = BallCut(inner=free, center=0, radius=radius)
-        phase_seed = task_seed(master_seed, i)
+        ball = ball_uniform_state(n, 0, radius)
+        phased = randomize_phases(ball, task_seed(master_seed, i))
+        starts = {
+            "uniform": (plus_state(n), free),
+            "ball": (ball, free),
+            "ball-phase": (phased, free),
+            "ball-cut": (ball, cut),
+            "ball-phase-cut": (phased, cut),
+        }
         for kind in kinds:
-            if kind == "uniform":
-                init, lap = plus_state(n), free
-            elif kind == "ball":
-                init, lap = ball_uniform_state(n, 0, radius), free
-            elif kind == "ball-phase":
-                init, lap = randomize_phases(ball_uniform_state(n, 0, radius), phase_seed), free
-            elif kind == "ball-cut":
-                init, lap = ball_uniform_state(n, 0, radius), cut
-            elif kind == "ball-phase-cut":
-                init, lap = randomize_phases(ball_uniform_state(n, 0, radius), phase_seed), cut
-            else:
-                raise ConfigError(f"unknown state kind {kind!r}")
+            init, lap = starts[kind]
             t0 = time.perf_counter()
             res = improvement_proxy(init, problem, lap, optimizer)
             ms = (time.perf_counter() - t0) * 1e3

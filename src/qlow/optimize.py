@@ -41,7 +41,7 @@ from .errors import ConfigError
 from .laplacians import WeightedHypercube, _mix_many, _rotate_qubits, hypercube
 from .objectives import Mean, _scorer, evaluate
 from .problems import DiagonalProblem, freeze
-from .statevector import Statevector, _expect, _phase
+from .statevector import GROUND_TOL, Statevector, _expect, _phase
 
 # a rounding marginal this close to 0.5 is a tie: kernels miss an exact 0.5 by last bits
 MARGINAL_TIE_TOL = 1e-12
@@ -447,7 +447,7 @@ def _ground_mass_of_completions(original, frozen, keep, probs):
     for j, q in enumerate(keep):
         full |= ((idx >> j) & 1) << q
     vals = original.dense[full]
-    return float(probs[vals <= original.f_min + 1e-9].sum())
+    return float(probs[vals <= original.f_min + GROUND_TOL].sum())
 
 
 def iterated_rounding(
@@ -546,6 +546,6 @@ def classical_restart_baseline(
         for i in range(problem.n):
             if x[i] > 0.5:
                 z |= 1 << i
-        if problem.dense[z] <= problem.f_min + 1e-9:
+        if problem.dense[z] <= problem.f_min + GROUND_TOL:
             hits += 1
     return hits / restarts

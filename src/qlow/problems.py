@@ -23,8 +23,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import _bits
+from .analytic import draw_fields
 from .errors import ConfigError, NumericError, bind
-from .statevector import check_qubit_count, fwht_array
+from .statevector import GROUND_TOL, check_qubit_count, fwht_array
 
 WALSH_COEFF_CUTOFF = 1e-12
 
@@ -130,8 +131,8 @@ class DiagonalProblem:
 
     @property
     def argmin_set(self) -> np.ndarray:
-        """All basis indices attaining f_min within 1e-9."""
-        return np.flatnonzero(self.dense <= self.f_min + 1e-9)
+        """All basis indices attaining f_min within GROUND_TOL."""
+        return np.flatnonzero(self.dense <= self.f_min + GROUND_TOL)
 
     @cached_property
     def phase_table(self) -> tuple[np.ndarray, np.ndarray | None]:
@@ -179,21 +180,10 @@ def from_dense(n: int, values: np.ndarray, meta: dict | None = None) -> Diagonal
 
 
 def uncoupled_spins(n: int, dist: str, seed: int = 0) -> DiagonalProblem:
-    """f = sum_i alpha_i Z_i with i.i.d. alpha_i from the named measure.
-
-    binary: +-1 equiprobable; uniform: U[-1, 1]; gaussian: density
-    (1/sqrt(pi)) exp(-alpha^2), i.e. normal with variance 1/2.
-    """
+    """f = sum_i alpha_i Z_i, the i.i.d. alpha_i drawn by `analytic.draw_fields`
+    (binary +-1, uniform on [-1, 1], or gaussian with variance 1/2)."""
     check_qubit_count(n)
-    rng = np.random.default_rng(seed)
-    if dist == "binary":
-        alphas = rng.choice([-1.0, 1.0], size=n)
-    elif dist == "uniform":
-        alphas = rng.uniform(-1.0, 1.0, size=n)
-    elif dist == "gaussian":
-        alphas = rng.normal(0.0, np.sqrt(0.5), size=n)
-    else:
-        raise ConfigError(f"unknown distribution tag {dist!r}")
+    alphas = draw_fields(dist, np.random.default_rng(seed), n)
     terms = [ZTerm((i,), float(alphas[i])) for i in range(n)]
     return from_terms(n, terms, {"family": "uncoupled", "dist": dist, "seed": seed})
 

@@ -22,6 +22,8 @@ from .errors import ConfigError, ResourceError
 
 DEFAULT_MAX_QUBITS = 24
 NORM_TOL = 1e-10
+# a basis state within GROUND_TOL of the minimum cost counts as a ground state
+GROUND_TOL = 1e-9
 # OpenBLAS splits a longer dot across its threads, and the split changes the last bits
 EXPECT_CHUNK = 1 << 12
 
@@ -157,9 +159,8 @@ def overlap_probability(state: Statevector, target: int) -> float:
     return float(np.abs(state.amps[target]) ** 2)
 
 
-def ground_state_mass(state: Statevector, values: np.ndarray, tol: float = 1e-9) -> float:
-    """Probability mass on every z attaining min values[z], ties within tol."""
+def ground_state_mass(state: Statevector, values: np.ndarray) -> float:
+    """Probability mass on every z attaining min values[z], ties within GROUND_TOL."""
     values = np.asarray(values, dtype=np.float64)
-    fmin = float(values.min())
-    mask = values <= fmin + tol
+    mask = values <= values.min() + GROUND_TOL
     return float(np.sum(np.abs(state.amps[mask]) ** 2))

@@ -320,6 +320,37 @@ def test_reproduce_small_scale_matches_golden_csv(tmp_path, capsys, jobs):
     assert_matches_golden([tmp_path / "scale.csv"], "scale_small.csv")
 
 
+PROXY_SMALL = {
+    "experiment": "proxy",
+    "params": {
+        "n_list": [4, 6],
+        "kinds": ["uniform", "ball", "ball-phase", "ball-cut", "ball-phase-cut"],
+        "resolution": [12, 12],
+    },
+}
+CE_SMALL = {
+    "experiment": "ce",
+    "params": {
+        "family": "maxcut", "n": 6, "p_list": [1, 2], "seeds": 2, "restarts": 8,
+        "resolution": [8, 8],
+    },
+}
+
+
+def test_reproduce_small_proxy_matches_golden_csv(tmp_path, capsys):
+    # tests/data/proxy_small.csv holds columns 1-11 of this run, recorded
+    # before the start states came from one table
+    reproduce_small(tmp_path, capsys, PROXY_SMALL, "1")
+    assert_matches_golden([tmp_path / "proxy.csv"], "proxy_small.csv")
+
+
+def test_reproduce_small_ce_matches_golden_csv(tmp_path, capsys):
+    # tests/data/ce_small.csv holds columns 1-11 of this run, recorded before
+    # the CSV schema came from ExperimentRecord's fields
+    reproduce_small(tmp_path, capsys, CE_SMALL, "1")
+    assert_matches_golden([tmp_path / "ce.csv"], "ce_small.csv")
+
+
 @pytest.mark.parametrize("fig_id", ["fig2", "shadow", "proxy", "ce"])
 def test_reproduce_serial_pipelines_reject_jobs(tmp_path, capsys, fig_id):
     out = tmp_path / "out"

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qlow import _bits
+from qlow import _bits, experiments
 from qlow.ansatz import Schedule, qaoa_state
 from qlow.errors import ConfigError
 from qlow.experiments import (
@@ -217,6 +217,15 @@ def test_improvement_proxy_pipeline_smoke():
     assert {r.solver for r in records} == {"uniform", "ball"}
     assert all(r.experiment == "proxy" and np.isfinite(r.value) for r in records)
     assert details[(4, "uniform")].value > 0.2
+
+
+def test_improvement_proxy_rejects_an_unknown_kind_before_any_search(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("a search ran before the kinds were checked")
+
+    monkeypatch.setattr(experiments, "optimize_schedule", no_search)
+    with pytest.raises(ConfigError, match="bogus"):
+        run_improvement_proxy(n_list=(4,), kinds=("uniform", "bogus"), resolution=(6, 6))
 
 
 def test_rounding_curve_record_layout():

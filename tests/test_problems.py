@@ -232,6 +232,23 @@ def test_uncoupled_spins_distributions():
         uncoupled_spins(4, "cauchy", seed=0)
 
 
+@pytest.mark.parametrize("dist", ["binary", "uniform", "gaussian"])
+def test_uncoupled_spins_draws_the_recorded_fields(dist):
+    # oracle: the per-distribution samplers uncoupled_spins used before it
+    # shared one draw with the fig2 simulation
+    for n, seed in itertools.product((1, 2, 5, 8, 12), range(6)):
+        rng = np.random.default_rng(seed)
+        if dist == "binary":
+            alphas = rng.choice([-1.0, 1.0], size=n)
+        elif dist == "uniform":
+            alphas = rng.uniform(-1.0, 1.0, size=n)
+        else:
+            alphas = rng.normal(0.0, np.sqrt(0.5), size=n)
+        prob = uncoupled_spins(n, dist, seed)
+        assert np.array_equal(prob.coeffs, alphas), (n, seed)
+        assert np.array_equal(prob.masks, 1 << np.arange(n)), (n, seed)
+
+
 def test_uncoupled_ground_is_signwise():
     prob = uncoupled_spins(7, "gaussian", seed=11)
     coeffs = {t.qubits[0]: t.coeff for t in prob.terms}

@@ -123,8 +123,7 @@ def test_ground_state_mass_degenerate():
 def test_ground_state_mass_tie_tolerance():
     values = np.array([0.0, 1e-12, 1.0, 1.0])
     state = plus_state(2)
-    assert ground_state_mass(state, values, tol=1e-9) == pytest.approx(0.5)
-    assert ground_state_mass(state, values, tol=0.0) == pytest.approx(0.25)
+    assert ground_state_mass(state, values) == pytest.approx(0.5)
 
 
 def test_statevector_shape_validation():
