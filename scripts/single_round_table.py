@@ -9,6 +9,7 @@ diabatic-sweep reference row, and optionally writes the record CSV.
 import argparse
 import pathlib
 
+from qlow.analytic import DISTRIBUTIONS
 from qlow.experiments import run_fig2_table, write_records
 
 
@@ -25,7 +26,7 @@ def main() -> None:
     head = f"{'dist':<10} {'gamma*':>8} {'C_m':>8} {'overlap':>8} {'ratio':>7}   simulated C_m / overlap"
     print(head)
     print("-" * len(head))
-    for dist in ("binary", "uniform", "gaussian"):
+    for dist in DISTRIBUTIONS:
         ana = summary[dist]["analytic"]
         sim = summary[dist]["simulated"]
         print(

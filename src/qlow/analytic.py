@@ -9,27 +9,15 @@ so E|alpha| = 1/sqrt(pi). Closed forms below assume those normalizations.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, NumericError
 
-DISTRIBUTIONS = ("binary", "uniform", "gaussian")
-
 # Sherrington-Kirkpatrick ground energy per spin, for annotation only.
 SK_REFERENCE_ENERGY = -1.0 / math.sqrt(4.0 * math.e)
-
-
-def draw_fields(dist: str, rng: np.random.Generator, size: int | tuple[int, ...]) -> np.ndarray:
-    """i.i.d. per-spin fields alpha of the named distribution, shaped size."""
-    if dist == "binary":
-        return rng.integers(0, 2, size) * 2.0 - 1.0
-    if dist == "uniform":
-        return rng.uniform(-1.0, 1.0, size)
-    if dist == "gaussian":
-        return rng.normal(0.0, math.sqrt(0.5), size)
-    raise ConfigError(f"unknown distribution {dist!r}")
 
 
 def single_spin_overlap(alpha: float, gamma: float, beta: float) -> float:
@@ -41,59 +29,86 @@ def single_spin_overlap(alpha: float, gamma: float, beta: float) -> float:
     return 0.5 * (1.0 - math.sin(2.0 * beta) * math.sin(2.0 * abs(alpha) * gamma))
 
 
-def _gauss_density(alpha: np.ndarray) -> np.ndarray:
-    return np.exp(-(alpha**2)) / math.sqrt(math.pi)
+def _gauss_average(f: Callable[[float], float], tol: float, what: str) -> float:
+    """E[f(alpha)] over the gaussian law by quadrature on [-8, 8]."""
+    import scipy.integrate
+    val, err = scipy.integrate.quad(
+        lambda a: f(a) * float(np.exp(-(np.array(a) ** 2)) / math.sqrt(math.pi)),
+        -8.0, 8.0, epsabs=1e-12, epsrel=1e-12, limit=200,
+    )
+    if err > tol:
+        raise NumericError(f"{what} quadrature did not converge")
+    return val
 
 
-def _c_m(dist: str, gamma: float, beta: float) -> float:
-    s2b = math.sin(2.0 * beta)
-    if dist == "binary":
-        return s2b * math.sin(2.0 * gamma)
-    if dist == "uniform":
-        if abs(gamma) < 1e-5:
-            return s2b * (2.0 / 3.0) * gamma
-        return (
-            s2b
-            * (math.sin(2.0 * gamma) - 2.0 * gamma * math.cos(2.0 * gamma))
-            / (4.0 * gamma**2)
-        )
-    if dist == "gaussian":
-        return math.exp(-(gamma**2)) * gamma * s2b
-    raise ConfigError(f"unknown distribution {dist!r}")
+@dataclass(frozen=True)
+class FieldLaw:
+    """One per-spin field law: its sampler and its single-round closed forms.
+
+    c_m(gamma, s2b) is the mean energy per spin at s2b = sin 2beta: s2b times
+    an odd function of gamma, whose minimum for s2b > 0 lies in bracket.
+    overlap(gamma, beta) is the mean ground-state probability per spin. Every
+    law is symmetric, so f_max = -f_star.
+    """
+
+    draw: Callable[[np.random.Generator, int | tuple[int, ...]], np.ndarray]
+    c_m: Callable[[float, float], float]
+    overlap: Callable[[float, float], float]
+    f_star: float
+    bracket: tuple[float, float]
+
+    def ratio(self, c_m: float) -> float:
+        """Approximation ratio (f_max - c_m) / (f_max - f_star) of a mean energy per spin."""
+        f_max = -self.f_star
+        return (f_max - c_m) / (f_max - self.f_star)
 
 
-def _overlap(dist: str, gamma: float, beta: float) -> float:
-    s2b = math.sin(2.0 * beta)
-    if dist == "binary":
-        return single_spin_overlap(1.0, gamma, beta)
-    if dist == "uniform":
-        if abs(gamma) < 1e-8:
-            return 0.5
-        return 0.5 * (1.0 - s2b * (1.0 - math.cos(2.0 * gamma)) / (2.0 * gamma))
-    if dist == "gaussian":
-        import scipy.integrate
-        val, err = scipy.integrate.quad(
-            lambda a: single_spin_overlap(a, gamma, beta) * float(_gauss_density(np.array(a))),
-            -8.0,
-            8.0,
-            epsabs=1e-12,
-            epsrel=1e-12,
-            limit=200,
-        )
-        if err > 1e-8:
-            raise NumericError("overlap quadrature did not converge")
-        return val
-    raise ConfigError(f"unknown distribution {dist!r}")
+def _uniform_c_m(gamma: float, s2b: float) -> float:
+    if abs(gamma) < 1e-5:
+        return s2b * (2.0 / 3.0) * gamma
+    return s2b * (math.sin(2.0 * gamma) - 2.0 * gamma * math.cos(2.0 * gamma)) / (4.0 * gamma**2)
 
 
-def _f_star(dist: str) -> float:
-    if dist == "binary":
-        return -1.0
-    if dist == "uniform":
-        return -0.5
-    if dist == "gaussian":
-        return -1.0 / math.sqrt(math.pi)
-    raise ConfigError(f"unknown distribution {dist!r}")
+def _uniform_overlap(gamma: float, beta: float) -> float:
+    if abs(gamma) < 1e-8:
+        return 0.5
+    return 0.5 * (1.0 - math.sin(2.0 * beta) * (1.0 - math.cos(2.0 * gamma)) / (2.0 * gamma))
+
+
+DISTRIBUTIONS = {
+    "binary": FieldLaw(
+        draw=lambda rng, size: rng.integers(0, 2, size) * 2.0 - 1.0,
+        c_m=lambda gamma, s2b: s2b * math.sin(2.0 * gamma),
+        overlap=lambda gamma, beta: single_spin_overlap(1.0, gamma, beta),
+        f_star=-1.0, bracket=(-1.4, -0.3),
+    ),
+    "uniform": FieldLaw(
+        draw=lambda rng, size: rng.uniform(-1.0, 1.0, size),
+        c_m=_uniform_c_m,
+        overlap=_uniform_overlap,
+        f_star=-0.5, bracket=(-1.5, -0.6),
+    ),
+    "gaussian": FieldLaw(
+        draw=lambda rng, size: rng.normal(0.0, math.sqrt(0.5), size),
+        c_m=lambda gamma, s2b: math.exp(-(gamma**2)) * gamma * s2b,
+        overlap=lambda gamma, beta: _gauss_average(
+            lambda a: single_spin_overlap(a, gamma, beta), 1e-8, "overlap"
+        ),
+        f_star=-1.0 / math.sqrt(math.pi), bracket=(-1.1, -0.3),
+    ),
+}
+
+
+def _law(dist: str) -> FieldLaw:
+    try:
+        return DISTRIBUTIONS[dist]
+    except (KeyError, TypeError):
+        raise ConfigError(f"unknown distribution {dist!r}") from None
+
+
+def draw_fields(dist: str, rng: np.random.Generator, size: int | tuple[int, ...]) -> np.ndarray:
+    """i.i.d. per-spin fields alpha of the named distribution, shaped size."""
+    return _law(dist).draw(rng, size)
 
 
 @dataclass(frozen=True)
@@ -108,28 +123,24 @@ class DistributionSummary:
 
 
 def distribution_qaoa(dist: str, gamma: float, beta: float) -> DistributionSummary:
-    """Per-spin averages over a field distribution after one round.
-
-    The ratio uses f_max = -f_star, which holds for all three symmetric
-    distributions here.
-    """
-    c_m = _c_m(dist, gamma, beta)
-    o = _overlap(dist, gamma, beta)
-    f_star = _f_star(dist)
-    f_max = -f_star
-    ratio = (f_max - c_m) / (f_max - f_star)
-    return DistributionSummary(dist, gamma, beta, c_m, o, f_star, ratio)
+    """Per-spin averages over a field distribution after one round."""
+    law = _law(dist)
+    c_m, o = law.c_m(gamma, math.sin(2.0 * beta)), law.overlap(gamma, beta)
+    return DistributionSummary(dist, gamma, beta, c_m, o, law.f_star, law.ratio(c_m))
 
 
 def optimal_gamma(dist: str, beta: float = math.pi / 4) -> float:
-    """Best scalar gamma for the per-spin mean energy at fixed beta."""
-    brackets = {"binary": (-1.4, -0.3), "uniform": (-1.5, -0.6), "gaussian": (-1.1, -0.3)}
-    if dist not in brackets:
-        raise ConfigError(f"unknown distribution {dist!r}")
+    """Best scalar gamma for the per-spin mean energy at fixed beta. c_m is sin 2beta
+    times an odd function of gamma, so the bracket mirrors when sin 2beta < 0."""
+    law = _law(dist)
+    s2b = math.sin(2.0 * beta)
+    if s2b == 0.0:
+        raise ConfigError(f"every gamma gives the same energy at sin 2beta = 0 (beta = {beta})")
+    lo, hi = law.bracket
     import scipy.optimize
     res = scipy.optimize.minimize_scalar(
-        lambda g: _c_m(dist, g, beta), bounds=brackets[dist], method="bounded",
-        options={"xatol": 1e-10},
+        lambda g: law.c_m(g, s2b), bounds=(lo, hi) if s2b > 0 else (-hi, -lo),
+        method="bounded", options={"xatol": 1e-10},
     )
     return float(res.x)
 
@@ -177,19 +188,7 @@ def landau_zener(gamma_rate: float) -> LandauZener:
 
 def lz_overlap_quadrature(gamma_rate: float) -> float:
     """O as a direct average of p_lz over the gaussian field, for checking."""
-    import scipy.integrate
-    lz = LandauZener(gamma_rate)
-    val, err = scipy.integrate.quad(
-        lambda a: lz.p_lz(a) * float(_gauss_density(np.array(a))),
-        -8.0,
-        8.0,
-        epsabs=1e-12,
-        epsrel=1e-12,
-        limit=200,
-    )
-    if err > 1e-9:
-        raise NumericError("sweep quadrature did not converge")
-    return val
+    return _gauss_average(LandauZener(gamma_rate).p_lz, 1e-9, "sweep")
 
 
 def lz_numeric_success(
@@ -205,8 +204,7 @@ def lz_numeric_success(
     The asymptotic probability oscillates at finite time, so the tail is
     averaged over a window of checkpoints.
     """
-    if gamma_rate <= 0:
-        raise ConfigError("sweep rate must be positive")
+    LandauZener(gamma_rate)  # rejects a rate that is not > 0, NaN included
 
     def rhs(t, y):
         a0 = y[0] + 1j * y[1]

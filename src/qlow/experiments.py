@@ -202,12 +202,10 @@ def run_fig2_table(n: int = 8, n_seeds: int = 10_000, seed: int = 0):
         t0 = time.perf_counter()
         sim = _batched_uncoupled(dist, n, g_star, beta, n_seeds, task_seed(seed, i))
         t_sim = (time.perf_counter() - t0) * 1e3
-        f_max = -ana.f_star
-        sim_ratio = (f_max - sim["c_m"]) / (f_max - ana.f_star)
         records.append(
             ExperimentRecord(
                 "fig2", dist, n, 1, None, seed, "simulated", "mean",
-                sim["c_m"], sim["overlap"], sim_ratio, t_sim,
+                sim["c_m"], sim["overlap"], DISTRIBUTIONS[dist].ratio(sim["c_m"]), t_sim,
             )
         )
         summary[dist] = {"gamma_star": g_star, "analytic": ana, "simulated": sim}

@@ -96,7 +96,7 @@ class CustomSparse:
 
     n: int
     adjacency: sp.csr_matrix
-    _eig: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+    _eig: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         check_qubit_count(self.n)
@@ -192,9 +192,9 @@ class BallCut:
     inner: WeightedHypercube
     center: int
     radius: int
-    _ball: np.ndarray | None = field(default=None, repr=False)
-    _eig: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
-    _lap: sp.csr_matrix | None = field(default=None, repr=False)
+    _ball: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _eig: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False, compare=False)
+    _lap: sp.csr_matrix | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.inner, WeightedHypercube):

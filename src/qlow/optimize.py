@@ -199,8 +199,8 @@ def optimize_schedule(
     The returned value is never worse than the best scanned grid point. At
     p=1, _refine starts from the top_k grid points and falls back to the
     best of them. For p>1 one start is the p=1 optimum with the extra rounds
-    zeroed out (the identity, up to last bits on a spectral mixer), and no
-    local search ends above its start."""
+    zeroed out, and the p=1 value is the floor: those rounds are the identity
+    only up to last bits on a spectral mixer."""
     if config is None:
         config = SearchConfig()
     if p < 1:
@@ -241,7 +241,7 @@ def optimize_schedule(
         rg = rng.uniform(*config.gamma_range, size=p)
         rb = rng.uniform(*config.beta_range, size=p)
         starts.append(np.concatenate([rg, rb]))
-    x, fx = _refine(fun, starts, step, config)
+    x, fx = _refine(fun, starts, step, config, floor=(embed, f1))
     return Schedule(x[:p], x[p:]), fx
 
 

@@ -1,4 +1,6 @@
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from qlow.analytic import (
     DISTRIBUTIONS,
     SK_REFERENCE_ENERGY,
     distribution_qaoa,
+    draw_fields,
     gamma_success_bound,
     landau_zener,
     lz_numeric_success,
@@ -139,6 +142,48 @@ def test_optimal_gamma_closed_form_pins():
     assert c(g_u) < c(g_u + 0.05) and c(g_u) < c(g_u - 0.05)
 
 
+def test_optimal_gamma_mirrors_its_bracket_when_sin_2beta_is_negative():
+    # c_m is sin 2beta times an odd function of gamma: at beta = 3pi/4 the
+    # best gamma is the beta = pi/4 one mirrored, with the same energy
+    for dist in DISTRIBUTIONS:
+        g = optimal_gamma(dist, 3 * math.pi / 4)
+        g_ref = optimal_gamma(dist, math.pi / 4)
+        assert g == pytest.approx(-g_ref, abs=1e-8)
+        assert distribution_qaoa(dist, g, 3 * math.pi / 4).c_m == pytest.approx(
+            distribution_qaoa(dist, g_ref, math.pi / 4).c_m, abs=1e-12
+        )
+
+
+@pytest.mark.parametrize("dist", DISTRIBUTIONS)
+def test_optimal_gamma_rejects_a_beta_where_every_gamma_ties(dist):
+    # sin 2beta = 0 zeroes c_m at every gamma
+    with pytest.raises(ConfigError, match="sin 2beta"):
+        optimal_gamma(dist, 0.0)
+
+
+PIN_POINTS = [(0.0, 0.7), (1e-9, 0.7), (-5e-6, 0.3), (2e-5, 1.1), (-1.04, 0.785), (0.3, 0.2), (1.3, -0.4)]
+PIN_BETAS = [math.pi / 4, 0.3]
+PIN_RATES = [0.3, 1.0, 7.5]
+
+
+def test_closed_forms_match_recorded_bits():
+    """Bit-for-bit pins of the field-law closed forms, the optimum, the field
+    draw and the sweep quadrature. The points reach both small-gamma branches
+    of the uniform law (|gamma| < 1e-8 and < 1e-5)."""
+    pins = json.loads((pathlib.Path(__file__).parent / "data" / "analytic_pins.json").read_text())
+    for dist in DISTRIBUTIONS:
+        pin = pins[dist]
+        for (gamma, beta), want in zip(PIN_POINTS, pin["distribution_qaoa"], strict=True):
+            s = distribution_qaoa(dist, gamma, beta)
+            assert [s.c_m.hex(), s.overlap.hex(), s.f_star.hex(), s.ratio.hex()] == want
+        assert [optimal_gamma(dist, b).hex() for b in PIN_BETAS] == pin["optimal_gamma"]
+        fields = draw_fields(dist, np.random.default_rng(3), (4, 5))
+        want = np.array([float.fromhex(h) for h in pin["draw_fields"]]).reshape(4, 5)
+        assert np.array_equal(fields, want)
+    got = [lz_overlap_quadrature(r).hex() for r in PIN_RATES]
+    assert got == pins["lz_overlap_quadrature"]
+
+
 def test_lz_overlap_closed_form_matches_quadrature():
     for rate in (0.3, 0.5, 1.0, 2.0, 7.5):
         assert landau_zener(rate).o_lz == pytest.approx(
@@ -180,6 +225,12 @@ def test_lz_validation():
         landau_zener(0.0)
     with pytest.raises(ConfigError):
         lz_numeric_success(-1.0)
+
+
+def test_lz_numeric_success_rejects_a_nan_rate():
+    # a NaN rate passes a `<= 0` check and the sweep integration never ends
+    with pytest.raises(ConfigError, match="sweep rate must be positive"):
+        lz_numeric_success(float("nan"))
 
 
 def test_measure_vote_bound_values_and_domain():

@@ -265,6 +265,20 @@ def test_ballcut_validation():
             BallCut(inner=inner, center=0, radius=1)
 
 
+def test_mixer_caches_are_not_constructor_arguments_and_not_compared():
+    cut, twin = (BallCut(inner=hypercube(4), center=5, radius=2) for _ in range(2))
+    evolve(plus_state(4), cut, 0.3)
+    cut.laplacian()
+    assert cut._eig is not None and twin._eig is None
+    assert cut == twin
+    assert "_eig" not in repr(cut)
+    for cache in ("_ball", "_eig", "_lap"):
+        with pytest.raises(TypeError):
+            BallCut(inner=hypercube(4), center=5, radius=2, **{cache: None})
+    with pytest.raises(TypeError):
+        CustomSparse(3, hypercube_adjacency(3), _eig=None)
+
+
 @pytest.mark.parametrize(
     "inner",
     [hypercube(5), WeightedHypercube((1.0, 0.5, 2.0, 0.0, 1.5))],

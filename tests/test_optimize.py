@@ -32,7 +32,16 @@ from qlow.optimize import (
     optimize_relaxed_schedule,
     optimize_schedule,
 )
-from qlow.problems import ZTerm, conflicted_pairs, freeze, from_dense, from_terms, uncoupled_spins
+from qlow.problems import (
+    ZTerm,
+    conflicted_pairs,
+    freeze,
+    from_dense,
+    from_terms,
+    grid_ferromagnet_2d,
+    hamming_ramp,
+    uncoupled_spins,
+)
 from qlow.statevector import Statevector, basis_state
 
 FAST = SearchConfig(resolution=(16, 16), top_k=2)
@@ -97,6 +106,35 @@ def test_optimize_two_rounds_not_worse_than_one():
     sched2, v2 = optimize_schedule(prob, lap, 2, Mean(), FAST)
     assert v2 <= v1 + 1e-10
     assert sched2.rounds == 2
+
+
+@pytest.mark.parametrize("center", [3, 12, 36])
+def test_more_rounds_never_end_above_one_round_on_a_ball_cut(center):
+    # the p=2 start with a zeroed second round is the p=1 optimum only up to
+    # the last bits of the spectral evolution
+    prob, lap = hamming_ramp(6), BallCut(hypercube(6), center, 3)
+    config = SearchConfig(resolution=(6, 5), top_k=1, max_iters=6)
+    _, v1 = optimize_schedule(prob, lap, 1, Mean(), config)
+    sched2, v2 = optimize_schedule(prob, lap, 2, Mean(), config)
+    assert v2 <= v1
+    assert evaluate_schedule(prob, lap, sched2, Mean()) == pytest.approx(v2, abs=1e-12)
+
+
+def test_simplex_searches_return_the_public_value_and_never_end_above_their_floor():
+    prob, lap, obj = grid_ferromagnet_2d(2, 3), hypercube(6), Mean()
+    config = SearchConfig(resolution=(8, 8), max_iters=30, method="simplex")
+    public = lambda sched: evaluate(obj, qaoa_state(prob, lap, sched), prob, lap)
+    gammas, _, table = _grid_scan_p1(prob, lap, obj, config, None)
+    sched1, v1 = optimize_schedule(prob, lap, 1, obj, config)
+    assert v1 == public(sched1) and v1 <= table.min()
+    sched2, v2 = optimize_schedule(prob, lap, 2, obj, config)
+    assert v2 == public(sched2) and v2 <= v1
+    relaxed, vr = optimize_relaxed_schedule(prob, lap, obj, config, relax="both")
+    assert vr == public(relaxed) and vr <= v1
+    greedy = greedy_beta_branch(prob, 1, obj, config)
+    assert greedy.value == public(Schedule([greedy.gamma], greedy.betas.reshape(1, -1)))
+    uniform = np.full((1, 6), math.pi / 4)
+    assert greedy.value <= min(public(Schedule([g], uniform)) for g in gammas)
 
 
 def test_optimize_reaches_uncoupled_ground_energy():
