@@ -14,12 +14,9 @@ leftmost.
 from types import ModuleType as _Module
 
 from .analytic import (
-    GammaBound,
     LandauZener,
     distribution_qaoa,
-    gamma_success_bound,
     landau_zener,
-    measure_vote_bound,
     optimal_gamma,
     single_spin_overlap,
 )
@@ -28,7 +25,6 @@ from .ansatz import (
     meanfield_evolve,
     meanfield_step,
     multilinear_value,
-    product_state,
     qaoa_state,
 )
 from .errors import ConfigError, NumericError, QlowError, ResourceError
@@ -59,7 +55,6 @@ from .optimize import (
     RoundingConfig,
     SearchConfig,
     classical_restart_baseline,
-    greedy_beta_branch,
     iterated_rounding,
     optimize_relaxed_schedule,
     optimize_schedule,

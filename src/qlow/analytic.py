@@ -1,5 +1,5 @@
-"""Closed forms for single-round evolution of independent spins, diabatic
-sweep (Landau-Zener) averages, and the related bounds.
+"""Closed forms for single-round evolution of independent spins and diabatic
+sweep (Landau-Zener) averages.
 
 Distribution conventions for the per-spin field alpha (f = alpha Z):
 binary alpha in {-1, +1}; uniform on [-1, 1]; gaussian with variance 1/2,
@@ -15,10 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericError
-
-# Sherrington-Kirkpatrick ground energy per spin, for annotation only.
-SK_REFERENCE_ENERGY = -1.0 / math.sqrt(4.0 * math.e)
-
 
 def single_spin_overlap(alpha: float, gamma: float, beta: float) -> float:
     """Probability of the single-spin ground state after one round.
@@ -161,8 +157,8 @@ class LandauZener:
     gamma_rate: float
 
     def __post_init__(self) -> None:
-        if not self.gamma_rate > 0:
-            raise ConfigError("sweep rate must be positive")
+        if not (self.gamma_rate > 0 and math.isfinite(self.gamma_rate)):
+            raise ConfigError("sweep rate must be positive and finite")
 
     def p_lz(self, alpha: float) -> float:
         return 1.0 - math.exp(-math.pi * alpha**2 / self.gamma_rate)
@@ -204,7 +200,7 @@ def lz_numeric_success(
     The asymptotic probability oscillates at finite time, so the tail is
     averaged over a window of checkpoints.
     """
-    LandauZener(gamma_rate)  # rejects a rate that is not > 0, NaN included
+    LandauZener(gamma_rate)  # rejects a non-positive, infinite or NaN rate
 
     def rhs(t, y):
         a0 = y[0] + 1j * y[1]
@@ -230,36 +226,3 @@ def lz_numeric_success(
     p1 = sol.y[2] ** 2 + sol.y[3] ** 2
     return float(np.mean(p1))
 
-
-# ---------------------------------------------------------------------------
-# bounds
-
-
-def measure_vote_bound(c: float) -> float:
-    """Success lower bound (1 - 2c)^2 for disagreement fraction c < 1/2."""
-    if not 0.0 <= c < 0.5:
-        raise ConfigError("disagreement fraction must lie in [0, 1/2)")
-    return (1.0 - 2.0 * c) ** 2
-
-
-@dataclass(frozen=True)
-class GammaBound:
-    """Largest sweep rate achieving target success q over n independent spins.
-
-    exact inverts (o_lz)^n = q in closed form; simplified omits the pi factor
-    (kept for reference); approx further reduces to (1 - q^(1/n))^2.
-    """
-
-    exact: float
-    simplified: float
-    approx: float
-
-
-def gamma_success_bound(q: float, n: int) -> GammaBound:
-    if not 0.0 < q < 1.0:
-        raise ConfigError("target probability must lie in (0, 1)")
-    if n < 1:
-        raise ConfigError("need at least one spin")
-    u = q ** (1.0 / n)
-    core = (1.0 - u) ** 2 / (u * (2.0 - u))
-    return GammaBound(exact=math.pi * core, simplified=core, approx=(1.0 - u) ** 2)

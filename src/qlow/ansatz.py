@@ -1,4 +1,5 @@
-"""Evolvers: standard and relaxed QAOA, product ansatz, mean-field stepping.
+"""Evolvers: standard and relaxed QAOA, the multilinear extension of a cost,
+mean-field stepping.
 
 One round applies the problem phase exp(-i gamma f) and then the mixer
 exp(-i beta L_bar); rounds compose innermost-first. Relaxed-gamma schedules
@@ -104,18 +105,7 @@ def qaoa_state(
 
 
 # ---------------------------------------------------------------------------
-# product ansatz and its multilinear expectation
-
-
-def product_state(thetas: np.ndarray) -> Statevector:
-    """Tensor product of per-qubit states cos(theta)|0> + sin(theta)|1>."""
-    thetas = np.asarray(thetas, dtype=np.float64)
-    n = thetas.shape[0]
-    amps = np.array([1.0 + 0.0j])
-    for i in range(n - 1, -1, -1):
-        # qubit 0 is the least significant bit, hence the last kron factor
-        amps = np.kron(amps, np.array([np.cos(thetas[i]), np.sin(thetas[i])]))
-    return Statevector(n, amps)
+# the multilinear extension of a cost and its gradient
 
 
 def _spins(problem: DiagonalProblem, x: np.ndarray) -> np.ndarray:

@@ -142,22 +142,6 @@ def custom_from_edges(n: int, edges: Sequence[Sequence[float]]) -> CustomSparse:
     return CustomSparse(n, sp.csr_matrix((vals, (rows, cols)), shape=(size, size)))
 
 
-def hypercube_adjacency(n: int, b: tuple[float, ...] | None = None) -> sp.csr_matrix:
-    """Adjacency of the weighted hypercube as an explicit sparse matrix."""
-    b = (1.0,) * n if b is None else b
-    size = 1 << n
-    z = np.arange(size)
-    rows, cols, vals = [], [], []
-    for i in range(n):
-        rows.append(z)
-        cols.append(z ^ (1 << i))
-        vals.append(np.full(size, float(b[i])))
-    return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(size, size),
-    )
-
-
 def _check_ball(n: int, center: int, radius: int) -> None:
     if not 0 <= radius <= n:
         raise ConfigError(f"radius must lie in [0, {n}]")

@@ -145,25 +145,17 @@ def improvement_proxy(
     initial: Statevector,
     problem: DiagonalProblem,
     lap,
-    optimizer=None,
+    optimizer,
 ) -> ProxyResult:
     """One optimized round from `initial`; gain normalized by 1 - 2^-n.
 
-    The normalization makes an exact solve from the uniform state score 1.
-    Degenerate minima are handled by tracking total ground-state mass, with
-    the flag set in the result.
+    `optimizer(problem, lap, initial)` returns the round's (gamma, beta); it
+    is required, so the caller picks the search. The normalization makes an
+    exact solve from the uniform state score 1. Degenerate minima are handled
+    by tracking total ground-state mass, with the flag set in the result.
     """
     if initial.n != problem.n:
         raise ValueError("initial state size does not match problem")
-    if optimizer is None:
-        from .optimize import SearchConfig, optimize_schedule
-
-        def optimizer(prob, lp, init):
-            sched, _ = optimize_schedule(
-                prob, lp, 1, Mean(), SearchConfig(), initial=init
-            )
-            return float(sched.gammas[0]), float(sched.betas[0])
-
     gamma, beta = optimizer(problem, lap, initial)
     final = qaoa_state(problem, lap, Schedule([gamma], [beta]), initial=initial)
     degenerate = len(problem.argmin_set) > 1

@@ -1,5 +1,5 @@
-"""Outer loops: grid + local search over schedules, greedy beta branches,
-iterated rounding, and a classical product-state restart baseline.
+"""Outer loops: grid + local search over schedules, iterated rounding, and
+a classical product-state restart baseline.
 
 A compass search over relaxed p=1 angles on a hypercube mixer does not
 simulate its probes. The final state is psi = M P |+> with the phase
@@ -200,7 +200,10 @@ def optimize_schedule(
     p=1, _refine starts from the top_k grid points and falls back to the
     best of them. For p>1 one start is the p=1 optimum with the extra rounds
     zeroed out, and the p=1 value is the floor: those rounds are the identity
-    only up to last bits on a spectral mixer."""
+    only up to last bits on a spectral mixer. So when the floor wins, the
+    function returns the p=1 value with that zero-padded schedule, and on a
+    spectral mixer the schedule's own evaluate_schedule value can sit a few
+    ulps above the returned value."""
     if config is None:
         config = SearchConfig()
     if p < 1:
@@ -362,61 +365,6 @@ def _hypercube_probe(problem, lap: WeightedHypercube, objective, relax):
         return values
 
     return centre, probe
-
-
-@dataclass(frozen=True)
-class GreedyResult:
-    betas: np.ndarray
-    gamma: float
-    value: float
-
-
-def _best_gamma_for_betas(problem, betas, objective, config):
-    lap = hypercube(problem.n)
-    grid = np.linspace(*config.gamma_range, config.resolution[0])
-    brow = np.asarray(betas, dtype=np.float64).reshape(1, -1)
-    plus, score = _start(problem, lap, None), _scorer(objective, problem, lap)
-
-    def fun(gamma):
-        return score(_simulate(plus, problem, lap, gamma, brow))
-
-    vals = [fun(grid[i : i + 1]) for i in range(grid.size)]
-    i = int(np.argmin(vals))
-    start = grid[i : i + 1]
-    x, fx = _refine(fun, [start], grid[1] - grid[0], config, floor=(start, vals[i]))
-    return float(x[0]), float(fx)
-
-
-def greedy_beta_branch(
-    problem: DiagonalProblem,
-    p: int,
-    objective,
-    config: SearchConfig | None = None,
-    passes: int = 1,
-) -> GreedyResult:
-    """Per-qubit beta branch search over {pi/4, 3pi/4}, one qubit at a time.
-
-    Each candidate assignment is scored at its own best scalar gamma. Only
-    p=1 branch assignments are explored; the branch pair comes from the fact
-    that shifting beta by pi/2 on one qubit conjugates its mixer."""
-    if p != 1:
-        raise ConfigError("greedy branch search is defined for one round")
-    if config is None:
-        config = SearchConfig()
-    betas = np.full(problem.n, math.pi / 4)
-    gamma, value = _best_gamma_for_betas(problem, betas, objective, config)
-    for _ in range(passes):
-        improved = False
-        for q in range(problem.n):
-            trial = betas.copy()
-            trial[q] = 3 * math.pi / 4 if trial[q] == math.pi / 4 else math.pi / 4
-            g, v = _best_gamma_for_betas(problem, trial, objective, config)
-            if v < value - 1e-12:
-                betas, gamma, value = trial, g, v
-                improved = True
-        if not improved:
-            break
-    return GreedyResult(betas, gamma, value)
 
 
 @dataclass(frozen=True)

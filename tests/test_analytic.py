@@ -12,14 +12,12 @@ from scipy.special import dawsn
 
 from qlow.analytic import (
     DISTRIBUTIONS,
-    SK_REFERENCE_ENERGY,
+    LandauZener,
     distribution_qaoa,
     draw_fields,
-    gamma_success_bound,
     landau_zener,
     lz_numeric_success,
     lz_overlap_quadrature,
-    measure_vote_bound,
     optimal_gamma,
     single_spin_overlap,
 )
@@ -233,40 +231,10 @@ def test_lz_numeric_success_rejects_a_nan_rate():
         lz_numeric_success(float("nan"))
 
 
-def test_measure_vote_bound_values_and_domain():
-    assert measure_vote_bound(0.0) == 1.0
-    assert measure_vote_bound(0.25) == pytest.approx(0.25)
-    cs = np.linspace(0, 0.49, 20)
-    vals = [measure_vote_bound(c) for c in cs]
-    assert all(b < a for a, b in zip(vals, vals[1:]))
-    with pytest.raises(ConfigError):
-        measure_vote_bound(0.5)
-    with pytest.raises(ConfigError):
-        measure_vote_bound(-0.01)
-
-
-@given(
-    st.floats(min_value=1e-6, max_value=1 - 1e-6),
-    st.integers(min_value=1, max_value=200),
-)
-@settings(max_examples=80, deadline=None)
-def test_gamma_success_bound_inverts_overlap_power(q, n):
-    bound = gamma_success_bound(q, n)
-    assert landau_zener(bound.exact).o_lz ** n == pytest.approx(q, abs=1e-9)
-    # relative: the bound blows up as q -> 0 at n = 1, where an absolute
-    # 1e-12 band is below one ulp
-    assert bound.simplified == pytest.approx(bound.exact / math.pi, rel=1e-12)
-    assert bound.approx <= bound.simplified * (1 + 1e-12) + 1e-15
-
-
-def test_gamma_success_bound_validation():
-    with pytest.raises(ConfigError):
-        gamma_success_bound(0.0, 4)
-    with pytest.raises(ConfigError):
-        gamma_success_bound(1.0, 4)
-    with pytest.raises(ConfigError):
-        gamma_success_bound(0.5, 0)
-
-
-def test_sk_reference_constant():
-    assert SK_REFERENCE_ENERGY == pytest.approx(-1 / math.sqrt(4 * math.e), abs=1e-15)
+def test_lz_rejects_an_infinite_rate():
+    # an infinite rate passes a `> 0` check, o_lz is nan, and the sweep
+    # integration never ends
+    with pytest.raises(ConfigError, match="sweep rate must be positive"):
+        LandauZener(float("inf"))
+    with pytest.raises(ConfigError, match="sweep rate must be positive"):
+        lz_numeric_success(float("inf"))

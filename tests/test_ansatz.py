@@ -26,7 +26,6 @@ from qlow.ansatz import (
     multilinear_gradient,
     multilinear_value,
     product_overlap,
-    product_state,
     product_z_expectations,
     qaoa_state,
 )
@@ -40,7 +39,7 @@ from qlow.problems import (
 )
 from qlow.objectives import Mean
 from qlow.optimize import SearchConfig, optimize_schedule
-from qlow.statevector import apply_phase, ground_state_mass, plus_state
+from qlow.statevector import Statevector, apply_phase, ground_state_mass, plus_state
 
 from conftest import angles, small_problems
 
@@ -52,6 +51,17 @@ def kron_x(n, i):
     for q in range(n - 1, -1, -1):
         mat = np.kron(mat, X if q == i else np.eye(2))
     return mat
+
+
+def product_state(thetas: np.ndarray) -> Statevector:
+    """Tensor product of per-qubit states cos(theta)|0> + sin(theta)|1>."""
+    thetas = np.asarray(thetas, dtype=np.float64)
+    n = thetas.shape[0]
+    amps = np.array([1.0 + 0.0j])
+    for i in range(n - 1, -1, -1):
+        # qubit 0 is the least significant bit, hence the last kron factor
+        amps = np.kron(amps, np.array([np.cos(thetas[i]), np.sin(thetas[i])]))
+    return Statevector(n, amps)
 
 
 def dense_qaoa_oracle(problem, gammas, betas):

@@ -24,7 +24,6 @@ from qlow.laplacians import (
     evolve_many,
     hamming_shell_state,
     hypercube,
-    hypercube_adjacency,
     hypercube_rotation,
     kinetic_energy,
     randomize_phases,
@@ -42,6 +41,22 @@ def kron_x(n, i):
     for q in range(n - 1, -1, -1):
         mat = np.kron(mat, X if q == i else np.eye(2))
     return mat
+
+
+def hypercube_adjacency(n: int, b: tuple[float, ...] | None = None) -> sp.csr_matrix:
+    """Adjacency of the weighted hypercube as an explicit sparse matrix."""
+    b = (1.0,) * n if b is None else b
+    size = 1 << n
+    z = np.arange(size)
+    rows, cols, vals = [], [], []
+    for i in range(n):
+        rows.append(z)
+        cols.append(z ^ (1 << i))
+        vals.append(np.full(size, float(b[i])))
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(size, size),
+    )
 
 
 def rand_state(n, seed):

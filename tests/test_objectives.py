@@ -17,6 +17,7 @@ from qlow.objectives import (
     improvement_proxy,
     mean_via_terms,
 )
+from qlow.optimize import SearchConfig, optimize_schedule
 from qlow.problems import ZTerm, from_dense, from_terms, uncoupled_spins
 from qlow.statevector import Statevector, basis_state, plus_state
 
@@ -241,10 +242,14 @@ def test_improvement_proxy_flags_degenerate_minima():
 def test_improvement_proxy_rejects_size_mismatch():
     prob = uncoupled_spins(3, "binary", seed=0)
     with pytest.raises(ValueError):
-        improvement_proxy(plus_state(4), prob, hypercube(4))
+        improvement_proxy(plus_state(4), prob, hypercube(4), lambda p, l, s: (0.0, 0.0))
 
 
-def test_improvement_proxy_default_optimizer_solves_uncoupled():
+def test_improvement_proxy_with_a_searched_round_solves_uncoupled():
+    def optimizer(prob, lp, init):
+        sched, _ = optimize_schedule(prob, lp, 1, Mean(), SearchConfig(), initial=init)
+        return float(sched.gammas[0]), float(sched.betas[0])
+
     prob = uncoupled_spins(4, "binary", seed=11)
-    result = improvement_proxy(plus_state(4), prob, hypercube(4))
+    result = improvement_proxy(plus_state(4), prob, hypercube(4), optimizer)
     assert result.value > 0.9

@@ -27,7 +27,6 @@ from qlow.optimize import (
     compass_minimize,
     default_qaoa_solver,
     evaluate_schedule,
-    greedy_beta_branch,
     iterated_rounding,
     optimize_relaxed_schedule,
     optimize_schedule,
@@ -124,17 +123,13 @@ def test_simplex_searches_return_the_public_value_and_never_end_above_their_floo
     prob, lap, obj = grid_ferromagnet_2d(2, 3), hypercube(6), Mean()
     config = SearchConfig(resolution=(8, 8), max_iters=30, method="simplex")
     public = lambda sched: evaluate(obj, qaoa_state(prob, lap, sched), prob, lap)
-    gammas, _, table = _grid_scan_p1(prob, lap, obj, config, None)
+    _, _, table = _grid_scan_p1(prob, lap, obj, config, None)
     sched1, v1 = optimize_schedule(prob, lap, 1, obj, config)
     assert v1 == public(sched1) and v1 <= table.min()
     sched2, v2 = optimize_schedule(prob, lap, 2, obj, config)
     assert v2 == public(sched2) and v2 <= v1
     relaxed, vr = optimize_relaxed_schedule(prob, lap, obj, config, relax="both")
     assert vr == public(relaxed) and vr <= v1
-    greedy = greedy_beta_branch(prob, 1, obj, config)
-    assert greedy.value == public(Schedule([greedy.gamma], greedy.betas.reshape(1, -1)))
-    uniform = np.full((1, 6), math.pi / 4)
-    assert greedy.value <= min(public(Schedule([g], uniform)) for g in gammas)
 
 
 def test_optimize_reaches_uncoupled_ground_energy():
@@ -254,44 +249,6 @@ def test_beta_branch_pair_is_value_preserving_on_pair_terms():
             prob, lap, Schedule([gamma], np.full((1, 4), 3 * np.pi / 4)), Mean()
         )
         assert lo == pytest.approx(hi, abs=1e-10)
-
-
-def test_greedy_branch_never_worse_than_uniform_start():
-    prob = conflicted_pairs(4, 0.5, 3.0)
-    cfg = SearchConfig(resolution=(24, 24), top_k=2)
-    result = greedy_beta_branch(prob, 1, Mean(), cfg)
-    lap = hypercube(4)
-    uniform = Schedule([result.gamma], np.full((1, 4), np.pi / 4))
-    # optimal gamma for the uniform start can only make the baseline better,
-    # so compare against the uniform pattern at the greedy result's own gamma
-    assert result.value <= evaluate_schedule(prob, lap, uniform, Mean()) + 1e-9
-    got = evaluate_schedule(
-        prob, lap, Schedule([result.gamma], result.betas.reshape(1, -1)), Mean()
-    )
-    assert got == pytest.approx(result.value, abs=1e-9)
-    assert set(np.round(result.betas, 6)) <= {
-        round(np.pi / 4, 6),
-        round(3 * np.pi / 4, 6),
-    }
-
-
-def test_greedy_branch_result_is_one_flip_optimal():
-    from qlow.optimize import _best_gamma_for_betas
-
-    prob = uncoupled_spins(3, "uniform", seed=7)
-    cfg = SearchConfig(resolution=(24, 24), top_k=2)
-    result = greedy_beta_branch(prob, 1, Mean(), cfg, passes=3)
-    for q in range(3):
-        trial = result.betas.copy()
-        trial[q] = 3 * np.pi / 4 if trial[q] == np.pi / 4 else np.pi / 4
-        _, v = _best_gamma_for_betas(prob, trial, Mean(), cfg)
-        assert v >= result.value - 1e-9
-
-
-def test_greedy_branch_requires_single_round():
-    prob = uncoupled_spins(2, "binary", seed=0)
-    with pytest.raises(ConfigError):
-        greedy_beta_branch(prob, 2, Mean())
 
 
 def test_iterated_rounding_solves_uncoupled_binary():
@@ -463,7 +420,7 @@ def test_search_loops_on_the_raw_core_match_evaluate_schedule(
 
 
 @pytest.mark.parametrize("obj_kind", sorted(CORE_OBJECTIVES))
-def test_rounding_solver_and_greedy_on_the_raw_core_match_evaluate_schedule(core_calls, obj_kind):
+def test_rounding_solver_on_the_raw_core_matches_evaluate_schedule(core_calls, obj_kind):
     prob, obj = conflicted_pairs(4, 0.5, 3.0), CORE_OBJECTIVES[obj_kind]
     config = SearchConfig(resolution=(6, 5), top_k=1, max_iters=8)
     for p in (1, 2):
@@ -474,7 +431,4 @@ def test_rounding_solver_and_greedy_on_the_raw_core_match_evaluate_schedule(core
             sched, value = optimize_schedule(sub, lap, p, obj, config)
             assert value == evaluate_schedule(sub, lap, sched, obj)
             assert state.amps.tobytes() == qaoa_state(sub, lap, sched).amps.tobytes()
-    result = greedy_beta_branch(prob, 1, obj, config)
-    sched = Schedule([result.gamma], result.betas.reshape(1, -1))
-    assert result.value == evaluate_schedule(prob, hypercube(4), sched, obj)
     assert_core_calls_match_qaoa_state(core_calls)
