@@ -14,22 +14,24 @@ semidefinite L_G = D_G - A_G, so it is >= 0 and vanishes exactly on the
 uniform state of a connected graph.
 
 CustomSparse and BallCut evolutions, single or batched over betas, share one
-spectral kernel on the explicit L_bar restricted to its support. Up to
-DENSE_EIG_VERTEX_CAP = 4096 vertices it applies a cached eigh of L_bar in
-its real eigenbasis, as two real matrix products; above it, expm_multiply
-runs once per beta. Both are accurate to well under 1e-10.
+spectral kernel on the explicit L_bar restricted to its support. It applies a
+cached real eigenbasis of L_bar kept as symmetry-sector blocks: a sparse
+orthonormal change of basis Q and one eigh per block. While the blocks hold
+at most DENSE_EIG_VERTEX_CAP^2 = 4096^2 entries in all it does that; above,
+expm_multiply runs once per beta. Both are accurate to well under 1e-10.
 
-A ball cut, always over a weighted hypercube, takes that eigenbasis by
+A ball cut, always over a weighted hypercube, takes its blocks from
 qubit-pair symmetry sectors. In y = z XOR center the ball is |y| <= radius,
 and swapping two qubits of equal weight maps the graph and the ball onto
 themselves, so it commutes with L_bar. Pair such qubits; on each pair keep
-|00> and |11> and replace |10>, |01> by (|10> +- |01>)/sqrt(2). These vectors
-keep their Hamming weight, so they span the ball exactly, and L_bar is block-
-diagonal in them, one block per set of antisymmetric pairs. Each block gets its
-own eigh (64 blocks of at most 435 instead of one 2510 x 2510 at n = 12,
-radius 6), and the eigenvectors go back into one dense matrix in ball order,
-so the evolution itself is unchanged. Custom graphs and hypercubes with no
-equal-weight pair keep the one eigh of the whole matrix.
+|00> and |11> and replace |10>, |01> by (|10> +- |01>)/sqrt(2). These vectors,
+the rows of Q, keep their Hamming weight, so they span the ball exactly, and
+L_bar is block-diagonal in them, one block per set of antisymmetric pairs. At
+n = 12, radius 6 that is 64 blocks of at most 435 (2.8 MiB of eigenvectors
+instead of 48 MiB for one 2510 x 2510 basis); at n = 14, radius 7, 27 MiB.
+Every ball over the unit hypercube fits up to n = 14, and at n = 15 up to
+radius 7. A custom graph or a ball cut with no equal-weight pair is one block
+with Q the identity, its eigh that of the whole matrix.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,6 +55,19 @@ ROTATION_GEMM_COLS = 128
 # entry (r, c) of a block unitary depends only on which qubits differ: r ^ c
 _BLOCK_XOR = np.bitwise_xor.outer(np.arange(1 << ROTATION_BLOCK), np.arange(1 << ROTATION_BLOCK))
 BLOCK_UNITARY_CACHE = 256
+
+
+class SectorBasis(NamedTuple):
+    """L_bar = Q^T V diag(levels[index]) V^T Q on a graph's support: Q sparse and
+    orthonormal, V = blockdiag(V_s) over the symmetry sectors in Q's row order.
+    stacks[g] holds the V_s of all c sectors of one size m_s as a (c, m_s, m_s)
+    array. levels are the bitwise-distinct eigenvalues (240 to 338 of 2510 at
+    n = 12, radius 6), so an evolution takes one exp per level and beta."""
+
+    q: sp.csr_matrix
+    levels: np.ndarray
+    index: np.ndarray
+    stacks: list[np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -96,7 +112,7 @@ class CustomSparse:
 
     n: int
     adjacency: sp.csr_matrix
-    _eig: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False, compare=False)
+    _eig: SectorBasis | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         check_qubit_count(self.n)
@@ -166,8 +182,8 @@ class BallCut:
     is not a global phase and must be kept). A ball over another graph G is
     CustomSparse over G's ball-induced edges: outside vertices have degree 0.
 
-    The first evolution builds the eigenbasis of -(D - A) and keeps it in _eig,
-    by qubit-pair symmetry sectors (_block_eigh): swapping two equal-weight
+    The first evolution builds the eigenbasis of -(D - A) and keeps it in _eig
+    as qubit-pair symmetry sectors (_block_eigh): swapping two equal-weight
     qubits of y = z ^ center preserves both the graph and the ball, so -(D - A)
     commutes with it and splits exactly into one block per set of antisymmetric
     pairs.
@@ -177,7 +193,7 @@ class BallCut:
     center: int
     radius: int
     _ball: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    _eig: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False, compare=False)
+    _eig: SectorBasis | None = field(default=None, init=False, repr=False, compare=False)
     _lap: sp.csr_matrix | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -336,9 +352,22 @@ def _swap_pairs(inner: WeightedHypercube) -> list[tuple[int, int]]:
     return [(qs[k], qs[k + 1]) for qs in by_weight.values() for k in range(0, len(qs) - 1, 2)]
 
 
-def _pair_sectors(cut: BallCut, pairs: list[tuple[int, int]]) -> tuple[sp.csr_matrix, np.ndarray]:
-    """(Q, sector): the rows of Q are an orthonormal basis of the ball, in ball order;
-    sector[k] is the bitmask of the pairs on which row k is antisymmetric.
+def _sector_labels(lap: CustomSparse | BallCut) -> np.ndarray:
+    """The sector of each support vertex: for a ball vertex y = z ^ center, the
+    bitmask of the pairs p = (i, j) of _swap_pairs on which y has bit i = 0 and
+    bit j = 1; all zero for a custom graph or a ball cut with no pair."""
+    if isinstance(lap, CustomSparse):
+        return np.zeros(1 << lap.n, dtype=np.int64)
+    y = lap.ball() ^ lap.center
+    label = np.zeros(y.size, dtype=np.int64)
+    for p, (i, j) in enumerate(_swap_pairs(lap.inner)):
+        label |= (~(y >> i) & (y >> j) & 1) << p
+    return label
+
+
+def _pair_sectors(cut: BallCut, label: np.ndarray) -> sp.csr_matrix:
+    """Q: its rows are an orthonormal basis of the ball, in ball order, and row k
+    lies in sector label[k] (_sector_labels).
 
     Each row is labelled by a ball vertex y = z ^ center. Write |ab> for bit i = a
     and bit j = b of a pair (i, j). Where the label has 00 or 11 the row keeps
@@ -351,78 +380,104 @@ def _pair_sectors(cut: BallCut, pairs: list[tuple[int, int]]) -> tuple[sp.csr_ma
     pos[y] = np.arange(y.size)
     rows, cols, sign = np.arange(y.size), y.copy(), np.ones(y.size)
     mixed = np.zeros(y.size, dtype=np.int64)
-    sector = np.zeros(y.size, dtype=np.int64)
-    for p, (i, j) in enumerate(pairs):
-        lo, hi = (y >> i) & 1, (y >> j) & 1
-        anti = (lo == 0) & (hi == 1)
-        sector |= anti.astype(np.int64) << p
-        mixed += lo != hi
+    for p, (i, j) in enumerate(_swap_pairs(cut.inner)):
+        differ = ((y >> i) ^ (y >> j)) & 1
+        mixed += differ
         # entries of rows mixed on this pair get a partner with both bits flipped
-        dup = np.flatnonzero(lo[rows] != hi[rows])
+        dup = np.flatnonzero(differ[rows])
         rows = np.concatenate([rows, rows[dup]])
         cols = np.concatenate([cols, cols[dup] ^ ((1 << i) | (1 << j))])
         sign = np.concatenate([sign, sign[dup]])
-        sign[dup[anti[rows[dup]]]] *= -1.0  # the 01 entry of an antisymmetric pair
+        sign[dup[(label[rows[dup]] >> p) & 1 > 0]] *= -1.0  # the 01 entry of an antisymmetric pair
     vals = sign * 0.5 ** (mixed[rows] / 2)
-    return sp.csr_matrix((vals, (rows, pos[cols])), shape=(y.size, y.size)), sector
+    return sp.csr_matrix((vals, (rows, pos[cols])), shape=(y.size, y.size))
 
 
-def _block_eigh(lap: CustomSparse | BallCut) -> tuple[np.ndarray, np.ndarray]:
-    """eigh of L_bar on the support, one symmetry sector at a time.
+def _block_eigh(lap: CustomSparse | BallCut, label: np.ndarray) -> SectorBasis:
+    """eigh of L_bar on the support, one symmetry sector at a time, kept as blocks.
 
     L_bar of a ball cut commutes with swapping the two bits of each pair from
     _swap_pairs (in y = z ^ center, which maps the ball to |y| <= radius), so in
     _pair_sectors' basis Q it is block-diagonal, one block per set of
-    antisymmetric pairs. Each block Q_s L_bar Q_s^T gets its own eigh, and its
-    eigenvectors go back to ball coordinates as Q_s^T V_s. The result is one
-    dense, real, orthonormal eigenvector matrix, rows in ball order, columns
-    sector by sector (eigenvalues ascend within a sector only). At n = 12,
-    radius 6 that is 64 blocks of at most 435: about 0.1 s, against 1.8 s for
-    one eigh of the whole matrix, which custom graphs and ball cuts with no
-    equal-weight pair still take.
+    antisymmetric pairs. The rows of Q are sorted by sector size, then by
+    sector, so the sectors of one size are adjacent; each block Q_s L_bar Q_s^T
+    gets its own eigh, and the eigenvectors of the sectors of one size go into
+    one stacked array. At n = 12, radius 6 that is 64 blocks of at most 435 in
+    7 stacks, 2.8 MiB in all, against 48 MiB for the 2510 x 2510 eigenbasis,
+    and about 0.05 s. A custom graph or a ball cut with no equal-weight pair
+    (or a ball inside one sector) is one block with Q the identity, and its one
+    eigh is that of the whole L_bar.
     """
-    pairs = _swap_pairs(lap.inner) if isinstance(lap, BallCut) else []
-    if not pairs:
-        return np.linalg.eigh(_lbar(lap).toarray())
-    q, sector = _pair_sectors(lap, pairs)
-    order = np.argsort(sector, kind="stable")
-    q = q[order]
-    edges = np.flatnonzero(np.diff(sector[order], prepend=-1, append=-1))
-    blocks = (q @ lap.laplacian() @ q.T).tocsr()  # L_bar = -L: each block is negated
-    evals = np.empty(q.shape[0])
-    evecs = np.empty(q.shape)
-    for a, b in zip(edges[:-1], edges[1:]):
-        evals[a:b], v = np.linalg.eigh(-blocks[a:b, a:b].toarray())
-        evecs[:, a:b] = q[a:b].T @ v
-    return evals, evecs
+    sectors, inverse, counts = np.unique(label, return_inverse=True, return_counts=True)
+    if sectors.size == 1:
+        q = sp.identity(label.size, format="csr")
+        lbar = _lbar(lap).tocsr()
+    else:
+        q = _pair_sectors(lap, label)[np.lexsort((label, counts[inverse]))]
+        lbar = (q @ _lbar(lap) @ q.T).tocsr()
+    evals, stacks, a = np.empty(label.size), [], 0
+    for size, count in zip(*np.unique(counts, return_counts=True)):
+        v = np.empty((count, size, size))
+        for k in range(count):
+            evals[a : a + size], v[k] = np.linalg.eigh(lbar[a : a + size, a : a + size].toarray())
+            a += size
+        stacks.append(v)
+    levels, index = np.unique(evals.view(np.int64), return_inverse=True)
+    return SectorBasis(q, levels.view(np.float64), index, stacks)
+
+
+def _times_blocks(rows: np.ndarray, stacks: list[np.ndarray]) -> np.ndarray:
+    """rows @ blockdiag(every block of every stack), for an (r, m) array: one
+    batched matmul per (c, m_s, m_s) stack."""
+    out = np.empty(rows.shape)
+    a = 0
+    for v in stacks:
+        count, size = v.shape[:2]
+        b = a + count * size
+        block = rows[:, a:b].reshape(-1, count, size).transpose(1, 0, 2) @ v
+        out[:, a:b] = block.transpose(1, 0, 2).reshape(-1, b - a)
+        a = b
+    return out
 
 
 def _spectral_evolve(lap: CustomSparse | BallCut, seg: np.ndarray, betas: np.ndarray) -> np.ndarray:
     """Columns exp(-i b L_bar) seg for each b in betas, as an (m, k) array.
 
-    eigh of a real symmetric L_bar gives real eigenvectors V, so both products
-    are single real GEMMs against the real and imaginary parts stacked
-    together; no complex copy of V is ever made. The parts are stacked as rows
-    with V on the right (X^T V, then Z^T V^T): for so few vectors BLAS runs
-    that layout about twice as fast as V^T X and V Z. A ball cut's V is built
-    sector by sector (_block_eigh), which is exact because L_bar commutes with
-    the qubit-pair swaps that define the sectors; V stays one dense matrix, so
-    each call is still two GEMMs.
+    The cached SectorBasis of _block_eigh gives L_bar = Q^T V Λ V^T Q, so seg
+    goes into sector coordinates by one sparse product with Q, through each
+    stack of equal-size sectors by two batched real matmuls (_times_blocks)
+    around the phases exp(-i b Λ), and back by one sparse product with Q^T.
+    The phases take one exp per distinct eigenvalue, gathered by index. The
+    eigenvectors of a real symmetric L_bar are real, so each matmul multiplies
+    the real and imaginary parts stacked together, and no complex copy of V is
+    ever made. The parts are stacked as rows with V on the right (X^T V, then
+    Z^T V^T): for so few vectors BLAS runs that layout about twice as fast as
+    V^T X and V Z. At n = 12, radius 6 a call took 0.6 ms for one beta and
+    1.4 ms for 12 (5.3 and 10.5 ms through one dense eigenbasis; 2 vCPUs,
+    numpy 2.4.6, OpenBLAS 0.3.31).
+
+    When the basis would hold more than DENSE_EIG_VERTEX_CAP^2 entries (the sum
+    of m_s^2), expm_multiply runs once per beta instead: custom graphs and
+    unpaired ball cuts above 4096 vertices, balls over the unit hypercube at
+    n = 15 from radius 8 and at n = 16 from radius 7.
     """
-    if seg.size > DENSE_EIG_VERTEX_CAP:
-        from scipy.sparse.linalg import expm_multiply
-        lbar = _lbar(lap)
-        out = np.empty((seg.size, betas.size), dtype=np.complex128)
-        for j, b in enumerate(betas):
-            out[:, j] = expm_multiply(-1j * b * lbar, seg)
-        return out
     if lap._eig is None:
-        lap._eig = _block_eigh(lap)
-    evals, evecs = lap._eig
-    y = np.stack([seg.real, seg.imag]) @ evecs
-    z = np.exp(-1j * np.outer(betas, evals)) * (y[0] + 1j * y[1])
-    rows = np.vstack([z.real, z.imag]) @ evecs.T
-    return (rows[: betas.size] + 1j * rows[betas.size :]).T
+        label = _sector_labels(lap)
+        sizes = np.unique(label, return_counts=True)[1]
+        if sizes @ sizes > DENSE_EIG_VERTEX_CAP**2:
+            from scipy.sparse.linalg import expm_multiply
+            lbar = _lbar(lap)
+            out = np.empty((seg.size, betas.size), dtype=np.complex128)
+            for j, b in enumerate(betas):
+                out[:, j] = expm_multiply(-1j * b * lbar, seg)
+            return out
+        lap._eig = _block_eigh(lap, label)
+    q, levels, index, stacks = lap._eig
+    y = _times_blocks((q @ np.stack([seg.real, seg.imag], axis=1)).T, stacks)
+    z = np.exp(-1j * np.outer(betas, levels))[:, index] * (y[0] + 1j * y[1])
+    rows = _times_blocks(np.vstack([z.real, z.imag]), [v.transpose(0, 2, 1) for v in stacks])
+    rows = q.T @ rows.T
+    return rows[:, : betas.size] + 1j * rows[:, betas.size :]
 
 
 def _check_qubits(n: int, lap) -> None:
@@ -448,9 +503,9 @@ def evolve(state: Statevector, lap, beta: float) -> Statevector:
 
 def _mix_many(amps: np.ndarray, lap, betas: np.ndarray) -> list[np.ndarray]:
     """_mix(amps, lap, b) for every b in betas. Custom graphs and ball cuts
-    evolve all betas in one spectral-kernel call: two real GEMMs against the
-    cached real eigenbasis up to DENSE_EIG_VERTEX_CAP vertices, one
-    expm_multiply per beta above it."""
+    evolve all betas in one spectral-kernel call: through the cached sector
+    blocks while they fit DENSE_EIG_VERTEX_CAP^2 entries, one expm_multiply
+    per beta above it."""
     if isinstance(lap, (WeightedHypercube, CompleteGraph)):
         return [_mix(amps, lap, float(b)) for b in betas]
     support = _support(lap)

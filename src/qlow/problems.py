@@ -141,8 +141,14 @@ class DiagonalProblem:
         # Per phase at n=12-18 (2 vCPUs, numpy 2.4.6) levels took 0.12-0.2 of the
         # dense time at under 25 levels, 0.3-0.5 at 2^n/8 and 1.06-1.13 with all
         # 4096 distinct (gaussian n=12); the unique costs 1-1.5 dense phases.
-        bits, index = np.unique(self.dense.view(np.int64), return_inverse=True)
-        if bits.size > min(self.dense.size >> 3, 1 << 16):
+        # A prefix of cap + 1 entries with more than cap levels rejects the table
+        # before the full unique (0.26 against 0.44 ms on an all-distinct n=14 one).
+        cap = min(self.dense.size >> 3, 1 << 16)
+        bits = self.dense.view(np.int64)
+        if np.unique(bits[: cap + 1]).size > cap:
+            return self.dense, None
+        bits, index = np.unique(bits, return_inverse=True)
+        if bits.size > cap:
             return self.dense, None
         return bits.view(np.float64), index.astype(np.uint8 if bits.size <= 256 else np.uint16)
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from qlow.problems import DiagonalProblem, from_dense
+from qlow.problems import from_dense
 from qlow.statevector import Statevector
 
 

@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,7 +29,6 @@ from qlow.ansatz import (
 )
 from qlow.problems import (
     conflicted_pairs,
-    from_dense,
     from_terms,
     hamming_ramp,
     uncoupled_spins,

@@ -4,7 +4,6 @@ import json
 import math
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from qlow.cli import (

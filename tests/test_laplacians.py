@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
-from hypothesis import strategies as st
-from scipy.linalg import expm
+from scipy.linalg import block_diag, expm
+from scipy.sparse.linalg import expm_multiply
 
-from qlow.errors import ConfigError, ResourceError
+from qlow.errors import ConfigError
 from qlow.laplacians import (
     BallCut,
     CompleteGraph,
@@ -351,9 +351,12 @@ def test_evolve_many_matches_expm():
             np.testing.assert_allclose(out.amps, ref, atol=1e-12)
 
 
-# Above DENSE_EIG_VERTEX_CAP = 4096 vertices the spectral kernel runs
-# expm_multiply instead of the cached eigenbasis; n = 13 is the smallest size
-# that reaches it.
+# When its sector blocks would hold more than DENSE_EIG_VERTEX_CAP^2 = 4096^2
+# entries, the spectral kernel runs expm_multiply instead of the cached
+# eigenbasis; n = 13 is the smallest custom graph that reaches it. The n = 13
+# ball cuts below split into blocks that fit (4M and 1.9M entries), so they
+# check the block route against the hypercube; a ball with thirteen distinct
+# weights has no pair, one block of 8192^2 entries, and runs expm_multiply.
 
 
 @pytest.mark.parametrize("beta", [0.7, 17.0])
@@ -392,9 +395,57 @@ def test_krylov_ballcut_batch_confined_and_unitary():
         assert abs(out.norm() - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("beta", [0.7, 17.0])
+def test_krylov_unpaired_full_ball_matches_weighted_hypercube(beta):
+    n = 13
+    b = tuple(1.0 + 0.1 * k for k in range(n))
+    cut = BallCut(inner=WeightedHypercube(b), center=0, radius=n)
+    state = rand_state(n, 15)
+    out = evolve(state, cut, beta)
+    assert cut._eig is None  # no eigenbasis was built
+    ref = _rotate_qubits(state.amps, beta * np.array(b)) * np.exp(1j * beta * sum(b))
+    np.testing.assert_allclose(out.amps, ref, atol=1e-12)
+
+
+def test_ballcut_blocks_above_4096_vertices_match_expm_multiply():
+    cut = BallCut(inner=hypercube(14), center=0b10110011100101, radius=7)
+    ball = cut.ball()
+    assert ball.size == 9908
+    state = rand_state(14, 16)
+    betas = np.array([-1.1, 0.3, 1.5, 3.0])
+    outs = evolve_many(state, cut, betas)
+    assert cut._eig is not None
+    for out, b in zip(outs, betas):
+        ref = expm_multiply(-1j * b * _lbar(cut), state.amps[ball])
+        np.testing.assert_allclose(out.amps[ball], ref, rtol=0, atol=1e-10)
+
+
+def test_ballcut_basis_is_kept_as_blocks():
+    # the 2510 x 2510 eigenbasis alone is 48 MiB
+    cut = BallCut(inner=hypercube(12), center=1234, radius=6)
+    cut.laplacian()
+    tracemalloc.start()
+    try:
+        evolve(rand_state(12, 17), cut, 0.7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    q, levels, index, stacks = cut._eig
+    assert [v.shape[1] for v in stacks] == [1, 2, 6, 17, 50, 147, 435]
+    kept = q.data.nbytes + q.indices.nbytes + q.indptr.nbytes + levels.nbytes + index.nbytes
+    kept += sum(v.nbytes for v in stacks)
+    assert kept < 4 * 2**20 and peak < 12 * 2**20
+
+
 # Ball cuts take their eigenbasis sector by sector (pairs of equal-weight
 # qubits, whose swap leaves the hypercube unchanged); custom graphs and ball
 # cuts with no such pair still run one eigh of the whole L_bar.
+
+
+def dense_eigenbasis(basis):
+    """(evals, Q^T blockdiag(V_s)): a cached sector basis as one eigenbasis of L_bar."""
+    q, levels, index, stacks = basis
+    return levels[index], q.T @ block_diag(*[v for vs in stacks for v in vs])
 
 
 def sector_inners(n):
@@ -414,7 +465,7 @@ def test_ballcut_sector_eigenbasis_matches_expm(n):
                 lbar = -cut.laplacian().toarray()
                 state = rand_state(n, 100 * n + radius)
                 single = evolve(state, cut, beta)
-                evals, evecs = cut._eig
+                evals, evecs = dense_eigenbasis(cut._eig)
                 np.testing.assert_allclose(evecs.T @ evecs, np.eye(ball.size), rtol=0, atol=1e-12)
                 np.testing.assert_allclose((evecs * evals) @ evecs.T, lbar, rtol=0, atol=1e-12)
                 u = expm(-1j * beta * lbar)
@@ -432,11 +483,14 @@ def test_custom_graph_eigenbasis_is_one_whole_eigh():
                 BallCut(inner=unpaired, center=0b00110, radius=3)):
         evolve(rand_state(5, 13), lap, 0.7)
         want = np.linalg.eigh(_lbar(lap).toarray())
-        assert all(np.array_equal(got, ref) for got, ref in zip(lap._eig, want))
+        q, levels, index, [evecs] = lap._eig
+        assert np.array_equal(q.toarray(), np.eye(q.shape[0]))
+        assert np.array_equal(levels[index], want[0]) and np.array_equal(evecs[0], want[1])
 
 
 def test_ballcut_eigh_takes_no_block_above_the_largest_sector(monkeypatch):
-    # one eigh of the whole 2510-vertex ball took 2.3 s and most of 300 MiB
+    # one eigh of the whole 2510-vertex ball took 2.3 s and most of 300 MiB;
+    # the blocks' eighs, kept as blocks, hold 2.8 MiB of eigenvectors
     shapes = []
     eigh = np.linalg.eigh
 

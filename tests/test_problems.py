@@ -604,8 +604,19 @@ def test_level_phase_equals_the_dense_phase_bitwise(name):
         assert np.array_equal(_phase(amps, levels, gamma, index), plain)
 
 
-def test_all_distinct_table_takes_the_dense_route():
+def test_all_distinct_table_takes_the_dense_route(monkeypatch):
     prob = uncoupled_spins(12, "gaussian")
+    sizes = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda a, *r, **k: sizes.append(np.size(a)) or unique(a, *r, **k))
+    levels, index = prob.phase_table
+    assert index is None and levels is prob.dense
+    assert sizes == [(1 << 12) // 8 + 1]  # rejected on its prefix, no full unique
+
+
+def test_table_whose_prefix_fits_but_whole_does_not_takes_the_dense_route():
+    values = np.concatenate([np.zeros(600), np.arange(1.0, (1 << 12) - 599)])
+    prob = from_dense(12, values)
     levels, index = prob.phase_table
     assert index is None and levels is prob.dense
 
@@ -626,8 +637,9 @@ def test_signed_zeros_stay_apart_in_the_level_table():
 def test_level_table_is_built_once_per_problem(monkeypatch):
     prob, lap = maxcut_3regular(8), hypercube(8)
     calls = []
-    unique = np.unique
-    monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(1) or unique(*a, **k))
+    build = DiagonalProblem.__dict__["phase_table"]
+    func = build.func
+    monkeypatch.setattr(build, "func", lambda self: calls.append(1) or func(self))
     schedule = Schedule([0.3, -0.2], [0.4, 0.1])
     qaoa_state(prob, lap, schedule)
     table = prob.phase_table

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qlow.errors import ResourceError
 from qlow.statevector import (
