@@ -10,7 +10,7 @@ _simulate runs the rounds on one raw array through the shared kernels
 (statevector._phase, laplacians._mix, _rotate_qubits for per-qubit betas),
 which never write to their input. qaoa_state checks its inputs once, calls it
 and wraps the result; the search loops in optimize call it directly on flat
-angle arrays.
+angle arrays, with the three state buffers each search keeps.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ConfigError
 from .laplacians import WeightedHypercube, _check_qubits, _mix, _rotate_qubits
 from .problems import DiagonalProblem
-from .statevector import Statevector, _phase, _plus_amps, check_qubit_count
+from .statevector import Statevector, _phase, check_qubit_count
 
 
 @dataclass
@@ -63,26 +63,37 @@ class Schedule:
 
 
 def _start(problem: DiagonalProblem, lap, initial: Statevector | None) -> np.ndarray:
-    """The checked first amplitudes of a simulation: initial's, or |+>^n."""
+    """The checked first amplitudes of a simulation: initial's, or |+>^n as a
+    read-only broadcast of its one amplitude, which the first phase reads."""
     if initial is not None and initial.n != problem.n:
         raise ValueError("initial state size does not match problem")
     _check_qubits(problem.n, lap)
     check_qubit_count(problem.n)
-    return _plus_amps(problem.n) if initial is None else initial.amps
+    if initial is not None:
+        return initial.amps
+    return np.broadcast_to(np.complex128(2.0 ** (-problem.n / 2)), (1 << problem.n,))
 
 
-def _simulate(amps, problem: DiagonalProblem, lap, gammas, betas) -> np.ndarray:
+def _simulate(amps, problem: DiagonalProblem, lap, gammas, betas, buffers=None) -> np.ndarray:
     """The rounds of qaoa_state on raw amplitudes, unchecked; amps is not changed.
 
-    gammas has shape (p,) or (p, T), betas (p,) or (p, n), as in a Schedule."""
+    gammas has shape (p,) or (p, T), betas (p,) or (p, n), as in a Schedule.
+    buffers, three complex arrays of amps' shape and none of them amps, take
+    the phased state and the mixer's two passes; the result of a hypercube or
+    complete-graph mixer is one of them. Without buffers every round writes
+    new arrays. Zero rounds return amps itself."""
+    phased, work = (None, None) if buffers is None else (buffers[0], buffers[1:])
     b = np.asarray(lap.b) if betas.ndim == 2 else None
     for gamma, beta in zip(gammas, betas):
         if gammas.ndim == 2:
-            amps = _phase(amps, gamma @ problem.term_tables(), 1.0)
+            amps = _phase(amps, gamma @ problem.term_tables(), 1.0, out=phased)
         else:
             levels, index = problem.phase_table
-            amps = _phase(amps, levels, float(gamma), index)
-        amps = _mix(amps, lap, float(beta)) if b is None else _rotate_qubits(amps, beta * b)
+            amps = _phase(amps, levels, float(gamma), index, out=phased)
+        if b is None:
+            amps = _mix(amps, lap, float(beta), work)
+        else:
+            amps = _rotate_qubits(amps, beta * b, work=work)
     return amps
 
 
@@ -100,8 +111,9 @@ def qaoa_state(
         raise ConfigError("per-term gammas must match the problem's term count")
     if schedule.beta_relaxed and schedule.betas.shape[1] != problem.n:
         raise ConfigError("per-qubit betas must match the qubit count")
-    amps = _start(problem, lap, initial)
-    return Statevector(problem.n, _simulate(amps, problem, lap, schedule.gammas, schedule.betas))
+    start = _start(problem, lap, initial)
+    amps = _simulate(start, problem, lap, schedule.gammas, schedule.betas)
+    return Statevector(problem.n, np.array(amps) if amps is start else amps)
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,12 @@ ROTATION_BLOCK = 4 qubits: each block's 16x16 unitary goes on the state in
 one complex GEMM, so the state is read and written once per block instead of
 once per qubit. The complete-graph mixer is the rank-1 update
 psi + (exp(-i beta) - 1) <u|psi> u with u the uniform state. The raw-array
-kernel _mix runs every mixer into a new array; evolve checks and wraps it, and
-ansatz._simulate calls it directly. kinetic_energy always uses the positive-
-semidefinite L_G = D_G - A_G, so it is >= 0 and vanishes exactly on the
-uniform state of a connected graph.
+kernel _mix runs every mixer. The hypercube and complete-graph mixers write
+into a caller's pair of buffers when given one, so that a search keeps its
+states in place, and into new arrays otherwise; evolve checks and wraps a new
+array, and ansatz._simulate calls _mix directly. kinetic_energy always uses
+the positive-semidefinite L_G = D_G - A_G, so it is >= 0 and vanishes exactly
+on the uniform state of a connected graph.
 
 CustomSparse and BallCut evolutions, single or batched over betas, share one
 spectral kernel on the explicit L_bar restricted to its support. It applies a
@@ -252,7 +254,7 @@ MIXERS = {
 # evolution
 
 
-def _rotate_qubits(amps: np.ndarray, thetas, unitaries: dict | None = None) -> np.ndarray:
+def _rotate_qubits(amps: np.ndarray, thetas, unitaries: dict | None = None, work=None) -> np.ndarray:
     """prod_i exp(-i thetas[i] X_i) on the last axis of amps; leading axes batch.
 
     Qubit i is bit i of the basis index. The qubits go in blocks of
@@ -277,15 +279,18 @@ def _rotate_qubits(amps: np.ndarray, thetas, unitaries: dict | None = None) -> n
     Blocks whose angles are all zero are skipped. A block reuses the unitary
     of an earlier block with the same angle bytes, in this call or in one
     given the same `unitaries` dict (cleared at BLOCK_UNITARY_CACHE entries).
-    The input is never written; the result is a new array. It agrees with
-    applying the 2x2 rotations one qubit at a time to rounding, not bit for
-    bit, since the GEMM sums the 16 products in its own order.
+    The input is never written. The passes alternate between two buffers, and
+    the result is one of them: the pair `work` (complex arrays of amps' shape,
+    neither of them amps) when given, else new arrays. It agrees with applying
+    the 2x2 rotations one qubit at a time to rounding, not bit for bit, since
+    the GEMM sums the 16 products in its own order.
     """
     src = np.asarray(amps, dtype=np.complex128)
     n = src.shape[-1].bit_length() - 1
     thetas = np.asarray(thetas, dtype=np.float64)
     unitaries = {} if unitaries is None else unitaries
-    cur, spare = src, None
+    bufs = [] if work is None else list(work)
+    cur = src
     for lo in range(0, n, ROTATION_BLOCK):
         block = thetas[lo : lo + ROTATION_BLOCK]
         if not block.any():
@@ -296,7 +301,9 @@ def _rotate_qubits(amps: np.ndarray, thetas, unitaries: dict | None = None) -> n
             if len(unitaries) >= BLOCK_UNITARY_CACHE:
                 unitaries.clear()
             u = unitaries[block.tobytes()] = _block_unitary(block)
-        dst = np.empty(src.shape, dtype=np.complex128) if spare is None else spare
+        if len(bufs) < 2:
+            bufs.append(np.empty(src.shape, dtype=np.complex128))
+        dst = bufs[1] if cur is bufs[0] else bufs[0]
         if lo == 0:
             shape = (-1, math.gcd(src.size >> k, ROTATION_GEMM_COLS), 1 << k)
             np.matmul(cur.reshape(shape), u.T, out=dst.reshape(shape))
@@ -304,9 +311,13 @@ def _rotate_qubits(amps: np.ndarray, thetas, unitaries: dict | None = None) -> n
             cols = min(ROTATION_GEMM_COLS, 1 << lo)
             shape = (-1, 1 << k, (1 << lo) // cols, cols)
             np.matmul(u, cur.reshape(shape).swapaxes(-3, -2), out=dst.reshape(shape).swapaxes(-3, -2))
-        spare = None if cur is src else cur
         cur = dst
-    return np.array(src) if cur is src else cur
+    if cur is not src:
+        return cur
+    if not bufs:
+        return np.array(src)
+    np.copyto(bufs[0], src)
+    return bufs[0]
 
 
 def _block_unitary(block: np.ndarray) -> np.ndarray:
@@ -485,13 +496,16 @@ def _check_qubits(n: int, lap) -> None:
         raise ValueError(f"Laplacian is on {lap.n} qubits, state on {n}")
 
 
-def _mix(amps: np.ndarray, lap, beta: float) -> np.ndarray:
-    """exp(-i beta L_bar) amps as a new array, for a Laplacian on as many qubits
-    as amps has; amps is not changed."""
+def _mix(amps: np.ndarray, lap, beta: float, work=None) -> np.ndarray:
+    """exp(-i beta L_bar) amps, for a Laplacian on as many qubits as amps has;
+    amps is not changed. A hypercube or complete-graph mixer writes into one of
+    the pair `work` (complex arrays of amps' shape, neither of them amps) when
+    given; every other result is a new array."""
     if isinstance(lap, WeightedHypercube):
-        return _rotate_qubits(amps, beta * np.asarray(lap.b), lap._unitaries)
+        return _rotate_qubits(amps, beta * np.asarray(lap.b), lap._unitaries, work)
     if isinstance(lap, CompleteGraph):
-        return amps + (np.exp(-1j * beta) - 1.0) * np.mean(amps)
+        out = None if work is None else work[0]
+        return np.add(amps, (np.exp(-1j * beta) - 1.0) * np.mean(amps), out=out)
     return _mix_many(amps, lap, np.array([float(beta)]))[0]
 
 

@@ -68,19 +68,33 @@ def _scorer(obj: Objective, problem: DiagonalProblem, lap=None):
     """The objective as a function of raw amplitudes (length 2^n, little-endian).
 
     Tables that depend only on the problem (Gibbs weights, the CVaR order) are
-    built here, once; a search that scores many states builds one scorer.
-    evaluate() is the scorer applied to one state.
+    built here, once; a search that scores many states builds one scorer. The
+    scorer squares each state into a float buffer it owns (CVaR keeps a second
+    one for the sorted probabilities), with the bytes of np.abs(amps) ** 2, so
+    one scorer must not score two states at once. evaluate() is the scorer
+    applied to one state.
     """
+    if isinstance(obj, Combined):
+        if lap is None:
+            raise ConfigError("Combined objective requires a Laplacian")
+        _check_qubits(problem.n, lap)
+        inner = _scorer(obj.inner, problem, lap)
+        return lambda amps: obj.k1 * inner(amps) + obj.k2 * _kinetic(amps, lap)
     values = problem.dense
+    probs = np.empty(values.shape)
+
+    def square(amps):
+        return np.square(np.abs(amps, out=probs), out=probs)
+
     if isinstance(obj, Mean):
-        return lambda amps: _expect(np.abs(amps) ** 2, values)
+        return lambda amps: _expect(square(amps), values)
     if isinstance(obj, Gibbs):
-        t = -obj.eta * values
-        shift = float(t.max())
-        weights = np.exp(t - shift)
+        weights = -obj.eta * values
+        shift = float(weights.max())
+        np.exp(np.subtract(weights, shift, out=weights), out=weights)
 
         def gibbs(amps):
-            g = _expect(np.abs(amps) ** 2, weights)
+            g = _expect(square(amps), weights)
             if not np.isfinite(g) or g <= 0.0:
                 raise NumericError("Gibbs objective overflowed despite max-shift")
             return -(shift + np.log(g))
@@ -88,26 +102,19 @@ def _scorer(obj: Objective, problem: DiagonalProblem, lap=None):
         return gibbs
     if isinstance(obj, CVaR):
         order = np.argsort(values, kind="stable")
-        f = values[order]
+        p = np.empty(values.shape)
 
         def cvar(amps):
-            p = (np.abs(amps) ** 2)[order]
-            cum = np.cumsum(p)
-            k = int(np.searchsorted(cum, obj.alpha))
-            if k >= len(p):
-                k = len(p) - 1
-            below = _expect(p[:k], f[:k])
+            np.take(square(amps), order, out=p, mode="clip")
+            cum = np.cumsum(p, out=probs)
+            k = min(int(np.searchsorted(cum, obj.alpha)), p.size - 1)
             taken = float(cum[k - 1]) if k > 0 else 0.0
-            below += (obj.alpha - taken) * float(f[k])
+            # the k + 1 lowest costs, gathered over cum once it is read
+            f = np.take(values, order[: k + 1], out=probs[: k + 1], mode="clip")
+            below = _expect(p[:k], f[:k]) + (obj.alpha - taken) * float(f[k])
             return below / obj.alpha
 
         return cvar
-    if isinstance(obj, Combined):
-        if lap is None:
-            raise ConfigError("Combined objective requires a Laplacian")
-        _check_qubits(problem.n, lap)
-        inner = _scorer(obj.inner, problem, lap)
-        return lambda amps: obj.k1 * inner(amps) + obj.k2 * _kinetic(amps, lap)
     raise ConfigError(f"unknown objective {obj!r}")
 
 

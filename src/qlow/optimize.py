@@ -38,7 +38,7 @@ from .ansatz import (
     qaoa_state,
 )
 from .errors import ConfigError
-from .laplacians import WeightedHypercube, _mix_many, _rotate_qubits, hypercube
+from .laplacians import CompleteGraph, WeightedHypercube, _mix, _mix_many, _rotate_qubits, hypercube
 from .objectives import Mean, _scorer, evaluate
 from .problems import DiagonalProblem, freeze
 from .statevector import GROUND_TOL, Statevector, _expect, _phase
@@ -169,19 +169,32 @@ def _refine(fun, starts, step, config: SearchConfig, probe=None, floor=(None, ma
     return floor if best_f > floor[1] else (best_x, best_f)
 
 
-def _grid_scan_p1(problem, lap, objective, config, initial):
+def _search_buffers(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A search's three complex state buffers: the phased state and the mixer's
+    two passes (_simulate)."""
+    return tuple(np.empty(size, dtype=np.complex128) for _ in range(3))
+
+
+def _grid_scan_p1(problem, lap, objective, config, initial, buffers=None):
     """Objective on the full (gamma, beta) grid, scored by one scorer: one
-    phase per gamma row, then the row's beta sweep through _mix_many."""
+    phase per gamma row into the first of buffers (_search_buffers; new ones
+    when None), then the row's beta sweep. A hypercube or complete-graph mixer
+    takes one beta at a time into the other two, each state scored before the
+    next overwrites it; a spectral mixer evolves the row in one _mix_many call."""
     gammas = np.linspace(*config.gamma_range, config.resolution[0])
     betas = np.linspace(*config.beta_range, config.resolution[1])
     base = _start(problem, lap, initial)
+    phased, *work = _search_buffers(base.size) if buffers is None else buffers
     score = _scorer(objective, problem, lap)
     table = np.empty((gammas.size, betas.size))
     levels, index = problem.phase_table
     for i, g in enumerate(gammas):
-        phased = _phase(base, levels, float(g), index)
-        # amps outlives the row: freeing all its states at once made glibc refault them
-        for j, amps in enumerate(_mix_many(phased, lap, betas)):
+        _phase(base, levels, float(g), index, out=phased)
+        if isinstance(lap, (WeightedHypercube, CompleteGraph)):
+            row = (_mix(phased, lap, float(b), work) for b in betas)
+        else:
+            row = _mix_many(phased, lap, betas)
+        for j, amps in enumerate(row):
             table[i, j] = score(amps)
     return gammas, betas, table
 
@@ -203,25 +216,29 @@ def optimize_schedule(
     only up to last bits on a spectral mixer. So when the floor wins, the
     function returns the p=1 value with that zero-padded schedule, and on a
     spectral mixer the schedule's own evaluate_schedule value can sit a few
-    ulps above the returned value."""
+    ulps above the returned value.
+
+    The scan and every refinement simulation share one set of _search_buffers,
+    allocated once per call."""
     if config is None:
         config = SearchConfig()
     if p < 1:
         raise ConfigError("round count must be >= 1")
 
-    gammas, betas, table = _grid_scan_p1(problem, lap, objective, config, initial)
+    base = _start(problem, lap, initial)
+    buffers = _search_buffers(base.size)
+    gammas, betas, table = _grid_scan_p1(problem, lap, objective, config, initial, buffers)
     flat_order = np.argsort(table, axis=None, kind="stable")
     grid_points = [
         np.array([gammas[i], betas[j]])
         for i, j in zip(*np.unravel_index(flat_order[: config.top_k], table.shape))
     ]
-    base = _start(problem, lap, initial)
     score = _scorer(objective, problem, lap)
 
     def fun(x):
         """x holds the gammas of every round, then the betas."""
         k = x.size // 2
-        return score(_simulate(base, problem, lap, x[:k], x[k:]))
+        return score(_simulate(base, problem, lap, x[:k], x[k:], buffers))
 
     step = max(
         (config.gamma_range[1] - config.gamma_range[0]) / config.resolution[0],

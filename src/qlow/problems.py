@@ -74,10 +74,14 @@ def _qubit_tuples(masks: np.ndarray, n: int) -> list[tuple[int, ...]]:
 
 
 def _dense_from_terms(n: int, masks: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """sum_t c_t (-1)^{popcount(z & m_t)}, adding one parity table per term in order."""
-    values = np.zeros(1 << n, dtype=np.float64)
+    """sum_t c_t (-1)^{popcount(z & m_t)}, adding one table of +-c_t per term in
+    order: exactly c_t times the term's parity signs, so the sums keep their bits."""
+    z = _bits.indices(n)
+    scratch = np.empty_like(z)
+    values = np.zeros(z.size, dtype=np.float64)
     for m, c in zip(masks, coeffs):
-        values += c * _bits.parity_signs(n, m)
+        parity = np.bitwise_count(np.bitwise_and(z, np.uint32(m), out=scratch)) & 1
+        values += np.where(parity.view(bool), -c, c)
     return values
 
 

@@ -9,6 +9,8 @@ drift beyond NORM_TOL = 1e-10.
 The scalar-gamma phases of ansatz._simulate and optimize._grid_scan_p1 take a
 problem's level table (DiagonalProblem.phase_table) when it has one; all other
 phases are dense. The bytes match: each entry is the same exp of the same product.
+The raw kernel _phase writes into a caller's buffer, so a search keeps one phased
+state for all its simulations.
 """
 
 from __future__ import annotations
@@ -26,6 +28,10 @@ NORM_TOL = 1e-10
 GROUND_TOL = 1e-9
 # OpenBLAS splits a longer dot across its threads, and the split changes the last bits
 EXPECT_CHUNK = 1 << 12
+# numpy computes x * <temporary> in place, as <temporary> * x, from 256 KiB of
+# complex128 on when x has the temporary's shape; _phase writes that order out
+ELIDE_ENTRIES = 1 << 14
+GATHER_CHUNK = 1 << 12
 
 
 def max_qubits() -> int:
@@ -90,19 +96,36 @@ def basis_state(n: int, z: int) -> Statevector:
     return Statevector(n, amps)
 
 
-def _phase(amps: np.ndarray, values: np.ndarray, gamma: float, index=None) -> np.ndarray:
-    """exp(-i * gamma * f(z)) * amps[z] as a new array; amps is not changed. f is
-    values, or values[index] with values the distinct costs bit for bit: each
-    entry is the same exp of the same product on both routes. The sign follows
-    the ansatz convention exp(-i gamma f).
+def _phase(amps: np.ndarray, values: np.ndarray, gamma: float, index=None, out=None) -> np.ndarray:
+    """exp(-i * gamma * f(z)) * amps[z] written into out, or into a new array when
+    out is None; out must not be amps, and amps is not changed. f is values, or
+    values[index] with values the distinct costs bit for bit: each entry is the
+    same exp of the same product on both routes. Leading axes of values batch
+    tables against one amps. The sign follows the ansatz convention
+    exp(-i gamma f).
 
-    amps multiplies an unnamed temporary on both routes: from 2^14 entries numpy
-    reuses it with the operands swapped, and the complex product is not
-    commutative in its last bit.
+    The factor goes into out first, then the product, in the operand order that
+    numpy's temporary elision gave amps * <factor>: the factor first where the
+    result has at least ELIDE_ENTRIES entries and amps has its shape, amps
+    first otherwise (numpy elides no temporary that amps broadcasts against).
+    A complex product is not commutative in its last bit, so the order is
+    written out by size.
     """
+    if out is None:
+        shape = values.shape if index is None else index.shape
+        out = np.empty(np.broadcast_shapes(amps.shape, shape), dtype=np.complex128)
     if index is None:
-        return amps * np.exp(-1j * gamma * values)
-    return amps * np.exp(-1j * gamma * values)[index]
+        np.exp(np.multiply(-1j * gamma, values, out=out), out=out)
+    else:
+        factor = np.exp(-1j * gamma * values)
+        # np.take casts the index to intp, by chunks so that the copy stays small;
+        # "clip" (the index is in range) keeps it from buffering out
+        for lo in range(0, index.size, GATHER_CHUNK):
+            hi = lo + GATHER_CHUNK
+            np.take(factor, index[lo:hi], out=out[lo:hi], mode="clip")
+    if out.size < ELIDE_ENTRIES or amps.shape != out.shape:
+        return np.multiply(amps, out, out=out)
+    return np.multiply(out, amps, out=out)
 
 
 def _expect(weights: np.ndarray, values: np.ndarray) -> float:

@@ -156,6 +156,14 @@ def test_initial_state_is_not_changed():
         assert np.array_equal(init.amps, before)
 
 
+def test_zero_rounds_return_a_new_writable_copy_of_the_start():
+    prob, lap, none = hamming_ramp(4), hypercube(4), Schedule([], [])
+    init = randomize_phases(ball_uniform_state(4, 0, 2), 3)
+    plus, same = qaoa_state(prob, lap, none), qaoa_state(prob, lap, none, initial=init)
+    assert np.array_equal(plus.amps, plus_state(4).amps) and plus.amps.flags.writeable
+    assert np.array_equal(same.amps, init.amps) and not np.shares_memory(same.amps, init.amps)
+
+
 def test_schedule_shape_validation():
     with pytest.raises(ConfigError):
         Schedule(np.zeros((1, 2, 3)), np.zeros(1))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from qlow.problems import (
     from_terms,
     grid_ferromagnet_2d,
     hamming_ramp,
+    maxcut_3regular,
     uncoupled_spins,
 )
 from qlow.statevector import Statevector, basis_state
@@ -378,9 +380,10 @@ def core_calls(monkeypatch):
     recorded by a spy in optimize's namespace."""
     calls = []
 
-    def spy(amps, problem, lap, gammas, betas):
-        out = _simulate(amps, problem, lap, gammas, betas)
-        calls.append((amps, problem, lap, gammas.copy(), betas.copy(), out))
+    def spy(amps, problem, lap, gammas, betas, buffers=None):
+        out = _simulate(amps, problem, lap, gammas, betas, buffers)
+        # a search's result lives in its kept buffers, which the next simulation overwrites
+        calls.append((amps, problem, lap, gammas.copy(), betas.copy(), out.copy()))
         return out
 
     monkeypatch.setattr(optimize, "_simulate", spy)
@@ -432,3 +435,47 @@ def test_rounding_solver_on_the_raw_core_matches_evaluate_schedule(core_calls, o
             assert value == evaluate_schedule(sub, lap, sched, obj)
             assert state.amps.tobytes() == qaoa_state(sub, lap, sched).amps.tobytes()
     assert_core_calls_match_qaoa_state(core_calls)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("mixer", ["hypercube", "complete"])
+def test_search_scores_its_states_in_three_kept_arrays(monkeypatch, mixer, p):
+    scored = []
+    scorer = optimize._scorer
+
+    def spy(*args):
+        score = scorer(*args)
+
+        def recorded(amps):
+            scored.append(amps)
+            return score(amps)
+
+        return recorded
+
+    monkeypatch.setattr(optimize, "_scorer", spy)
+    prob = conflicted_pairs(6, 0.5, 3.0)
+    lap = hypercube(6) if mixer == "hypercube" else CompleteGraph(6)
+    config = SearchConfig(resolution=(6, 5), top_k=2, max_iters=8)
+    optimize_schedule(prob, lap, p, Mean(), config)
+    # every scored array stays referenced, so no freed state can lend its address to a new one
+    addresses = {amps.__array_interface__["data"][0] for amps in scored}
+    assert len(scored) > 30 and len(addresses) <= 3
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("objective", [Mean(), Gibbs(), CVaR()], ids=["mean", "gibbs", "cvar"])
+def test_search_peak_memory_stays_within_five_states(objective, p):
+    """A search's own arrays at their peak. The problem's level table and the
+    mixer's block unitaries are kept across searches, so an identical first
+    search builds them before the traced one."""
+    n = 14
+    prob, lap = maxcut_3regular(n, seed=3), hypercube(n)
+    config = SearchConfig(resolution=(8, 8), top_k=2, max_iters=6)
+    optimize_schedule(prob, lap, p, objective, config)
+    tracemalloc.start()
+    try:
+        optimize_schedule(prob, lap, p, objective, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * (16 << n)  # five complex128 states

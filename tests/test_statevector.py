@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from qlow.errors import ResourceError
 from qlow.statevector import (
     Statevector,
+    _phase,
     apply_phase,
     basis_state,
     check_qubit_count,
@@ -128,3 +129,38 @@ def test_ground_state_mass_tie_tolerance():
 def test_statevector_shape_validation():
     with pytest.raises(ValueError):
         Statevector(2, np.zeros(3, dtype=complex))
+
+
+@pytest.mark.parametrize("route", ["levels", "dense"])
+@pytest.mark.parametrize("n", [13, 14])
+def test_phase_multiplies_in_the_operand_order_numpys_elision_gave(n, route):
+    """From 2^14 entries numpy computed amps * <factor> in place as <factor> * amps,
+    and a complex product is not commutative in its last bit; _phase writes that
+    order out, amps first below 2^14 and the factor first from there on."""
+    rng = np.random.default_rng(n)
+    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    levels = rng.normal(size=40)
+    index = rng.integers(0, levels.size, size=1 << n).astype(np.uint8)
+    gamma = 0.83
+    if route == "levels":
+        factor, args = np.exp(-1j * gamma * levels)[index], (levels, gamma, index)
+    else:
+        factor, args = np.exp(-1j * gamma * levels[index]), (levels[index], gamma)
+    first, second = (factor, amps) if n >= 14 else (amps, factor)
+    want = np.multiply(first, second)
+    assert want.tobytes() != np.multiply(second, first).tobytes()  # the order shows here
+    assert _phase(amps, *args).tobytes() == want.tobytes()
+    out = np.empty_like(amps)
+    assert _phase(amps, *args, out=out) is out
+    assert out.tobytes() == want.tobytes()
+
+
+def test_batched_phase_multiplies_amps_first_at_any_size():
+    # numpy elides no temporary that amps broadcasts against: 2 x 2^13 rows
+    rng = np.random.default_rng(5)
+    amps = rng.normal(size=1 << 13) + 1j * rng.normal(size=1 << 13)
+    values = rng.normal(size=(2, 1 << 13))
+    factor = np.exp(-1j * 0.83 * values)
+    want = np.multiply(amps, factor)
+    assert want.tobytes() != np.multiply(factor, amps).tobytes()
+    assert _phase(amps, values, 0.83).tobytes() == want.tobytes()
