@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import functools
 import inspect
+import math
+import sys
 import types
 import typing
 
@@ -32,12 +34,25 @@ class NumericError(QlowError):
     """A numeric routine failed to converge or overflowed despite shifting."""
 
 
+def _finite(values) -> bool:
+    """Whether every number in values is a finite double. One C-level sum
+    settles a list whose sum is finite; otherwise each number is compared with
+    the largest double (exact for an int, false for a NaN)."""
+    try:
+        if math.isfinite(sum(values)):
+            return True
+    except OverflowError:  # an int beyond a double
+        pass
+    return all(-sys.float_info.max <= v <= sys.float_info.max for v in values)
+
+
 def _fits(value, kind) -> bool:
     """Whether a JSON value fits the annotation kind: an int (not a bool) for
-    int, any number for float, a list or tuple of fitting items for a sequence
-    (one per member of a fixed-length tuple; else one item per type when the
-    item kind is a plain class, whose verdict depends on the type alone), a fit
-    to one member for a union."""
+    int, a finite number for float (json reads 1e999 as inf), a list or tuple
+    of fitting items for a sequence (one per member of a fixed-length tuple;
+    else one item per type when the item kind is a plain class, whose verdict
+    depends on the type alone, and the finiteness of a float list over the
+    whole list), a fit to one member for a union."""
     origin, args = typing.get_origin(kind), typing.get_args(kind)
     if origin is types.UnionType:
         return any(_fits(value, member) for member in args)
@@ -47,10 +62,12 @@ def _fits(value, kind) -> bool:
         if origin is tuple and ... not in args:
             return len(value) == len(args) and all(map(_fits, value, args))
         items = value if typing.get_origin(args[0]) else {type(v): v for v in value}.values()
-        return all(_fits(v, args[0]) for v in items)
+        return all(_fits(v, args[0]) for v in items) and (args[0] is not float or _finite(value))
     if isinstance(value, bool):
         return kind is bool
-    return isinstance(value, (int, float) if kind is float else kind)
+    if kind is float:
+        return isinstance(value, (int, float)) and _finite((value,))
+    return isinstance(value, kind)
 
 
 def bind(fn, spec: dict, what: str, fixed=()) -> functools.partial:

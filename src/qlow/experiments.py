@@ -426,9 +426,7 @@ def _far_spike_problem(n: int, weight: int, height: float) -> DiagonalProblem:
     w = _bits.popcounts(n)
     values = w.astype(np.float64)
     values[w == weight] += height
-    return from_dense(
-        n, values, {"family": "ramp-far-spike", "weight": weight, "height": height}
-    )
+    return from_dense(n, values)
 
 
 def run_shadow_defect(

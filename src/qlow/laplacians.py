@@ -82,8 +82,8 @@ class WeightedHypercube:
 
     def __post_init__(self) -> None:
         b = tuple(float(x) for x in self.b)
-        if any(x < 0 for x in b):
-            raise ConfigError("hypercube weights must be non-negative")
+        if not all(0 <= x < math.inf for x in b):  # false for a NaN
+            raise ConfigError("hypercube weights must be finite and non-negative")
         object.__setattr__(self, "b", b)
 
     @property
@@ -122,6 +122,8 @@ class CustomSparse:
         adj = sp.csr_matrix(self.adjacency, dtype=np.float64)
         if adj.shape != (size, size):
             raise ConfigError(f"adjacency must be {size} x {size}")
+        if not np.isfinite(adj.data).all():  # inf - inf is NaN, which passes the next check
+            raise ConfigError("adjacency weights must be finite")
         if abs(adj - adj.T).max() > 1e-12:
             raise ConfigError("adjacency must be symmetric")
         if abs(adj.diagonal()).max() > 0:

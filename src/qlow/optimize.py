@@ -65,8 +65,8 @@ class SearchConfig:
         if self.resolution[0] < 2 or self.resolution[1] < 2:
             raise ConfigError("grid resolution must be at least 2 per axis")
         for lo, hi in (self.gamma_range, self.beta_range):
-            if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-                raise ConfigError("search ranges must be finite and ordered")
+            if not (lo < hi and math.isfinite(hi - lo)):  # a finite width needs finite ends
+                raise ConfigError("search ranges must be ordered with a finite width")
         if self.method not in ("compass", "simplex"):
             raise ConfigError("local method must be 'compass' or 'simplex'")
         if self.top_k < 1 or self.max_iters < 1 or self.tol <= 0 or self.restarts < 0:
@@ -394,25 +394,10 @@ class RoundingStep:
     success_prob: float
 
 
-def _marginals(state: Statevector) -> np.ndarray:
-    probs = state.probabilities()
-    idx = _bits.indices(state.n)
-    return np.array(
-        [_expect(probs, ((idx >> j) & 1).astype(np.float64)) for j in range(state.n)]
-    )
-
-
-def _ground_mass_of_completions(original, frozen, keep, probs):
-    base = 0
-    for q, b in frozen.items():
-        base |= b << q
-    m = len(keep)
-    idx = np.arange(2**m, dtype=np.int64)
-    full = np.full(2**m, base, dtype=np.int64)
-    for j, q in enumerate(keep):
-        full |= ((idx >> j) & 1) << q
-    vals = original.dense[full]
-    return float(probs[vals <= original.f_min + GROUND_TOL].sum())
+def _marginals(probs: np.ndarray, n: int) -> np.ndarray:
+    """P(bit j = 1) for each of the n qubits under the distribution probs."""
+    idx = _bits.indices(n)
+    return np.array([_expect(probs, ((idx >> j) & 1).astype(np.float64)) for j in range(n)])
 
 
 def iterated_rounding(
@@ -424,7 +409,10 @@ def iterated_rounding(
 
     solver(sub_problem) returns a state on the sub-problem's qubits. Each
     step freezes, solves and records one RoundingStep, whose iteration is the
-    frozen count. After n_f freezes the residual qubits are read off one more
+    frozen count. freeze keeps the constant it folds out, so sub.dense is the
+    original table on the completions of the frozen bits, and a step's
+    success_prob is the mass on sub's entries within GROUND_TOL of the
+    original f_min. After n_f freezes the residual qubits are read off one more
     solve by measurement-argmax. Softmax selection is max-shifted and
     normalized over unfrozen indices only. A solver error carries the steps
     recorded so far as its rounding_trace.
@@ -441,7 +429,8 @@ def iterated_rounding(
         except Exception as exc:
             exc.rounding_trace = trace
             raise
-        probs, margs = state.probabilities(), _marginals(state)
+        probs = state.probabilities()
+        margs = _marginals(probs, sub.n)
         if len(frozen) < rounding.n_f:
             d = np.abs(margs - 0.5)
             w = np.exp(rounding.beta_r * (d - d.max()))
@@ -457,7 +446,7 @@ def iterated_rounding(
                 bit=bit,
                 marginals={q: float(m) for q, m in zip(keep, margs)},
                 value=_expect(probs, sub.dense),
-                success_prob=_ground_mass_of_completions(problem, frozen, keep, probs),
+                success_prob=float(probs[sub.dense <= problem.f_min + GROUND_TOL].sum()),
             )
         )
         if qubit < 0:  # the read-off: each residual qubit takes its bit in the likeliest outcome
@@ -477,8 +466,7 @@ def default_qaoa_solver(p: int = 1, objective=None, config: SearchConfig | None 
     def solve(sub: DiagonalProblem) -> Statevector:
         lap = hypercube(sub.n)
         sched, _ = optimize_schedule(sub, lap, p, objective, config)
-        amps = _simulate(_start(sub, lap, None), sub, lap, sched.gammas, sched.betas)
-        return Statevector(sub.n, amps)
+        return qaoa_state(sub, lap, sched)
 
     return solve
 

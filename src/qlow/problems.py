@@ -16,7 +16,7 @@ Walsh-Hadamard transform away from the table (O(n 2^n) at any n).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -95,13 +95,12 @@ def _dense_from_walsh(n: int, masks: np.ndarray, coeffs: np.ndarray) -> np.ndarr
 @dataclass
 class DiagonalProblem:
     """n qubits; Z terms stored only as equal-length `masks` (int64) and `coeffs`
-    (float64) arrays, of which `terms` is a read-only view; dense table; metadata."""
+    (float64) arrays, of which `terms` is a read-only view; and the dense table."""
 
     n: int
     masks: np.ndarray
     coeffs: np.ndarray
     dense: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         check_qubit_count(self.n)
@@ -163,13 +162,13 @@ class DiagonalProblem:
         return self._term_tables
 
 
-def from_terms(n: int, terms: Iterable[ZTerm], meta: dict | None = None) -> DiagonalProblem:
+def from_terms(n: int, terms: Iterable[ZTerm]) -> DiagonalProblem:
     check_qubit_count(n)
     masks, coeffs = _term_arrays(n, list(terms))
-    return DiagonalProblem(n, masks, coeffs, _dense_from_terms(n, masks, coeffs), meta or {})
+    return DiagonalProblem(n, masks, coeffs, _dense_from_terms(n, masks, coeffs))
 
 
-def from_dense(n: int, values: np.ndarray, meta: dict | None = None) -> DiagonalProblem:
+def from_dense(n: int, values: np.ndarray) -> DiagonalProblem:
     """Build a problem from a value table; terms recovered by Walsh expansion.
 
     The Pauli-Z coefficient of subset mask S is the normalized Walsh transform
@@ -182,7 +181,7 @@ def from_dense(n: int, values: np.ndarray, meta: dict | None = None) -> Diagonal
         raise ValueError(f"dense table has {values.size} values, not 2^n = {1 << n}")
     coeffs = fwht_array(values) * 2.0 ** (-n / 2)
     masks = np.flatnonzero(np.abs(coeffs) > WALSH_COEFF_CUTOFF * _magnitude(values))
-    return DiagonalProblem(n, masks, coeffs[masks], values, meta or {})
+    return DiagonalProblem(n, masks, coeffs[masks], values)
 
 
 # ---------------------------------------------------------------------------
@@ -195,19 +194,19 @@ def uncoupled_spins(n: int, dist: str, seed: int = 0) -> DiagonalProblem:
     check_qubit_count(n)
     alphas = draw_fields(dist, np.random.default_rng(seed), n)
     terms = [ZTerm((i,), float(alphas[i])) for i in range(n)]
-    return from_terms(n, terms, {"family": "uncoupled", "dist": dist, "seed": seed})
+    return from_terms(n, terms)
 
 
 def hamming_ramp(n: int) -> DiagonalProblem:
     """f = w = (1/2) sum_i (I - Z_i), i.e. values[z] = popcount(z)."""
     check_qubit_count(n)
     terms = [ZTerm((), n / 2.0)] + [ZTerm((i,), -0.5) for i in range(n)]
-    return from_terms(n, terms, {"family": "ramp"})
+    return from_terms(n, terms)
 
 
 def spike_band(n: int, a: float) -> tuple[int, int]:
     """Integer weights inside the closed interval n/4 +- n^a/2."""
-    half = (n**a) / 2.0
+    half = (float(n) ** a) / 2.0
     lo = int(np.ceil(n / 4 - half))
     hi = int(np.floor(n / 4 + half))
     return max(lo, 0), min(hi, n)
@@ -218,11 +217,14 @@ def spike(n: int, a: float = 0.0, b: float = 1.0) -> DiagonalProblem:
     check_qubit_count(n)
     if n % 4 != 0:
         raise ConfigError(f"spike requires n divisible by 4, got {n}")
-    lo, hi = spike_band(n, a)
+    try:
+        (lo, hi), height = spike_band(n, a), float(n) ** b
+    except OverflowError:
+        raise ConfigError(f"n^a or n^b overflows a double for n={n}, a={a}, b={b}") from None
     w = _bits.popcounts(n)
     values = w.astype(np.float64)
-    values[(w >= lo) & (w <= hi)] += float(n) ** b
-    return from_dense(n, values, {"family": "spike", "a": a, "b": b, "band": [lo, hi]})
+    values[(w >= lo) & (w <= hi)] += height
+    return from_dense(n, values)
 
 
 def bush(n: int) -> DiagonalProblem:
@@ -234,7 +236,7 @@ def bush(n: int) -> DiagonalProblem:
     w = _bits.popcounts(n).astype(np.float64)
     z0 = (_bits.indices(n) & 1).astype(bool)
     values = np.where(z0, w, 1.0)
-    return from_dense(n, values, {"family": "bush"})
+    return from_dense(n, values)
 
 
 def kspin_ferromagnet(n: int, k: int = 3) -> DiagonalProblem:
@@ -243,7 +245,7 @@ def kspin_ferromagnet(n: int, k: int = 3) -> DiagonalProblem:
     if k < 1:
         raise ConfigError("k must be >= 1")
     s = (n - 2 * _bits.popcounts(n)).astype(np.float64)
-    return from_dense(n, -(s**k), {"family": "kspin", "k": k})
+    return from_dense(n, -(s**k))
 
 
 def conflicted_pairs(n: int, epsilon: float = 0.1, delta: float = 2.2) -> DiagonalProblem:
@@ -265,9 +267,7 @@ def conflicted_pairs(n: int, epsilon: float = 0.1, delta: float = 2.2) -> Diagon
         terms.append(ZTerm((a,), -(1.0 + epsilon)))
         terms.append(ZTerm((b,), -1.0))
         terms.append(ZTerm((a, b), delta))
-    return from_terms(
-        n, terms, {"family": "conflicted_pairs", "epsilon": epsilon, "delta": delta}
-    )
+    return from_terms(n, terms)
 
 
 def fisher_chain(n: int, seed: int = 0) -> DiagonalProblem:
@@ -277,7 +277,7 @@ def fisher_chain(n: int, seed: int = 0) -> DiagonalProblem:
     js = rng.choice([1.0, 2.0], size=n - 1)
     terms = [ZTerm((), float(js.sum()) / 2.0)]
     terms += [ZTerm((i, i + 1), -float(js[i]) / 2.0) for i in range(n - 1)]
-    return from_terms(n, terms, {"family": "fisher_chain", "seed": seed, "J": js.tolist()})
+    return from_terms(n, terms)
 
 
 def chain_detuned(n: int, j2: float = 1.0) -> DiagonalProblem:
@@ -287,7 +287,7 @@ def chain_detuned(n: int, j2: float = 1.0) -> DiagonalProblem:
     for i in range(n - 1):
         j = 1.0 if i < n // 2 else float(j2)
         terms.append(ZTerm((i, i + 1), -j))
-    return from_terms(n, terms, {"family": "chain", "j2": j2})
+    return from_terms(n, terms)
 
 
 def grid_ferromagnet_2d(rows: int, cols: int, j2: float = 1.0) -> DiagonalProblem:
@@ -309,9 +309,7 @@ def grid_ferromagnet_2d(rows: int, cols: int, j2: float = 1.0) -> DiagonalProble
             if r + 1 < rows:
                 j = 1.0 if c < split else float(j2)
                 terms.append(ZTerm((q, q + cols), -j))
-    return from_terms(
-        n, terms, {"family": "grid", "rows": rows, "cols": cols, "j2": j2}
-    )
+    return from_terms(n, terms)
 
 
 def _random_regular_edges(d: int, n: int, rng: np.random.Generator) -> list[tuple[int, int]]:
@@ -343,17 +341,7 @@ def maxcut_3regular(n: int, fraction: float = 0.5, j2: float = 1.0, seed: int = 
     terms = [
         ZTerm(e, float(j2) if idx in detuned else 1.0) for idx, e in enumerate(edges)
     ]
-    return from_terms(
-        n,
-        terms,
-        {
-            "family": "maxcut",
-            "j2": j2,
-            "j2_fraction": fraction,
-            "seed": seed,
-            "edges": [list(e) for e in edges],
-        },
-    )
+    return from_terms(n, terms)
 
 
 def _dense(n: int, values: list[float]) -> DiagonalProblem:
@@ -394,6 +382,8 @@ def freeze(problem: DiagonalProblem, assignment: dict[int, int]) -> tuple[Diagon
     kept as an identity term, so sub-problem values equal original values on
     any completion.
     """
+    if any(not 0 <= q < problem.n or bit not in (0, 1) for q, bit in assignment.items()):
+        raise ValueError(f"freeze takes qubits in [0, {problem.n}) and bits 0 or 1: {assignment}")
     keep = [q for q in range(problem.n) if q not in assignment]
     if not keep:
         raise ValueError("cannot freeze every qubit; evaluate the dense table instead")
@@ -409,7 +399,5 @@ def freeze(problem: DiagonalProblem, assignment: dict[int, int]) -> tuple[Diagon
     tuples = _qubit_tuples(masks[live], len(keep))
     order = live[sorted(range(live.size), key=tuples.__getitem__)]  # by qubit tuple
     masks, folded = masks[order], folded[order]
-    meta = dict(problem.meta)
-    meta["frozen"] = {str(k): int(v) for k, v in sorted(assignment.items())}
     dense = _dense_from_terms(len(keep), masks, folded)
-    return DiagonalProblem(len(keep), masks, folded, dense, meta), keep
+    return DiagonalProblem(len(keep), masks, folded, dense), keep

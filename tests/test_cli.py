@@ -645,6 +645,11 @@ BAD_MANIFESTS = {
     "mixer_without_kind": ("solve", solve_with(mixer={"b": [1.0, 1.0, 1.0]})),
     "objective_without_kind": ("solve", solve_with(objective={"eta": 5.0})),
     "one_number_range": ("solve", solve_with(search={"gamma_range": [0.5]})),
+    "range_wider_than_a_double": ("solve", solve_with(search={"gamma_range": [-1e308, 1e308]})),
+    "spike_band_overflow": ("solve", solve_with(problem={"family": "spike", "n": 4, "a": 1e308})),
+    "spike_height_overflow": ("solve", solve_with(problem={"family": "spike", "n": 4, "b": 1e308})),
+    # an int exponent is raised as a float, never as an unbounded Python int
+    "spike_int_exponent_overflow": ("solve", solve_with(problem={"family": "spike", "n": 4, "a": 2000})),
     "three_number_range": ("solve", solve_with(search={"beta_range": [0.0, 0.5, 1.0]})),
     "one_item_resolution": ("solve", solve_with(search={"resolution": [4]})),
     "three_item_resolution": ("solve", solve_with(search={"resolution": [4, 4, 4]})),
@@ -691,6 +696,39 @@ def test_nonstandard_json_numbers_are_config_exit(tmp_path, capsys, command, tex
     path.write_text(text)
     assert main([*command.split(), "--manifest", str(path), "--out", str(tmp_path / "o")]) == 2
     assert "is not a JSON number" in capsys.readouterr().err
+
+
+# 1e999 is a valid JSON number that json reads as inf; it is written as raw text,
+# since json.dumps(inf) writes Infinity, which the loader rejects on its own
+OVERFLOWING_JSON = {
+    "hypercube_weight": ("solve", RAMP_SOLVE + '"mixer": {"kind": "hypercube", "b": [1e999, 1, 1]}}'),
+    "custom_edge_weight": (
+        "solve", RAMP_SOLVE + '"mixer": {"kind": "custom", "edges": [[0, 1, 1e999]]}}'
+    ),
+    "gibbs_eta": ("solve", RAMP_SOLVE + '"objective": {"kind": "gibbs", "eta": 1e999}}'),
+    "negative_search_tol": ("solve", RAMP_SOLVE + '"search": {"tol": -1e999}}'),
+    "dense_value": (
+        "solve", '{"experiment": "solve", "problem": {"family": "dense", "n": 1, "values": [0, 1e999]}}'
+    ),
+    "scale_j2_list": ("reproduce scale", '{"experiment": "scale", "params": {"j2_list": [1e999]}}'),
+    "freedom_j2_list": (
+        "reproduce freedom", '{"experiment": "freedom", "params": {"j2_list": [0.5, 1e999]}}'
+    ),
+    "ce_j2": ("reproduce ce", '{"experiment": "ce", "params": {"j2": 1e999}}'),
+    "rounding_beta_r": ("reproduce rounding", '{"experiment": "rounding", "params": {"beta_r": 1e999}}'),
+    "shadow_boost": ("reproduce shadow", '{"experiment": "shadow", "params": {"boost": 1e999}}'),
+}
+
+
+@pytest.mark.parametrize("command,text", OVERFLOWING_JSON.values(), ids=OVERFLOWING_JSON.keys())
+def test_json_numbers_beyond_a_double_are_config_exit(tmp_path, capsys, command, text):
+    assert "Infinity" not in text and "NaN" not in text
+    path, out = tmp_path / "m.json", tmp_path / "o"
+    path.write_text(text)
+    assert main([*command.split(), "--manifest", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "inf" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_manifest_that_is_not_utf8_is_config_exit(tmp_path, capsys):
@@ -779,6 +817,13 @@ def test_each_command_binds_the_manifest_once(tmp_path, capsys, monkeypatch):
         ([[0.5, 1], [], [2.0]], list[float], True),
         ([[0.5, 1], [False]], list[float], False),
         ([1, None, 2], int | None, True),
+        ([1.0, math.inf, 2.0], float, False),
+        ([1.0, 2.0, math.nan], float, False),
+        ([math.inf, -math.inf], float, False),
+        ([1e308, 1e308, -1.0], float, True),  # the sum overflows, each item is finite
+        ([1, 10**400], float, False),
+        ([1, 10**400], int, True),
+        ([[0.5], [1.0, -math.inf]], list[float], False),
     ],
 )
 def test_fits_checks_a_list_like_each_of_its_items(value, item, fits):

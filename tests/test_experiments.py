@@ -179,7 +179,6 @@ def test_far_spike_problem_values():
     w = _bits.popcounts(6)
     np.testing.assert_allclose(prob.dense[w != 5], w[w != 5].astype(float))
     np.testing.assert_allclose(prob.dense[w == 5], 5 + 3.5)
-    assert prob.meta["height"] == 3.5
 
 
 def test_objective_config_roundtrip():

@@ -228,6 +228,22 @@ def test_custom_adjacency_validation():
         CustomSparse(1, diag)
 
 
+@pytest.mark.parametrize("weight", [np.nan, np.inf, -1.0])
+def test_hypercube_weights_must_be_finite_and_non_negative(weight):
+    with pytest.raises(ConfigError, match="finite and non-negative"):
+        WeightedHypercube((weight, 1.0))
+
+
+@pytest.mark.parametrize("weight", [np.nan, np.inf])
+def test_custom_adjacency_weights_must_be_finite(weight):
+    # symmetric with zero diagonal, so only the finiteness check can reject it
+    adj = sp.csr_matrix(np.array([[0.0, weight], [weight, 0.0]]))
+    with pytest.raises(ConfigError, match="must be finite"):
+        CustomSparse(1, adj)
+    with pytest.raises(ConfigError, match="must be finite"):
+        custom_from_edges(1, [[0, 1, weight]])
+
+
 def test_ballcut_matches_block_exponential():
     n = 4
     cut = BallCut(inner=hypercube(n), center=0, radius=2)

@@ -43,7 +43,7 @@ from qlow.problems import (
     maxcut_3regular,
     uncoupled_spins,
 )
-from qlow.statevector import Statevector, basis_state
+from qlow.statevector import GROUND_TOL, Statevector, basis_state, plus_state
 
 FAST = SearchConfig(resolution=(16, 16), top_k=2)
 
@@ -320,6 +320,54 @@ def test_iterated_rounding_deterministic_under_seed():
     a2, t2 = iterated_rounding(prob, solver, cfg)
     assert list(a1) == list(a2)
     assert [s.qubit for s in t1] == [s.qubit for s in t2]
+
+
+def ground_mask_of_completions(original, frozen, keep):
+    """Which sub-problem indices complete the frozen bits to a ground state of
+    original, found by gathering original.dense at each completion's full
+    index: a route independent of the sub.dense that iterated_rounding reads."""
+    base = sum(bit << q for q, bit in frozen.items())
+    idx = np.arange(1 << len(keep), dtype=np.int64)
+    full = np.full(idx.size, base, dtype=np.int64)
+    for j, q in enumerate(keep):
+        full |= ((idx >> j) & 1) << q
+    return original.dense[full] <= original.f_min + GROUND_TOL
+
+
+ROUNDING_CASES = {
+    "grid3x3": (grid_ferromagnet_2d(3, 3, j2=0.2), RoundingConfig(beta_r=10.0, n_f=5, seed=2)),
+    "gaussian": (uncoupled_spins(7, "gaussian", seed=5), RoundingConfig(beta_r=10.0, n_f=7, seed=1)),
+    # |+> ties every marginal, and this seed freezes qubit 2 to 1, which no
+    # ground state has: the later sub-problems' minima are not the original's
+    "wrong_freeze": (hamming_ramp(4), RoundingConfig(n_f=2, seed=0)),
+}
+
+
+@pytest.mark.parametrize("case", ROUNDING_CASES)
+def test_rounding_success_prob_equals_the_mass_on_original_ground_completions(case):
+    prob, rounding = ROUNDING_CASES[case]
+    if case == "wrong_freeze":
+        solve = lambda sub: plus_state(sub.n)
+    else:
+        solve = default_qaoa_solver(p=1, config=SearchConfig(resolution=(12, 12), top_k=1))
+    solved = []
+
+    def solver(sub):
+        state = solve(sub)
+        solved.append((sub, state.probabilities()))
+        return state
+
+    _, trace = iterated_rounding(prob, solver, rounding)
+    assert len(trace) == len(solved) == rounding.n_f + (rounding.n_f < prob.n)
+    frozen = {}
+    for step, (sub, probs) in zip(trace, solved):
+        mask = ground_mask_of_completions(prob, frozen, list(step.marginals))
+        assert np.array_equal(sub.dense <= prob.f_min + GROUND_TOL, mask)
+        assert step.success_prob == float(probs[mask].sum())
+        if step.qubit >= 0:
+            frozen[step.qubit] = step.bit
+    assert trace[0].success_prob > 0
+    assert (trace[-1].success_prob == 0) is (case == "wrong_freeze")
 
 
 class FixedMarginal:

@@ -335,6 +335,12 @@ def test_freeze_all_raises():
         freeze(prob, {0: 0, 1: 1})
 
 
+@pytest.mark.parametrize("assignment", [{9: 1}, {4: 0}, {-1: 1}, {0: 2}, {0: -1}])
+def test_freeze_rejects_a_qubit_out_of_range_or_a_bit_not_0_or_1(assignment):
+    with pytest.raises(ValueError, match=r"freeze takes qubits in \[0, 4\) and bits 0 or 1"):
+        freeze(hamming_ramp(4), assignment)
+
+
 def test_term_tables_sum_to_dense():
     prob = conflicted_pairs(6, 0.25, 3.0)
     np.testing.assert_allclose(prob.term_tables().sum(axis=0), prob.dense, atol=1e-10)
