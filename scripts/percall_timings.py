@@ -6,9 +6,10 @@ Times, at --n qubits on uncoupled gaussian spins with a hypercube mixer:
 a p=1 qaoa_state; the raw simulation core the search loops call, where the
 checkout has one (ansatz._simulate); the mixer kernel _rotate_qubits and the
 phase kernel _phase; one grid point of a 24x24 p=1 scan under Mean and under
-Gibbs; and one p=1 optimize_schedule with the search settings of acceptance
-criterion 8a. The single-state timings draw a new beta on every call, from
-more values than laplacians keeps block unitaries for, so no call reuses one;
+Gibbs, each scan scored by a scorer built before the timing; and one p=1
+optimize_schedule with the search settings of acceptance criterion 8a. The
+single-state timings draw a new beta on every call, from more values than
+laplacians keeps block unitaries for, so no call reuses one;
 raw_core_p1_same_beta_us repeats one beta, so every call after the first does.
 The ball-cut rows time a unit-hypercube ball cut centred on 0 at n=12, radius 6
 (the size of the ballcut-ramp12 benchmark workload and the largest ball of
@@ -43,7 +44,7 @@ import numpy as np
 from qlow import ansatz, cli, laplacians, statevector
 from qlow.ansatz import Schedule, qaoa_state
 from qlow.laplacians import BallCut, hypercube
-from qlow.objectives import Gibbs, Mean
+from qlow.objectives import Gibbs, Mean, _scorer
 from qlow.optimize import SearchConfig, _grid_scan_p1, optimize_schedule
 from qlow.problems import uncoupled_spins
 
@@ -120,8 +121,9 @@ def main() -> None:
         lambda: statevector._phase(plus, problem.dense, 0.37), args.repeats
     )
     for name, obj in (("mean", Mean()), ("gibbs", Gibbs(20.0))):
+        score = _scorer(obj, problem, lap)
         scan_us = per_call_us(
-            lambda: _grid_scan_p1(problem, lap, obj, grid, None), args.repeats, 1.0
+            lambda: _grid_scan_p1(problem, lap, score, grid, None), args.repeats, 1.0
         )
         out[f"grid_point_{name}_us"] = scan_us / 576
     out["optimize_p1_8a_ms"] = per_call_us(

@@ -46,6 +46,15 @@ def _finite(values) -> bool:
     return all(-sys.float_info.max <= v <= sys.float_info.max for v in values)
 
 
+def _overflows(value) -> bool:
+    """Whether value is, or a list in it holds, a number that is not a finite
+    double: what _fits rejects for float whatever its type."""
+    if isinstance(value, (list, tuple)):
+        return any(map(_overflows, value))
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return number and not _finite((value,))
+
+
 def _fits(value, kind) -> bool:
     """Whether a JSON value fits the annotation kind: an int (not a bool) for
     int, a finite number for float (json reads 1e999 as inf), a list or tuple
@@ -87,7 +96,8 @@ def bind(fn, spec: dict, what: str, fixed=()) -> functools.partial:
     for k, value in spec.items():
         if not _fits(value, kind := sig.parameters[k].annotation):
             shown = inspect.formatannotation(kind)
-            raise ConfigError(f"{what} key {k!r} must be {shown}, got {value!r:.60}")
+            why = " (every number must be finite)" if _overflows(value) else ""
+            raise ConfigError(f"{what} key {k!r} must be {shown}, got {value!r:.60}{why}")
     return functools.partial(fn, **spec)
 
 

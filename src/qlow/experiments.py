@@ -32,7 +32,7 @@ from .laplacians import (
     hypercube,
     randomize_phases,
 )
-from .objectives import OBJECTIVES, Gibbs, Mean, approximation_ratio, improvement_proxy
+from .objectives import OBJECTIVES, Gibbs, Mean, _scorer, approximation_ratio, improvement_proxy
 from .optimize import (
     RoundingConfig,
     SearchConfig,
@@ -399,7 +399,7 @@ def shell_landscape(n: int, resolution: int = 32):
     k = n // 2
     init = hamming_shell_state(n, k)
     config = SearchConfig(resolution=(resolution, resolution))
-    _, _, table = _grid_scan_p1(problem, lap, Mean(), config, init)
+    _, _, table = _grid_scan_p1(problem, lap, _scorer(Mean(), problem, lap), config, init)
     baseline = _expect(init.probabilities(), problem.dense)
     row_dev = float(np.max(table.max(axis=0) - table.min(axis=0)))
     full_dev = float(table.max() - table.min())
@@ -527,11 +527,6 @@ def run_improvement_proxy(
     records = []
     details = {}
     config = SearchConfig(resolution=tuple(resolution))
-
-    def optimizer(prob, lp, init):
-        sched, _ = optimize_schedule(prob, lp, 1, Mean(), config, initial=init)
-        return float(sched.gammas[0]), float(sched.betas[0])
-
     for i, n in enumerate(n_list):
         problem = hamming_ramp(n)
         free = hypercube(n)
@@ -549,7 +544,9 @@ def run_improvement_proxy(
         for kind in kinds:
             init, lap = starts[kind]
             t0 = time.perf_counter()
-            res = improvement_proxy(init, problem, lap, optimizer)
+            sched, _ = optimize_schedule(problem, lap, 1, Mean(), config, initial=init)
+            gamma, beta = float(sched.gammas[0]), float(sched.betas[0])
+            res = improvement_proxy(init, problem, lap, gamma, beta)
             ms = (time.perf_counter() - t0) * 1e3
             records.append(
                 ExperimentRecord(

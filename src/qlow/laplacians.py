@@ -39,7 +39,7 @@ with Q the identity, its eigh that of the whole matrix.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -517,13 +517,16 @@ def evolve(state: Statevector, lap, beta: float) -> Statevector:
     return Statevector(state.n, _mix(state.amps, lap, beta))
 
 
-def _mix_many(amps: np.ndarray, lap, betas: np.ndarray) -> list[np.ndarray]:
-    """_mix(amps, lap, b) for every b in betas. Custom graphs and ball cuts
-    evolve all betas in one spectral-kernel call: through the cached sector
-    blocks while they fit DENSE_EIG_VERTEX_CAP^2 entries, one expm_multiply
-    per beta above it."""
+def _mix_many(amps: np.ndarray, lap, betas: np.ndarray, work=None) -> Iterable[np.ndarray]:
+    """_mix(amps, lap, b) for every b in betas, in order. A hypercube or
+    complete-graph mixer yields them one at a time, into the pair `work` when
+    given (as _mix), so each yielded state must be read before the next is
+    asked for. Custom graphs and ball cuts evolve all betas in one
+    spectral-kernel call and return a list of new arrays: through the cached
+    sector blocks while they fit DENSE_EIG_VERTEX_CAP^2 entries, one
+    expm_multiply per beta above it."""
     if isinstance(lap, (WeightedHypercube, CompleteGraph)):
-        return [_mix(amps, lap, float(b)) for b in betas]
+        return (_mix(amps, lap, float(b), work) for b in betas)
     support = _support(lap)
     cols = _spectral_evolve(lap, amps[support], betas)
     out = [amps.copy() for _ in range(betas.size)]

@@ -152,18 +152,18 @@ def improvement_proxy(
     initial: Statevector,
     problem: DiagonalProblem,
     lap,
-    optimizer,
+    gamma: float,
+    beta: float,
 ) -> ProxyResult:
-    """One optimized round from `initial`; gain normalized by 1 - 2^-n.
+    """The round (gamma, beta) from `initial`; gain normalized by 1 - 2^-n.
 
-    `optimizer(problem, lap, initial)` returns the round's (gamma, beta); it
-    is required, so the caller picks the search. The normalization makes an
-    exact solve from the uniform state score 1. Degenerate minima are handled
-    by tracking total ground-state mass, with the flag set in the result.
+    The caller picks the round's angles, by a search or by hand. The
+    normalization makes an exact solve from the uniform state score 1.
+    Degenerate minima are handled by tracking total ground-state mass, with
+    the flag set in the result.
     """
     if initial.n != problem.n:
         raise ValueError("initial state size does not match problem")
-    gamma, beta = optimizer(problem, lap, initial)
     final = qaoa_state(problem, lap, Schedule([gamma], [beta]), initial=initial)
     degenerate = len(problem.argmin_set) > 1
     c0 = ground_state_mass(initial, problem.dense)

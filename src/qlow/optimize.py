@@ -38,7 +38,7 @@ from .ansatz import (
     qaoa_state,
 )
 from .errors import ConfigError
-from .laplacians import CompleteGraph, WeightedHypercube, _mix, _mix_many, _rotate_qubits, hypercube
+from .laplacians import WeightedHypercube, _mix_many, _rotate_qubits, hypercube
 from .objectives import Mean, _scorer, evaluate
 from .problems import DiagonalProblem, freeze
 from .statevector import GROUND_TOL, Statevector, _expect, _phase
@@ -52,7 +52,6 @@ class SearchConfig:
     gamma_range: tuple[float, float] = (-math.pi, math.pi)
     beta_range: tuple[float, float] = (0.0, math.pi)
     resolution: tuple[int, int] = (64, 64)
-    method: str = "compass"
     tol: float = 1e-6
     max_iters: int = 500
     top_k: int = 5
@@ -67,8 +66,6 @@ class SearchConfig:
         for lo, hi in (self.gamma_range, self.beta_range):
             if not (lo < hi and math.isfinite(hi - lo)):  # a finite width needs finite ends
                 raise ConfigError("search ranges must be ordered with a finite width")
-        if self.method not in ("compass", "simplex"):
-            raise ConfigError("local method must be 'compass' or 'simplex'")
         if self.top_k < 1 or self.max_iters < 1 or self.tol <= 0 or self.restarts < 0:
             raise ConfigError("top_k, max_iters, tol must be positive and restarts >= 0")
 
@@ -135,20 +132,8 @@ def compass_minimize(fun, x0, step, tol, max_iters, probe=None):
 
 
 def _local_refine(fun, x0, step, config: SearchConfig, probe=None):
-    """Nelder-Mead or compass_minimize from x0; only compass takes a probe."""
-    if config.method == "simplex":
-        import scipy.optimize
-        res = scipy.optimize.minimize(
-            fun,
-            np.asarray(x0, dtype=np.float64),
-            method="Nelder-Mead",
-            options={
-                "xatol": config.tol,
-                "fatol": config.tol * 1e-2,
-                "maxiter": config.max_iters * max(1, len(np.atleast_1d(x0))),
-            },
-        )
-        return np.asarray(res.x), float(res.fun)
+    """compass_minimize from x0 with the search's tol and max_iters: the one
+    local method of every search."""
     return compass_minimize(fun, x0, step, config.tol, config.max_iters, probe)
 
 
@@ -175,26 +160,21 @@ def _search_buffers(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(np.empty(size, dtype=np.complex128) for _ in range(3))
 
 
-def _grid_scan_p1(problem, lap, objective, config, initial, buffers=None):
-    """Objective on the full (gamma, beta) grid, scored by one scorer: one
-    phase per gamma row into the first of buffers (_search_buffers; new ones
-    when None), then the row's beta sweep. A hypercube or complete-graph mixer
-    takes one beta at a time into the other two, each state scored before the
-    next overwrites it; a spectral mixer evolves the row in one _mix_many call."""
+def _grid_scan_p1(problem, lap, score, config, initial, buffers=None):
+    """score, the search's one scorer (objectives._scorer), on the full
+    (gamma, beta) grid: one phase per gamma row into the first of buffers
+    (_search_buffers; new ones when None), then the row's beta sweep by
+    _mix_many, which writes a hypercube or complete-graph state into the
+    other two; each state is scored before the next is made."""
     gammas = np.linspace(*config.gamma_range, config.resolution[0])
     betas = np.linspace(*config.beta_range, config.resolution[1])
     base = _start(problem, lap, initial)
     phased, *work = _search_buffers(base.size) if buffers is None else buffers
-    score = _scorer(objective, problem, lap)
     table = np.empty((gammas.size, betas.size))
     levels, index = problem.phase_table
     for i, g in enumerate(gammas):
         _phase(base, levels, float(g), index, out=phased)
-        if isinstance(lap, (WeightedHypercube, CompleteGraph)):
-            row = (_mix(phased, lap, float(b), work) for b in betas)
-        else:
-            row = _mix_many(phased, lap, betas)
-        for j, amps in enumerate(row):
+        for j, amps in enumerate(_mix_many(phased, lap, betas, work)):
             table[i, j] = score(amps)
     return gammas, betas, table
 
@@ -218,8 +198,8 @@ def optimize_schedule(
     spectral mixer the schedule's own evaluate_schedule value can sit a few
     ulps above the returned value.
 
-    The scan and every refinement simulation share one set of _search_buffers,
-    allocated once per call."""
+    The scan and every refinement simulation share one set of _search_buffers
+    and one scorer, both built once per call."""
     if config is None:
         config = SearchConfig()
     if p < 1:
@@ -227,13 +207,13 @@ def optimize_schedule(
 
     base = _start(problem, lap, initial)
     buffers = _search_buffers(base.size)
-    gammas, betas, table = _grid_scan_p1(problem, lap, objective, config, initial, buffers)
+    score = _scorer(objective, problem, lap)
+    gammas, betas, table = _grid_scan_p1(problem, lap, score, config, initial, buffers)
     flat_order = np.argsort(table, axis=None, kind="stable")
     grid_points = [
         np.array([gammas[i], betas[j]])
         for i, j in zip(*np.unravel_index(flat_order[: config.top_k], table.shape))
     ]
-    score = _scorer(objective, problem, lap)
 
     def fun(x):
         """x holds the gammas of every round, then the betas."""

@@ -654,6 +654,7 @@ BAD_MANIFESTS = {
     "one_item_resolution": ("solve", solve_with(search={"resolution": [4]})),
     "three_item_resolution": ("solve", solve_with(search={"resolution": [4, 4, 4]})),
     "negative_restarts": ("solve", solve_with(search={"resolution": [4, 4], "restarts": -1})),
+    "search_method": ("solve", solve_with(search={"method": "compass"})),
     "schedule_without_betas": ("sample", sample_with(schedule={"gammas": [0.1]})),
     "schedule_with_foreign_key": ("sample", sample_with(schedule={**SCHEDULE, "p": 1})),
     "string_angles": ("sample", sample_with(schedule={"gammas": ["0.1"], "betas": [0.2]})),
@@ -728,6 +729,7 @@ def test_json_numbers_beyond_a_double_are_config_exit(tmp_path, capsys, command,
     assert main([*command.split(), "--manifest", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "inf" in err and "Traceback" not in err
+    assert "finite" in err
     assert not out.exists()
 
 
@@ -760,8 +762,10 @@ def test_custom_edges_accept_integral_floats():
 def test_search_config_errors():
     with pytest.raises(ConfigError):
         bound_section("search", {"stride": 3})
-    cfg = bound_section("search", {"resolution": [8, 8], "method": "simplex"})(seed=0)
-    assert cfg.resolution == (8, 8) and cfg.method == "simplex"
+    with pytest.raises(ConfigError):  # compass is the one local method, so no key picks one
+        bound_section("search", {"method": "simplex"})
+    cfg = bound_section("search", {"resolution": [8, 8]})(seed=0)
+    assert cfg.resolution == (8, 8)
 
 
 def test_each_command_binds_the_manifest_once(tmp_path, capsys, monkeypatch):

@@ -17,6 +17,8 @@ from qlow.laplacians import (
     _BLOCK_XOR,
     _block_unitary,
     _lbar,
+    _mix,
+    _mix_many,
     _rotate_qubits,
     ball_uniform_state,
     custom_from_edges,
@@ -350,6 +352,16 @@ def test_evolve_many_matches_single_calls():
         for st_, b in zip(batch, betas):
             ref = evolve(state, lap, float(b))
             np.testing.assert_allclose(st_.amps, ref.amps, atol=1e-12)
+
+
+@pytest.mark.parametrize("lap", [hypercube(5), CompleteGraph(5)], ids=["hypercube", "complete"])
+def test_mix_many_into_a_work_pair_yields_the_bytes_of_mix(lap):
+    amps = rand_state(5, 6).amps
+    work = (np.empty_like(amps), np.empty_like(amps))
+    betas = np.linspace(-2, 2, 7)
+    for out, b in zip(_mix_many(amps, lap, betas, work), betas):
+        assert any(out is w for w in work)
+        assert out.tobytes() == _mix(amps, lap, float(b)).tobytes()
 
 
 def test_evolve_many_matches_expm():

@@ -214,9 +214,7 @@ def test_ratio_of_any_mean_lies_in_unit_interval(pair):
 
 def test_improvement_proxy_exact_solver_scores_one():
     prob = uncoupled_spins(5, "binary", seed=3)
-    result = improvement_proxy(
-        plus_state(5), prob, hypercube(5), optimizer=lambda p, l, s: (-np.pi / 4, np.pi / 4)
-    )
+    result = improvement_proxy(plus_state(5), prob, hypercube(5), -np.pi / 4, np.pi / 4)
     assert result.value == pytest.approx(1.0, abs=1e-9)
     assert result.final_mass == pytest.approx(1.0, abs=1e-9)
     assert result.initial_mass == pytest.approx(2.0**-5, abs=1e-12)
@@ -225,31 +223,24 @@ def test_improvement_proxy_exact_solver_scores_one():
 
 def test_improvement_proxy_identity_angles_score_zero():
     prob = uncoupled_spins(4, "binary", seed=0)
-    result = improvement_proxy(
-        plus_state(4), prob, hypercube(4), optimizer=lambda p, l, s: (0.0, 0.0)
-    )
+    result = improvement_proxy(plus_state(4), prob, hypercube(4), 0.0, 0.0)
     assert abs(result.value) < 1e-12
 
 
 def test_improvement_proxy_flags_degenerate_minima():
     two_grounds = from_dense(2, np.array([0.0, 0.0, 1.0, 2.0]))
-    result = improvement_proxy(
-        plus_state(2), two_grounds, hypercube(2), optimizer=lambda p, l, s: (0.1, 0.1)
-    )
+    result = improvement_proxy(plus_state(2), two_grounds, hypercube(2), 0.1, 0.1)
     assert result.degenerate
 
 
 def test_improvement_proxy_rejects_size_mismatch():
     prob = uncoupled_spins(3, "binary", seed=0)
     with pytest.raises(ValueError):
-        improvement_proxy(plus_state(4), prob, hypercube(4), lambda p, l, s: (0.0, 0.0))
+        improvement_proxy(plus_state(4), prob, hypercube(4), 0.0, 0.0)
 
 
 def test_improvement_proxy_with_a_searched_round_solves_uncoupled():
-    def optimizer(prob, lp, init):
-        sched, _ = optimize_schedule(prob, lp, 1, Mean(), SearchConfig(), initial=init)
-        return float(sched.gammas[0]), float(sched.betas[0])
-
-    prob = uncoupled_spins(4, "binary", seed=11)
-    result = improvement_proxy(plus_state(4), prob, hypercube(4), optimizer)
+    prob, lap, init = uncoupled_spins(4, "binary", seed=11), hypercube(4), plus_state(4)
+    sched, _ = optimize_schedule(prob, lap, 1, Mean(), SearchConfig(), initial=init)
+    result = improvement_proxy(init, prob, lap, float(sched.gammas[0]), float(sched.betas[0]))
     assert result.value > 0.9

@@ -16,7 +16,7 @@ from qlow.laplacians import (
     hypercube,
     randomize_phases,
 )
-from qlow.objectives import CVaR, Combined, Gibbs, Mean, evaluate
+from qlow.objectives import CVaR, Combined, Gibbs, Mean, _scorer, evaluate
 from qlow.optimize import (
     RoundingConfig,
     SearchConfig,
@@ -70,8 +70,6 @@ def test_search_config_validation():
     with pytest.raises(ConfigError):
         SearchConfig(beta_range=(0.0, np.inf))
     with pytest.raises(ConfigError):
-        SearchConfig(method="gradient")
-    with pytest.raises(ConfigError):
         SearchConfig(top_k=0)
     with pytest.raises(ConfigError):
         SearchConfig(tol=0.0)
@@ -121,11 +119,11 @@ def test_more_rounds_never_end_above_one_round_on_a_ball_cut(center):
     assert evaluate_schedule(prob, lap, sched2, Mean()) == pytest.approx(v2, abs=1e-12)
 
 
-def test_simplex_searches_return_the_public_value_and_never_end_above_their_floor():
+def test_compass_searches_return_the_public_value_and_never_end_above_their_floor():
     prob, lap, obj = grid_ferromagnet_2d(2, 3), hypercube(6), Mean()
-    config = SearchConfig(resolution=(8, 8), max_iters=30, method="simplex")
+    config = SearchConfig(resolution=(8, 8), max_iters=30)
     public = lambda sched: evaluate(obj, qaoa_state(prob, lap, sched), prob, lap)
-    _, _, table = _grid_scan_p1(prob, lap, obj, config, None)
+    _, _, table = _grid_scan_p1(prob, lap, _scorer(obj, prob, lap), config, None)
     sched1, v1 = optimize_schedule(prob, lap, 1, obj, config)
     assert v1 == public(sched1) and v1 <= table.min()
     sched2, v2 = optimize_schedule(prob, lap, 2, obj, config)
@@ -456,7 +454,7 @@ def test_search_loops_on_the_raw_core_match_evaluate_schedule(
     lap, obj = CORE_MIXERS[mixer], CORE_OBJECTIVES[obj_kind]
     initial = randomize_phases(ball_uniform_state(4, 5, 2), 11) if with_initial else None
     config = SearchConfig(resolution=(5, 4), top_k=2, max_iters=8)
-    gammas, betas, table = _grid_scan_p1(prob, lap, obj, config, initial)
+    gammas, betas, table = _grid_scan_p1(prob, lap, _scorer(obj, prob, lap), config, initial)
     for (i, g), (j, b) in itertools.product(enumerate(gammas), enumerate(betas)):
         assert table[i, j] == evaluate_schedule(prob, lap, Schedule([g], [b]), obj, initial)
     for p in (1, 2):
@@ -488,10 +486,11 @@ def test_rounding_solver_on_the_raw_core_matches_evaluate_schedule(core_calls, o
 @pytest.mark.parametrize("p", [1, 2])
 @pytest.mark.parametrize("mixer", ["hypercube", "complete"])
 def test_search_scores_its_states_in_three_kept_arrays(monkeypatch, mixer, p):
-    scored = []
+    scored, builds = [], []
     scorer = optimize._scorer
 
     def spy(*args):
+        builds.append(args)
         score = scorer(*args)
 
         def recorded(amps):
@@ -508,6 +507,7 @@ def test_search_scores_its_states_in_three_kept_arrays(monkeypatch, mixer, p):
     # every scored array stays referenced, so no freed state can lend its address to a new one
     addresses = {amps.__array_interface__["data"][0] for amps in scored}
     assert len(scored) > 30 and len(addresses) <= 3
+    assert len(builds) == 1  # the scan and the refinement share the search's one scorer
 
 
 @pytest.mark.parametrize("p", [1, 2])
