@@ -11,15 +11,16 @@ optimize_schedule with the search settings of acceptance criterion 8a. The
 single-state timings draw a new beta on every call, from more values than
 laplacians keeps block unitaries for, so no call reuses one;
 raw_core_p1_same_beta_us repeats one beta, so every call after the first does.
-The ball-cut rows time a unit-hypercube ball cut centred on 0 at n=12, radius 6
-(the size of the ballcut-ramp12 benchmark workload and the largest ball of
-`reproduce proxy`) and at n=8, radius 5 (the ball of `reproduce shadow`): the
-first evolution, which builds the eigenbasis, then one single-beta and one
-64-beta evolution on the kept basis. sample_dense14_calls_ms times three
-in-process `qlow sample` calls through qlow.cli.main, each on its own random
-n=14 dense table with a two-round schedule and 1000 shots, the shape of the
-sample-dense14 benchmark workload; it goes only through main, so it times any
-checkout alike.
+The ball-cut rows time unit-hypercube ball cuts on --n qubits centred on 0,
+of radius n // 2 (at --n 12 the size of the ballcut-ramp12 benchmark workload
+and the largest ball of `reproduce proxy`) and n // 2 + 1 (at --n 8 the ball
+of `reproduce shadow`): the first evolution, which builds the eigenbasis, then
+one single-beta and one 64-beta evolution on the kept basis.
+sample_dense<n>_calls_ms times three in-process `qlow sample` calls through
+qlow.cli.main, each on its own random dense table on --n qubits with a
+two-round schedule and 1000 shots (at --n 14 the shape of the sample-dense14
+benchmark workload); it goes only through main, so it times any checkout
+alike.
 Each figure is the fastest of --repeats timeit runs, which on a shared
 machine is the least disturbed. The import time is the median over --imports
 fresh interpreters. Prints one JSON object; run it with PYTHONPATH pointing at
@@ -63,17 +64,18 @@ def import_s(count: int) -> float:
     return statistics.median(runs)
 
 
-def sample_manifests(folder: Path) -> list[str]:
-    """Three sample manifests, each a random n=14 dense table and a two-round schedule."""
+def sample_manifests(folder: Path, n: int) -> list[str]:
+    """Three sample manifests, each a random dense table on n qubits and a
+    two-round schedule."""
     paths = []
     for index in range(3):
-        rng = np.random.default_rng([5, index, 14])
-        values = rng.normal(size=1 << 14)
+        rng = np.random.default_rng([5, index, n])
+        values = rng.normal(size=1 << n)
         gammas, betas = rng.uniform(-0.6, 0.6, size=2), rng.uniform(0.1, 1.4, size=2)
         path = folder / f"sample{index}.json"
         path.write_text(json.dumps({
             "experiment": "sample",
-            "problem": {"family": "dense", "n": 14, "values": values.tolist()},
+            "problem": {"family": "dense", "n": n, "values": values.tolist()},
             "schedule": {"gammas": gammas.tolist(), "betas": betas.tolist()},
         }))
         paths.append(str(path))
@@ -129,25 +131,24 @@ def main() -> None:
     out["optimize_p1_8a_ms"] = per_call_us(
         lambda: optimize_schedule(problem, lap, 1, Mean(), grid), args.repeats, 1.0
     ) / 1e3
-    for bn, radius in ((12, 6), (8, 5)):
-        cut = BallCut(hypercube(bn), center=0, radius=radius)
-        amps = statevector._plus_amps(bn)
+    for radius in (n // 2, n // 2 + 1):
+        cut = BallCut(hypercube(n), center=0, radius=radius)
 
         def first_evolution():
             cut._eig = None
-            laplacians._mix(amps, cut, 0.37)
+            laplacians._mix(plus, cut, 0.37)
 
-        key = f"ballcut_n{bn}_r{radius}"
+        key = f"ballcut_n{n}_r{radius}"
         out[f"{key}_vertices"] = int(cut.ball().size)
         out[f"{key}_first_evolve_ms"] = per_call_us(first_evolution, args.repeats) / 1e3
-        out[f"{key}_evolve_us"] = per_call_us(lambda: laplacians._mix(amps, cut, 0.37), args.repeats)
+        out[f"{key}_evolve_us"] = per_call_us(lambda: laplacians._mix(plus, cut, 0.37), args.repeats)
         out[f"{key}_evolve_64_betas_us"] = per_call_us(
-            lambda: laplacians._mix_many(amps, cut, np.linspace(0.1, 3.0, 64)), args.repeats
+            lambda: laplacians._mix_many(plus, cut, np.linspace(0.1, 3.0, 64)), args.repeats
         )
     with tempfile.TemporaryDirectory() as folder:
-        paths = sample_manifests(Path(folder))
+        paths = sample_manifests(Path(folder), n)
         sample_us = per_call_us(lambda: sample_calls(paths), args.repeats)
-        out["sample_dense14_calls_ms"] = sample_us / 1e3
+        out[f"sample_dense{n}_calls_ms"] = sample_us / 1e3
     if args.imports:
         out["import_qlow_cli_s"] = import_s(args.imports)
     print(json.dumps(out, indent=2))

@@ -86,7 +86,7 @@ SECTIONS = {
     "problem": lambda spec: bind_choice("$.problem", PROBLEMS, spec, "family"),
     "mixer": lambda spec: bind_choice("$.mixer", MIXERS, spec, "kind", "hypercube", fixed=("n",)),
     "objective": lambda spec: bind_choice("$.objective", OBJECTIVES, spec, "kind", "mean"),
-    "search": lambda spec: bind(SearchConfig, spec or {}, "$.search", fixed=("seed",)),
+    "search": lambda spec: bind(SearchConfig, spec or {}, "$.search"),
     "schedule": lambda spec: spec if spec is None else bind(Schedule, spec, "$.schedule"),
 }
 
@@ -115,12 +115,12 @@ def validate_manifest(manifest) -> dict:
     return bound
 
 
-def _run(bound: dict, seed: int):
+def _run(bound: dict):
     """(problem, mixer, objective, schedule, value) of a bound solve or sample
     manifest: its schedule if it has one (value None), or else the one that
-    optimize_schedule finds with its objective, search (seeded from seed) and p."""
+    optimize_schedule finds with its objective, search and p."""
     sched = bound["schedule"]() if bound.get("schedule") else None
-    objective, config = bound["objective"](), bound["search"](seed=seed)
+    objective, config = bound["objective"](), bound["search"]()
     build = bound["problem"]
     try:
         problem = build()
@@ -136,7 +136,7 @@ def _run(bound: dict, seed: int):
 def cmd_solve(args) -> int:
     wrong = "manifest experiment must be 'solve' for the solve command"
     bound = load_manifest(args.manifest, ("solve",), wrong)
-    problem, lap, objective, sched, value = _run(bound, args.seed)
+    problem, lap, objective, sched, value = _run(bound)
     state = qaoa_state(problem, lap, sched)
     mean, ground_prob, ratio = experiments._measure(problem, state)
     argmax = int(np.argmax(state.probabilities()))
@@ -207,7 +207,7 @@ def cmd_sample(args) -> int:
     bound = load_manifest(args.manifest, ("sample", "solve"), wrong)
     if args.shots < 0:
         raise ConfigError("shots must be >= 0")
-    problem, lap, _, sched, _ = _run(bound, args.seed)
+    problem, lap, _, sched, _ = _run(bound)
     state = qaoa_state(problem, lap, sched)
     probs = state.probabilities()
     rng = np.random.default_rng(args.seed)

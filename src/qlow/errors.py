@@ -70,7 +70,9 @@ def _fits(value, kind) -> bool:
             return False
         if origin is tuple and ... not in args:
             return len(value) == len(args) and all(map(_fits, value, args))
-        items = value if typing.get_origin(args[0]) else {type(v): v for v in value}.values()
+        items = value if typing.get_origin(args[0]) else [
+            next(v for v in value if type(v) is t) for t in set(map(type, value))
+        ]
         return all(_fits(v, args[0]) for v in items) and (args[0] is not float or _finite(value))
     if isinstance(value, bool):
         return kind is bool

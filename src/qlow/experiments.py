@@ -4,8 +4,8 @@ figures, emitting rows in a fixed CSV schema.
 Every pipeline is deterministic under (config, master seed): per-task seeds
 are spawned from SeedSequence([master, task_index]), so results do not depend
 on worker count or execution order. Deterministic problem families (chain,
-grid) combined with restart-free search produce genuinely identical rows
-across seeds; those are computed once and replicated.
+grid) and the schedule search, which draws no random numbers, give identical
+rows across seeds; those are computed once and replicated.
 """
 
 from __future__ import annotations

@@ -45,29 +45,29 @@ from .statevector import GROUND_TOL, Statevector, _expect, _phase
 
 # a rounding marginal this close to 0.5 is a tie: kernels miss an exact 0.5 by last bits
 MARGINAL_TIE_TOL = 1e-12
+# the p=1 angle domain of every search, and the step at which compass search stops
+GAMMA_RANGE = (-math.pi, math.pi)
+BETA_RANGE = (0.0, math.pi)
+COMPASS_TOL = 1e-6
 
 
 @dataclass
 class SearchConfig:
-    gamma_range: tuple[float, float] = (-math.pi, math.pi)
-    beta_range: tuple[float, float] = (0.0, math.pi)
+    """What callers of a schedule search set: the p=1 grid's resolution
+    (gammas, betas), the compass search's max_iters, and top_k, the grid points
+    it refines. GAMMA_RANGE, BETA_RANGE and COMPASS_TOL are constants, since
+    no caller needs another value."""
+
     resolution: tuple[int, int] = (64, 64)
-    tol: float = 1e-6
     max_iters: int = 500
     top_k: int = 5
-    restarts: int = 0
-    seed: int = 0
 
     def __post_init__(self) -> None:
-        self.gamma_range, self.beta_range = tuple(self.gamma_range), tuple(self.beta_range)
         self.resolution = tuple(self.resolution)  # a manifest gives JSON lists
         if self.resolution[0] < 2 or self.resolution[1] < 2:
             raise ConfigError("grid resolution must be at least 2 per axis")
-        for lo, hi in (self.gamma_range, self.beta_range):
-            if not (lo < hi and math.isfinite(hi - lo)):  # a finite width needs finite ends
-                raise ConfigError("search ranges must be ordered with a finite width")
-        if self.top_k < 1 or self.max_iters < 1 or self.tol <= 0 or self.restarts < 0:
-            raise ConfigError("top_k, max_iters, tol must be positive and restarts >= 0")
+        if self.top_k < 1 or self.max_iters < 1:
+            raise ConfigError("top_k and max_iters must be positive")
 
 
 @dataclass
@@ -132,9 +132,9 @@ def compass_minimize(fun, x0, step, tol, max_iters, probe=None):
 
 
 def _local_refine(fun, x0, step, config: SearchConfig, probe=None):
-    """compass_minimize from x0 with the search's tol and max_iters: the one
-    local method of every search."""
-    return compass_minimize(fun, x0, step, config.tol, config.max_iters, probe)
+    """compass_minimize from x0 with COMPASS_TOL and the search's max_iters:
+    the one local method of every search."""
+    return compass_minimize(fun, x0, step, COMPASS_TOL, config.max_iters, probe)
 
 
 def _refine(fun, starts, step, config: SearchConfig, probe=None, floor=(None, math.inf)):
@@ -166,8 +166,8 @@ def _grid_scan_p1(problem, lap, score, config, initial, buffers=None):
     (_search_buffers; new ones when None), then the row's beta sweep by
     _mix_many, which writes a hypercube or complete-graph state into the
     other two; each state is scored before the next is made."""
-    gammas = np.linspace(*config.gamma_range, config.resolution[0])
-    betas = np.linspace(*config.beta_range, config.resolution[1])
+    gammas = np.linspace(*GAMMA_RANGE, config.resolution[0])
+    betas = np.linspace(*BETA_RANGE, config.resolution[1])
     base = _start(problem, lap, initial)
     phased, *work = _search_buffers(base.size) if buffers is None else buffers
     table = np.empty((gammas.size, betas.size))
@@ -191,12 +191,13 @@ def optimize_schedule(
 
     The returned value is never worse than the best scanned grid point. At
     p=1, _refine starts from the top_k grid points and falls back to the
-    best of them. For p>1 one start is the p=1 optimum with the extra rounds
-    zeroed out, and the p=1 value is the floor: those rounds are the identity
-    only up to last bits on a spectral mixer. So when the floor wins, the
-    function returns the p=1 value with that zero-padded schedule, and on a
-    spectral mixer the schedule's own evaluate_schedule value can sit a few
-    ulps above the returned value.
+    best of them. For p>1 the starts are a linear ramp from the p=1 optimum
+    and that optimum with the extra rounds zeroed out, and the p=1 value is
+    the floor: those rounds are the identity only up to last bits on a
+    spectral mixer. So when the floor wins, the function returns the p=1
+    value with that zero-padded schedule, and on a spectral mixer the
+    schedule's own evaluate_schedule value can sit a few ulps above the
+    returned value.
 
     The scan and every refinement simulation share one set of _search_buffers
     and one scorer, both built once per call."""
@@ -221,8 +222,8 @@ def optimize_schedule(
         return score(_simulate(base, problem, lap, x[:k], x[k:], buffers))
 
     step = max(
-        (config.gamma_range[1] - config.gamma_range[0]) / config.resolution[0],
-        (config.beta_range[1] - config.beta_range[0]) / config.resolution[1],
+        (GAMMA_RANGE[1] - GAMMA_RANGE[0]) / config.resolution[0],
+        (BETA_RANGE[1] - BETA_RANGE[0]) / config.resolution[1],
     )
     floor = (grid_points[0], float(table.flat[flat_order[0]]))
     x1, f1 = _refine(fun, grid_points, step, config, floor=floor)
@@ -235,13 +236,7 @@ def optimize_schedule(
     embed = np.zeros(2 * p)
     embed[0], embed[p] = g1, b1
 
-    starts = [ramp, embed]
-    rng = np.random.default_rng(config.seed)
-    for _ in range(config.restarts):
-        rg = rng.uniform(*config.gamma_range, size=p)
-        rb = rng.uniform(*config.beta_range, size=p)
-        starts.append(np.concatenate([rg, rb]))
-    x, fx = _refine(fun, starts, step, config, floor=(embed, f1))
+    x, fx = _refine(fun, [ramp, embed], step, config, floor=(embed, f1))
     return Schedule(x[:p], x[p:]), fx
 
 
@@ -287,7 +282,7 @@ def optimize_relaxed_schedule(
         score, simulate = _relaxed_route(problem, lap, objective, relax)
         fun, probe = (lambda x: score(simulate(x))), None
     floor = (x0, fun(x0))
-    step = (config.gamma_range[1] - config.gamma_range[0]) / config.resolution[0]
+    step = (GAMMA_RANGE[1] - GAMMA_RANGE[0]) / config.resolution[0]
     x, fx = _refine(fun, [x0], step, config, probe, floor)
     return Schedule(*_relaxed(x, relax, g0.size)), fx
 

@@ -16,7 +16,6 @@ import pytest
 
 from qlow import _bits
 from qlow.analytic import (
-    distribution_qaoa,
     landau_zener,
     lz_numeric_success,
     lz_overlap_quadrature,

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -18,6 +19,8 @@ from qlow.laplacians import (
 )
 from qlow.objectives import CVaR, Combined, Gibbs, Mean, _scorer, evaluate
 from qlow.optimize import (
+    BETA_RANGE,
+    GAMMA_RANGE,
     RoundingConfig,
     SearchConfig,
     _grid_scan_p1,
@@ -63,16 +66,14 @@ def test_compass_never_returns_worse_than_start():
 
 
 def test_search_config_validation():
+    # the angle ranges and the compass tolerance are module constants, not settings
+    assert [f.name for f in dataclasses.fields(SearchConfig)] == ["resolution", "max_iters", "top_k"]
     with pytest.raises(ConfigError):
         SearchConfig(resolution=(1, 16))
     with pytest.raises(ConfigError):
-        SearchConfig(gamma_range=(1.0, -1.0))
-    with pytest.raises(ConfigError):
-        SearchConfig(beta_range=(0.0, np.inf))
-    with pytest.raises(ConfigError):
         SearchConfig(top_k=0)
     with pytest.raises(ConfigError):
-        SearchConfig(tol=0.0)
+        SearchConfig(max_iters=0)
 
 
 def test_rounding_config_validation():
@@ -87,12 +88,10 @@ def test_optimize_never_worse_than_direct_grid():
     lap = hypercube(3)
     sched, val = optimize_schedule(prob, lap, 1, Mean(), FAST)
     # independent rescan of the same grid through the full evolution path
-    gmin, gmax = FAST.gamma_range
-    bmin, bmax = FAST.beta_range
     grid_best = min(
         evaluate_schedule(prob, lap, Schedule([g], [b]), Mean())
-        for g in np.linspace(gmin, gmax, FAST.resolution[0])
-        for b in np.linspace(bmin, bmax, FAST.resolution[1])
+        for g in np.linspace(*GAMMA_RANGE, FAST.resolution[0])
+        for b in np.linspace(*BETA_RANGE, FAST.resolution[1])
     )
     assert val <= grid_best + 1e-9
     assert evaluate_schedule(prob, lap, sched, Mean()) == pytest.approx(val, abs=1e-9)
