@@ -160,22 +160,49 @@ def _search_buffers(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(np.empty(size, dtype=np.complex128) for _ in range(3))
 
 
+def _has_twins(lap, initial) -> bool:
+    """Whether every p=1 point (gamma, beta) has a time-reversal twin
+    (-gamma, pi - beta) of the same objective value: true on a hypercube with
+    integer weights from a real start (|+>^n when initial is None).
+
+    With L = sum_q b_q X_q real, conjugating psi(gamma, beta) =
+    exp(-i beta L) exp(-i gamma f) psi_0 gives psi(-gamma, -beta), and
+    exp(-i pi L) = prod_q (-1)^b_q I, so psi(-gamma, pi - beta) =
+    +-conj psi(gamma, beta): the same probabilities and the same <L>, so the
+    same Mean, Gibbs, CVaR and Combined."""
+    return (
+        isinstance(lap, WeightedHypercube)
+        and all(b.is_integer() for b in lap.b)
+        and (initial is None or not initial.amps.imag.any())
+    )
+
+
 def _grid_scan_p1(problem, lap, score, config, initial, buffers=None):
     """score, the search's one scorer (objectives._scorer), on the full
     (gamma, beta) grid: one phase per gamma row into the first of buffers
     (_search_buffers; new ones when None), then the row's beta sweep by
     _mix_many, which writes a hypercube or complete-graph state into the
-    other two; each state is scored before the next is made."""
+    other two; each state is scored before the next is made.
+
+    When _has_twins(lap, initial) (a hypercube with integer weights, a real
+    start), psi(-gamma, pi - beta) = +-conj psi(gamma, beta), so only the
+    rows i < ceil(G / 2) are simulated, and row G-1-i is row i reversed:
+    GAMMA_RANGE and BETA_RANGE are symmetric, so grid point (i, j) is the
+    twin of (G-1-i, B-1-j), up to the last bit of linspace. A filled entry
+    equals its twin bit for bit and its own point's value to rounding (about
+    1e-14)."""
     gammas = np.linspace(*GAMMA_RANGE, config.resolution[0])
     betas = np.linspace(*BETA_RANGE, config.resolution[1])
     base = _start(problem, lap, initial)
     phased, *work = _search_buffers(base.size) if buffers is None else buffers
     table = np.empty((gammas.size, betas.size))
+    rows = (gammas.size + 1) // 2 if _has_twins(lap, initial) else gammas.size
     levels, index = problem.phase_table
-    for i, g in enumerate(gammas):
-        _phase(base, levels, float(g), index, out=phased)
+    for i in range(rows):
+        _phase(base, levels, float(gammas[i]), index, out=phased)
         for j, amps in enumerate(_mix_many(phased, lap, betas, work)):
             table[i, j] = score(amps)
+    table[rows:] = table[: gammas.size - rows][::-1, ::-1]
     return gammas, betas, table
 
 
@@ -191,7 +218,14 @@ def optimize_schedule(
 
     The returned value is never worse than the best scanned grid point. At
     p=1, _refine starts from the top_k grid points and falls back to the
-    best of them. For p>1 the starts are a linear ramp from the p=1 optimum
+    best of them. Where _has_twins(lap, initial) (a hypercube with integer
+    weights, a real start), (gamma, beta) and (-gamma, pi - beta) take the
+    same value, so the scan simulates half the grid (_grid_scan_p1) and a
+    start is dropped when its twin is an earlier start: its refinement would
+    only mirror the twin's. Dropped starts are not replaced. A value and its
+    filled twin tie exactly, and the stable order puts the simulated one
+    first, so the best grid point, the floor, always holds its own point's
+    value. For p>1 the starts are a linear ramp from the p=1 optimum
     and that optimum with the extra rounds zeroed out, and the p=1 value is
     the floor: those rounds are the identity only up to last bits on a
     spectral mixer. So when the floor wins, the function returns the p=1
@@ -211,9 +245,12 @@ def optimize_schedule(
     score = _scorer(objective, problem, lap)
     gammas, betas, table = _grid_scan_p1(problem, lap, score, config, initial, buffers)
     flat_order = np.argsort(table, axis=None, kind="stable")
+    top = flat_order[: config.top_k].tolist()
+    if _has_twins(lap, initial):
+        # the twin of flat index k is size - 1 - k; its refinement mirrors k's
+        top = [k for pos, k in enumerate(top) if table.size - 1 - k not in top[:pos]]
     grid_points = [
-        np.array([gammas[i], betas[j]])
-        for i, j in zip(*np.unravel_index(flat_order[: config.top_k], table.shape))
+        np.array([gammas[i], betas[j]]) for i, j in zip(*np.unravel_index(top, table.shape))
     ]
 
     def fun(x):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from scipy.linalg import block_diag, expm
 from scipy.sparse.linalg import expm_multiply
 
+from qlow import laplacians
 from qlow.errors import ConfigError
 from qlow.laplacians import (
     BallCut,
@@ -643,3 +644,32 @@ def test_randomize_phases_keeps_magnitudes():
 def test_weighted_hypercube_rejects_negative():
     with pytest.raises(ConfigError):
         WeightedHypercube((1.0, -0.5))
+
+
+@pytest.mark.parametrize("cols", [4, 1 << 10])
+def test_rotation_gemm_cols_moves_no_state_byte(monkeypatch, cols):
+    """ROTATION_GEMM_COLS only splits each block's GEMM into slabs; at n=11 the
+    default 128 binds on the top block alone, 4 on every block and 1024 on
+    none. (Slabs of 1 or 2 columns move last bits: numpy multiplies such thin
+    slabs by another kernel.)"""
+    n = 11
+    amps = rand_state(n, 11).amps
+    thetas = np.random.default_rng(11).uniform(0.0, np.pi, n)
+    want = _rotate_qubits(amps, thetas)
+    monkeypatch.setattr(laplacians, "ROTATION_GEMM_COLS", cols)
+    assert _rotate_qubits(amps, thetas).tobytes() == want.tobytes()
+
+
+def test_block_unitary_cache_size_moves_no_state_byte(monkeypatch):
+    """BLOCK_UNITARY_CACHE only bounds the kept unitaries: at 1 the dict is
+    cleared before every new block, and the states keep their bytes."""
+    n = 10
+    amps = rand_state(n, 12).amps
+    betas = np.random.default_rng(12).uniform(0.0, np.pi, 6)
+    want = [_rotate_qubits(amps, np.full(n, b)) for b in betas]
+    monkeypatch.setattr(laplacians, "BLOCK_UNITARY_CACHE", 1)
+    lap = hypercube(n)
+    for _ in range(2):  # the second pass would hit the kept unitaries at the default
+        kept = evolve_many(Statevector(n, amps), lap, betas)
+        assert all(a.tobytes() == s.amps.tobytes() for a, s in zip(want, kept))
+        assert len(lap._unitaries) <= 1

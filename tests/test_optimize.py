@@ -46,7 +46,7 @@ from qlow.problems import (
     maxcut_3regular,
     uncoupled_spins,
 )
-from qlow.statevector import GROUND_TOL, Statevector, basis_state, plus_state
+from qlow.statevector import GROUND_TOL, Statevector, _phase, basis_state, plus_state
 
 FAST = SearchConfig(resolution=(16, 16), top_k=2)
 
@@ -526,3 +526,108 @@ def test_search_peak_memory_stays_within_five_states(objective, p):
     finally:
         tracemalloc.stop()
     assert peak <= 5 * (16 << n)  # five complex128 states
+
+
+TWIN_OBJECTIVES = {
+    "mean": Mean(),
+    "gibbs": Gibbs(3.0),
+    "cvar": CVaR(0.3),
+    "combined": Combined(1.0, 0.5, Gibbs(2.0)),
+}
+TWIN_WEIGHTS = {"ones": (1.0,) * 5, "ones_and_twos": (1.0, 2.0, 1.0, 2.0, 2.0)}
+TWIN_STARTS = {"plus": None, "ball": ball_uniform_state(5, 6, 2)}
+
+
+def twin_problem():
+    """A table with every Walsh term, its values in [1, 3] so that each
+    objective keeps well away from 0 and a relative bound means something."""
+    return from_dense(5, np.random.default_rng(27).uniform(1.0, 3.0, 32))
+
+
+@pytest.mark.parametrize("start", sorted(TWIN_STARTS))
+@pytest.mark.parametrize("weights", sorted(TWIN_WEIGHTS))
+@pytest.mark.parametrize("obj_kind", sorted(TWIN_OBJECTIVES))
+def test_time_reversal_twins_take_the_same_value(obj_kind, weights, start):
+    # psi(-gamma, pi - beta) = +-conj psi(gamma, beta) on integer weights from a real start
+    prob, lap = twin_problem(), WeightedHypercube(TWIN_WEIGHTS[weights])
+    obj, initial = TWIN_OBJECTIVES[obj_kind], TWIN_STARTS[start]
+    assert optimize._has_twins(lap, initial)
+    rng = np.random.default_rng(3)
+    for g, b in zip(rng.uniform(*GAMMA_RANGE, 6), rng.uniform(*BETA_RANGE, 6)):
+        value = evaluate_schedule(prob, lap, Schedule([g], [b]), obj, initial)
+        twin = evaluate_schedule(prob, lap, Schedule([-g], [math.pi - b]), obj, initial)
+        assert twin == pytest.approx(value, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("resolution", [(7, 6), (6, 5)])
+@pytest.mark.parametrize("start", sorted(TWIN_STARTS))
+@pytest.mark.parametrize("obj_kind", ["mean", "cvar", "combined"])
+def test_filled_scan_entries_match_their_twins_and_own_points(obj_kind, start, resolution):
+    prob, lap = twin_problem(), WeightedHypercube(TWIN_WEIGHTS["ones_and_twos"])
+    obj, initial = TWIN_OBJECTIVES[obj_kind], TWIN_STARTS[start]
+    config = SearchConfig(resolution=resolution)
+    gammas, betas, table = _grid_scan_p1(prob, lap, _scorer(obj, prob, lap), config, initial)
+    rows = (gammas.size + 1) // 2
+    for (i, g), (j, b) in itertools.product(enumerate(gammas), enumerate(betas)):
+        own = evaluate_schedule(prob, lap, Schedule([g], [b]), obj, initial)
+        if i < rows:  # simulated: the bytes of evaluate_schedule
+            assert table[i, j] == own
+        else:
+            assert table[i, j] == table[gammas.size - 1 - i, betas.size - 1 - j]
+            assert table[i, j] == pytest.approx(own, rel=1e-13, abs=0.0)
+
+
+@pytest.fixture
+def phases(monkeypatch):
+    """The gammas of every phase the scan applies, by a spy in optimize's namespace."""
+    calls = []
+
+    def spy(amps, values, gamma, index=None, out=None):
+        calls.append(gamma)
+        return _phase(amps, values, gamma, index, out)
+
+    monkeypatch.setattr(optimize, "_phase", spy)
+    return calls
+
+
+FULL_SCANS = {
+    "complex_start": (
+        WeightedHypercube((1.0, 2.0, 1.0, 1.0)),
+        randomize_phases(ball_uniform_state(4, 5, 2), 11),
+    ),
+    "fractional_weights": (WeightedHypercube((0.5, 1.0, 0.0, 2.0)), None),
+    "ball_cut": (BallCut(hypercube(4), center=5, radius=2), None),
+    "complete_graph": (CompleteGraph(4), None),
+}
+
+
+@pytest.mark.parametrize("case", ["twins", *sorted(FULL_SCANS)])
+@pytest.mark.parametrize("gamma_points", [7, 6])
+def test_scan_phases_half_the_rows_only_on_the_twin_route(phases, case, gamma_points):
+    prob = conflicted_pairs(4, 0.5, 3.0)
+    lap, initial = FULL_SCANS.get(case, (WeightedHypercube((1.0, 2.0, 0.0, 1.0)), None))
+    config = SearchConfig(resolution=(gamma_points, 5))
+    gammas, _, _ = _grid_scan_p1(prob, lap, _scorer(Mean(), prob, lap), config, initial)
+    assert optimize._has_twins(lap, initial) == (case == "twins")
+    rows = math.ceil(gamma_points / 2) if case == "twins" else gamma_points
+    assert phases == list(gammas[:rows])
+
+
+def test_twin_starts_are_refined_once(monkeypatch):
+    calls = []
+    refine = optimize._local_refine
+
+    def spy(fun, x0, step, config, probe=None):
+        calls.append(x0)
+        return refine(fun, x0, step, config, probe)
+
+    monkeypatch.setattr(optimize, "_local_refine", spy)
+    prob, lap, obj = grid_ferromagnet_2d(2, 3), hypercube(6), Gibbs(3.0)
+    config = SearchConfig(resolution=(8, 8), top_k=4, max_iters=20)
+    _, _, table = _grid_scan_p1(prob, lap, _scorer(obj, prob, lap), config, None)
+    top = np.argsort(table, axis=None, kind="stable")[: config.top_k].tolist()
+    distinct = [k for pos, k in enumerate(top) if table.size - 1 - k not in top[:pos]]
+    assert len(distinct) < config.top_k  # the top entries hold a twin pair
+    sched, val = optimize_schedule(prob, lap, 1, obj, config)
+    assert len(calls) == len(distinct)
+    assert val == evaluate_schedule(prob, lap, sched, obj)

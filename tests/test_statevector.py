@@ -1,10 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from qlow import statevector
+from qlow.ansatz import Schedule, qaoa_state
 from qlow.errors import ResourceError
+from qlow.laplacians import hypercube
+from qlow.problems import hamming_ramp
 from qlow.statevector import (
     Statevector,
+    _expect,
     _phase,
     apply_phase,
     basis_state,
@@ -164,3 +171,43 @@ def test_batched_phase_multiplies_amps_first_at_any_size():
     want = np.multiply(amps, factor)
     assert want.tobytes() != np.multiply(factor, amps).tobytes()
     assert _phase(amps, values, 0.83).tobytes() == want.tobytes()
+
+
+# The size-triggered branches of the kernels: each test shrinks (or grows) one
+# constant so that a small input runs the branch the default leaves to large n.
+
+
+def test_gather_chunk_moves_no_state_byte(monkeypatch):
+    """GATHER_CHUNK only bounds the index copies of the level-table gather."""
+    prob, lap = hamming_ramp(10), hypercube(10)  # 11 levels: a uint8 index
+    assert prob.phase_table[1] is not None
+    sched = Schedule([0.83, -0.4], [0.3, 1.1])
+    want = qaoa_state(prob, lap, sched).amps
+    monkeypatch.setattr(statevector, "GATHER_CHUNK", 7)  # 147 chunks, the last one short
+    assert qaoa_state(prob, lap, sched).amps.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("elide", [1, 1 << 30], ids=["factor_first", "amps_first"])
+def test_elide_entries_moves_amplitudes_only_in_their_last_bits(monkeypatch, elide):
+    """ELIDE_ENTRIES picks the operand order of the phase product, which is
+    not byte-neutral: both orders agree with the polar route
+    |a| exp(i (arg a - gamma f)) to 4e-15 of each amplitude's size."""
+    rng = np.random.default_rng(15)
+    amps = rng.normal(size=1 << 10) + 1j * rng.normal(size=1 << 10)
+    values, gamma = 3.0 * rng.normal(size=1 << 10), 0.83
+    polar = np.abs(amps) * np.exp(1j * (np.angle(amps) - gamma * values))
+    monkeypatch.setattr(statevector, "ELIDE_ENTRIES", elide)
+    got = _phase(amps, values, gamma)
+    assert np.all(np.abs(got - polar) <= 4e-15 * np.abs(amps))
+
+
+@pytest.mark.parametrize("chunk", [64, 100, 1 << 12], ids=["chunks", "short_last_chunk", "one_dot"])
+def test_expect_chunk_moves_a_sum_only_in_its_last_bits(monkeypatch, chunk):
+    """EXPECT_CHUNK sets where _expect splits its dot, which is not
+    byte-neutral: every split agrees with math.fsum of the products to 1e-14
+    of the summed magnitudes."""
+    rng = np.random.default_rng(16)
+    weights, values = rng.uniform(size=1 << 10), rng.normal(size=1 << 10)
+    monkeypatch.setattr(statevector, "EXPECT_CHUNK", chunk)
+    exact = math.fsum((weights * values).tolist())
+    assert abs(_expect(weights, values) - exact) <= 1e-14 * float(np.abs(weights * values).sum())
