@@ -9,7 +9,12 @@ phase kernel _phase; a whole 24x24 p=1 scan, in milliseconds, under Mean and
 under Gibbs, each scored by a scorer built before the timing (the whole scan
 and not a point, since a scan that fills the rows of time-reversal twins
 simulates only 12 of its 24 rows on this hypercube from |+>^n); and one p=1
-optimize_schedule with the search settings of acceptance criterion 8a. The
+optimize_schedule with the search settings of acceptance criterion 8a. On
+a 3-regular maxcut on --n qubits (even) with the same 24x24 grid, where the
+checkout screens p=1 Mean searches by a closed form: the closed-form table
+over the grid (optimize._p1_mean_closed_form, built before the timing), and
+one p=1 search with the states it simulates beside it (the calls to its
+scorer, so a checkout without the screen reports its full count). The
 single-state timings draw a new beta on every call, from more values than
 laplacians keeps block unitaries for, so no call reuses one;
 raw_core_p1_same_beta_us repeats one beta, so every call after the first does.
@@ -44,12 +49,12 @@ from pathlib import Path
 
 import numpy as np
 
-from qlow import ansatz, cli, laplacians, statevector
+from qlow import ansatz, cli, laplacians, optimize, statevector
 from qlow.ansatz import Schedule, qaoa_state
 from qlow.laplacians import BallCut, hypercube
 from qlow.objectives import Gibbs, Mean, _scorer
-from qlow.optimize import SearchConfig, _grid_scan_p1, optimize_schedule
-from qlow.problems import uncoupled_spins
+from qlow.optimize import BETA_RANGE, GAMMA_RANGE, SearchConfig, _grid_scan_p1, optimize_schedule
+from qlow.problems import maxcut_3regular, uncoupled_spins
 
 
 def per_call_us(fn, repeats: int) -> float:
@@ -90,6 +95,28 @@ def sample_calls(paths: list[str]) -> None:
         for path in paths:
             if cli.main(["sample", "--manifest", path, "--shots", "1000", "--seed", "5"]) != 0:
                 raise RuntimeError(f"qlow sample failed on {path}")
+
+
+def scored_states(search) -> int:
+    """How many states search() scores, by a counting scorer in optimize."""
+    count, scorer = 0, optimize._scorer
+
+    def counting(*args):
+        score = scorer(*args)
+
+        def counted(amps):
+            nonlocal count
+            count += 1
+            return score(amps)
+
+        return counted
+
+    optimize._scorer = counting
+    try:
+        search()
+    finally:
+        optimize._scorer = scorer
+    return count
 
 
 def main() -> None:
@@ -133,6 +160,16 @@ def main() -> None:
     out["optimize_p1_8a_ms"] = per_call_us(
         lambda: optimize_schedule(problem, lap, 1, Mean(), grid), args.repeats
     ) / 1e3
+    maxcut = maxcut_3regular(n)
+    closed_form = getattr(optimize, "_p1_mean_closed_form", None)
+    if closed_form is not None:
+        table, _ = closed_form(maxcut, lap.b)
+        axes = np.linspace(*GAMMA_RANGE, 24), np.linspace(*BETA_RANGE, 24)
+        out["closed_form_grid_24x24_maxcut_us"] = per_call_us(lambda: table(*axes), args.repeats)
+    out["search_p1_maxcut_ms"] = per_call_us(
+        lambda: optimize_schedule(maxcut, lap, 1, Mean(), grid), args.repeats
+    ) / 1e3
+    out["search_p1_maxcut_states"] = scored_states(lambda: optimize_schedule(maxcut, lap, 1, Mean(), grid))
     for radius in (n // 2, n // 2 + 1):
         cut = BallCut(hypercube(n), center=0, radius=radius)
 

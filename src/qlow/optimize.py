@@ -19,6 +19,37 @@ theta_q = beta_q b_q. Two identities give every probe from psi:
 Both need M to be a product of commuting one-qubit X rotations. The
 complete-graph and ball-cut mixers are not, and a scalar gamma moves every
 term at once, so those probes stay full simulations.
+
+A p=1 Mean search screens its grid and its compass probes by a closed form
+(_p1_mean_closed_form) when all of _screens' four conditions hold: the
+objective is Mean itself, the start is |+>^n, the mixer is a hypercube (any
+weights b), and no term acts on more than two qubits. With
+f = c0 + sum_u h_u Z_u + sum_uv J_uv Z_u Z_v and theta_q = beta b_q
+(arXiv:1706.02998, arXiv:2012.03421):
+
+- <Z_u> = sin 2theta_u sin(2 gamma h_u) prod_w cos(2 gamma J_uw);
+- <Z_u Z_v> = cos 2theta_u sin 2theta_v P_uv + sin 2theta_u cos 2theta_v P_vu
+  + sin 2theta_u sin 2theta_v Q_uv, with
+  P_uv = sin(2 gamma J_uv) cos(2 gamma h_v) prod_{w != u} cos(2 gamma J_vw) and
+  Q_uv = [cos 2gamma(h_u - h_v) prod cos 2gamma(J_uw - J_vw)
+          - cos 2gamma(h_u + h_v) prod cos 2gamma(J_uw + J_vw)] / 2,
+  both products over w not in {u, v}.
+
+The screen only picks which points are simulated: every value that decides
+the search (the top_k order, the floor, each compass move, the returned
+value) is still the simulated one, so the result keeps its bytes. The
+argument: the closed form c and the simulated Mean d of a point differ by
+at most the margin m = SCREEN_MARGIN S (1 + S / 20) + terms_gap, with
+S = max(1, sum_t |c_t|). They agreed to 9e-16 S or better on every family
+with such terms, with unequal and zero weights, up to n = 20. Both routes
+also round phases as large as pi S, a gap that grows as S^2: 4e-17 S^2 or
+less on a maxcut with a field scaled from S = 12 to 1.2e10, which passes
+1e-12 S from S = 1.2e6 on. So m keeps over 1000 times the largest gap of
+either kind. terms_gap is what a table can hold beyond its term list. A point with c > v + 2m, v the top_k-th smallest c of the grid,
+has d > v + m, which is at least the top_k-th smallest d, so it cannot
+enter the top_k. A probe with c > fx + m has d > fx and cannot be a compass
+move from the centre value fx; a lone probe with c < fx - 2m has d < fx - m
+and is the move.
 """
 
 from __future__ import annotations
@@ -49,6 +80,9 @@ MARGINAL_TIE_TOL = 1e-12
 GAMMA_RANGE = (-math.pi, math.pi)
 BETA_RANGE = (0.0, math.pi)
 COMPASS_TOL = 1e-6
+# the closed-form screen's margin per unit of S (1 + S / 20), S = max(1, sum |c|):
+# over 1000 times the largest gap seen (module docstring)
+SCREEN_MARGIN = 1e-12
 
 
 @dataclass
@@ -206,6 +240,144 @@ def _grid_scan_p1(problem, lap, score, config, initial, buffers=None):
     return gammas, betas, table
 
 
+def _screens(problem, lap, objective, initial) -> bool:
+    """Whether a p=1 search is screened by _p1_mean_closed_form: a Mean
+    objective, the |+>^n start, a hypercube mixer, and terms on at most two
+    qubits each (a constant, fields and repeated masks included)."""
+    return (
+        type(objective) is Mean
+        and initial is None
+        and isinstance(lap, WeightedHypercube)
+        and not (np.bitwise_count(problem.masks) > 2).any()
+    )
+
+
+def _p1_mean_closed_form(problem, b):
+    """(grid, at): the p=1 Mean from |+>^n on the hypercube with weights b, by
+    the closed form in the module docstring, for a problem that _screens.
+
+    grid(gammas, betas) is the (G, B) table over every pair, at(gammas,
+    betas) the values at the pairs (gammas[k], betas[k]). Each is c0 plus a
+    sum over n + 3E columns (fields, then P_uv, P_vu and Q_uv of the E
+    couplings) of a gamma factor times a beta factor: one matmul for the
+    grid, a product and a row sum for the points. Every gamma factor is a
+    coefficient, at most one sine, and a product of cosines of 2 gamma times
+    one row of a table of n + 1 angles (Q_uv takes two rows), so the largest
+    intermediate holds len(gammas) (n + 4E) (n + 1) floats."""
+    n, masks, coeffs = problem.n, problem.masks, problem.coeffs
+    weight = np.bitwise_count(masks)
+    above = masks & (masks - 1)  # each term's mask without its lowest qubit
+    low, high = (np.bitwise_count((m & -m) - 1) for m in (masks, above))
+    c0 = float(coeffs[weight == 0].sum())
+    h = np.bincount(low[weight == 1], weights=coeffs[weight == 1], minlength=n)
+    pairs = weight == 2
+    upper = np.zeros((n, n))
+    np.add.at(upper, (low[pairs], high[pairs]), coeffs[pairs])
+    u, v = np.nonzero(upper)
+    J, coupling = upper[u, v], upper + upper.T
+    # rows of the coupling matrix without the pair's own entry: cos(0) = 1 leaves it out
+    rest_u, rest_v = coupling[u], coupling[v]
+    rest_u[np.arange(u.size), v] = rest_v[np.arange(u.size), u] = 0.0
+    # one row per part: the couplings, then the argument of the part's lone cosine
+    rows = np.vstack([
+        np.column_stack([coupling, np.zeros(n)]),
+        np.column_stack([rest_v, h[v]]),
+        np.column_stack([rest_u, h[u]]),
+        np.column_stack([rest_u - rest_v, h[u] - h[v]]),
+        np.column_stack([rest_u + rest_v, h[u] + h[v]]),
+    ])
+    scale = np.concatenate([h, J, J, 0.5 * J, -0.5 * J])
+    sines = np.concatenate([h, J, J])  # the sine arguments of the fields, P_uv and P_vu
+    q = slice(n + 2 * u.size, n + 3 * u.size)
+    # sin 2theta_q at column q, cos 2theta_q at n + q: cos_u sin_v, sin_u cos_v, sin_u sin_v
+    left, right = np.concatenate([u + n, u, u]), np.concatenate([v, v + n, v])
+    b = np.asarray(b, dtype=np.float64)
+
+    def gamma_factors(gammas):
+        t = 2.0 * np.asarray(gammas, dtype=np.float64)[:, None]
+        parts = scale * np.prod(np.cos(t[:, :, None] * rows), axis=-1)
+        parts[:, : sines.size] *= np.sin(t * sines)
+        parts[:, q] += parts[:, q.stop :]
+        return parts[:, : q.stop]
+
+    def beta_factors(betas):
+        angles = 2.0 * np.asarray(betas, dtype=np.float64)[:, None] * b
+        trig = np.concatenate([np.sin(angles), np.cos(angles)], axis=1)
+        return np.concatenate([trig[:, :n], trig[:, left] * trig[:, right]], axis=1)
+
+    def grid(gammas, betas):
+        return c0 + gamma_factors(gammas) @ beta_factors(betas).T
+
+    def at(gammas, betas):
+        return c0 + np.sum(gamma_factors(gammas) * beta_factors(betas), axis=1)
+
+    return grid, at
+
+
+def _screened_scan(problem, lap, score, config, buffers, grid, margin):
+    """_grid_scan_p1's table for a search that _screens, at every entry that
+    can be among its top_k, and +inf elsewhere.
+
+    The closed-form grid (filled from twins as the scan fills them) has v as
+    its top_k-th smallest value; the entries within v + 2 margin are
+    simulated, each as _grid_scan_p1 makes it (one phase per row, the row's
+    chosen betas through _mix_many), and a filled row copies its twins."""
+    gammas = np.linspace(*GAMMA_RANGE, config.resolution[0])
+    betas = np.linspace(*BETA_RANGE, config.resolution[1])
+    base = _start(problem, lap, None)
+    phased, *work = buffers
+    rows = (gammas.size + 1) // 2 if _has_twins(lap, None) else gammas.size
+    closed = np.empty((gammas.size, betas.size))
+    closed[:rows] = grid(gammas[:rows], betas)
+    closed[rows:] = closed[: gammas.size - rows][::-1, ::-1]
+    k = min(config.top_k, closed.size) - 1
+    wanted = closed <= np.partition(closed, k, axis=None)[k] + 2.0 * margin
+    table = np.full(closed.shape, math.inf)
+    levels, index = problem.phase_table
+    for i in np.flatnonzero(wanted[:rows].any(axis=1)):
+        js = np.flatnonzero(wanted[i])
+        _phase(base, levels, float(gammas[i]), index, out=phased)
+        for j, amps in zip(js, _mix_many(phased, lap, betas[js], work)):
+            table[i, j] = score(amps)
+    table[rows:] = table[: gammas.size - rows][::-1, ::-1]
+    return gammas, betas, table
+
+
+def _screened_probe(fun, at, margin):
+    """(centre, probe): fun and probe for compass_minimize over p=1 points of a
+    search that _screens.
+
+    centre(x) is fun(x), taken from the last probe when it simulated x, and
+    keeps x and its value fx. probe(x, step) scores the 2d trials together by
+    the closed form at: a trial above fx + margin cannot be a move and reads
+    +inf; a lone trial left below fx - 2 margin is the move and reads its
+    closed-form value (compass_minimize then scores it by centre); any other
+    trial left is simulated by fun."""
+    kept = {"x": None, "f": None, "probes": {}}
+
+    def centre(x):
+        f = kept["probes"].pop(x.tobytes(), None)
+        kept["x"], kept["f"] = x.copy(), fun(x) if f is None else f
+        return kept["f"]
+
+    def probe(x, step):
+        if not np.array_equal(kept["x"], x):
+            centre(x)
+        trials = [_trial(x, k, step) for k in range(2 * x.size)]
+        closed = at(*np.array(trials).T).tolist()
+        live = [k for k, c in enumerate(closed) if c <= kept["f"] + margin]
+        values = [math.inf] * len(trials)
+        if len(live) == 1 and closed[live[0]] < kept["f"] - 2.0 * margin:
+            values[live[0]] = closed[live[0]]
+        else:
+            for k in live:
+                values[k] = fun(trials[k])
+            kept["probes"] = {trials[k].tobytes(): values[k] for k in live}
+        return values
+
+    return centre, probe
+
+
 def optimize_schedule(
     problem: DiagonalProblem,
     lap,
@@ -234,7 +406,20 @@ def optimize_schedule(
     returned value.
 
     The scan and every refinement simulation share one set of _search_buffers
-    and one scorer, both built once per call."""
+    and one scorer, both built once per call.
+
+    When _screens (a Mean objective, the |+>^n start, a hypercube mixer with
+    any weights, and no term on more than two qubits), the p=1 stage
+    simulates only what a closed-form value (module docstring) cannot rule
+    out, with the margin m = SCREEN_MARGIN S (1 + S / 20) + terms_gap,
+    S = max(1, sum |c|): the grid entries within 2m of the top_k-th smallest
+    closed-form value, and of each compass step's probes those within m of
+    the centre's value, none when a lone probe lies more than 2m below it.
+    The closed form and
+    the simulated value differ by less than m, so the entries left out
+    cannot enter the top_k and the probes left out cannot be moves: the
+    top_k order, the floor, every move and the returned value are those of
+    the full scan and refinement, to the byte."""
     if config is None:
         config = SearchConfig()
     if p < 1:
@@ -243,7 +428,21 @@ def optimize_schedule(
     base = _start(problem, lap, initial)
     buffers = _search_buffers(base.size)
     score = _scorer(objective, problem, lap)
-    gammas, betas, table = _grid_scan_p1(problem, lap, score, config, initial, buffers)
+
+    def fun(x):
+        """x holds the gammas of every round, then the betas."""
+        k = x.size // 2
+        return score(_simulate(base, problem, lap, x[:k], x[k:], buffers))
+
+    if _screens(problem, lap, objective, initial):
+        grid, at = _p1_mean_closed_form(problem, lap.b)
+        scale = max(1.0, float(np.abs(problem.coeffs).sum()))
+        margin = SCREEN_MARGIN * scale * (1.0 + scale / 20.0) + problem.terms_gap
+        gammas, betas, table = _screened_scan(problem, lap, score, config, buffers, grid, margin)
+        centre, probe = _screened_probe(fun, at, margin)
+    else:
+        gammas, betas, table = _grid_scan_p1(problem, lap, score, config, initial, buffers)
+        centre, probe = fun, None
     flat_order = np.argsort(table, axis=None, kind="stable")
     top = flat_order[: config.top_k].tolist()
     if _has_twins(lap, initial):
@@ -252,18 +451,12 @@ def optimize_schedule(
     grid_points = [
         np.array([gammas[i], betas[j]]) for i, j in zip(*np.unravel_index(top, table.shape))
     ]
-
-    def fun(x):
-        """x holds the gammas of every round, then the betas."""
-        k = x.size // 2
-        return score(_simulate(base, problem, lap, x[:k], x[k:], buffers))
-
     step = max(
         (GAMMA_RANGE[1] - GAMMA_RANGE[0]) / config.resolution[0],
         (BETA_RANGE[1] - BETA_RANGE[0]) / config.resolution[1],
     )
     floor = (grid_points[0], float(table.flat[flat_order[0]]))
-    x1, f1 = _refine(fun, grid_points, step, config, floor=floor)
+    x1, f1 = _refine(centre, grid_points, step, config, probe, floor)
     if p == 1:
         return Schedule(x1[:1], x1[1:]), f1
 

@@ -95,7 +95,10 @@ def _dense_from_walsh(n: int, masks: np.ndarray, coeffs: np.ndarray) -> np.ndarr
 @dataclass
 class DiagonalProblem:
     """n qubits; Z terms stored only as equal-length `masks` (int64) and `coeffs`
-    (float64) arrays, of which `terms` is a read-only view; and the dense table."""
+    (float64) arrays, of which `terms` is a read-only view; and the dense table.
+    terms_gap is the largest entry of |dense - sum of the terms|, checked here:
+    a table from from_dense keeps the Walsh terms below WALSH_COEFF_CUTOFF out
+    of its term list, so only the table holds them."""
 
     n: int
     masks: np.ndarray
@@ -117,11 +120,10 @@ class DiagonalProblem:
             raise ValueError("dense table contains non-finite entries")
         if not np.all(np.isfinite(self.coeffs)):
             raise ValueError("term coefficients must be finite")
-        if self.masks.size:
-            rebuilt = _dense_from_walsh(self.n, self.masks, self.coeffs)
-            atol = 1e-9 * _magnitude(self.dense)
-            if not np.allclose(rebuilt, self.dense, rtol=0.0, atol=atol):
-                raise ValueError("dense table disagrees with term-list evaluation")
+        rebuilt = _dense_from_walsh(self.n, self.masks, self.coeffs) if self.masks.size else 0.0
+        self.terms_gap = float(np.max(np.abs(rebuilt - self.dense)))
+        if self.masks.size and self.terms_gap > 1e-9 * _magnitude(self.dense):
+            raise ValueError("dense table disagrees with term-list evaluation")
         self.f_min = float(self.dense.min())
         self.f_max = float(self.dense.max())
         self._term_tables: np.ndarray | None = None

@@ -673,3 +673,19 @@ def test_block_unitary_cache_size_moves_no_state_byte(monkeypatch):
         kept = evolve_many(Statevector(n, amps), lap, betas)
         assert all(a.tobytes() == s.amps.tobytes() for a, s in zip(want, kept))
         assert len(lap._unitaries) <= 1
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_rotation_block_width_moves_amplitudes_only_in_their_last_bits(monkeypatch, block):
+    """ROTATION_BLOCK sets how many qubits one GEMM rotates, and with it the
+    order in which each amplitude's products are summed, so it is part of the
+    byte contract: at n=11 every width (3 leaves a ragged last block) agrees
+    with the one-qubit-at-a-time rotation to rounding, not bit for bit."""
+    n = 11
+    amps = rand_state(n, 13).amps
+    thetas = np.random.default_rng(13).uniform(0.0, np.pi, n)
+    want = rotate_per_qubit(amps, thetas)
+    monkeypatch.setattr(laplacians, "ROTATION_BLOCK", block)
+    indices = np.arange(1 << block)
+    monkeypatch.setattr(laplacians, "_BLOCK_XOR", np.bitwise_xor.outer(indices, indices))
+    assert np.abs(_rotate_qubits(amps, thetas) - want).max() <= 1e-14

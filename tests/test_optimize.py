@@ -25,6 +25,7 @@ from qlow.optimize import (
     SearchConfig,
     _grid_scan_p1,
     _hypercube_probe,
+    _p1_mean_closed_form,
     _relaxed,
     _trial,
     classical_restart_baseline,
@@ -37,7 +38,10 @@ from qlow.optimize import (
 )
 from qlow.problems import (
     ZTerm,
+    bush,
+    chain_detuned,
     conflicted_pairs,
+    fisher_chain,
     freeze,
     from_dense,
     from_terms,
@@ -501,7 +505,8 @@ def test_search_scores_its_states_in_three_kept_arrays(monkeypatch, mixer, p):
     monkeypatch.setattr(optimize, "_scorer", spy)
     prob = conflicted_pairs(6, 0.5, 3.0)
     lap = hypercube(6) if mixer == "hypercube" else CompleteGraph(6)
-    config = SearchConfig(resolution=(6, 5), top_k=2, max_iters=8)
+    # five starts: from two, the closed-form screen of the hypercube p=1 search scores 23 states
+    config = SearchConfig(resolution=(6, 5), top_k=5, max_iters=8)
     optimize_schedule(prob, lap, p, Mean(), config)
     # every scored array stays referenced, so no freed state can lend its address to a new one
     addresses = {amps.__array_interface__["data"][0] for amps in scored}
@@ -631,3 +636,136 @@ def test_twin_starts_are_refined_once(monkeypatch):
     sched, val = optimize_schedule(prob, lap, 1, obj, config)
     assert len(calls) == len(distinct)
     assert val == evaluate_schedule(prob, lap, sched, obj)
+
+
+def fields_and_couplings():
+    """A constant, fields, couplings, and the masks of (1,) and (0, 1) twice."""
+    terms = [
+        ((), 0.7), ((0,), 0.3), ((1,), -1.1), ((0, 1), 0.4), ((1, 2), -0.8), ((0, 1), 0.25),
+        ((2, 4), 1.3), ((3,), 0.5), ((0, 5), -0.6), ((1,), 0.2), ((), -0.1),
+    ]
+    return from_terms(6, [ZTerm(qs, c) for qs, c in terms])
+
+
+# every family whose terms act on at most two qubits, n <= 12
+CLOSED_FORM_PROBLEMS = {
+    "uncoupled": lambda: uncoupled_spins(8, "gaussian", 1),
+    "ramp": lambda: hamming_ramp(8),
+    "chain": lambda: chain_detuned(9, 0.5),
+    "fisher": lambda: fisher_chain(9, 2),
+    "grid": lambda: grid_ferromagnet_2d(3, 3),
+    "maxcut": lambda: maxcut_3regular(12, seed=1),
+    "maxcut_j2": lambda: maxcut_3regular(12, j2=0.3, seed=1),
+    "bush": lambda: bush(9),
+    "conflicted": lambda: conflicted_pairs(8),
+    "terms": fields_and_couplings,
+    "frozen": lambda: freeze(maxcut_3regular(12, seed=4), {0: 1, 5: 0, 7: 1})[0],
+}
+CLOSED_FORM_WEIGHTS = {"ones": None, "unequal_and_zero": (0.5, 2.0, 0.0, 1.25, 1.0, 3.0)}
+
+
+def closed_form_error(prob, lap, gammas, betas, values):
+    """The largest gap between values and the simulated Mean at the points
+    (gammas[k], betas[k]), per unit of sum |c|."""
+    simulated = [evaluate_schedule(prob, lap, Schedule([g], [b]), Mean()) for g, b in zip(gammas, betas)]
+    return np.abs(np.asarray(values) - simulated).max() / np.abs(prob.coeffs).sum()
+
+
+@pytest.mark.parametrize("weights", sorted(CLOSED_FORM_WEIGHTS))
+@pytest.mark.parametrize("family", sorted(CLOSED_FORM_PROBLEMS))
+def test_p1_mean_closed_form_matches_the_simulation(family, weights):
+    prob = CLOSED_FORM_PROBLEMS[family]()
+    b = CLOSED_FORM_WEIGHTS[weights]
+    lap = hypercube(prob.n) if b is None else WeightedHypercube(np.resize(b, prob.n))
+    assert optimize._screens(prob, lap, Mean(), None)
+    grid, at = _p1_mean_closed_form(prob, lap.b)
+    gammas, betas = np.linspace(*GAMMA_RANGE, 5), np.linspace(*BETA_RANGE, 4)
+    pairs = np.array(list(itertools.product(gammas, betas))).T
+    assert closed_form_error(prob, lap, *pairs, grid(gammas, betas).ravel()) <= 1e-13
+    rng = np.random.default_rng(7)
+    points = rng.uniform(*GAMMA_RANGE, 6), rng.uniform(*BETA_RANGE, 6)
+    assert closed_form_error(prob, lap, *points, at(*points)) <= 1e-13
+
+
+def test_p1_mean_closed_form_matches_the_simulation_at_n20():
+    prob, lap = maxcut_3regular(20, seed=5), hypercube(20)
+    _, at = _p1_mean_closed_form(prob, lap.b)
+    gammas, betas = np.array([-2.1, 0.37, 1.4]), np.array([0.3, 2.9, 1.1])
+    assert closed_form_error(prob, lap, gammas, betas, at(gammas, betas)) <= 1e-13
+
+
+@pytest.fixture
+def full_scans(monkeypatch):
+    """The calls optimize_schedule makes to _grid_scan_p1, by a spy."""
+    calls = []
+    scan = optimize._grid_scan_p1
+
+    def spy(*args):
+        calls.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(optimize, "_grid_scan_p1", spy)
+    return calls
+
+
+ROUTE_CASES = {
+    # (problem, mixer, resolution). The 7x7 grid holds points of the cost's
+    # symmetries, whose values tie up to last bits.
+    "maxcut": lambda: (maxcut_3regular(6, seed=0), hypercube(6), (7, 7)),
+    # many exact ties: the value is a function of (gamma, beta) summed over equal spins
+    "equal_fields": lambda: (from_terms(6, [ZTerm((q,), 1.0) for q in range(6)]), hypercube(6), (7, 7)),
+    # no fields: a compass probe can tie its centre
+    "grid": lambda: (grid_ferromagnet_2d(3, 3), hypercube(9), (12, 10)),
+    # no time-reversal twins
+    "fractional_b": lambda: (
+        chain_detuned(6, 0.5), WeightedHypercube((0.5, 1.0, 1.5, 0.0, 2.0, 0.75)), (12, 10)
+    ),
+    # sum |c| = 1.2e7: both routes round phases near 4e7, so the gap grows with (sum |c|)^2
+    "large_coefficients": lambda: (
+        scaled(maxcut_3regular(8, j2=0.3, seed=2), 1e6), hypercube(8), (12, 10)
+    ),
+}
+
+
+def scaled(prob, factor):
+    """prob with every coefficient times factor, and a field on qubit 0."""
+    terms = [ZTerm(t.qubits, t.coeff * factor) for t in prob.terms]
+    return from_terms(prob.n, [*terms, ZTerm((0,), 0.7 * factor)])
+
+
+@pytest.mark.parametrize("top_k", [1, 3, 5])
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("case", sorted(ROUTE_CASES))
+def test_screened_search_returns_the_bytes_of_the_full_search(monkeypatch, full_scans, case, p, top_k):
+    prob, lap, resolution = ROUTE_CASES[case]()
+    config = SearchConfig(resolution=resolution, top_k=top_k, max_iters=40)
+    screened = optimize_schedule(prob, lap, p, Mean(), config)
+    assert not full_scans
+    monkeypatch.setattr(optimize, "_screens", lambda *args: False)
+    full = optimize_schedule(prob, lap, p, Mean(), config)
+    assert len(full_scans) == 1
+    (sched, value), (want, want_value) = screened, full
+    assert sched.gammas.tobytes() == want.gammas.tobytes()
+    assert sched.betas.tobytes() == want.betas.tobytes()
+    assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
+
+
+FULL_SCAN_SEARCHES = {
+    "gibbs": (Gibbs(3.0), hypercube(5), None),
+    "cvar": (CVaR(0.3), hypercube(5), None),
+    "combined_mean": (Combined(1.0, 0.5, Mean()), hypercube(5), None),
+    "ball_start": (Mean(), hypercube(5), ball_uniform_state(5, 6, 2)),
+    "ball_cut": (Mean(), BallCut(hypercube(5), center=5, radius=2), None),
+    "complete_graph": (Mean(), CompleteGraph(5), None),
+}
+
+
+@pytest.mark.parametrize("case", [*sorted(FULL_SCAN_SEARCHES), "weight_three_term"])
+def test_searches_outside_the_screen_scan_the_full_grid(full_scans, case):
+    prob = fisher_chain(5, 1)
+    objective, lap, initial = FULL_SCAN_SEARCHES.get(case, (Mean(), hypercube(5), None))
+    if case == "weight_three_term":
+        prob = from_terms(5, [*prob.terms, ZTerm((0, 2, 4), 0.5)])
+    assert not optimize._screens(prob, lap, objective, initial)
+    optimize_schedule(prob, lap, 1, objective, SearchConfig(resolution=(6, 5), top_k=2, max_iters=4), initial)
+    assert len(full_scans) == 1
