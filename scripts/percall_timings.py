@@ -12,9 +12,11 @@ simulates only 12 of its 24 rows on this hypercube from |+>^n); and one p=1
 optimize_schedule with the search settings of acceptance criterion 8a. On
 a 3-regular maxcut on --n qubits (even) with the same 24x24 grid, where the
 checkout screens p=1 Mean searches by a closed form: the closed-form table
-over the grid (optimize._p1_mean_closed_form, built before the timing), and
-one p=1 search with the states it simulates beside it (the calls to its
-scorer, so a checkout without the screen reports its full count). The
+over the grid (optimize._p1_mean_closed_form, built before the timing); the
+screened scan that such a search makes, with its screen (optimize._screen),
+scorer and state buffers built before the timing; and one p=1 search with
+the states it simulates beside it (the calls to its scorer, so a checkout
+without the screen reports its full count). The
 single-state timings draw a new beta on every call, from more values than
 laplacians keeps block unitaries for, so no call reuses one;
 raw_core_p1_same_beta_us repeats one beta, so every call after the first does.
@@ -166,6 +168,13 @@ def main() -> None:
         table, _ = closed_form(maxcut, lap.b)
         axes = np.linspace(*GAMMA_RANGE, 24), np.linspace(*BETA_RANGE, 24)
         out["closed_form_grid_24x24_maxcut_us"] = per_call_us(lambda: table(*axes), args.repeats)
+    screen_of = getattr(optimize, "_screen", None)
+    if screen_of is not None:
+        screen = screen_of(maxcut, lap, Mean(), None)
+        score, buffers = _scorer(Mean(), maxcut, lap), optimize._search_buffers(1 << n)
+        out["grid_scan_24x24_maxcut_screened_ms"] = per_call_us(
+            lambda: _grid_scan_p1(maxcut, lap, score, grid, None, buffers, screen=screen), args.repeats
+        ) / 1e3
     out["search_p1_maxcut_ms"] = per_call_us(
         lambda: optimize_schedule(maxcut, lap, 1, Mean(), grid), args.repeats
     ) / 1e3

@@ -455,6 +455,8 @@ def run_shadow_defect(
         spike_height = float(n)
     if variant != "flat" and spike_weight <= radius:
         raise ConfigError("barrier must sit outside the cut ball")
+    if variant != "flat" and not boost > 0:
+        raise ConfigError("boost must be > 0")
     records: list[ExperimentRecord] = []
     details: dict = {}
     if variant != "spike_cut":

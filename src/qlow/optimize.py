@@ -20,10 +20,11 @@ Both need M to be a product of commuting one-qubit X rotations. The
 complete-graph and ball-cut mixers are not, and a scalar gamma moves every
 term at once, so those probes stay full simulations.
 
-A p=1 Mean search screens its grid and its compass probes by a closed form
-(_p1_mean_closed_form) when all of _screens' four conditions hold: the
-objective is Mean itself, the start is |+>^n, the mixer is a hypercube (any
-weights b), and no term acts on more than two qubits. With
+Every p=1 search makes its grid by one scan, _grid_scan_p1, with an optional
+screen (_screen): a closed form (_p1_mean_closed_form) that also screens the
+compass probes. A search gets one when all four of _screen's conditions hold:
+the objective is Mean itself, the start is |+>^n, the mixer is a hypercube
+(any weights b), and no term acts on more than two qubits. With
 f = c0 + sum_u h_u Z_u + sum_uv J_uv Z_u Z_v and theta_q = beta b_q
 (arXiv:1706.02998, arXiv:2012.03421):
 
@@ -45,11 +46,12 @@ with such terms, with unequal and zero weights, up to n = 20. Both routes
 also round phases as large as pi S, a gap that grows as S^2: 4e-17 S^2 or
 less on a maxcut with a field scaled from S = 12 to 1.2e10, which passes
 1e-12 S from S = 1.2e6 on. So m keeps over 1000 times the largest gap of
-either kind. terms_gap is what a table can hold beyond its term list. A point with c > v + 2m, v the top_k-th smallest c of the grid,
-has d > v + m, which is at least the top_k-th smallest d, so it cannot
-enter the top_k. A probe with c > fx + m has d > fx and cannot be a compass
-move from the centre value fx; a lone probe with c < fx - 2m has d < fx - m
-and is the move.
+either kind; terms_gap is what a table can hold beyond its term list. A
+point with c > v + 2m, v the top_k-th smallest c of the grid, has d > v + m,
+which is at least the top_k-th smallest d, so it cannot enter the top_k. A
+probe with c > fx + m has d > fx and cannot be a compass move from the
+centre value fx; a lone probe with c < fx - 2m has d < fx - m and is the
+move.
 """
 
 from __future__ import annotations
@@ -211,12 +213,16 @@ def _has_twins(lap, initial) -> bool:
     )
 
 
-def _grid_scan_p1(problem, lap, score, config, initial, buffers=None):
-    """score, the search's one scorer (objectives._scorer), on the full
-    (gamma, beta) grid: one phase per gamma row into the first of buffers
+def _grid_scan_p1(problem, lap, score, config, initial, buffers=None, screen=None):
+    """score, the search's one scorer (objectives._scorer), on the (gamma,
+    beta) grid: one phase per gamma row into the first of buffers
     (_search_buffers; new ones when None), then the row's beta sweep by
     _mix_many, which writes a hypercube or complete-graph state into the
     other two; each state is scored before the next is made.
+
+    With a screen (_screen), only the entries whose closed-form value lies
+    within 2 margin of the grid's top_k-th smallest one are simulated, a
+    row's in one beta sweep, and every other entry reads +inf.
 
     When _has_twins(lap, initial) (a hypercube with integer weights, a real
     start), psi(-gamma, pi - beta) = +-conj psi(gamma, beta), so only the
@@ -224,37 +230,53 @@ def _grid_scan_p1(problem, lap, score, config, initial, buffers=None):
     GAMMA_RANGE and BETA_RANGE are symmetric, so grid point (i, j) is the
     twin of (G-1-i, B-1-j), up to the last bit of linspace. A filled entry
     equals its twin bit for bit and its own point's value to rounding (about
-    1e-14)."""
+    1e-14). The closed-form table is filled the same way."""
     gammas = np.linspace(*GAMMA_RANGE, config.resolution[0])
     betas = np.linspace(*BETA_RANGE, config.resolution[1])
     base = _start(problem, lap, initial)
     phased, *work = _search_buffers(base.size) if buffers is None else buffers
-    table = np.empty((gammas.size, betas.size))
     rows = (gammas.size + 1) // 2 if _has_twins(lap, initial) else gammas.size
+    table = np.full((gammas.size, betas.size), math.inf)
+    wanted = np.ones(table.shape, dtype=bool)
+    if screen is not None:
+        grid, _, margin = screen
+        closed = np.empty(table.shape)
+        closed[:rows] = grid(gammas[:rows], betas)
+        closed[rows:] = closed[: gammas.size - rows][::-1, ::-1]
+        k = min(config.top_k, closed.size) - 1
+        wanted = closed <= np.partition(closed, k, axis=None)[k] + 2.0 * margin
     levels, index = problem.phase_table
-    for i in range(rows):
+    for i in np.flatnonzero(wanted[:rows].any(axis=1)):
+        js = np.flatnonzero(wanted[i])
         _phase(base, levels, float(gammas[i]), index, out=phased)
-        for j, amps in enumerate(_mix_many(phased, lap, betas, work)):
+        for j, amps in zip(js, _mix_many(phased, lap, betas[js], work)):
             table[i, j] = score(amps)
     table[rows:] = table[: gammas.size - rows][::-1, ::-1]
     return gammas, betas, table
 
 
-def _screens(problem, lap, objective, initial) -> bool:
-    """Whether a p=1 search is screened by _p1_mean_closed_form: a Mean
-    objective, the |+>^n start, a hypercube mixer, and terms on at most two
-    qubits each (a constant, fields and repeated masks included)."""
-    return (
-        type(objective) is Mean
-        and initial is None
-        and isinstance(lap, WeightedHypercube)
-        and not (np.bitwise_count(problem.masks) > 2).any()
-    )
+def _screen(problem, lap, objective, initial):
+    """(grid, at, margin), the screen of a p=1 search, or None when the search
+    is not screened: grid and at are _p1_mean_closed_form's, and the margin
+    is m = SCREEN_MARGIN S (1 + S / 20) + terms_gap, S = max(1, sum |c|). A
+    search is screened when its objective is Mean itself, its start |+>^n,
+    its mixer a hypercube (any weights), and no term acts on more than two
+    qubits (a constant, fields and repeated masks included)."""
+    if (
+        type(objective) is not Mean
+        or initial is not None
+        or not isinstance(lap, WeightedHypercube)
+        or (np.bitwise_count(problem.masks) > 2).any()
+    ):
+        return None
+    scale = max(1.0, float(np.abs(problem.coeffs).sum()))
+    margin = SCREEN_MARGIN * scale * (1.0 + scale / 20.0) + problem.terms_gap
+    return (*_p1_mean_closed_form(problem, lap.b), margin)
 
 
 def _p1_mean_closed_form(problem, b):
     """(grid, at): the p=1 Mean from |+>^n on the hypercube with weights b, by
-    the closed form in the module docstring, for a problem that _screens.
+    the closed form in the module docstring, for a problem that _screen takes.
 
     grid(gammas, betas) is the (G, B) table over every pair, at(gammas,
     betas) the values at the pairs (gammas[k], betas[k]). Each is c0 plus a
@@ -314,38 +336,9 @@ def _p1_mean_closed_form(problem, b):
     return grid, at
 
 
-def _screened_scan(problem, lap, score, config, buffers, grid, margin):
-    """_grid_scan_p1's table for a search that _screens, at every entry that
-    can be among its top_k, and +inf elsewhere.
-
-    The closed-form grid (filled from twins as the scan fills them) has v as
-    its top_k-th smallest value; the entries within v + 2 margin are
-    simulated, each as _grid_scan_p1 makes it (one phase per row, the row's
-    chosen betas through _mix_many), and a filled row copies its twins."""
-    gammas = np.linspace(*GAMMA_RANGE, config.resolution[0])
-    betas = np.linspace(*BETA_RANGE, config.resolution[1])
-    base = _start(problem, lap, None)
-    phased, *work = buffers
-    rows = (gammas.size + 1) // 2 if _has_twins(lap, None) else gammas.size
-    closed = np.empty((gammas.size, betas.size))
-    closed[:rows] = grid(gammas[:rows], betas)
-    closed[rows:] = closed[: gammas.size - rows][::-1, ::-1]
-    k = min(config.top_k, closed.size) - 1
-    wanted = closed <= np.partition(closed, k, axis=None)[k] + 2.0 * margin
-    table = np.full(closed.shape, math.inf)
-    levels, index = problem.phase_table
-    for i in np.flatnonzero(wanted[:rows].any(axis=1)):
-        js = np.flatnonzero(wanted[i])
-        _phase(base, levels, float(gammas[i]), index, out=phased)
-        for j, amps in zip(js, _mix_many(phased, lap, betas[js], work)):
-            table[i, j] = score(amps)
-    table[rows:] = table[: gammas.size - rows][::-1, ::-1]
-    return gammas, betas, table
-
-
-def _screened_probe(fun, at, margin):
+def _screened_probe(fun, screen):
     """(centre, probe): fun and probe for compass_minimize over p=1 points of a
-    search that _screens.
+    search with a screen (_screen).
 
     centre(x) is fun(x), taken from the last probe when it simulated x, and
     keeps x and its value fx. probe(x, step) scores the 2d trials together by
@@ -353,6 +346,7 @@ def _screened_probe(fun, at, margin):
     +inf; a lone trial left below fx - 2 margin is the move and reads its
     closed-form value (compass_minimize then scores it by centre); any other
     trial left is simulated by fun."""
+    _, at, margin = screen
     kept = {"x": None, "f": None, "probes": {}}
 
     def centre(x):
@@ -408,18 +402,16 @@ def optimize_schedule(
     The scan and every refinement simulation share one set of _search_buffers
     and one scorer, both built once per call.
 
-    When _screens (a Mean objective, the |+>^n start, a hypercube mixer with
-    any weights, and no term on more than two qubits), the p=1 stage
-    simulates only what a closed-form value (module docstring) cannot rule
-    out, with the margin m = SCREEN_MARGIN S (1 + S / 20) + terms_gap,
-    S = max(1, sum |c|): the grid entries within 2m of the top_k-th smallest
-    closed-form value, and of each compass step's probes those within m of
-    the centre's value, none when a lone probe lies more than 2m below it.
-    The closed form and
-    the simulated value differ by less than m, so the entries left out
-    cannot enter the top_k and the probes left out cannot be moves: the
-    top_k order, the floor, every move and the returned value are those of
-    the full scan and refinement, to the byte."""
+    When _screen gives a screen (a Mean objective, the |+>^n start, a
+    hypercube mixer with any weights, and no term on more than two qubits),
+    the p=1 stage simulates only what a closed-form value (module docstring)
+    cannot rule out, with _screen's margin m: the grid entries within 2m of
+    the top_k-th smallest closed-form value, and of each compass step's probes
+    those within m of the centre's value, none when a lone probe lies more
+    than 2m below it. The closed form and the simulated value differ by less
+    than m, so the entries left out cannot enter the top_k and the probes left
+    out cannot be moves: the top_k order, the floor, every move and the
+    returned value are those of the full scan and refinement, to the byte."""
     if config is None:
         config = SearchConfig()
     if p < 1:
@@ -434,15 +426,9 @@ def optimize_schedule(
         k = x.size // 2
         return score(_simulate(base, problem, lap, x[:k], x[k:], buffers))
 
-    if _screens(problem, lap, objective, initial):
-        grid, at = _p1_mean_closed_form(problem, lap.b)
-        scale = max(1.0, float(np.abs(problem.coeffs).sum()))
-        margin = SCREEN_MARGIN * scale * (1.0 + scale / 20.0) + problem.terms_gap
-        gammas, betas, table = _screened_scan(problem, lap, score, config, buffers, grid, margin)
-        centre, probe = _screened_probe(fun, at, margin)
-    else:
-        gammas, betas, table = _grid_scan_p1(problem, lap, score, config, initial, buffers)
-        centre, probe = fun, None
+    screen = _screen(problem, lap, objective, initial)
+    gammas, betas, table = _grid_scan_p1(problem, lap, score, config, initial, buffers, screen=screen)
+    centre, probe = (fun, None) if screen is None else _screened_probe(fun, screen)
     flat_order = np.argsort(table, axis=None, kind="stable")
     top = flat_order[: config.top_k].tolist()
     if _has_twins(lap, initial):

@@ -6,9 +6,10 @@ the QLOW_MAX_QUBITS environment variable raises it. Evolutions are exact
 unitaries and do not renormalize; only fwht checks the norm, renormalizing
 drift beyond NORM_TOL = 1e-10.
 
-The scalar-gamma phases of ansatz._simulate and optimize._grid_scan_p1 take a
-problem's level table (DiagonalProblem.phase_table) when it has one; all other
-phases are dense. The bytes match: each entry is the same exp of the same product.
+The scalar-gamma phases of ansatz._simulate and of optimize._grid_scan_p1, the
+one p=1 grid scan with or without its closed-form screen, take a problem's
+level table (DiagonalProblem.phase_table) when it has one; all other phases
+are dense. The bytes match: each entry is the same exp of the same product.
 The raw kernel _phase writes into a caller's buffer, so a search keeps one phased
 state for all its simulations.
 """

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from qlow import laplacians
 from qlow.cli import (
     DEFAULT_SEED,
     PIPELINES,
@@ -579,6 +580,18 @@ def test_negative_qubit_or_count_is_named(tmp_path, capsys, case, named):
     assert named in err and "shift count" not in err
 
 
+def test_ball_cut_above_matrix_cap_is_resource_exit(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(laplacians, "MATRIX_N_CAP", 4)
+    payload = solve_with(
+        problem={"family": "ramp", "n": 5},
+        mixer={"kind": "ballcut", "center": 0, "radius": 2},
+        search={"resolution": [4, 4], "top_k": 1},
+    )
+    assert main(["solve", "--manifest", write_manifest(tmp_path, payload)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("resource cap: ") and "n=4" in err
+
+
 def test_dense_beyond_qubit_cap_is_resource_exit(tmp_path, capsys):
     payload = {"experiment": "solve", "problem": {"family": "dense", "n": 70, "values": [1.0]}}
     assert main(["solve", "--manifest", write_manifest(tmp_path, payload)]) == 3
@@ -664,6 +677,10 @@ BAD_MANIFESTS = {
         schedule={"gammas": [[]], "betas": [0.1]},
     )),
     "problem_on_fig2": ("reproduce fig2", {"experiment": "fig2", "problem": RAMP}),
+    # a zero boost on a radius-0 ball leaves no amplitude to renormalize
+    "shadow_zero_boost": ("reproduce shadow", {
+        "experiment": "shadow", "params": {"variant": "spike_cut", "boost": 0.0, "radius": 0, "n": 6},
+    }),
 }
 
 

@@ -8,7 +8,7 @@ from scipy.linalg import block_diag, expm
 from scipy.sparse.linalg import expm_multiply
 
 from qlow import laplacians
-from qlow.errors import ConfigError
+from qlow.errors import ConfigError, ResourceError
 from qlow.laplacians import (
     BallCut,
     CompleteGraph,
@@ -673,6 +673,18 @@ def test_block_unitary_cache_size_moves_no_state_byte(monkeypatch):
         kept = evolve_many(Statevector(n, amps), lap, betas)
         assert all(a.tobytes() == s.amps.tobytes() for a, s in zip(want, kept))
         assert len(lap._unitaries) <= 1
+
+
+def test_matrix_n_cap_stops_a_ball_cut_above_it(monkeypatch):
+    """MATRIX_N_CAP bounds the qubits of custom-graph and ball-cut evolutions:
+    at 4, a 4-qubit ball cut evolves and a 5-qubit one raises ResourceError
+    before it builds an eigenbasis."""
+    monkeypatch.setattr(laplacians, "MATRIX_N_CAP", 4)
+    evolve(plus_state(4), BallCut(hypercube(4), center=0, radius=2), 0.3)
+    cut = BallCut(hypercube(5), center=0, radius=2)
+    with pytest.raises(ResourceError, match="n=4"):
+        evolve(plus_state(5), cut, 0.3)
+    assert cut._eig is None
 
 
 @pytest.mark.parametrize("block", [1, 2, 3])

@@ -677,7 +677,7 @@ def test_p1_mean_closed_form_matches_the_simulation(family, weights):
     prob = CLOSED_FORM_PROBLEMS[family]()
     b = CLOSED_FORM_WEIGHTS[weights]
     lap = hypercube(prob.n) if b is None else WeightedHypercube(np.resize(b, prob.n))
-    assert optimize._screens(prob, lap, Mean(), None)
+    assert optimize._screen(prob, lap, Mean(), None) is not None
     grid, at = _p1_mean_closed_form(prob, lap.b)
     gammas, betas = np.linspace(*GAMMA_RANGE, 5), np.linspace(*BETA_RANGE, 4)
     pairs = np.array(list(itertools.product(gammas, betas))).T
@@ -695,17 +695,44 @@ def test_p1_mean_closed_form_matches_the_simulation_at_n20():
 
 
 @pytest.fixture
-def full_scans(monkeypatch):
-    """The calls optimize_schedule makes to _grid_scan_p1, by a spy."""
-    calls = []
-    scan = optimize._grid_scan_p1
+def routes(monkeypatch):
+    """What optimize_schedule does, by spies: whether each of its calls to
+    _grid_scan_p1 passed a screen ("screened"), and how many states the
+    scorers it builds score ("states")."""
+    seen = {"screened": [], "states": 0}
+    scan, scorer = optimize._grid_scan_p1, optimize._scorer
 
-    def spy(*args):
-        calls.append(args)
-        return scan(*args)
+    def scan_spy(*args, screen=None):
+        seen["screened"].append(screen is not None)
+        return scan(*args, screen=screen)
 
-    monkeypatch.setattr(optimize, "_grid_scan_p1", spy)
-    return calls
+    def scorer_spy(*args):
+        score = scorer(*args)
+
+        def counted(amps):
+            seen["states"] += 1
+            return score(amps)
+
+        return counted
+
+    monkeypatch.setattr(optimize, "_grid_scan_p1", scan_spy)
+    monkeypatch.setattr(optimize, "_scorer", scorer_spy)
+    return seen
+
+
+def both_routes(monkeypatch, routes, prob, lap, p, config):
+    """The Mean search's (schedule, value) with its screen, then with _screen
+    off, and the states each route scored."""
+    screened = optimize_schedule(prob, lap, p, Mean(), config)
+    states = routes["states"]
+    monkeypatch.setattr(optimize, "_screen", lambda *args: None)
+    full = optimize_schedule(prob, lap, p, Mean(), config)
+    assert routes["screened"] == [True, False]
+    (sched, value), (want, want_value) = screened, full
+    assert sched.gammas.tobytes() == want.gammas.tobytes()
+    assert sched.betas.tobytes() == want.betas.tobytes()
+    assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
+    return states, routes["states"] - states
 
 
 ROUTE_CASES = {
@@ -736,18 +763,30 @@ def scaled(prob, factor):
 @pytest.mark.parametrize("top_k", [1, 3, 5])
 @pytest.mark.parametrize("p", [1, 2])
 @pytest.mark.parametrize("case", sorted(ROUTE_CASES))
-def test_screened_search_returns_the_bytes_of_the_full_search(monkeypatch, full_scans, case, p, top_k):
+def test_screened_search_returns_the_bytes_of_the_full_search(monkeypatch, routes, case, p, top_k):
     prob, lap, resolution = ROUTE_CASES[case]()
     config = SearchConfig(resolution=resolution, top_k=top_k, max_iters=40)
-    screened = optimize_schedule(prob, lap, p, Mean(), config)
-    assert not full_scans
-    monkeypatch.setattr(optimize, "_screens", lambda *args: False)
-    full = optimize_schedule(prob, lap, p, Mean(), config)
-    assert len(full_scans) == 1
-    (sched, value), (want, want_value) = screened, full
-    assert sched.gammas.tobytes() == want.gammas.tobytes()
-    assert sched.betas.tobytes() == want.betas.tobytes()
-    assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
+    screened, full = both_routes(monkeypatch, routes, prob, lap, p, config)
+    assert screened <= full
+
+
+def test_screen_scores_a_pinned_count_of_states(monkeypatch, routes):
+    # a screen that went off unnoticed would score the full route's 551 states
+    prob, lap = maxcut_3regular(12, seed=1), hypercube(12)
+    config = SearchConfig(resolution=(16, 16), top_k=5, max_iters=40)
+    assert both_routes(monkeypatch, routes, prob, lap, 1, config) == (65, 551)
+
+
+def test_screened_scan_simulates_its_top_k_and_leaves_inf_elsewhere():
+    prob, lap = maxcut_3regular(12, seed=1), hypercube(12)
+    config, score = SearchConfig(resolution=(16, 16), top_k=5), _scorer(Mean(), prob, lap)
+    screen = optimize._screen(prob, lap, Mean(), None)
+    _, _, full = _grid_scan_p1(prob, lap, score, config, None)
+    _, _, table = _grid_scan_p1(prob, lap, score, config, None, screen=screen)
+    kept = np.isfinite(table)
+    assert 0 < kept.sum() < table.size and np.isfinite(full).all()
+    assert table[kept].tobytes() == full[kept].tobytes()
+    assert kept.flat[np.argsort(full, axis=None, kind="stable")[: config.top_k]].all()
 
 
 FULL_SCAN_SEARCHES = {
@@ -761,11 +800,11 @@ FULL_SCAN_SEARCHES = {
 
 
 @pytest.mark.parametrize("case", [*sorted(FULL_SCAN_SEARCHES), "weight_three_term"])
-def test_searches_outside_the_screen_scan_the_full_grid(full_scans, case):
+def test_searches_outside_the_screen_scan_the_full_grid(routes, case):
     prob = fisher_chain(5, 1)
     objective, lap, initial = FULL_SCAN_SEARCHES.get(case, (Mean(), hypercube(5), None))
     if case == "weight_three_term":
         prob = from_terms(5, [*prob.terms, ZTerm((0, 2, 4), 0.5)])
-    assert not optimize._screens(prob, lap, objective, initial)
+    assert optimize._screen(prob, lap, objective, initial) is None
     optimize_schedule(prob, lap, 1, objective, SearchConfig(resolution=(6, 5), top_k=2, max_iters=4), initial)
-    assert len(full_scans) == 1
+    assert routes["screened"] == [False]

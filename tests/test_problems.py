@@ -634,6 +634,23 @@ def test_more_than_256_levels_index_as_uint16():
     assert np.array_equal(levels[index], values)
 
 
+@pytest.mark.parametrize("count,dtype", [(256, np.uint8), (257, np.uint16), (512, np.uint16), (513, None)])
+def test_level_table_caps_at_their_exact_bounds(count, dtype):
+    """At n=12 a table keeps up to 2^n/8 = 512 levels, indexed as uint8 up to
+    256; one level more takes uint16, or the dense route. The phase keeps its
+    bytes on either route."""
+    prob = from_dense(12, np.arange(1 << 12, dtype=np.float64) % count)
+    levels, index = prob.phase_table
+    if dtype is None:
+        assert index is None and levels is prob.dense
+    else:
+        assert levels.size == count and index.dtype == dtype
+    rng = np.random.default_rng(count)
+    amps = rng.normal(size=prob.dense.size) + 1j * rng.normal(size=prob.dense.size)
+    for gamma in rng.uniform(-np.pi, np.pi, 3):
+        assert _phase(amps, levels, gamma, index).tobytes() == _phase(amps, prob.dense, gamma).tobytes()
+
+
 def test_signed_zeros_stay_apart_in_the_level_table():
     values = np.tile([0.0, -0.0, 1.0, 2.0], 8)
     levels, index = from_dense(5, values).phase_table
