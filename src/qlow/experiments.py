@@ -51,7 +51,16 @@ from .problems import (
     hamming_ramp,
     maxcut_3regular,
 )
-from .statevector import GROUND_TOL, Statevector, _expect, _phase, _plus_amps, ground_state_mass, plus_state
+from .statevector import (
+    GROUND_TOL,
+    Statevector,
+    _expect,
+    _phase,
+    _plus_amps,
+    check_qubit_count,
+    ground_state_mass,
+    plus_state,
+)
 
 
 @dataclass(frozen=True)
@@ -185,6 +194,7 @@ def run_fig2_table(n: int = 8, n_seeds: int = 10_000, seed: int = 0):
     """
     if n < 1 or n_seeds < 2:  # the standard errors need two instances
         raise ConfigError(f"fig2 needs n >= 1 and n_seeds >= 2, got {n} and {n_seeds}")
+    check_qubit_count(n)  # before the batched states of _batched_uncoupled are allocated
     records: list[ExperimentRecord] = []
     summary: dict[str, dict] = {}
     beta = math.pi / 4
@@ -455,6 +465,8 @@ def run_shadow_defect(
         spike_height = float(n)
     if variant != "flat" and spike_weight <= radius:
         raise ConfigError("barrier must sit outside the cut ball")
+    if variant != "flat" and spike_weight > n:
+        raise ConfigError(f"barrier weight {spike_weight} exceeds n={n}: no Hamming shell has it")
     if variant != "flat" and not boost > 0:
         raise ConfigError("boost must be > 0")
     records: list[ExperimentRecord] = []

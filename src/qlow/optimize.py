@@ -50,8 +50,7 @@ either kind; terms_gap is what a table can hold beyond its term list. A
 point with c > v + 2m, v the top_k-th smallest c of the grid, has d > v + m,
 which is at least the top_k-th smallest d, so it cannot enter the top_k. A
 probe with c > fx + m has d > fx and cannot be a compass move from the
-centre value fx; a lone probe with c < fx - 2m has d < fx - m and is the
-move.
+centre value fx.
 """
 
 from __future__ import annotations
@@ -142,19 +141,20 @@ def compass_minimize(fun, x0, step, tol, max_iters, probe=None):
     best improving probe, halve the step when none improves.
 
     probe(x, step) returns the 2d probe values in the order (axis 0, +),
-    (axis 0, -), (axis 1, +), ...; by default each is fun of its trial point.
-    A probe that scores trials by another route makes fun score only the
-    accepted centres, so the returned value is always fun of the returned x."""
+    (axis 0, -), (axis 1, +), ...; fun scores x0 and each accepted centre, so
+    the returned value is always fun of the returned x. The compass calls
+    fun(x) before it probes around x, and a probe may keep what it needs of
+    that centre. With no probe, _scored_probe(fun) scores each trial by fun
+    and hands an accepted trial's value back as its centre value."""
     x = np.asarray(x0, dtype=np.float64).copy()
+    if probe is None:
+        fun, probe = _scored_probe(fun)
     fx = fun(x)
     step = float(step)
     for _ in range(max_iters):
         if step < tol:
             break
-        if probe is None:
-            values = [fun(_trial(x, k, step)) for k in range(2 * x.size)]
-        else:
-            values = probe(x, step)
+        values = probe(x, step)
         best_f, best_k = fx, None
         for k, ft in enumerate(values):
             if ft < best_f - 1e-15:
@@ -163,7 +163,7 @@ def compass_minimize(fun, x0, step, tol, max_iters, probe=None):
             step *= 0.5
         else:
             x = _trial(x, best_k, step)
-            fx = best_f if probe is None else fun(x)
+            fx = fun(x)
     return x, fx
 
 
@@ -336,37 +336,32 @@ def _p1_mean_closed_form(problem, b):
     return grid, at
 
 
-def _screened_probe(fun, screen):
-    """(centre, probe): fun and probe for compass_minimize over p=1 points of a
-    search with a screen (_screen).
+def _scored_probe(fun, screen=None):
+    """(centre, probe): fun and probe for compass_minimize, every trial scored
+    by fun.
 
-    centre(x) is fun(x), taken from the last probe when it simulated x, and
-    keeps x and its value fx. probe(x, step) scores the 2d trials together by
-    the closed form at: a trial above fx + margin cannot be a move and reads
-    +inf; a lone trial left below fx - 2 margin is the move and reads its
-    closed-form value (compass_minimize then scores it by centre); any other
-    trial left is simulated by fun."""
-    _, at, margin = screen
-    kept = {"x": None, "f": None, "probes": {}}
+    centre(x) is fun(x), or the value the last probe scored x at, so an
+    accepted trial is not scored twice; it keeps that value fx. probe(x, step)
+    scores the 2d trials around x. With a screen (_screen), a trial whose
+    closed-form value lies above fx + margin cannot be a move and reads +inf;
+    only the others are scored."""
+    kept = {"f": None, "scored": {}}
 
     def centre(x):
-        f = kept["probes"].pop(x.tobytes(), None)
-        kept["x"], kept["f"] = x.copy(), fun(x) if f is None else f
+        f = kept["scored"].get(x.tobytes())
+        kept["f"] = fun(x) if f is None else f
         return kept["f"]
 
     def probe(x, step):
-        if not np.array_equal(kept["x"], x):
-            centre(x)
         trials = [_trial(x, k, step) for k in range(2 * x.size)]
-        closed = at(*np.array(trials).T).tolist()
-        live = [k for k, c in enumerate(closed) if c <= kept["f"] + margin]
+        live = range(len(trials))
+        if screen is not None:
+            _, at, margin = screen
+            live = np.flatnonzero(at(*np.array(trials).T) <= kept["f"] + margin)
         values = [math.inf] * len(trials)
-        if len(live) == 1 and closed[live[0]] < kept["f"] - 2.0 * margin:
-            values[live[0]] = closed[live[0]]
-        else:
-            for k in live:
-                values[k] = fun(trials[k])
-            kept["probes"] = {trials[k].tobytes(): values[k] for k in live}
+        for k in live:
+            values[k] = fun(trials[k])
+        kept["scored"] = {trials[k].tobytes(): values[k] for k in live}
         return values
 
     return centre, probe
@@ -407,11 +402,11 @@ def optimize_schedule(
     the p=1 stage simulates only what a closed-form value (module docstring)
     cannot rule out, with _screen's margin m: the grid entries within 2m of
     the top_k-th smallest closed-form value, and of each compass step's probes
-    those within m of the centre's value, none when a lone probe lies more
-    than 2m below it. The closed form and the simulated value differ by less
-    than m, so the entries left out cannot enter the top_k and the probes left
-    out cannot be moves: the top_k order, the floor, every move and the
-    returned value are those of the full scan and refinement, to the byte."""
+    those within m of the centre's value (_scored_probe). The closed form and
+    the simulated value differ by less than m, so the entries left out cannot
+    enter the top_k and the probes left out cannot be moves: the top_k order,
+    the floor, every move and the returned value are those of the full scan
+    and refinement, to the byte."""
     if config is None:
         config = SearchConfig()
     if p < 1:
@@ -428,7 +423,7 @@ def optimize_schedule(
 
     screen = _screen(problem, lap, objective, initial)
     gammas, betas, table = _grid_scan_p1(problem, lap, score, config, initial, buffers, screen=screen)
-    centre, probe = (fun, None) if screen is None else _screened_probe(fun, screen)
+    centre, probe = _scored_probe(fun, screen)
     flat_order = np.argsort(table, axis=None, kind="stable")
     top = flat_order[: config.top_k].tolist()
     if _has_twins(lap, initial):
@@ -528,17 +523,18 @@ def _hypercube_probe(problem, lap: WeightedHypercube, objective, relax):
     search's points on a hypercube mixer.
 
     centre(x) scores simulate(x) (_relaxed_route) and keeps psi, the final
-    state at x. probe(x, step) builds the probe states from psi by the
+    state at x. probe(x, step) builds the probe states from the psi of the
+    centre x (scored first, as compass_minimize does) by the
     identities in the module docstring and scores them with the same scorer;
     only the probes of a scalar gamma are simulated."""
     n_gamma = 1 if relax == "beta" else problem.masks.size
     score, simulate = _relaxed_route(problem, lap, objective, relax)
     b = np.asarray(lap.b)
     term_qubits = [np.flatnonzero((m >> np.arange(problem.n)) & 1) for m in problem.masks]
-    kept = {"x": None, "psi": None}
+    kept = {"psi": None}
 
     def centre(x):
-        kept["x"], kept["psi"] = x.copy(), simulate(x)
+        kept["psi"] = simulate(x)
         return score(kept["psi"])
 
     def pair(psi, other, angle):
@@ -547,8 +543,6 @@ def _hypercube_probe(problem, lap: WeightedHypercube, objective, relax):
         return [score(head - tail), score(head + tail)]
 
     def probe(x, step):
-        if not np.array_equal(kept["x"], x):
-            centre(x)
         psi = kept["psi"]
         thetas = x[n_gamma:] * b
         values = []

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from qlow import laplacians
+from qlow import experiments, laplacians
 from qlow.cli import (
     DEFAULT_SEED,
     PIPELINES,
@@ -424,6 +424,7 @@ MALFORMED_PARAMS = {
     "rounding_string_seeds": ("rounding", {"seeds": "2"}),
     "rounding_string_n_f": ("rounding", {"n_f": "2"}),
     "shadow_string_spike_height": ("shadow", {"spike_height": "x"}),
+    "shadow_spike_outside_cube": ("shadow", {"variant": "spike_cut", "n": 6, "radius": 3, "spike_weight": 9}),
     "scale_scalar_objective_cfg": ("scale", {"objective_cfg": 5}),
     "ce_string_gibbs_eta": ("ce", {"objective_cfg": {"kind": "gibbs", "eta": "hot"}}),
     "scale_one_item_resolution": ("scale", {"resolution": [6]}),
@@ -590,6 +591,20 @@ def test_ball_cut_above_matrix_cap_is_resource_exit(tmp_path, capsys, monkeypatc
     assert main(["solve", "--manifest", write_manifest(tmp_path, payload)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("resource cap: ") and "n=4" in err
+
+
+def test_fig2_above_qubit_cap_is_resource_exit(tmp_path, capsys, monkeypatch):
+    def allocate(*args):
+        raise AssertionError("fig2 simulated a table above the qubit cap")
+
+    # the batched fields and states of n=25 would take gigabytes; the cap must stop it first
+    monkeypatch.setattr(experiments, "_batched_uncoupled", allocate)
+    manifest = write_manifest(tmp_path, {"experiment": "fig2", "params": {"n": 25, "n_seeds": 2}})
+    out = tmp_path / "out"
+    assert main(["reproduce", "fig2", "--manifest", manifest, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("resource cap: ") and "n=25" in err
+    assert not out.exists()
 
 
 def test_dense_beyond_qubit_cap_is_resource_exit(tmp_path, capsys):

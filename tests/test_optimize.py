@@ -69,6 +69,40 @@ def test_compass_never_returns_worse_than_start():
         assert fx <= fun(np.array([x0])) + 1e-15
 
 
+def test_compass_scores_x0_and_each_trial_once():
+    """With no probe, fun scores x0 and the 2d trials of each step, and an
+    accepted trial's value is its centre value: no point is scored twice."""
+    calls = []
+
+    def fun(x):
+        calls.append(x.copy())
+        return (x[0] - 1.3) ** 2 + (x[1] + 0.4) ** 2
+
+    x0 = np.zeros(2)
+    # a tolerance no halving reaches in seven steps: the loop probes seven times
+    x, fx = compass_minimize(fun, x0, step=0.5, tol=1e-300, max_iters=7)
+    assert len(calls) == 1 + 7 * 2 * x0.size
+    assert not np.array_equal(x, x0) and fx == fun(x)
+    assert calls[0].tobytes() == x0.tobytes()
+
+
+def test_screened_probe_scores_a_lone_live_trial_once():
+    """A screen that leaves one trial far below the centre: the compass moves
+    to it with one fun call for it, and scores no ruled-out trial."""
+    calls = []
+
+    def fun(x):
+        calls.append(tuple(x))
+        return (x[0] - 1.0) ** 2 + x[1] ** 2
+
+    # an exact closed form, so only the trial towards (1, 0) is live at each step
+    screen = (None, lambda g, b: (g - 1.0) ** 2 + b**2, 1e-12)
+    centre, probe = optimize._scored_probe(fun, screen)
+    x, fx = compass_minimize(centre, np.zeros(2), 0.5, 1e-9, 2, probe)
+    assert calls == [(0.0, 0.0), (0.5, 0.0), (1.0, 0.0)]
+    assert tuple(x) == (1.0, 0.0) and fx == 0.0
+
+
 def test_search_config_validation():
     # the angle ranges and the compass tolerance are module constants, not settings
     assert [f.name for f in dataclasses.fields(SearchConfig)] == ["resolution", "max_iters", "top_k"]
