@@ -155,7 +155,7 @@ def main() -> None:
         lambda: statevector._phase(plus, problem.dense, 0.37), args.repeats
     )
     for name, obj in (("mean", Mean()), ("gibbs", Gibbs(20.0))):
-        score = _scorer(obj, problem, lap)
+        score = _scorer(obj, problem)
         out[f"grid_scan_24x24_{name}_ms"] = per_call_us(
             lambda: _grid_scan_p1(problem, lap, score, grid, None), args.repeats
         ) / 1e3
@@ -171,7 +171,7 @@ def main() -> None:
     screen_of = getattr(optimize, "_screen", None)
     if screen_of is not None:
         screen = screen_of(maxcut, lap, Mean(), None)
-        score, buffers = _scorer(Mean(), maxcut, lap), optimize._search_buffers(1 << n)
+        score, buffers = _scorer(Mean(), maxcut), optimize._search_buffers(1 << n)
         out["grid_scan_24x24_maxcut_screened_ms"] = per_call_us(
             lambda: _grid_scan_p1(maxcut, lap, score, grid, None, buffers, screen=screen), args.repeats
         ) / 1e3

@@ -43,7 +43,6 @@ from .laplacians import (
 )
 from .objectives import (
     CVaR,
-    Combined,
     Gibbs,
     Mean,
     approximation_ratio,

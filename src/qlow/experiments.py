@@ -23,7 +23,7 @@ import numpy as np
 from . import _bits
 from .analytic import DISTRIBUTIONS, distribution_qaoa, draw_fields, landau_zener, optimal_gamma
 from .ansatz import qaoa_state
-from .errors import ConfigError, bind_choice
+from .errors import ConfigError, ResourceError, bind_choice
 from .laplacians import (
     BallCut,
     _rotate_qubits,
@@ -59,6 +59,7 @@ from .statevector import (
     _plus_amps,
     check_qubit_count,
     ground_state_mass,
+    max_qubits,
     plus_state,
 )
 
@@ -194,7 +195,14 @@ def run_fig2_table(n: int = 8, n_seeds: int = 10_000, seed: int = 0):
     """
     if n < 1 or n_seeds < 2:  # the standard errors need two instances
         raise ConfigError(f"fig2 needs n >= 1 and n_seeds >= 2, got {n} and {n_seeds}")
-    check_qubit_count(n)  # before the batched states of _batched_uncoupled are allocated
+    # before _batched_uncoupled allocates its (n_seeds, 2^n) batch: the qubit cap
+    # bounds each state, and the batch is held to one state at the cap
+    check_qubit_count(n)
+    if n_seeds << n > 1 << max_qubits():
+        raise ResourceError(
+            f"fig2 batch of n_seeds={n_seeds} states on n={n} qubits exceeds "
+            f"2^{max_qubits()} amplitudes, one state at the qubit cap"
+        )
     records: list[ExperimentRecord] = []
     summary: dict[str, dict] = {}
     beta = math.pi / 4
@@ -409,7 +417,7 @@ def shell_landscape(n: int, resolution: int = 32):
     k = n // 2
     init = hamming_shell_state(n, k)
     config = SearchConfig(resolution=(resolution, resolution))
-    _, _, table = _grid_scan_p1(problem, lap, _scorer(Mean(), problem, lap), config, init)
+    _, _, table = _grid_scan_p1(problem, lap, _scorer(Mean(), problem), config, init)
     baseline = _expect(init.probabilities(), problem.dense)
     row_dev = float(np.max(table.max(axis=0) - table.min(axis=0)))
     full_dev = float(table.max() - table.min())

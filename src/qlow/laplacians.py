@@ -281,9 +281,11 @@ def _rotate_qubits(amps: np.ndarray, thetas, unitaries: dict | None = None, work
     Blocks whose angles are all zero are skipped. A block reuses the unitary
     of an earlier block with the same angle bytes, in this call or in one
     given the same `unitaries` dict (cleared at BLOCK_UNITARY_CACHE entries).
-    The input is never written. The passes alternate between two buffers, and
-    the result is one of them: the pair `work` (complex arrays of amps' shape,
-    neither of them amps) when given, else new arrays. It agrees with applying
+    The passes alternate between two buffers, and the result is one of them:
+    the pair `work` (complex arrays of amps' shape) when given, else new
+    arrays. The input is not written unless it is work[1], which a caller
+    that no longer needs it may pass to save a buffer: the passes then write
+    over it, and the result is always work[0]. It agrees with applying
     the 2x2 rotations one qubit at a time to rounding, not bit for bit, since
     the GEMM sums the 16 products in its own order.
     """
@@ -499,10 +501,11 @@ def _check_qubits(n: int, lap) -> None:
 
 
 def _mix(amps: np.ndarray, lap, beta: float, work=None) -> np.ndarray:
-    """exp(-i beta L_bar) amps, for a Laplacian on as many qubits as amps has;
-    amps is not changed. A hypercube or complete-graph mixer writes into one of
-    the pair `work` (complex arrays of amps' shape, neither of them amps) when
-    given; every other result is a new array."""
+    """exp(-i beta L_bar) amps, for a Laplacian on as many qubits as amps has.
+    A hypercube or complete-graph mixer writes into one of the pair `work`
+    (complex arrays of amps' shape) when given; every other result is a new
+    array. amps is not changed unless it is work[1] (_rotate_qubits): then a
+    hypercube mixer writes over it and the result is work[0]."""
     if isinstance(lap, WeightedHypercube):
         return _rotate_qubits(amps, beta * np.asarray(lap.b), lap._unitaries, work)
     if isinstance(lap, CompleteGraph):

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .ansatz import Schedule, qaoa_state
 from .errors import ConfigError, NumericError
-from .laplacians import _check_qubits, _kinetic
 from .problems import DiagonalProblem
 from .statevector import Statevector, _expect, fwht_array, ground_state_mass
 
@@ -40,31 +40,17 @@ class CVaR:
             raise ConfigError("CVaR alpha must lie in (0, 1]")
 
 
-@dataclass(frozen=True)
-class Combined:
-    """k1 * inner objective + k2 * kinetic energy of the state."""
-
-    k1: float = 1.0
-    k2: float = 1.0
-    inner: object = field(default_factory=Mean)
-
-
-Objective = Mean | Gibbs | CVaR | Combined
+Objective = Mean | Gibbs | CVaR
 
 # The objective behind each manifest kind: the kind's keys are its fields.
 OBJECTIVES = {"mean": Mean, "gibbs": Gibbs, "cvar": CVaR}
 
 
-def evaluate(
-    obj: Objective,
-    state: Statevector,
-    problem: DiagonalProblem,
-    lap=None,
-) -> float:
-    return _scorer(obj, problem, lap)(state.amps)
+def evaluate(obj: Objective, state: Statevector, problem: DiagonalProblem) -> float:
+    return _scorer(obj, problem)(state.amps)
 
 
-def _scorer(obj: Objective, problem: DiagonalProblem, lap=None):
+def _scorer(obj: Objective, problem: DiagonalProblem):
     """The objective as a function of raw amplitudes (length 2^n, little-endian).
 
     Tables that depend only on the problem (Gibbs weights, the CVaR order) are
@@ -73,13 +59,13 @@ def _scorer(obj: Objective, problem: DiagonalProblem, lap=None):
     one for the sorted probabilities), with the bytes of np.abs(amps) ** 2, so
     one scorer must not score two states at once. evaluate() is the scorer
     applied to one state.
+
+    The Mean and Gibbs scorers also carry slope(): (table, factor) with
+    dF/dp = factor * table at the state scored last, F the objective and p the
+    probabilities. For Mean that is (f, 1); for Gibbs, F = -shift - log g with
+    g = sum p w, it is (w, -1 / g). CVaR has no slope: its quantile makes it
+    piecewise in p.
     """
-    if isinstance(obj, Combined):
-        if lap is None:
-            raise ConfigError("Combined objective requires a Laplacian")
-        _check_qubits(problem.n, lap)
-        inner = _scorer(obj.inner, problem, lap)
-        return lambda amps: obj.k1 * inner(amps) + obj.k2 * _kinetic(amps, lap)
     values = problem.dense
     probs = np.empty(values.shape)
 
@@ -87,18 +73,25 @@ def _scorer(obj: Objective, problem: DiagonalProblem, lap=None):
         return np.square(np.abs(amps, out=probs), out=probs)
 
     if isinstance(obj, Mean):
-        return lambda amps: _expect(square(amps), values)
+
+        def mean(amps):
+            return _expect(square(amps), values)
+
+        mean.slope = lambda: (values, 1.0)
+        return mean
     if isinstance(obj, Gibbs):
         weights = -obj.eta * values
         shift = float(weights.max())
         np.exp(np.subtract(weights, shift, out=weights), out=weights)
+        last = {"g": math.nan}
 
         def gibbs(amps):
-            g = _expect(square(amps), weights)
+            g = last["g"] = _expect(square(amps), weights)
             if not np.isfinite(g) or g <= 0.0:
                 raise NumericError("Gibbs objective overflowed despite max-shift")
             return -(shift + np.log(g))
 
+        gibbs.slope = lambda: (weights, -1.0 / last["g"])
         return gibbs
     if isinstance(obj, CVaR):
         order = np.argsort(values, kind="stable")

@@ -1,24 +1,30 @@
 """Outer loops: grid + local search over schedules, iterated rounding, and
 a classical product-state restart baseline.
 
-A compass search over relaxed p=1 angles on a hypercube mixer does not
-simulate its probes. The final state is psi = M P |+> with the phase
-P = exp(-i sum_T gamma_T c_T Z_T) and the mixer M = prod_q exp(-i theta_q X_q),
-theta_q = beta_q b_q. Two identities give every probe from psi:
+Every search above the p=1 grid whose objective is smooth (Mean or Gibbs)
+refines with bfgs_minimize on the gradient of _value_and_grad: every p>1
+search, and every relaxed search (per-term gammas, per-qubit betas). Scalar
+p=1 searches and CVaR keep compass_minimize. The gradient is the adjoint one
+(Jones & Gacon, arXiv:2009.02823). The forward pass is the search's own
+simulation and scorer, so the value is fun(x) bit for bit. With psi the final
+state and F the objective of its probabilities p = |psi|^2, the backward pass
+starts from lambda = (dF/dp) psi and uncomputes one round at a time, applying
+the round's mixer at -beta and its phase at -gamma to psi and lambda alike, so
+it needs no stored trajectory: the search's three state buffers hold psi,
+lambda and the kernels' output. With psi and lambda taken after round k's
+mixer, phi and mu after its phase, L_bar the mixer's generator and f the cost:
 
-- beta_q -> beta_q +- s: the factors of M commute, so one more factor
-  exp(-+i s b_q X_q) goes in front, and the probe is
-  cos(s b_q) psi -+ i sin(s b_q) X_q psi. X_q psi is psi with bit q of the
-  index flipped.
-- gamma_T -> gamma_T +- s: exp(-+i s c_T Z_T) goes under the mixer. Z_q
-  anticommutes with X_q, so M Z_T = Z_T prod_{q in T} exp(+2i theta_q X_q) M,
-  and the probe is cos(s c_T) psi -+ i sin(s c_T) chi_T with
-  chi_T = Z_T prod_{q in T} exp(+2i theta_q X_q) psi: |T| one-qubit updates
-  and a parity sign.
+- scalar beta_k: 2 Im<lambda|L_bar psi>; L_bar psi is sum_q b_q X_q psi on the
+  hypercube, mean(psi) times the all-ones vector on the complete graph, and
+  _lbar on the support of a custom graph or ball cut;
+- per-qubit beta_kq: 2 b_q Im<lambda|X_q psi>, X_q psi being psi with bit q of
+  the index flipped;
+- scalar gamma_k: 2 Im<mu|f phi>;
+- per-term gamma_kT: 2 c_T Im<mu|Z_T phi> = 2 c_T W[Im(conj(mu) phi)]_T, one
+  unnormalized Walsh transform W read at the term masks.
 
-Both need M to be a product of commuting one-qubit X rotations. The
-complete-graph and ball-cut mixers are not, and a scalar gamma moves every
-term at once, so those probes stay full simulations.
+dF/dp comes from the scorer's tables (objectives._scorer's slope): f for Mean,
+-w/g for Gibbs. CVaR's quantile gives it none.
 
 Every p=1 search makes its grid by one scan, _grid_scan_p1, with an optional
 screen (_screen): a closed form (_p1_mean_closed_form) that also screens the
@@ -70,10 +76,19 @@ from .ansatz import (
     qaoa_state,
 )
 from .errors import ConfigError
-from .laplacians import WeightedHypercube, _mix_many, _rotate_qubits, hypercube
-from .objectives import Mean, _scorer, evaluate
+from .laplacians import (
+    CompleteGraph,
+    WeightedHypercube,
+    _lbar,
+    _mix,
+    _mix_many,
+    _rotate_qubits,
+    _support,
+    hypercube,
+)
+from .objectives import Gibbs, Mean, _scorer, evaluate
 from .problems import DiagonalProblem, freeze
-from .statevector import GROUND_TOL, Statevector, _expect, _phase
+from .statevector import GROUND_TOL, Statevector, _expect, _phase, fwht_array
 
 # a rounding marginal this close to 0.5 is a tie: kernels miss an exact 0.5 by last bits
 MARGINAL_TIE_TOL = 1e-12
@@ -81,6 +96,12 @@ MARGINAL_TIE_TOL = 1e-12
 GAMMA_RANGE = (-math.pi, math.pi)
 BETA_RANGE = (0.0, math.pi)
 COMPASS_TOL = 1e-6
+# bfgs_minimize stops once every partial is below GRADIENT_TOL, or when its
+# backtracking halves the step LINE_SEARCH_HALVINGS times without the Armijo
+# decrease ARMIJO * t * slope
+GRADIENT_TOL = 1e-6
+LINE_SEARCH_HALVINGS = 30
+ARMIJO = 1e-4
 # the closed-form screen's margin per unit of S (1 + S / 20), S = max(1, sum |c|):
 # over 1000 times the largest gap seen (module docstring)
 SCREEN_MARGIN = 1e-12
@@ -126,7 +147,7 @@ def evaluate_schedule(
     initial: Statevector | None = None,
 ) -> float:
     state = qaoa_state(problem, lap, schedule, initial=initial)
-    return evaluate(objective, state, problem, lap)
+    return evaluate(objective, state, problem)
 
 
 def _trial(x, k, step):
@@ -167,24 +188,63 @@ def compass_minimize(fun, x0, step, tol, max_iters, probe=None):
     return x, fx
 
 
-def _local_refine(fun, x0, step, config: SearchConfig, probe=None):
-    """compass_minimize from x0 with COMPASS_TOL and the search's max_iters:
-    the one local method of every search."""
+def bfgs_minimize(fun, x0, step, gtol, max_iters):
+    """Dense BFGS with Armijo backtracking on fun(x) -> (value, gradient).
+
+    The first trial moves at most step along any axis; the inverse Hessian
+    is then rescaled once by s.y / y.y and updated only where s.y > 0, which
+    keeps it positive definite. Every accepted step lowers the value, so the
+    returned value is at most fun(x0)'s, and it is fun of the returned x.
+    Returns (x, value, reason): "gtol" once every partial is below gtol in
+    magnitude, "line search" when LINE_SEARCH_HALVINGS halvings of a step
+    find no Armijo decrease, "max_iters" after max_iters steps."""
+    x = np.array(x0, dtype=np.float64)
+    fx, g = fun(x)
+    h = np.eye(x.size) * (step / max(float(np.abs(g).max()), gtol))
+    for k in range(max_iters):
+        if np.abs(g).max() < gtol:
+            return x, fx, "gtol"
+        d, t = -(h @ g), 1.0
+        for _ in range(LINE_SEARCH_HALVINGS):
+            xt = x + t * d
+            ft, gt = fun(xt)
+            if ft <= fx + ARMIJO * t * float(g @ d):
+                break
+            t *= 0.5
+        else:
+            return x, fx, "line search"
+        s, y = xt - x, gt - g
+        x, fx, g, sy = xt, ft, gt, float(s @ y)
+        if sy > 0.0:
+            if k == 0:
+                h = np.eye(x.size) * (sy / float(y @ y))
+            v = np.eye(x.size) - np.outer(s, y) / sy
+            h = v @ h @ v.T + np.outer(s, s) / sy
+    return x, fx, "gtol" if np.abs(g).max() < gtol else "max_iters"
+
+
+def _local_refine(fun, x0, step, config: SearchConfig, probe=None, gradient=False):
+    """The one local method of every search, from x0 with the search's
+    max_iters: bfgs_minimize with GRADIENT_TOL when gradient is set (fun then
+    returns (value, gradient)), else compass_minimize with COMPASS_TOL."""
+    if gradient:
+        return bfgs_minimize(fun, x0, step, GRADIENT_TOL, config.max_iters)[:2]
     return compass_minimize(fun, x0, step, COMPASS_TOL, config.max_iters, probe)
 
 
-def _refine(fun, starts, step, config: SearchConfig, probe=None, floor=(None, math.inf)):
+def _refine(fun, starts, step, config: SearchConfig, probe=None, floor=(None, math.inf), gradient=False):
     """The lowest (x, value) that _local_refine reaches from the starts, the
     first start winning a tie; floor, an (x, value) pair, when every start
     ends above floor's value.
 
     The floor is the point a search started from, with the value another
-    route gave it: the scan table, the hypercube probe route and the batched
-    spectral evolution can differ from fun in the last bits, so without the
-    floor a search could end a hair above its own start."""
+    route gave it: the scan table and the batched spectral evolution can
+    differ from fun in the last bits, and the zero rounds that pad a p=1
+    optimum are the identity only up to last bits on a spectral mixer, so
+    without the floor a search could end a hair above its own start."""
     best_x, best_f = None, math.inf
     for start in starts:
-        x, fx = _local_refine(fun, start, step, config, probe)
+        x, fx = _local_refine(fun, start, step, config, probe, gradient)
         if fx < best_f:
             best_x, best_f = x, fx
     return floor if best_f > floor[1] else (best_x, best_f)
@@ -204,8 +264,8 @@ def _has_twins(lap, initial) -> bool:
     With L = sum_q b_q X_q real, conjugating psi(gamma, beta) =
     exp(-i beta L) exp(-i gamma f) psi_0 gives psi(-gamma, -beta), and
     exp(-i pi L) = prod_q (-1)^b_q I, so psi(-gamma, pi - beta) =
-    +-conj psi(gamma, beta): the same probabilities and the same <L>, so the
-    same Mean, Gibbs, CVaR and Combined."""
+    +-conj psi(gamma, beta): the same probabilities, so the same Mean,
+    Gibbs and CVaR."""
     return (
         isinstance(lap, WeightedHypercube)
         and all(b.is_integer() for b in lap.b)
@@ -375,7 +435,10 @@ def optimize_schedule(
     config: SearchConfig | None = None,
     initial: Statevector | None = None,
 ) -> tuple[Schedule, float]:
-    """Grid scan + local refinement at p=1; ramp-initialized refinement above.
+    """Grid scan + compass refinement at p=1; above it, refinement from a
+    ramp and from the p=1 optimum padded with zero rounds, by BFGS on the
+    adjoint gradient (module docstring) for Mean and Gibbs, by compass for
+    CVaR.
 
     The returned value is never worse than the best scanned grid point. At
     p=1, _refine starts from the top_k grid points and falls back to the
@@ -395,7 +458,8 @@ def optimize_schedule(
     returned value.
 
     The scan and every refinement simulation share one set of _search_buffers
-    and one scorer, both built once per call.
+    and one scorer, both built once per call; so does every gradient, whose
+    backward pass runs in the same three buffers.
 
     When _screen gives a screen (a Mean objective, the |+>^n start, a
     hypercube mixer with any weights, and no term on more than two qubits),
@@ -414,13 +478,13 @@ def optimize_schedule(
 
     base = _start(problem, lap, initial)
     buffers = _search_buffers(base.size)
-    score = _scorer(objective, problem, lap)
+    score = _scorer(objective, problem)
 
-    def fun(x):
+    def rounds(x):
         """x holds the gammas of every round, then the betas."""
-        k = x.size // 2
-        return score(_simulate(base, problem, lap, x[:k], x[k:], buffers))
+        return x[: x.size // 2], x[x.size // 2 :]
 
+    fun = _search_fun(base, problem, lap, score, rounds, buffers)
     screen = _screen(problem, lap, objective, initial)
     gammas, betas, table = _grid_scan_p1(problem, lap, score, config, initial, buffers, screen=screen)
     centre, probe = _scored_probe(fun, screen)
@@ -447,7 +511,9 @@ def optimize_schedule(
     embed = np.zeros(2 * p)
     embed[0], embed[p] = g1, b1
 
-    x, fx = _refine(fun, [ramp, embed], step, config, floor=(embed, f1))
+    smooth = _smooth(objective)
+    fun = _search_fun(base, problem, lap, score, rounds, buffers, smooth)
+    x, fx = _refine(fun, [ramp, embed], step, config, floor=(embed, f1), gradient=smooth)
     return Schedule(x[:p], x[p:]), fx
 
 
@@ -462,7 +528,13 @@ def optimize_relaxed_schedule(
     """p=1 schedule with per-term gammas and/or per-qubit betas.
 
     Warm-started from the less-relaxed optimum (the scalar search, or `warm`
-    when given), so the refined value can only improve on it."""
+    when given), so the refined value can only improve on it: with Mean or
+    Gibbs by BFGS on the adjoint gradient (module docstring), whose per-term
+    gamma partials come from one Walsh transform and per-qubit beta partials
+    from one bit flip each; with CVaR by compass, each trial a full
+    simulation. Both refinements only accept a lower value, so the start
+    needs no floor. The first step moves at most 2 pi / resolution[0] along
+    any axis."""
     if relax not in ("gamma", "beta", "both"):
         raise ConfigError("relax must be 'gamma', 'beta', or 'both'")
     if relax != "gamma" and not isinstance(lap, WeightedHypercube):
@@ -487,14 +559,14 @@ def optimize_relaxed_schedule(
     g0 = g_init if relax != "beta" else np.array([float(np.mean(g_init))])
     b0 = b_init if relax != "gamma" else np.array([float(np.mean(b_init))])
     x0 = np.concatenate([g0, b0])
-    if isinstance(lap, WeightedHypercube):
-        fun, probe = _hypercube_probe(problem, lap, objective, relax)
-    else:
-        score, simulate = _relaxed_route(problem, lap, objective, relax)
-        fun, probe = (lambda x: score(simulate(x))), None
-    floor = (x0, fun(x0))
+    plus = _start(problem, lap, None)
+    smooth = _smooth(objective)
+    fun = _search_fun(
+        plus, problem, lap, _scorer(objective, problem),
+        lambda x: _relaxed(x, relax, g0.size), _search_buffers(plus.size), smooth,
+    )
     step = (GAMMA_RANGE[1] - GAMMA_RANGE[0]) / config.resolution[0]
-    x, fx = _refine(fun, [x0], step, config, probe, floor)
+    x, fx = _refine(fun, [x0], step, config, gradient=smooth)
     return Schedule(*_relaxed(x, relax, g0.size)), fx
 
 
@@ -508,65 +580,105 @@ def _relaxed(x, relax, n_gamma):
     )
 
 
-def _relaxed_route(problem, lap, objective, relax):
-    """(score, simulate): a relaxed search's one scorer, and simulate(x), the
-    final amplitudes at its point x from |+>^n by the raw core."""
-    n_gamma = 1 if relax == "beta" else problem.masks.size
-    plus = _start(problem, lap, None)
-    return _scorer(objective, problem, lap), (
-        lambda x: _simulate(plus, problem, lap, *_relaxed(x, relax, n_gamma))
-    )
+def _smooth(objective) -> bool:
+    """Whether a search on objective refines by gradient: Mean and Gibbs have
+    the scorer's slope, CVaR has none."""
+    return isinstance(objective, (Mean, Gibbs))
 
 
-def _hypercube_probe(problem, lap: WeightedHypercube, objective, relax):
-    """(centre, probe): fun and probe for compass_minimize over a relaxed
-    search's points on a hypercube mixer.
+def _search_fun(base, problem, lap, score, angles, buffers, gradient=False):
+    """fun(x) for _refine: score of the state that _simulate makes from base
+    at angles(x) = (gammas, betas) in the three buffers (_search_buffers),
+    or with gradient the (value, gradient) pair of _value_and_grad there."""
+    if gradient:
+        return lambda x: _value_and_grad(base, problem, lap, *angles(x), score, buffers)
+    return lambda x: score(_simulate(base, problem, lap, *angles(x), buffers))
 
-    centre(x) scores simulate(x) (_relaxed_route) and keeps psi, the final
-    state at x. probe(x, step) builds the probe states from the psi of the
-    centre x (scored first, as compass_minimize does) by the
-    identities in the module docstring and scores them with the same scorer;
-    only the probes of a scalar gamma are simulated."""
-    n_gamma = 1 if relax == "beta" else problem.masks.size
-    score, simulate = _relaxed_route(problem, lap, objective, relax)
-    b = np.asarray(lap.b)
-    term_qubits = [np.flatnonzero((m >> np.arange(problem.n)) & 1) for m in problem.masks]
-    kept = {"psi": None}
 
-    def centre(x):
-        kept["psi"] = simulate(x)
-        return score(kept["psi"])
+def _value_and_grad(base, problem, lap, gammas, betas, score, buffers):
+    """(value, gradient) of a schedule from base by the adjoint method of the
+    module docstring; score is a Mean or Gibbs scorer (objectives._scorer).
 
-    def pair(psi, other, angle):
-        """Scores of cos(angle) psi -+ i sin(angle) other, the + move first."""
-        head, tail = math.cos(angle) * psi, 1j * math.sin(angle) * other
-        return [score(head - tail), score(head + tail)]
+    gammas is (p,) or (p, T) and betas (p,) or (p, n), as in a Schedule; the
+    gradient holds the partials of the gammas, then of the betas, each
+    raveled. The forward pass is _simulate into buffers, three complex arrays
+    of base's shape (_search_buffers), then score, so value is the search's
+    fun(x) bit for bit. It leaves the last round's phased state in
+    buffers[0], which is the first state the backward pass needs; the
+    backward pass then uncomputes each round with _mix at -beta and _phase at
+    -gamma, carrying psi and lambda in the same three buffers (a mixer writes
+    over its input: _mix's work pair is (spare, input))."""
+    psi = _simulate(base, problem, lap, gammas, betas, buffers)
+    value = score(psi)
+    table, factor = score.slope()
 
-    def probe(x, step):
-        psi = kept["psi"]
-        thetas = x[n_gamma:] * b
-        values = []
-        if relax == "beta":
-            values += [score(simulate(_trial(x, k, step))) for k in (0, 1)]
+    def spare():
+        return next(b for b in buffers if b is not psi and b is not lam)
+
+    # lambda = dF/dpsi* = (dF/dp) psi, with the 2 of every 2 Im<.|.> folded in;
+    # the real table multiplies each part, so no complex copy of it is made
+    lam = buffers[2] if psi is buffers[1] else buffers[1]
+    np.multiply(table, psi.real, out=lam.real)
+    np.multiply(table, psi.imag, out=lam.imag)
+    lam *= 2.0 * factor
+    d_gamma, d_beta = np.empty(gammas.shape), np.empty(betas.shape)
+    b = np.asarray(lap.b) if isinstance(lap, WeightedHypercube) else None
+    levels, index = problem.phase_table
+    for k in reversed(range(gammas.shape[0])):
+        if betas.ndim == 2:
+            d_beta[k] = b * _flip_overlaps(lam, psi)
         else:
-            for qubits, coeff in zip(term_qubits, problem.coeffs):
-                chi = psi
-                for q in qubits:
-                    # Z_q exp(2i theta_q X_q) = [[c, i s], [-i s, -c]] on (bit q = 0, bit q = 1)
-                    c, s = math.cos(2.0 * thetas[q]), math.sin(2.0 * thetas[q])
-                    v = chi.reshape(-1, 2, 1 << q)
-                    chi = np.stack([c * v[:, 0] + 1j * s * v[:, 1], -1j * s * v[:, 0] - c * v[:, 1]], 1)
-                    chi = chi.reshape(psi.shape)
-                values += pair(psi, chi, step * coeff)
-        if relax == "gamma":
-            values += [score(_rotate_qubits(psi, sign * step * b)) for sign in (1.0, -1.0)]
+            d_beta[k] = _mixer_overlap(lam, psi, lap, b)
+        psi = buffers[0] if k == gammas.shape[0] - 1 else _unmix(psi, lap, betas[k], b, spare())
+        lam = _unmix(lam, lap, betas[k], b, spare())
+        # Im(conj(mu) phi), the integrand of every phase partial
+        if gammas.ndim == 2:
+            im = lam.real * psi.imag - lam.imag * psi.real
+            d_gamma[k] = problem.coeffs * fwht_array(im)[problem.masks] * 2.0 ** (problem.n / 2)
+            phase = (gammas[k] @ problem.term_tables(), 1.0, None)
         else:
-            for q in range(problem.n):
-                flipped = psi.reshape(-1, 2, 1 << q)[:, ::-1].reshape(psi.shape)
-                values += pair(psi, flipped, step * b[q])
-        return values
+            d_gamma[k] = _im_overlap(lam, psi, problem.dense)
+            phase = (levels, float(gammas[k]), index)
+        if k:
+            values, gamma, idx = phase
+            psi = _phase(psi, values, -gamma, idx, out=spare())
+            lam = _phase(lam, values, -gamma, idx, out=spare())
+    return value, np.concatenate([d_gamma.ravel(), d_beta.ravel()])
 
-    return centre, probe
+
+def _unmix(amps, lap, beta, b, out):
+    """The mixer of one round undone, exp(+i beta L_bar) amps, into out or into
+    a new array; amps is overwritten. beta is a scalar or, with b, per qubit."""
+    if np.ndim(beta):
+        return _rotate_qubits(amps, -beta * b, work=(out, amps))
+    return _mix(amps, lap, -float(beta), (out, amps))
+
+
+def _im_overlap(lam, psi, weights=None):
+    """Im<lam|weights psi> (weights 1 when None) for two arrays of one shape,
+    by einsums over their real and imaginary views: no temporary state."""
+    ops = () if weights is None else (weights,)
+    spec = ",".join(["ijk"[: lam.ndim]] * (len(ops) + 2)) + "->"
+    return float(np.einsum(spec, *ops, lam.real, psi.imag) - np.einsum(spec, *ops, lam.imag, psi.real))
+
+
+def _flip_overlaps(lam, psi):
+    """Im<lam|X_q psi> for every qubit q, X_q psi being psi with bit q of the
+    index flipped: a reversed strided view of psi."""
+    n = psi.size.bit_length() - 1
+    return np.array([
+        _im_overlap(lam.reshape(-1, 2, 1 << q), psi.reshape(-1, 2, 1 << q)[:, ::-1]) for q in range(n)
+    ])
+
+
+def _mixer_overlap(lam, psi, lap, b):
+    """Im<lam|L_bar psi> for a scalar-beta mixer (module docstring)."""
+    if b is not None:
+        return float(b @ _flip_overlaps(lam, psi))
+    if isinstance(lap, CompleteGraph):
+        return float((np.conj(lam.sum()) * psi.mean()).imag)
+    support = _support(lap)
+    return _im_overlap(lam[support], _lbar(lap) @ psi[support])
 
 
 @dataclass(frozen=True)

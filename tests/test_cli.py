@@ -299,7 +299,7 @@ SCALE_SMALL = {
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_reproduce_small_freedom_matches_golden_csv(tmp_path, capsys, jobs):
     # tests/data/freedom_small.csv holds columns 1-11 of this run, recorded
-    # before the relaxed searches built their probes from the centre state
+    # when the relaxed searches came to refine by BFGS on the adjoint gradient
     reproduce_small(tmp_path, capsys, FREEDOM_SMALL, jobs)
     assert_matches_golden([tmp_path / "freedom.csv"], "freedom_small.csv")
 
@@ -316,7 +316,7 @@ def test_reproduce_small_rounding_matches_golden_csv(tmp_path, capsys, jobs):
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_reproduce_small_scale_matches_golden_csv(tmp_path, capsys, jobs):
     # tests/data/scale_small.csv holds columns 1-11 of this run, recorded
-    # before the p=1 and p>1 searches shared one refinement step
+    # when the p=2 searches came to refine by BFGS on the adjoint gradient
     reproduce_small(tmp_path, capsys, SCALE_SMALL, jobs)
     assert_matches_golden([tmp_path / "scale.csv"], "scale_small.csv")
 
@@ -346,8 +346,8 @@ def test_reproduce_small_proxy_matches_golden_csv(tmp_path, capsys):
 
 
 def test_reproduce_small_ce_matches_golden_csv(tmp_path, capsys):
-    # tests/data/ce_small.csv holds columns 1-11 of this run, recorded before
-    # the CSV schema came from ExperimentRecord's fields
+    # tests/data/ce_small.csv holds columns 1-11 of this run, recorded when
+    # the p=2 searches came to refine by BFGS on the adjoint gradient
     reproduce_small(tmp_path, capsys, CE_SMALL, "1")
     assert_matches_golden([tmp_path / "ce.csv"], "ce_small.csv")
 
@@ -604,6 +604,20 @@ def test_fig2_above_qubit_cap_is_resource_exit(tmp_path, capsys, monkeypatch):
     assert main(["reproduce", "fig2", "--manifest", manifest, "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("resource cap: ") and "n=25" in err
+    assert not out.exists()
+
+
+def test_fig2_batch_above_qubit_cap_is_resource_exit(tmp_path, capsys, monkeypatch):
+    def allocate(*args):
+        raise AssertionError("fig2 simulated a batch above the qubit cap")
+
+    # 2^27 instances of 8 spins would hold 2^35 amplitudes; the cap must stop it first
+    monkeypatch.setattr(experiments, "_batched_uncoupled", allocate)
+    manifest = write_manifest(tmp_path, {"experiment": "fig2", "params": {"n": 8, "n_seeds": 1 << 27}})
+    out = tmp_path / "out"
+    assert main(["reproduce", "fig2", "--manifest", manifest, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("resource cap: ") and "n_seeds=134217728" in err
     assert not out.exists()
 
 
@@ -891,6 +905,23 @@ def test_cli_import_leaves_heavy_scipy_modules_unloaded():
         "'jsonschema') if m in sys.modules])"
     )
     assert run_fresh(["-c", code]).strip() == "[]"
+
+
+def test_gradient_searches_leave_scipy_optimize_unloaded(tmp_path):
+    # importing scipy.optimize raises a qlow process's RSS by about 25 MiB; the
+    # relaxed and p=2 searches refine with the in-repo BFGS, which needs none of it
+    runs = [("freedom", FREEDOM_SMALL), ("scale", SCALE_SMALL)]
+    calls = [
+        ["reproduce", kind, "--manifest", write_manifest(tmp_path, payload, f"{kind}.json"),
+         "--out", str(tmp_path / kind)]
+        for kind, payload in runs
+    ]
+    code = (
+        "import sys; from qlow.cli import main; "
+        f"codes = [main(args) for args in {calls!r}]; "
+        "print(codes, 'scipy.optimize' in sys.modules)"
+    )
+    assert run_fresh(["-c", code]).strip().splitlines()[-1] == "[0, 0] False"
 
 
 def test_solve_output_does_not_depend_on_blas_threads():

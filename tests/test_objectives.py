@@ -6,13 +6,13 @@ from scipy.special import logsumexp
 
 from conftest import small_problems
 from qlow.errors import ConfigError
-from qlow.laplacians import hypercube, kinetic_energy
+from qlow.laplacians import hypercube
 from qlow.objectives import (
     CVaR,
-    Combined,
     Gibbs,
     Mean,
     approximation_ratio,
+    _scorer,
     evaluate,
     improvement_proxy,
     mean_via_terms,
@@ -168,24 +168,22 @@ def test_cvar_validation():
         CVaR(1.2)
 
 
-@given(
-    problem_state_pairs(),
-    st.floats(min_value=-3, max_value=3),
-    st.floats(min_value=-3, max_value=3),
-)
+@given(problem_state_pairs(), st.sampled_from([Mean(), Gibbs(0.5), Gibbs(3.0)]), st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
-def test_combined_decomposes_into_inner_plus_kinetic(pair, k1, k2):
+def test_scorer_slope_is_the_derivative_in_the_probabilities(pair, objective, seed):
+    """factor * table, the slope at the state scored last, against a central
+    difference of the objective along a random direction d in the
+    probabilities, one that scales each entry so that none turns negative."""
     prob, state = pair
-    lap = hypercube(prob.n)
-    got = evaluate(Combined(k1, k2, Gibbs(2.0)), state, prob, lap)
-    want = k1 * evaluate(Gibbs(2.0), state, prob) + k2 * kinetic_energy(state, lap)
-    assert got == pytest.approx(want, abs=1e-9)
-
-
-def test_combined_requires_laplacian():
-    prob = from_dense(2, np.array([0.0, 1.0, 2.0, 3.0]))
-    with pytest.raises(ConfigError):
-        evaluate(Combined(), plus_state(2), prob)
+    probs = state.probabilities()
+    d = probs * np.random.default_rng(seed).uniform(-1.0, 1.0, probs.size)
+    h = 1e-6
+    score = _scorer(objective, prob)
+    shifted = [score(np.sqrt(probs + sign * h * d) + 0j) for sign in (1.0, -1.0)]
+    score(state.amps)
+    table, factor = score.slope()
+    want = (shifted[0] - shifted[1]) / (2 * h)
+    assert factor * float(table @ d) == pytest.approx(want, rel=1e-5, abs=1e-5 * max(1.0, abs(want)))
 
 
 def test_approximation_ratio_endpoints():

@@ -1,11 +1,15 @@
 import dataclasses
+import functools
 import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import angles
 from qlow import optimize
 from qlow.ansatz import Schedule, _simulate, qaoa_state
 from qlow.errors import ConfigError
@@ -17,17 +21,14 @@ from qlow.laplacians import (
     hypercube,
     randomize_phases,
 )
-from qlow.objectives import CVaR, Combined, Gibbs, Mean, _scorer, evaluate
+from qlow.objectives import CVaR, Gibbs, Mean, _scorer, evaluate
 from qlow.optimize import (
     BETA_RANGE,
     GAMMA_RANGE,
     RoundingConfig,
     SearchConfig,
     _grid_scan_p1,
-    _hypercube_probe,
     _p1_mean_closed_form,
-    _relaxed,
-    _trial,
     classical_restart_baseline,
     compass_minimize,
     default_qaoa_solver,
@@ -159,8 +160,8 @@ def test_more_rounds_never_end_above_one_round_on_a_ball_cut(center):
 def test_compass_searches_return_the_public_value_and_never_end_above_their_floor():
     prob, lap, obj = grid_ferromagnet_2d(2, 3), hypercube(6), Mean()
     config = SearchConfig(resolution=(8, 8), max_iters=30)
-    public = lambda sched: evaluate(obj, qaoa_state(prob, lap, sched), prob, lap)
-    _, _, table = _grid_scan_p1(prob, lap, _scorer(obj, prob, lap), config, None)
+    public = lambda sched: evaluate(obj, qaoa_state(prob, lap, sched), prob)
+    _, _, table = _grid_scan_p1(prob, lap, _scorer(obj, prob), config, None)
     sched1, v1 = optimize_schedule(prob, lap, 1, obj, config)
     assert v1 == public(sched1) and v1 <= table.min()
     sched2, v2 = optimize_schedule(prob, lap, 2, obj, config)
@@ -207,7 +208,7 @@ def test_relaxed_never_worse_than_given_warm_schedule():
 
 def random_relaxed_instance(n, seed):
     """Terms of weight 0 to 3 with random coefficients on a hypercube with
-    unequal weights: no symmetry ties two probes."""
+    unequal weights: no symmetry ties two points."""
     rng = np.random.default_rng(seed)
     terms = [ZTerm((), float(rng.normal()))]
     for w in (1, 1, 2, 2, 2, 3, 3):
@@ -217,47 +218,180 @@ def random_relaxed_instance(n, seed):
     return from_terms(n, terms), lap, rng
 
 
-def relaxed_point(prob, relax, rng):
-    n_gamma = 1 if relax == "beta" else prob.masks.size
-    n_beta = 1 if relax == "gamma" else prob.n
-    return rng.uniform(-1.0, 1.0, n_gamma + n_beta), n_gamma
+def central_differences(fun, x, h=2e-5):
+    """The fourth-order central difference of fun at x along each axis. Its
+    error is about h^4 times the fifth derivative plus 1e-16 |fun| / h: far
+    below 1e-6 for these costs, where the second-order difference's h^2
+    times the third derivative reached 6e-6 on a steep Gibbs case."""
 
+    def along(e):
+        return (8.0 * (fun(x + h * e) - fun(x - h * e)) - (fun(x + 2 * h * e) - fun(x - 2 * h * e))) / (12 * h)
 
-PROBE_OBJECTIVES = [Mean(), Gibbs(4.0), CVaR(0.2), Combined(1.0, 0.5, Gibbs(2.0))]
+    return np.array([along(e) for e in np.eye(x.size)])
 
 
 @pytest.mark.parametrize("relax", ["gamma", "beta", "both"])
-@pytest.mark.parametrize(
-    "objective", PROBE_OBJECTIVES, ids=["mean", "gibbs", "cvar", "combined"]
-)
-def test_hypercube_probe_matches_full_simulation(relax, objective):
+@pytest.mark.parametrize("objective", [Mean(), Gibbs(4.0)], ids=["mean", "gibbs"])
+def test_relaxed_gradient_matches_full_simulation(relax, objective):
+    """A relaxed search's value and gradient on seven qubits, terms up to
+    weight 3 and unequal hypercube weights: the value is evaluate_schedule's,
+    the gradient central differences of it."""
     prob, lap, rng = random_relaxed_instance(7, seed=11)
-    x, n_gamma = relaxed_point(prob, relax, rng)
-    centre, probe = _hypercube_probe(prob, lap, objective, relax)
-    assert centre(x) == evaluate_schedule(prob, lap, Schedule(*_relaxed(x, relax, n_gamma)), objective)
-    for step in (0.37, 1e-3):
-        got = probe(x, step)
-        assert len(got) == 2 * x.size
-        for k, value in enumerate(got):
-            sched = Schedule(*_relaxed(_trial(x, k, step), relax, n_gamma))
-            want = evaluate(objective, qaoa_state(prob, lap, sched), prob, lap)
-            assert math.isclose(value, want, rel_tol=1e-12, abs_tol=1e-13), (k, value, want)
+    n_gamma = 1 if relax == "beta" else prob.masks.size
+    x = rng.uniform(-1.0, 1.0, n_gamma + (1 if relax == "gamma" else prob.n))
+    base, score = optimize._start(prob, lap, None), _scorer(objective, prob)
+    value, grad = optimize._value_and_grad(
+        base, prob, lap, *optimize._relaxed(x, relax, n_gamma), score, optimize._search_buffers(base.size)
+    )
+
+    def public(x):
+        return evaluate_schedule(prob, lap, Schedule(*optimize._relaxed(x, relax, n_gamma)), objective)
+
+    assert value == public(x)
+    np.testing.assert_allclose(grad, central_differences(public, x), rtol=0, atol=1e-6)
 
 
 @pytest.mark.parametrize("relax", ["gamma", "beta", "both"])
-def test_compass_with_hypercube_probe_follows_the_full_route(relax):
+def test_relaxed_gradient_search_ends_at_a_stationary_point(relax):
+    """From a warm start, a relaxed Gibbs search stops by GRADIENT_TOL: its
+    point's gradient is below it, and its value is the point's public value."""
     prob, lap, rng = random_relaxed_instance(6, seed=5)
-    x0, n_gamma = relaxed_point(prob, relax, rng)
-    obj = Gibbs(3.0)
+    obj, warm = Gibbs(3.0), Schedule(rng.uniform(-1.0, 1.0, 1), rng.uniform(0.0, 1.0, 1))
+    sched, value = optimize_relaxed_schedule(prob, lap, obj, FAST, relax=relax, warm=warm)
+    assert value == evaluate_schedule(prob, lap, sched, obj)
+    assert value < evaluate_schedule(prob, lap, warm, obj)
+    base, score = optimize._start(prob, lap, None), _scorer(obj, prob)
+    _, grad = optimize._value_and_grad(
+        base, prob, lap, sched.gammas, sched.betas, score, optimize._search_buffers(base.size)
+    )
+    assert np.abs(grad).max() < optimize.GRADIENT_TOL
+
+
+GRADIENT_MIXERS = {
+    "hypercube": lambda n, rng: WeightedHypercube(tuple(rng.uniform(0.3, 1.7, n))),
+    "complete": lambda n, rng: CompleteGraph(n),
+    "ballcut": lambda n, rng: BallCut(hypercube(n), int(rng.integers(1 << n)), max(1, n // 2)),
+}
+
+
+@given(
+    n=st.integers(2, 6),
+    p=st.integers(1, 4),
+    mixer=st.sampled_from(sorted(GRADIENT_MIXERS)),
+    objective=st.sampled_from([Mean(), Gibbs(3.0)]),
+    relax_gamma=st.booleans(),
+    relax_beta=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_value_and_grad_matches_central_differences(n, p, mixer, objective, relax_gamma, relax_beta, seed):
+    """The adjoint gradient against central differences of the plain
+    simulation, on terms of weight 0 to 3; per-qubit betas on the hypercube
+    only. The value is the search's fun(x) to the bit."""
+    rng = np.random.default_rng(seed)
+    terms = [ZTerm((), float(rng.normal()))]
+    for w in rng.integers(1, min(3, n) + 1, size=5):
+        terms.append(ZTerm(tuple(sorted(rng.choice(n, size=w, replace=False).tolist())), float(rng.normal())))
+    prob, lap = from_terms(n, terms), GRADIENT_MIXERS[mixer](n, rng)
+    relax_beta = relax_beta and mixer == "hypercube"
+    gammas = rng.uniform(-1.0, 1.0, (p, prob.masks.size) if relax_gamma else p)
+    betas = rng.uniform(-1.0, 1.0, (p, n) if relax_beta else p)
+    base = optimize._start(prob, lap, None)
+    score = _scorer(objective, prob)
 
     def fun(x):
-        return evaluate_schedule(prob, lap, Schedule(*_relaxed(x, relax, n_gamma)), obj)
+        g, b = x[: gammas.size].reshape(gammas.shape), x[gammas.size :].reshape(betas.shape)
+        return score(_simulate(base, prob, lap, g, b))
 
-    centre, probe = _hypercube_probe(prob, lap, obj, relax)
-    x_probe, f_probe = compass_minimize(centre, x0, 0.2, 1e-4, 200, probe)
-    x_full, f_full = compass_minimize(fun, x0, 0.2, 1e-4, 200)
-    np.testing.assert_array_equal(x_probe, x_full)
-    assert f_probe == f_full == fun(x_full)
+    buffers = optimize._search_buffers(base.size)
+    value, grad = optimize._value_and_grad(base, prob, lap, gammas, betas, score, buffers)
+    x = np.concatenate([gammas.ravel(), betas.ravel()])
+    assert value == fun(x) and grad.shape == x.shape
+    np.testing.assert_allclose(grad, central_differences(fun, x), rtol=0, atol=1e-6)
+
+
+def test_value_and_grad_keeps_psi_and_lambda_in_the_three_buffers(monkeypatch):
+    """On a hypercube every state of the forward and backward passes is one
+    of the search's three buffers: what else it allocates (the phase's index
+    chunks, small arrays) stays under a quarter of a state."""
+    prob, lap = maxcut_3regular(14, seed=2), WeightedHypercube((1.0, 0.5) * 7)
+    base, score = optimize._start(prob, lap, None), _scorer(Gibbs(3.0), prob)
+    buffers = optimize._search_buffers(base.size)
+    gammas, betas = np.array([0.3, -0.2, 0.5]), np.array([0.9, 0.4, 0.1])
+    optimize._value_and_grad(base, prob, lap, gammas, betas, score, buffers)  # block unitaries cached
+    tracemalloc.start()
+    try:
+        optimize._value_and_grad(base, prob, lap, gammas, betas, score, buffers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (16 << prob.n) // 4
+
+
+def quadratic(x):
+    a = np.array([[3.0, 1.0, 0.0], [1.0, 2.0, 0.5], [0.0, 0.5, 1.0]])
+    d = x - np.array([1.0, -2.0, 0.5])
+    return float(d @ a @ d), 2.0 * (a @ d)
+
+
+def rosenbrock(x):
+    value = 100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2
+    grad = np.array([-400.0 * x[0] * (x[1] - x[0] ** 2) - 2.0 * (1.0 - x[0]), 200.0 * (x[1] - x[0] ** 2)])
+    return value, grad
+
+
+@pytest.mark.parametrize(
+    "fun, x0, argmin",
+    [(quadratic, np.zeros(3), [1.0, -2.0, 0.5]), (rosenbrock, np.array([-1.2, 1.0]), [1.0, 1.0])],
+    ids=["quadratic", "rosenbrock"],
+)
+def test_bfgs_stops_by_gradient_tolerance(fun, x0, argmin):
+    x, fx, reason = optimize.bfgs_minimize(fun, x0, 0.5, 1e-8, 500)
+    assert reason == "gtol"
+    assert np.abs(fun(x)[1]).max() < 1e-8 and fx == fun(x)[0]
+    np.testing.assert_allclose(x, argmin, atol=1e-6)
+
+
+def test_bfgs_reports_its_iteration_cap():
+    x, fx, reason = optimize.bfgs_minimize(rosenbrock, np.array([-1.2, 1.0]), 0.5, 1e-8, 3)
+    assert reason == "max_iters" and fx < rosenbrock(np.array([-1.2, 1.0]))[0]
+
+
+@given(st.lists(angles, min_size=1, max_size=4), st.floats(1e-3, 2.0), st.integers(1, 40))
+@settings(max_examples=60, deadline=None)
+def test_bfgs_never_ends_above_its_start(x0, step, max_iters):
+    """A wavy function with many local minima: every accepted step lowers the
+    value, and the returned value is fun of the returned x."""
+
+    def wavy(x):
+        return float(np.sum(np.cos(3 * x) + 0.1 * x**2)), -3 * np.sin(3 * x) + 0.2 * x
+
+    x0 = np.array(x0)
+    x, fx, reason = optimize.bfgs_minimize(wavy, x0, step, 1e-9, max_iters)
+    assert fx <= wavy(x0)[0] and fx == wavy(x)[0]
+    assert reason in ("gtol", "line search", "max_iters")
+
+
+@pytest.mark.parametrize(
+    "objective, smooth", [(Mean(), True), (Gibbs(3.0), True), (CVaR(0.3), False)], ids=["mean", "gibbs", "cvar"]
+)
+def test_searches_above_the_p1_grid_refine_by_gradient_for_mean_and_gibbs(monkeypatch, objective, smooth):
+    routes = []
+    refine = optimize._local_refine
+
+    def spy(fun, x0, step, config, probe=None, gradient=False):
+        routes.append(gradient)
+        return refine(fun, x0, step, config, probe, gradient)
+
+    monkeypatch.setattr(optimize, "_local_refine", spy)
+    prob, lap = conflicted_pairs(4, 0.5, 3.0), WeightedHypercube((1.0, 0.5, 2.0, 1.0))
+    config = SearchConfig(resolution=(6, 5), top_k=1, max_iters=20)
+    optimize_schedule(prob, lap, 1, objective, config)
+    assert routes == [False]  # a scalar p=1 search keeps compass
+    optimize_schedule(prob, lap, 2, objective, config)
+    assert routes[1:] == [False, smooth, smooth]  # its p=1 stage, then the ramp and embed starts
+    optimize_relaxed_schedule(prob, lap, objective, config, relax="both", warm=Schedule([0.3], [0.4]))
+    assert routes[-1] == smooth
 
 
 def test_relaxed_search_returns_the_public_value_of_its_schedule():
@@ -454,7 +588,7 @@ CORE_MIXERS = {
     "complete": CompleteGraph(4),
     "ballcut": BallCut(hypercube(4), center=5, radius=2),
 }
-CORE_OBJECTIVES = {"mean": Mean(), "gibbs": Gibbs(3.0), "combined": Combined(1.0, 0.5, Gibbs(2.0))}
+CORE_OBJECTIVES = {"mean": Mean(), "gibbs": Gibbs(3.0)}
 
 
 @pytest.fixture
@@ -491,7 +625,7 @@ def test_search_loops_on_the_raw_core_match_evaluate_schedule(
     lap, obj = CORE_MIXERS[mixer], CORE_OBJECTIVES[obj_kind]
     initial = randomize_phases(ball_uniform_state(4, 5, 2), 11) if with_initial else None
     config = SearchConfig(resolution=(5, 4), top_k=2, max_iters=8)
-    gammas, betas, table = _grid_scan_p1(prob, lap, _scorer(obj, prob, lap), config, initial)
+    gammas, betas, table = _grid_scan_p1(prob, lap, _scorer(obj, prob), config, initial)
     for (i, g), (j, b) in itertools.product(enumerate(gammas), enumerate(betas)):
         assert table[i, j] == evaluate_schedule(prob, lap, Schedule([g], [b]), obj, initial)
     for p in (1, 2):
@@ -530,6 +664,7 @@ def test_search_scores_its_states_in_three_kept_arrays(monkeypatch, mixer, p):
         builds.append(args)
         score = scorer(*args)
 
+        @functools.wraps(score)  # keeps the scorer's slope
         def recorded(amps):
             scored.append(amps)
             return score(amps)
@@ -571,7 +706,6 @@ TWIN_OBJECTIVES = {
     "mean": Mean(),
     "gibbs": Gibbs(3.0),
     "cvar": CVaR(0.3),
-    "combined": Combined(1.0, 0.5, Gibbs(2.0)),
 }
 TWIN_WEIGHTS = {"ones": (1.0,) * 5, "ones_and_twos": (1.0, 2.0, 1.0, 2.0, 2.0)}
 TWIN_STARTS = {"plus": None, "ball": ball_uniform_state(5, 6, 2)}
@@ -600,12 +734,12 @@ def test_time_reversal_twins_take_the_same_value(obj_kind, weights, start):
 
 @pytest.mark.parametrize("resolution", [(7, 6), (6, 5)])
 @pytest.mark.parametrize("start", sorted(TWIN_STARTS))
-@pytest.mark.parametrize("obj_kind", ["mean", "cvar", "combined"])
+@pytest.mark.parametrize("obj_kind", ["mean", "cvar"])
 def test_filled_scan_entries_match_their_twins_and_own_points(obj_kind, start, resolution):
     prob, lap = twin_problem(), WeightedHypercube(TWIN_WEIGHTS["ones_and_twos"])
     obj, initial = TWIN_OBJECTIVES[obj_kind], TWIN_STARTS[start]
     config = SearchConfig(resolution=resolution)
-    gammas, betas, table = _grid_scan_p1(prob, lap, _scorer(obj, prob, lap), config, initial)
+    gammas, betas, table = _grid_scan_p1(prob, lap, _scorer(obj, prob), config, initial)
     rows = (gammas.size + 1) // 2
     for (i, g), (j, b) in itertools.product(enumerate(gammas), enumerate(betas)):
         own = evaluate_schedule(prob, lap, Schedule([g], [b]), obj, initial)
@@ -646,7 +780,7 @@ def test_scan_phases_half_the_rows_only_on_the_twin_route(phases, case, gamma_po
     prob = conflicted_pairs(4, 0.5, 3.0)
     lap, initial = FULL_SCANS.get(case, (WeightedHypercube((1.0, 2.0, 0.0, 1.0)), None))
     config = SearchConfig(resolution=(gamma_points, 5))
-    gammas, _, _ = _grid_scan_p1(prob, lap, _scorer(Mean(), prob, lap), config, initial)
+    gammas, _, _ = _grid_scan_p1(prob, lap, _scorer(Mean(), prob), config, initial)
     assert optimize._has_twins(lap, initial) == (case == "twins")
     rows = math.ceil(gamma_points / 2) if case == "twins" else gamma_points
     assert phases == list(gammas[:rows])
@@ -656,14 +790,14 @@ def test_twin_starts_are_refined_once(monkeypatch):
     calls = []
     refine = optimize._local_refine
 
-    def spy(fun, x0, step, config, probe=None):
+    def spy(fun, x0, step, config, probe=None, gradient=False):
         calls.append(x0)
-        return refine(fun, x0, step, config, probe)
+        return refine(fun, x0, step, config, probe, gradient)
 
     monkeypatch.setattr(optimize, "_local_refine", spy)
     prob, lap, obj = grid_ferromagnet_2d(2, 3), hypercube(6), Gibbs(3.0)
     config = SearchConfig(resolution=(8, 8), top_k=4, max_iters=20)
-    _, _, table = _grid_scan_p1(prob, lap, _scorer(obj, prob, lap), config, None)
+    _, _, table = _grid_scan_p1(prob, lap, _scorer(obj, prob), config, None)
     top = np.argsort(table, axis=None, kind="stable")[: config.top_k].tolist()
     distinct = [k for pos, k in enumerate(top) if table.size - 1 - k not in top[:pos]]
     assert len(distinct) < config.top_k  # the top entries hold a twin pair
@@ -743,6 +877,7 @@ def routes(monkeypatch):
     def scorer_spy(*args):
         score = scorer(*args)
 
+        @functools.wraps(score)  # keeps the scorer's slope
         def counted(amps):
             seen["states"] += 1
             return score(amps)
@@ -813,7 +948,7 @@ def test_screen_scores_a_pinned_count_of_states(monkeypatch, routes):
 
 def test_screened_scan_simulates_its_top_k_and_leaves_inf_elsewhere():
     prob, lap = maxcut_3regular(12, seed=1), hypercube(12)
-    config, score = SearchConfig(resolution=(16, 16), top_k=5), _scorer(Mean(), prob, lap)
+    config, score = SearchConfig(resolution=(16, 16), top_k=5), _scorer(Mean(), prob)
     screen = optimize._screen(prob, lap, Mean(), None)
     _, _, full = _grid_scan_p1(prob, lap, score, config, None)
     _, _, table = _grid_scan_p1(prob, lap, score, config, None, screen=screen)
@@ -826,7 +961,6 @@ def test_screened_scan_simulates_its_top_k_and_leaves_inf_elsewhere():
 FULL_SCAN_SEARCHES = {
     "gibbs": (Gibbs(3.0), hypercube(5), None),
     "cvar": (CVaR(0.3), hypercube(5), None),
-    "combined_mean": (Combined(1.0, 0.5, Mean()), hypercube(5), None),
     "ball_start": (Mean(), hypercube(5), ball_uniform_state(5, 6, 2)),
     "ball_cut": (Mean(), BallCut(hypercube(5), center=5, radius=2), None),
     "complete_graph": (Mean(), CompleteGraph(5), None),
