@@ -631,16 +631,16 @@ def _value_and_grad(base, problem, lap, gammas, betas, score, buffers):
             d_beta[k] = _mixer_overlap(lam, psi, lap, b)
         psi = buffers[0] if k == gammas.shape[0] - 1 else _unmix(psi, lap, betas[k], b, spare())
         lam = _unmix(lam, lap, betas[k], b, spare())
-        # Im(conj(mu) phi), the integrand of every phase partial
-        if gammas.ndim == 2:
+        if gammas.ndim == 2:  # Im(conj(mu) phi) read through the Walsh transform
             im = lam.real * psi.imag - lam.imag * psi.real
             d_gamma[k] = problem.coeffs * fwht_array(im)[problem.masks] * 2.0 ** (problem.n / 2)
-            phase = (gammas[k] @ problem.term_tables(), 1.0, None)
         else:
             d_gamma[k] = _im_overlap(lam, psi, problem.dense)
-            phase = (levels, float(gammas[k]), index)
         if k:
-            values, gamma, idx = phase
+            if gammas.ndim == 2:
+                values, gamma, idx = gammas[k] @ problem.term_tables(), 1.0, None
+            else:
+                values, gamma, idx = levels, float(gammas[k]), index
             psi = _phase(psi, values, -gamma, idx, out=spare())
             lam = _phase(lam, values, -gamma, idx, out=spare())
     return value, np.concatenate([d_gamma.ravel(), d_beta.ravel()])
