@@ -218,6 +218,61 @@ def random_relaxed_instance(n, seed):
     return from_terms(n, terms), lap, rng
 
 
+def relaxed_point(prob, relax, rng):
+    n_gamma = 1 if relax == "beta" else prob.masks.size
+    n_beta = 1 if relax == "gamma" else prob.n
+    return rng.uniform(-1.0, 1.0, n_gamma + n_beta), n_gamma
+
+
+def relaxed_probe(prob, lap, objective, relax, n_gamma):
+    """(centre, probe) of a relaxed compass search on the hypercube: the
+    search's own simulation and scorer behind _scored_probe, as
+    optimize_relaxed_schedule builds them for CVaR."""
+    base = optimize._start(prob, lap, None)
+    fun = optimize._search_fun(
+        base, prob, lap, _scorer(objective, prob),
+        lambda x: optimize._relaxed(x, relax, n_gamma), optimize._search_buffers(base.size),
+    )
+    return optimize._scored_probe(fun)
+
+
+@pytest.mark.parametrize("relax", ["gamma", "beta", "both"])
+@pytest.mark.parametrize("objective", [Mean(), Gibbs(4.0), CVaR(0.2)], ids=["mean", "gibbs", "cvar"])
+def test_hypercube_probe_matches_full_simulation(relax, objective):
+    """Every compass trial of a relaxed search on a hypercube with unequal
+    weights scores the full simulation of its schedule."""
+    prob, lap, rng = random_relaxed_instance(7, seed=11)
+    x, n_gamma = relaxed_point(prob, relax, rng)
+    centre, probe = relaxed_probe(prob, lap, objective, relax, n_gamma)
+    assert centre(x) == evaluate_schedule(prob, lap, Schedule(*optimize._relaxed(x, relax, n_gamma)), objective)
+    for step in (0.37, 1e-3):
+        got = probe(x, step)
+        assert len(got) == 2 * x.size
+        for k, value in enumerate(got):
+            sched = Schedule(*optimize._relaxed(optimize._trial(x, k, step), relax, n_gamma))
+            want = evaluate(objective, qaoa_state(prob, lap, sched), prob)
+            assert math.isclose(value, want, rel_tol=1e-12, abs_tol=1e-13), (k, value, want)
+
+
+@pytest.mark.parametrize("relax", ["gamma", "beta", "both"])
+def test_compass_with_hypercube_probe_follows_the_full_route(relax):
+    """Relaxed CVaR refines by compass: with the search's probe it takes the
+    moves of compass on evaluate_schedule and ends at the same point."""
+    prob, lap, rng = random_relaxed_instance(6, seed=5)
+    x0, n_gamma = relaxed_point(prob, relax, rng)
+    obj = CVaR(0.3)
+
+    def fun(x):
+        return evaluate_schedule(prob, lap, Schedule(*optimize._relaxed(x, relax, n_gamma)), obj)
+
+    centre, probe = relaxed_probe(prob, lap, obj, relax, n_gamma)
+    x_probe, f_probe = compass_minimize(centre, x0, 0.2, 1e-4, 200, probe)
+    x_full, f_full = compass_minimize(fun, x0, 0.2, 1e-4, 200)
+    np.testing.assert_array_equal(x_probe, x_full)
+    assert f_probe == f_full == fun(x_full)
+    assert f_full < fun(x0)
+
+
 def central_differences(fun, x, h=2e-5):
     """The fourth-order central difference of fun at x along each axis. Its
     error is about h^4 times the fifth derivative plus 1e-16 |fun| / h: far
@@ -237,8 +292,7 @@ def test_relaxed_gradient_matches_full_simulation(relax, objective):
     weight 3 and unequal hypercube weights: the value is evaluate_schedule's,
     the gradient central differences of it."""
     prob, lap, rng = random_relaxed_instance(7, seed=11)
-    n_gamma = 1 if relax == "beta" else prob.masks.size
-    x = rng.uniform(-1.0, 1.0, n_gamma + (1 if relax == "gamma" else prob.n))
+    x, n_gamma = relaxed_point(prob, relax, rng)
     base, score = optimize._start(prob, lap, None), _scorer(objective, prob)
     value, grad = optimize._value_and_grad(
         base, prob, lap, *optimize._relaxed(x, relax, n_gamma), score, optimize._search_buffers(base.size)
