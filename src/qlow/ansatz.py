@@ -6,11 +6,12 @@ exp(-i beta L_bar); rounds compose innermost-first. Relaxed-gamma schedules
 carry one angle per problem term, relaxed-beta one angle per qubit (hypercube
 mixers only, since per-qubit angles require the tensor structure).
 
-_simulate runs the rounds on one raw array through the shared kernels
-(statevector._phase, laplacians._mix, _rotate_qubits for per-qubit betas),
-which never write to their input. qaoa_state checks its inputs once, calls it
-and wraps the result; the search loops in optimize call it directly on flat
-angle arrays, with the three state buffers each search keeps.
+_simulate runs the rounds on one raw array through _phase_round and _mix_round,
+which pick each round's kernel (statevector._phase, laplacians._mix,
+_rotate_qubits for per-qubit betas); the adjoint backward pass in optimize
+undoes rounds through the same two at sign -1. qaoa_state checks its inputs
+once, calls _simulate and wraps the result; the searches in optimize call it
+on flat angle arrays, with the three state buffers each search keeps.
 """
 
 from __future__ import annotations
@@ -83,18 +84,28 @@ def _simulate(amps, problem: DiagonalProblem, lap, gammas, betas, buffers=None) 
     complete-graph mixer is one of them. Without buffers every round writes
     new arrays. Zero rounds return amps itself."""
     phased, work = (None, None) if buffers is None else (buffers[0], buffers[1:])
-    b = np.asarray(lap.b) if betas.ndim == 2 else None
     for gamma, beta in zip(gammas, betas):
-        if gammas.ndim == 2:
-            amps = _phase(amps, gamma @ problem.term_tables(), 1.0, out=phased)
-        else:
-            levels, index = problem.phase_table
-            amps = _phase(amps, levels, float(gamma), index, out=phased)
-        if b is None:
-            amps = _mix(amps, lap, float(beta), work)
-        else:
-            amps = _rotate_qubits(amps, beta * b, work=work)
+        # two statements: the last round's state is released before the mixer runs
+        amps = _phase_round(amps, problem, gamma, 1, phased)
+        amps = _mix_round(amps, lap, beta, 1, work)
     return amps
+
+
+def _phase_round(amps, problem: DiagonalProblem, gamma, sign: int, out) -> np.ndarray:
+    """exp(-i sign gamma f) amps, one round's phase into out (_phase): a per-term
+    gamma row weights term_tables(), a scalar gamma reads phase_table."""
+    if np.ndim(gamma):
+        return _phase(amps, gamma @ problem.term_tables(), float(sign), out=out)
+    levels, index = problem.phase_table
+    return _phase(amps, levels, sign * float(gamma), index, out=out)
+
+
+def _mix_round(amps, lap, beta, sign: int, work) -> np.ndarray:
+    """exp(-i sign beta L_bar) amps, one round's mixer into the pair work (_mix):
+    a per-qubit beta row scales the weights b (_rotate_qubits), a scalar goes to _mix."""
+    if np.ndim(beta):
+        return _rotate_qubits(amps, sign * beta * np.asarray(lap.b), work=work)
+    return _mix(amps, lap, sign * float(beta), work)
 
 
 def qaoa_state(

@@ -9,7 +9,8 @@ p=1 searches and CVaR keep compass_minimize. The gradient is the adjoint one
 simulation and scorer, so the value is fun(x) bit for bit. With psi the final
 state and F the objective of its probabilities p = |psi|^2, the backward pass
 starts from lambda = (dF/dp) psi and uncomputes one round at a time, applying
-the round's mixer at -beta and its phase at -gamma to psi and lambda alike, so
+the round's mixer and phase at sign -1 to psi and lambda alike through the
+helpers the forward pass applies at +1 (ansatz._mix_round, _phase_round), so
 it needs no stored trajectory: the search's three state buffers hold psi,
 lambda and the kernels' output. With psi and lambda taken after round k's
 mixer, phi and mu after its phase, L_bar the mixer's generator and f the cost:
@@ -24,11 +25,12 @@ mixer, phi and mu after its phase, L_bar the mixer's generator and f the cost:
   unnormalized Walsh transform W read at the term masks.
 
 dF/dp comes from the scorer's tables (objectives._scorer's slope): f for Mean,
--w/g for Gibbs. CVaR's quantile gives it none.
+-w/g for Gibbs. CVaR's quantile gives it none, so a search refines by gradient
+exactly when its scorer has a slope.
 
 Every p=1 search makes its grid by one scan, _grid_scan_p1, with an optional
 screen (_screen): a closed form (_p1_mean_closed_form) that also screens the
-compass probes. A search gets one when all four of _screen's conditions hold:
+compass trials. A search gets one when all four of _screen's conditions hold:
 the objective is Mean itself, the start is |+>^n, the mixer is a hypercube
 (any weights b), and no term acts on more than two qubits. With
 f = c0 + sum_u h_u Z_u + sum_uv J_uv Z_u Z_v and theta_q = beta b_q
@@ -55,7 +57,7 @@ less on a maxcut with a field scaled from S = 12 to 1.2e10, which passes
 either kind; terms_gap is what a table can hold beyond its term list. A
 point with c > v + 2m, v the top_k-th smallest c of the grid, has d > v + m,
 which is at least the top_k-th smallest d, so it cannot enter the top_k. A
-probe with c > fx + m has d > fx and cannot be a compass move from the
+compass trial with c > fx + m has d > fx and cannot be a move from the
 centre value fx.
 """
 
@@ -69,26 +71,19 @@ import numpy as np
 from . import _bits
 from .ansatz import (
     Schedule,
+    _mix_round,
+    _phase_round,
     _simulate,
     _start,
     multilinear_gradient,
     multilinear_value,
     qaoa_state,
 )
-from .errors import ConfigError
-from .laplacians import (
-    CompleteGraph,
-    WeightedHypercube,
-    _lbar,
-    _mix,
-    _mix_many,
-    _rotate_qubits,
-    _support,
-    hypercube,
-)
-from .objectives import Gibbs, Mean, _scorer, evaluate
+from .errors import ConfigError, ResourceError
+from .laplacians import CompleteGraph, WeightedHypercube, _lbar, _mix_many, _support, hypercube
+from .objectives import Mean, _scorer, evaluate
 from .problems import DiagonalProblem, freeze
-from .statevector import GROUND_TOL, Statevector, _expect, _phase, fwht_array
+from .statevector import GROUND_TOL, Statevector, _expect, _phase, fwht_array, max_qubits
 
 # a rounding marginal this close to 0.5 is a tie: kernels miss an exact 0.5 by last bits
 MARGINAL_TIE_TOL = 1e-12
@@ -157,34 +152,35 @@ def _trial(x, k, step):
     return trial
 
 
-def compass_minimize(fun, x0, step, tol, max_iters, probe=None):
-    """Coordinate pattern search: probe +-step along each axis, move to the
-    best improving probe, halve the step when none improves.
+def compass_minimize(fun, x0, step, tol, max_iters, screen=None):
+    """Coordinate pattern search: score the trials +-step along each axis,
+    move to the best improving one, halve the step when none improves.
 
-    probe(x, step) returns the 2d probe values in the order (axis 0, +),
-    (axis 0, -), (axis 1, +), ...; fun scores x0 and each accepted centre, so
-    the returned value is always fun of the returned x. The compass calls
-    fun(x) before it probes around x, and a probe may keep what it needs of
-    that centre. With no probe, _scored_probe(fun) scores each trial by fun
-    and hands an accepted trial's value back as its centre value."""
+    fun scores x0, then each step's 2d trials in the order (axis 0, +),
+    (axis 0, -), (axis 1, +), ...; an accepted trial's value becomes fx, so
+    no point is scored twice and the returned value is fun of the returned
+    x. With a screen (_screen), a trial whose closed-form value lies above
+    fx + margin cannot be a move and is not scored."""
     x = np.asarray(x0, dtype=np.float64).copy()
-    if probe is None:
-        fun, probe = _scored_probe(fun)
     fx = fun(x)
     step = float(step)
     for _ in range(max_iters):
         if step < tol:
             break
-        values = probe(x, step)
+        trials = [_trial(x, k, step) for k in range(2 * x.size)]
+        live = range(len(trials))
+        if screen is not None:
+            _, at, margin = screen
+            live = np.flatnonzero(at(*np.array(trials).T) <= fx + margin)
         best_f, best_k = fx, None
-        for k, ft in enumerate(values):
+        for k in live:
+            ft = fun(trials[k])
             if ft < best_f - 1e-15:
                 best_f, best_k = ft, k
         if best_k is None:
             step *= 0.5
         else:
-            x = _trial(x, best_k, step)
-            fx = fun(x)
+            x, fx = trials[best_k], best_f
     return x, fx
 
 
@@ -223,16 +219,17 @@ def bfgs_minimize(fun, x0, step, gtol, max_iters):
     return x, fx, "gtol" if np.abs(g).max() < gtol else "max_iters"
 
 
-def _local_refine(fun, x0, step, config: SearchConfig, probe=None, gradient=False):
+def _local_refine(fun, x0, step, config: SearchConfig, screen=None, gradient=False):
     """The one local method of every search, from x0 with the search's
     max_iters: bfgs_minimize with GRADIENT_TOL when gradient is set (fun then
-    returns (value, gradient)), else compass_minimize with COMPASS_TOL."""
+    returns (value, gradient)), else compass_minimize with COMPASS_TOL and
+    the screen."""
     if gradient:
         return bfgs_minimize(fun, x0, step, GRADIENT_TOL, config.max_iters)[:2]
-    return compass_minimize(fun, x0, step, COMPASS_TOL, config.max_iters, probe)
+    return compass_minimize(fun, x0, step, COMPASS_TOL, config.max_iters, screen)
 
 
-def _refine(fun, starts, step, config: SearchConfig, probe=None, floor=(None, math.inf), gradient=False):
+def _refine(fun, starts, step, config: SearchConfig, screen=None, floor=(None, math.inf), gradient=False):
     """The lowest (x, value) that _local_refine reaches from the starts, the
     first start winning a tie; floor, an (x, value) pair, when every start
     ends above floor's value.
@@ -244,7 +241,7 @@ def _refine(fun, starts, step, config: SearchConfig, probe=None, floor=(None, ma
     without the floor a search could end a hair above its own start."""
     best_x, best_f = None, math.inf
     for start in starts:
-        x, fx = _local_refine(fun, start, step, config, probe, gradient)
+        x, fx = _local_refine(fun, start, step, config, screen, gradient)
         if fx < best_f:
             best_x, best_f = x, fx
     return floor if best_f > floor[1] else (best_x, best_f)
@@ -396,37 +393,6 @@ def _p1_mean_closed_form(problem, b):
     return grid, at
 
 
-def _scored_probe(fun, screen=None):
-    """(centre, probe): fun and probe for compass_minimize, every trial scored
-    by fun.
-
-    centre(x) is fun(x), or the value the last probe scored x at, so an
-    accepted trial is not scored twice; it keeps that value fx. probe(x, step)
-    scores the 2d trials around x. With a screen (_screen), a trial whose
-    closed-form value lies above fx + margin cannot be a move and reads +inf;
-    only the others are scored."""
-    kept = {"f": None, "scored": {}}
-
-    def centre(x):
-        f = kept["scored"].get(x.tobytes())
-        kept["f"] = fun(x) if f is None else f
-        return kept["f"]
-
-    def probe(x, step):
-        trials = [_trial(x, k, step) for k in range(2 * x.size)]
-        live = range(len(trials))
-        if screen is not None:
-            _, at, margin = screen
-            live = np.flatnonzero(at(*np.array(trials).T) <= kept["f"] + margin)
-        values = [math.inf] * len(trials)
-        for k in live:
-            values[k] = fun(trials[k])
-        kept["scored"] = {trials[k].tobytes(): values[k] for k in live}
-        return values
-
-    return centre, probe
-
-
 def optimize_schedule(
     problem: DiagonalProblem,
     lap,
@@ -465,16 +431,22 @@ def optimize_schedule(
     hypercube mixer with any weights, and no term on more than two qubits),
     the p=1 stage simulates only what a closed-form value (module docstring)
     cannot rule out, with _screen's margin m: the grid entries within 2m of
-    the top_k-th smallest closed-form value, and of each compass step's probes
-    those within m of the centre's value (_scored_probe). The closed form and
-    the simulated value differ by less than m, so the entries left out cannot
-    enter the top_k and the probes left out cannot be moves: the top_k order,
-    the floor, every move and the returned value are those of the full scan
-    and refinement, to the byte."""
+    the top_k-th smallest closed-form value, and of each compass step's trials
+    those within m of the centre's value. The closed form and the simulated
+    value differ by less than m, so the entries left out cannot enter the
+    top_k and the trials left out cannot be moves: the top_k order, the
+    floor, every move and the returned value are those of the full scan and
+    refinement, to the byte.
+
+    A p whose dense (2p, 2p) BFGS inverse Hessian would hold more than
+    2^max_qubits() entries, one state at the qubit cap, is a ResourceError
+    before anything is simulated."""
     if config is None:
         config = SearchConfig()
     if p < 1:
         raise ConfigError("round count must be >= 1")
+    if (2 * p) ** 2 > 1 << max_qubits():
+        raise ResourceError(f"p={p} needs a ({2 * p}, {2 * p}) inverse Hessian, above 2^{max_qubits()} entries")
 
     base = _start(problem, lap, initial)
     buffers = _search_buffers(base.size)
@@ -487,7 +459,6 @@ def optimize_schedule(
     fun = _search_fun(base, problem, lap, score, rounds, buffers)
     screen = _screen(problem, lap, objective, initial)
     gammas, betas, table = _grid_scan_p1(problem, lap, score, config, initial, buffers, screen=screen)
-    centre, probe = _scored_probe(fun, screen)
     flat_order = np.argsort(table, axis=None, kind="stable")
     top = flat_order[: config.top_k].tolist()
     if _has_twins(lap, initial):
@@ -501,7 +472,7 @@ def optimize_schedule(
         (BETA_RANGE[1] - BETA_RANGE[0]) / config.resolution[1],
     )
     floor = (grid_points[0], float(table.flat[flat_order[0]]))
-    x1, f1 = _refine(centre, grid_points, step, config, probe, floor)
+    x1, f1 = _refine(fun, grid_points, step, config, screen, floor)
     if p == 1:
         return Schedule(x1[:1], x1[1:]), f1
 
@@ -511,7 +482,7 @@ def optimize_schedule(
     embed = np.zeros(2 * p)
     embed[0], embed[p] = g1, b1
 
-    smooth = _smooth(objective)
+    smooth = hasattr(score, "slope")
     fun = _search_fun(base, problem, lap, score, rounds, buffers, smooth)
     x, fx = _refine(fun, [ramp, embed], step, config, floor=(embed, f1), gradient=smooth)
     return Schedule(x[:p], x[p:]), fx
@@ -560,10 +531,10 @@ def optimize_relaxed_schedule(
     b0 = b_init if relax != "gamma" else np.array([float(np.mean(b_init))])
     x0 = np.concatenate([g0, b0])
     plus = _start(problem, lap, None)
-    smooth = _smooth(objective)
+    score = _scorer(objective, problem)
+    smooth = hasattr(score, "slope")
     fun = _search_fun(
-        plus, problem, lap, _scorer(objective, problem),
-        lambda x: _relaxed(x, relax, g0.size), _search_buffers(plus.size), smooth,
+        plus, problem, lap, score, lambda x: _relaxed(x, relax, g0.size), _search_buffers(plus.size), smooth
     )
     step = (GAMMA_RANGE[1] - GAMMA_RANGE[0]) / config.resolution[0]
     x, fx = _refine(fun, [x0], step, config, gradient=smooth)
@@ -578,12 +549,6 @@ def _relaxed(x, relax, n_gamma):
         g.reshape(1, -1) if relax != "beta" else g,
         b.reshape(1, -1) if relax != "gamma" else b,
     )
-
-
-def _smooth(objective) -> bool:
-    """Whether a search on objective refines by gradient: Mean and Gibbs have
-    the scorer's slope, CVaR has none."""
-    return isinstance(objective, (Mean, Gibbs))
 
 
 def _search_fun(base, problem, lap, score, angles, buffers, gradient=False):
@@ -605,9 +570,10 @@ def _value_and_grad(base, problem, lap, gammas, betas, score, buffers):
     of base's shape (_search_buffers), then score, so value is the search's
     fun(x) bit for bit. It leaves the last round's phased state in
     buffers[0], which is the first state the backward pass needs; the
-    backward pass then uncomputes each round with _mix at -beta and _phase at
-    -gamma, carrying psi and lambda in the same three buffers (a mixer writes
-    over its input: _mix's work pair is (spare, input))."""
+    backward pass then uncomputes each round with _mix_round and _phase_round
+    at sign -1, the forward pass's helpers, carrying psi and lambda in the
+    same three buffers (a mixer writes over its input: its work pair is
+    (spare, input))."""
     psi = _simulate(base, problem, lap, gammas, betas, buffers)
     value = score(psi)
     table, factor = score.slope()
@@ -623,35 +589,22 @@ def _value_and_grad(base, problem, lap, gammas, betas, score, buffers):
     lam *= 2.0 * factor
     d_gamma, d_beta = np.empty(gammas.shape), np.empty(betas.shape)
     b = np.asarray(lap.b) if isinstance(lap, WeightedHypercube) else None
-    levels, index = problem.phase_table
     for k in reversed(range(gammas.shape[0])):
         if betas.ndim == 2:
             d_beta[k] = b * _flip_overlaps(lam, psi)
         else:
             d_beta[k] = _mixer_overlap(lam, psi, lap, b)
-        psi = buffers[0] if k == gammas.shape[0] - 1 else _unmix(psi, lap, betas[k], b, spare())
-        lam = _unmix(lam, lap, betas[k], b, spare())
+        psi = buffers[0] if k == gammas.shape[0] - 1 else _mix_round(psi, lap, betas[k], -1, (spare(), psi))
+        lam = _mix_round(lam, lap, betas[k], -1, (spare(), lam))
         if gammas.ndim == 2:  # Im(conj(mu) phi) read through the Walsh transform
             im = lam.real * psi.imag - lam.imag * psi.real
             d_gamma[k] = problem.coeffs * fwht_array(im)[problem.masks] * 2.0 ** (problem.n / 2)
         else:
             d_gamma[k] = _im_overlap(lam, psi, problem.dense)
         if k:
-            if gammas.ndim == 2:
-                values, gamma, idx = gammas[k] @ problem.term_tables(), 1.0, None
-            else:
-                values, gamma, idx = levels, float(gammas[k]), index
-            psi = _phase(psi, values, -gamma, idx, out=spare())
-            lam = _phase(lam, values, -gamma, idx, out=spare())
+            psi = _phase_round(psi, problem, gammas[k], -1, spare())
+            lam = _phase_round(lam, problem, gammas[k], -1, spare())
     return value, np.concatenate([d_gamma.ravel(), d_beta.ravel()])
-
-
-def _unmix(amps, lap, beta, b, out):
-    """The mixer of one round undone, exp(+i beta L_bar) amps, into out or into
-    a new array; amps is overwritten. beta is a scalar or, with b, per qubit."""
-    if np.ndim(beta):
-        return _rotate_qubits(amps, -beta * b, work=(out, amps))
-    return _mix(amps, lap, -float(beta), (out, amps))
 
 
 def _im_overlap(lam, psi, weights=None):

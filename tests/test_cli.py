@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from qlow import experiments, laplacians
+from qlow import experiments, laplacians, optimize
 from qlow.cli import (
     DEFAULT_SEED,
     PIPELINES,
@@ -618,6 +618,20 @@ def test_fig2_batch_above_qubit_cap_is_resource_exit(tmp_path, capsys, monkeypat
     assert main(["reproduce", "fig2", "--manifest", manifest, "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("resource cap: ") and "n_seeds=134217728" in err
+    assert not out.exists()
+
+
+def test_round_count_above_hessian_cap_is_resource_exit(tmp_path, capsys, monkeypatch):
+    def scan(*args, **kwargs):
+        raise AssertionError("the search scanned for a p above the inverse-Hessian cap")
+
+    # p = 100000 would need a dense (200000, 200000) BFGS inverse Hessian; the cap stops it first
+    monkeypatch.setattr(optimize, "_grid_scan_p1", scan)
+    payload = {"experiment": "solve", "problem": {"family": "ramp", "n": 2}, "p": 100000}
+    out = tmp_path / "out"
+    assert main(["solve", "--manifest", write_manifest(tmp_path, payload), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("resource cap: ") and "p=100000" in err
     assert not out.exists()
 
 

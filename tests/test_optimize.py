@@ -71,8 +71,8 @@ def test_compass_never_returns_worse_than_start():
 
 
 def test_compass_scores_x0_and_each_trial_once():
-    """With no probe, fun scores x0 and the 2d trials of each step, and an
-    accepted trial's value is its centre value: no point is scored twice."""
+    """fun scores x0 and the 2d trials of each step, and an accepted trial's
+    value is its centre value: no point is scored twice."""
     calls = []
 
     def fun(x):
@@ -98,8 +98,7 @@ def test_screened_probe_scores_a_lone_live_trial_once():
 
     # an exact closed form, so only the trial towards (1, 0) is live at each step
     screen = (None, lambda g, b: (g - 1.0) ** 2 + b**2, 1e-12)
-    centre, probe = optimize._scored_probe(fun, screen)
-    x, fx = compass_minimize(centre, np.zeros(2), 0.5, 1e-9, 2, probe)
+    x, fx = compass_minimize(fun, np.zeros(2), 0.5, 1e-9, 2, screen)
     assert calls == [(0.0, 0.0), (0.5, 0.0), (1.0, 0.0)]
     assert tuple(x) == (1.0, 0.0) and fx == 0.0
 
@@ -224,39 +223,38 @@ def relaxed_point(prob, relax, rng):
     return rng.uniform(-1.0, 1.0, n_gamma + n_beta), n_gamma
 
 
-def relaxed_probe(prob, lap, objective, relax, n_gamma):
-    """(centre, probe) of a relaxed compass search on the hypercube: the
-    search's own simulation and scorer behind _scored_probe, as
-    optimize_relaxed_schedule builds them for CVaR."""
+def relaxed_search_fun(prob, lap, objective, relax, n_gamma):
+    """fun of a relaxed compass search on the hypercube: the search's own
+    simulation and scorer, as optimize_relaxed_schedule builds them for
+    CVaR."""
     base = optimize._start(prob, lap, None)
-    fun = optimize._search_fun(
+    return optimize._search_fun(
         base, prob, lap, _scorer(objective, prob),
         lambda x: optimize._relaxed(x, relax, n_gamma), optimize._search_buffers(base.size),
     )
-    return optimize._scored_probe(fun)
 
 
 @pytest.mark.parametrize("relax", ["gamma", "beta", "both"])
 @pytest.mark.parametrize("objective", [Mean(), Gibbs(4.0), CVaR(0.2)], ids=["mean", "gibbs", "cvar"])
-def test_hypercube_probe_matches_full_simulation(relax, objective):
-    """Every compass trial of a relaxed search on a hypercube with unequal
-    weights scores the full simulation of its schedule."""
+def test_relaxed_search_fun_matches_full_simulation(relax, objective):
+    """A relaxed search's fun on a hypercube with unequal weights scores the
+    full simulation of its schedule at x and at every compass trial."""
     prob, lap, rng = random_relaxed_instance(7, seed=11)
     x, n_gamma = relaxed_point(prob, relax, rng)
-    centre, probe = relaxed_probe(prob, lap, objective, relax, n_gamma)
-    assert centre(x) == evaluate_schedule(prob, lap, Schedule(*optimize._relaxed(x, relax, n_gamma)), objective)
+    fun = relaxed_search_fun(prob, lap, objective, relax, n_gamma)
+    assert fun(x) == evaluate_schedule(prob, lap, Schedule(*optimize._relaxed(x, relax, n_gamma)), objective)
     for step in (0.37, 1e-3):
-        got = probe(x, step)
-        assert len(got) == 2 * x.size
-        for k, value in enumerate(got):
-            sched = Schedule(*optimize._relaxed(optimize._trial(x, k, step), relax, n_gamma))
+        for k in range(2 * x.size):
+            trial = optimize._trial(x, k, step)
+            sched = Schedule(*optimize._relaxed(trial, relax, n_gamma))
             want = evaluate(objective, qaoa_state(prob, lap, sched), prob)
+            value = fun(trial)
             assert math.isclose(value, want, rel_tol=1e-12, abs_tol=1e-13), (k, value, want)
 
 
 @pytest.mark.parametrize("relax", ["gamma", "beta", "both"])
-def test_compass_with_hypercube_probe_follows_the_full_route(relax):
-    """Relaxed CVaR refines by compass: with the search's probe it takes the
+def test_compass_on_relaxed_search_fun_follows_the_full_route(relax):
+    """Relaxed CVaR refines by compass: on the search's fun it takes the
     moves of compass on evaluate_schedule and ends at the same point."""
     prob, lap, rng = random_relaxed_instance(6, seed=5)
     x0, n_gamma = relaxed_point(prob, relax, rng)
@@ -265,11 +263,11 @@ def test_compass_with_hypercube_probe_follows_the_full_route(relax):
     def fun(x):
         return evaluate_schedule(prob, lap, Schedule(*optimize._relaxed(x, relax, n_gamma)), obj)
 
-    centre, probe = relaxed_probe(prob, lap, obj, relax, n_gamma)
-    x_probe, f_probe = compass_minimize(centre, x0, 0.2, 1e-4, 200, probe)
+    search_fun = relaxed_search_fun(prob, lap, obj, relax, n_gamma)
+    x_search, f_search = compass_minimize(search_fun, x0, 0.2, 1e-4, 200)
     x_full, f_full = compass_minimize(fun, x0, 0.2, 1e-4, 200)
-    np.testing.assert_array_equal(x_probe, x_full)
-    assert f_probe == f_full == fun(x_full)
+    np.testing.assert_array_equal(x_search, x_full)
+    assert f_search == f_full == fun(x_full)
     assert f_full < fun(x0)
 
 
@@ -433,9 +431,9 @@ def test_searches_above_the_p1_grid_refine_by_gradient_for_mean_and_gibbs(monkey
     routes = []
     refine = optimize._local_refine
 
-    def spy(fun, x0, step, config, probe=None, gradient=False):
+    def spy(fun, x0, step, config, screen=None, gradient=False):
         routes.append(gradient)
-        return refine(fun, x0, step, config, probe, gradient)
+        return refine(fun, x0, step, config, screen, gradient)
 
     monkeypatch.setattr(optimize, "_local_refine", spy)
     prob, lap = conflicted_pairs(4, 0.5, 3.0), WeightedHypercube((1.0, 0.5, 2.0, 1.0))
@@ -844,9 +842,9 @@ def test_twin_starts_are_refined_once(monkeypatch):
     calls = []
     refine = optimize._local_refine
 
-    def spy(fun, x0, step, config, probe=None, gradient=False):
+    def spy(fun, x0, step, config, screen=None, gradient=False):
         calls.append(x0)
-        return refine(fun, x0, step, config, probe, gradient)
+        return refine(fun, x0, step, config, screen, gradient)
 
     monkeypatch.setattr(optimize, "_local_refine", spy)
     prob, lap, obj = grid_ferromagnet_2d(2, 3), hypercube(6), Gibbs(3.0)
