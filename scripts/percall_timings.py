@@ -14,7 +14,9 @@ a 3-regular maxcut on --n qubits (even) with the same 24x24 grid, where the
 checkout screens p=1 Mean searches by a closed form: the closed-form table
 over the grid (optimize._p1_mean_closed_form, built before the timing); the
 screened scan that such a search makes, with its screen (optimize._screen),
-scorer and state buffers built before the timing; and one p=1 search with
+scorer and state buffers built before the timing, and the same for a
+Gibbs(20) search where the checkout screens one (its Walsh-shell table is
+built inside the scan, so it is in the time); and one p=1 search with
 the states it simulates beside it (the calls to its scorer, so a checkout
 without the screen reports its full count). The
 single-state timings draw a new beta on every call, from more values than
@@ -170,11 +172,14 @@ def main() -> None:
         out["closed_form_grid_24x24_maxcut_us"] = per_call_us(lambda: table(*axes), args.repeats)
     screen_of = getattr(optimize, "_screen", None)
     if screen_of is not None:
-        screen = screen_of(maxcut, lap, Mean(), None)
-        score, buffers = _scorer(Mean(), maxcut), optimize._search_buffers(1 << n)
-        out["grid_scan_24x24_maxcut_screened_ms"] = per_call_us(
-            lambda: _grid_scan_p1(maxcut, lap, score, grid, None, buffers, screen=screen), args.repeats
-        ) / 1e3
+        for name, obj in (("", Mean()), ("_gibbs", Gibbs(20.0))):
+            screen = screen_of(maxcut, lap, obj, None)
+            if screen is None:  # a checkout that screens no Gibbs search, or above its byte cap
+                continue
+            score, buffers = _scorer(obj, maxcut), optimize._search_buffers(1 << n)
+            out[f"grid_scan_24x24_maxcut{name}_screened_ms"] = per_call_us(
+                lambda: _grid_scan_p1(maxcut, lap, score, grid, None, buffers, screen=screen), args.repeats
+            ) / 1e3
     out["search_p1_maxcut_ms"] = per_call_us(
         lambda: optimize_schedule(maxcut, lap, 1, Mean(), grid), args.repeats
     ) / 1e3

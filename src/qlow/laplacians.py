@@ -64,12 +64,17 @@ class SectorBasis(NamedTuple):
     orthonormal, V = blockdiag(V_s) over the symmetry sectors in Q's row order.
     stacks[g] holds the V_s of all c sectors of one size m_s as a (c, m_s, m_s)
     array. levels are the bitwise-distinct eigenvalues (240 to 338 of 2510 at
-    n = 12, radius 6), so an evolution takes one exp per level and beta."""
+    n = 12, radius 6), so an evolution takes one exp per level and beta. qt is
+    Q^T in CSR, kept beside Q: its product sums each output over Q's rows in
+    ascending order, as the CSC view Q.T does, so it has the same bytes. It
+    took 18 against 53 us at n = 8, radius 5, one beta, and 542 against 579 us
+    at n = 12, radius 6, 12 betas (_spectral_evolve)."""
 
     q: sp.csr_matrix
     levels: np.ndarray
     index: np.ndarray
     stacks: list[np.ndarray]
+    qt: sp.csr_matrix
 
 
 @dataclass(frozen=True)
@@ -264,9 +269,9 @@ def _rotate_qubits(amps: np.ndarray, thetas, unitaries: dict | None = None, work
     acts as one 2^k x 2^k unitary, the tensor product of its 2x2 rotations,
     whose entry (r, c) is the product over the block of cos(theta_i) where r
     and c agree on bit i and -i sin(theta_i) where they differ. Each block is
-    one np.matmul over a strided view: the lowest block multiplies rows of 2^k
-    amplitudes by u.T, a higher block multiplies u into the (2^k, C) slabs of
-    the axes below it.
+    one np.matmul over a strided view (_apply_block): the lowest block
+    multiplies rows of 2^k amplitudes by u.T, a higher block multiplies u into
+    the (2^k, C) slabs of the axes below it.
 
     Why 4: a pass over the state costs about the same for one qubit as for a
     block, so blocks cut the passes from n to ceil(n / 4), while the GEMM
@@ -299,7 +304,6 @@ def _rotate_qubits(amps: np.ndarray, thetas, unitaries: dict | None = None, work
         block = thetas[lo : lo + ROTATION_BLOCK]
         if not block.any():
             continue
-        k = block.size
         u = unitaries.get(block.tobytes())
         if u is None:
             if len(unitaries) >= BLOCK_UNITARY_CACHE:
@@ -308,13 +312,7 @@ def _rotate_qubits(amps: np.ndarray, thetas, unitaries: dict | None = None, work
         if len(bufs) < 2:
             bufs.append(np.empty(src.shape, dtype=np.complex128))
         dst = bufs[1] if cur is bufs[0] else bufs[0]
-        if lo == 0:
-            shape = (-1, math.gcd(src.size >> k, ROTATION_GEMM_COLS), 1 << k)
-            np.matmul(cur.reshape(shape), u.T, out=dst.reshape(shape))
-        else:
-            cols = min(ROTATION_GEMM_COLS, 1 << lo)
-            shape = (-1, 1 << k, (1 << lo) // cols, cols)
-            np.matmul(u, cur.reshape(shape).swapaxes(-3, -2), out=dst.reshape(shape).swapaxes(-3, -2))
+        _apply_block(cur, u, lo, dst)
         cur = dst
     if cur is not src:
         return cur
@@ -322,6 +320,21 @@ def _rotate_qubits(amps: np.ndarray, thetas, unitaries: dict | None = None, work
         return np.array(src)
     np.copyto(bufs[0], src)
     return bufs[0]
+
+
+def _apply_block(amps: np.ndarray, u: np.ndarray, lo: int, out: np.ndarray) -> None:
+    """u, a 2^k x 2^k matrix, on the k qubits from lo up of amps' last axis, into
+    out (amps' shape and dtype, not amps): the lowest block multiplies rows of
+    2^k entries by u.T, a higher block multiplies u into the (2^k, C) slabs of
+    the axes below it, C at most ROTATION_GEMM_COLS (_rotate_qubits)."""
+    k = u.shape[0].bit_length() - 1
+    if lo == 0:
+        shape = (-1, math.gcd(amps.size >> k, ROTATION_GEMM_COLS), 1 << k)
+        np.matmul(amps.reshape(shape), u.T, out=out.reshape(shape))
+    else:
+        cols = min(ROTATION_GEMM_COLS, 1 << lo)
+        shape = (-1, 1 << k, (1 << lo) // cols, cols)
+        np.matmul(u, amps.reshape(shape).swapaxes(-3, -2), out=out.reshape(shape).swapaxes(-3, -2))
 
 
 def _block_unitary(block: np.ndarray) -> np.ndarray:
@@ -438,7 +451,7 @@ def _block_eigh(lap: CustomSparse | BallCut, label: np.ndarray) -> SectorBasis:
             a += size
         stacks.append(v)
     levels, index = np.unique(evals.view(np.int64), return_inverse=True)
-    return SectorBasis(q, levels.view(np.float64), index, stacks)
+    return SectorBasis(q, levels.view(np.float64), index, stacks, q.T.tocsr())
 
 
 def _times_blocks(rows: np.ndarray, stacks: list[np.ndarray]) -> np.ndarray:
@@ -461,7 +474,8 @@ def _spectral_evolve(lap: CustomSparse | BallCut, seg: np.ndarray, betas: np.nda
     The cached SectorBasis of _block_eigh gives L_bar = Q^T V Λ V^T Q, so seg
     goes into sector coordinates by one sparse product with Q, through each
     stack of equal-size sectors by two batched real matmuls (_times_blocks)
-    around the phases exp(-i b Λ), and back by one sparse product with Q^T.
+    around the phases exp(-i b Λ), and back by one sparse product with Q^T
+    (kept in CSR as qt).
     The phases take one exp per distinct eigenvalue, gathered by index. The
     eigenvectors of a real symmetric L_bar are real, so each matmul multiplies
     the real and imaginary parts stacked together, and no complex copy of V is
@@ -487,11 +501,11 @@ def _spectral_evolve(lap: CustomSparse | BallCut, seg: np.ndarray, betas: np.nda
                 out[:, j] = expm_multiply(-1j * b * lbar, seg)
             return out
         lap._eig = _block_eigh(lap, label)
-    q, levels, index, stacks = lap._eig
+    q, levels, index, stacks, qt = lap._eig
     y = _times_blocks((q @ np.stack([seg.real, seg.imag], axis=1)).T, stacks)
     z = np.exp(-1j * np.outer(betas, levels))[:, index] * (y[0] + 1j * y[1])
     rows = _times_blocks(np.vstack([z.real, z.imag]), [v.transpose(0, 2, 1) for v in stacks])
-    rows = q.T @ rows.T
+    rows = qt @ rows.T
     return rows[:, : betas.size] + 1j * rows[:, betas.size :]
 
 

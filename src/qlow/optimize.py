@@ -29,10 +29,11 @@ dF/dp comes from the scorer's tables (objectives._scorer's slope): f for Mean,
 exactly when its scorer has a slope.
 
 Every p=1 search makes its grid by one scan, _grid_scan_p1, with an optional
-screen (_screen): a closed form (_p1_mean_closed_form) that also screens the
-compass trials. A search gets one when all four of _screen's conditions hold:
-the objective is Mean itself, the start is |+>^n, the mixer is a hypercube
-(any weights b), and no term acts on more than two qubits. With
+screen (_screen): a table of values close to the simulated ones. Both screens
+need the |+>^n start and a hypercube mixer.
+
+Mean itself, with any weights b and no term on more than two qubits, takes a
+closed form (_p1_mean_closed_form) that also screens the compass trials. With
 f = c0 + sum_u h_u Z_u + sum_uv J_uv Z_u Z_v and theta_q = beta b_q
 (arXiv:1706.02998, arXiv:2012.03421):
 
@@ -43,6 +44,16 @@ f = c0 + sum_u h_u Z_u + sum_uv J_uv Z_u Z_v and theta_q = beta b_q
   Q_uv = [cos 2gamma(h_u - h_v) prod cos 2gamma(J_uw - J_vw)
           - cos 2gamma(h_u + h_v) prod cos 2gamma(J_uw + J_vw)] / 2,
   both products over w not in {u, v}.
+
+Gibbs, with every weight b equal, takes a Walsh-shell table (_p1_gibbs_walsh)
+of g = sum_z p_z w_z, w = exp(-eta f - shift) the scorer's weights. The value
+-(shift + log g) rises as g falls, so the table holds -g. In the Walsh basis
+b sum_q X_q is b (n - 2t) on popcount shell t, so with W the normalized
+transform, phi the phased state and V_t = W P_t W phi, the state is
+sum_t exp(-i beta b (n - 2t)) V_t, and g(beta) = sum_st exp(2i beta b (t - s))
+A_st with A_st = <V_s|w V_t>: one A per gamma gives its whole beta row. W phi
+has no weight on odd shells when f(z) = f(~z) (f == f[::-1]). A table value
+costs more than a simulation, so the compass trials are not screened.
 
 The screen only picks which points are simulated: every value that decides
 the search (the top_k order, the floor, each compass move, the returned
@@ -59,6 +70,14 @@ point with c > v + 2m, v the top_k-th smallest c of the grid, has d > v + m,
 which is at least the top_k-th smallest d, so it cannot enter the top_k. A
 compass trial with c > fx + m has d > fx and cannot be a move from the
 centre value fx.
+
+For Gibbs, c and d are the table's and the scorer's -g, and
+m = SCREEN_MARGIN (n + 1) max(1, |shift|). They agreed to 3.7e-15 or better
+(g <= 1) on grids, maxcuts, chains, ramps and costs with fields up to n = 12,
+so they differ by at most m / 1000. An entry with c > v + 2m then has a g
+below each of the top_k entries' by more than m, so a log g below theirs by
+more than m / g >= m: far more than the 2.2e-16 (|shift| + |log g|) by which
+rounding moves a value, so its value lies above all of theirs.
 """
 
 from __future__ import annotations
@@ -80,8 +99,17 @@ from .ansatz import (
     qaoa_state,
 )
 from .errors import ConfigError, ResourceError
-from .laplacians import CompleteGraph, WeightedHypercube, _lbar, _mix_many, _support, hypercube
-from .objectives import Mean, _scorer, evaluate
+from .laplacians import (
+    ROTATION_BLOCK,
+    CompleteGraph,
+    WeightedHypercube,
+    _apply_block,
+    _lbar,
+    _mix_many,
+    _support,
+    hypercube,
+)
+from .objectives import Gibbs, Mean, _scorer, evaluate
 from .problems import DiagonalProblem, freeze
 from .statevector import GROUND_TOL, Statevector, _expect, _phase, fwht_array, max_qubits
 
@@ -97,9 +125,21 @@ COMPASS_TOL = 1e-6
 GRADIENT_TOL = 1e-6
 LINE_SEARCH_HALVINGS = 30
 ARMIJO = 1e-4
-# the closed-form screen's margin per unit of S (1 + S / 20), S = max(1, sum |c|):
-# over 1000 times the largest gap seen (module docstring)
+# the closed-form screen's margin per unit of S (1 + S / 20), S = max(1, sum |c|),
+# and the Walsh screen's per unit of (n + 1) max(1, |shift|): over 1000 times the
+# largest gap seen (module docstring)
 SCREEN_MARGIN = 1e-12
+# The Walsh screen holds 17 S + 56 bytes per entry of its 2^m-entry table, S
+# shells (_p1_gibbs_walsh): 0.34 MiB for a flip-invariant cost at n = 12 (m = 11,
+# S = 7), 0.68 MiB at n = 13, 1.08 MiB for any cost at n = 12 (m = 12, S = 13). A
+# 48x48 Gibbs scan took 118 ms in full and 9 ms screened on a 2x6 grid, 110 and
+# 25 ms with a field, 225 and 15 ms on a 13-spin chain (2 vCPUs, numpy 2.4.6,
+# OpenBLAS 0.3.31). The cap is five n = 14 states, within which a search keeps
+# its own arrays there; a flip-invariant cost at n = 14 would need 1.5 MiB, so
+# larger searches scan unscreened.
+WALSH_SCREEN_BYTES = 5 << 18
+# entry (r, c) of the 2^k x 2^k Walsh-Hadamard block is (-1)^popcount(r & c)
+_HADAMARD = 1.0 - 2.0 * (np.bitwise_count(np.bitwise_and.outer(*[np.arange(1 << ROTATION_BLOCK)] * 2)) & 1)
 
 
 @dataclass
@@ -159,8 +199,9 @@ def compass_minimize(fun, x0, step, tol, max_iters, screen=None):
     fun scores x0, then each step's 2d trials in the order (axis 0, +),
     (axis 0, -), (axis 1, +), ...; an accepted trial's value becomes fx, so
     no point is scored twice and the returned value is fun of the returned
-    x. With a screen (_screen), a trial whose closed-form value lies above
-    fx + margin cannot be a move and is not scored."""
+    x. With a screen (_screen) whose at is not None, a trial whose
+    closed-form value lies above fx + margin cannot be a move and is not
+    scored."""
     x = np.asarray(x0, dtype=np.float64).copy()
     fx = fun(x)
     step = float(step)
@@ -169,7 +210,7 @@ def compass_minimize(fun, x0, step, tol, max_iters, screen=None):
             break
         trials = [_trial(x, k, step) for k in range(2 * x.size)]
         live = range(len(trials))
-        if screen is not None:
+        if screen is not None and screen[1] is not None:
             _, at, margin = screen
             live = np.flatnonzero(at(*np.array(trials).T) <= fx + margin)
         best_f, best_k = fx, None
@@ -277,9 +318,10 @@ def _grid_scan_p1(problem, lap, score, config, initial, buffers=None, screen=Non
     _mix_many, which writes a hypercube or complete-graph state into the
     other two; each state is scored before the next is made.
 
-    With a screen (_screen), only the entries whose closed-form value lies
-    within 2 margin of the grid's top_k-th smallest one are simulated, a
-    row's in one beta sweep, and every other entry reads +inf.
+    With a screen (_screen), only the entries whose table value (a
+    closed-form Mean, or -g for Gibbs) lies within 2 margin of the grid's
+    top_k-th smallest one are simulated, a row's in one beta sweep, and every
+    other entry reads +inf.
 
     When _has_twins(lap, initial) (a hypercube with integer weights, a real
     start), psi(-gamma, pi - beta) = +-conj psi(gamma, beta), so only the
@@ -287,7 +329,7 @@ def _grid_scan_p1(problem, lap, score, config, initial, buffers=None, screen=Non
     GAMMA_RANGE and BETA_RANGE are symmetric, so grid point (i, j) is the
     twin of (G-1-i, B-1-j), up to the last bit of linspace. A filled entry
     equals its twin bit for bit and its own point's value to rounding (about
-    1e-14). The closed-form table is filled the same way."""
+    1e-14). The screen's table is filled the same way."""
     gammas = np.linspace(*GAMMA_RANGE, config.resolution[0])
     betas = np.linspace(*BETA_RANGE, config.resolution[1])
     base = _start(problem, lap, initial)
@@ -314,21 +356,93 @@ def _grid_scan_p1(problem, lap, score, config, initial, buffers=None, screen=Non
 
 def _screen(problem, lap, objective, initial):
     """(grid, at, margin), the screen of a p=1 search, or None when the search
-    is not screened: grid and at are _p1_mean_closed_form's, and the margin
-    is m = SCREEN_MARGIN S (1 + S / 20) + terms_gap, S = max(1, sum |c|). A
-    search is screened when its objective is Mean itself, its start |+>^n,
-    its mixer a hypercube (any weights), and no term acts on more than two
-    qubits (a constant, fields and repeated masks included)."""
-    if (
-        type(objective) is not Mean
-        or initial is not None
-        or not isinstance(lap, WeightedHypercube)
-        or (np.bitwise_count(problem.masks) > 2).any()
-    ):
+    is not screened. Both screens need the |+>^n start and a hypercube mixer.
+
+    Mean itself, with any weights b and no term on more than two qubits (a
+    constant, fields and repeated masks included), takes _p1_mean_closed_form's
+    grid and at, and the margin m = SCREEN_MARGIN S (1 + S / 20) + terms_gap,
+    S = max(1, sum |c|). Gibbs, with all weights equal and arrays within
+    WALSH_SCREEN_BYTES, takes _p1_gibbs_walsh's -g table, at None (no trial is
+    screened) and its g-space margin."""
+    if initial is not None or not isinstance(lap, WeightedHypercube):
         return None
-    scale = max(1.0, float(np.abs(problem.coeffs).sum()))
-    margin = SCREEN_MARGIN * scale * (1.0 + scale / 20.0) + problem.terms_gap
-    return (*_p1_mean_closed_form(problem, lap.b), margin)
+    if type(objective) is Mean and not (np.bitwise_count(problem.masks) > 2).any():
+        scale = max(1.0, float(np.abs(problem.coeffs).sum()))
+        margin = SCREEN_MARGIN * scale * (1.0 + scale / 20.0) + problem.terms_gap
+        return (*_p1_mean_closed_form(problem, lap.b), margin)
+    if type(objective) is Gibbs and len(set(lap.b)) == 1:
+        return _p1_gibbs_walsh(problem, lap, objective.eta)
+    return None
+
+
+def _walsh_rows(rows, work):
+    """The unnormalized Walsh-Hadamard transform of each row of a real (r, 2^m)
+    array, in place: one real Hadamard GEMM per ROTATION_BLOCK qubits, in
+    _rotate_qubits' layout (_apply_block), two rows at a time through work, a
+    (2, 2^m) array, so that no second (r, 2^m) array is made."""
+    m = rows.shape[-1].bit_length() - 1
+    blocks = [(lo, 1 << min(ROTATION_BLOCK, m - lo)) for lo in range(0, m, ROTATION_BLOCK)]
+    for a in range(0, rows.shape[0], 2):
+        src = rows[a : a + 2]
+        cur, other = src, work[: src.shape[0]]
+        for lo, width in blocks:
+            _apply_block(cur, _HADAMARD[:width, :width], lo, other)
+            cur, other = other, cur
+        if cur is not src:
+            src[...] = cur
+
+
+def _p1_gibbs_walsh(problem, lap, eta):
+    """(grid, None, margin): the Walsh-shell table of a Gibbs(eta) search from
+    |+>^n on a hypercube lap whose weights all equal b (module docstring), or
+    None when its arrays would pass WALSH_SCREEN_BYTES.
+
+    grid(gammas, betas) is -g over every pair, g = sum_z p_z w_z with the
+    scorer's weights w = exp(-eta f - shift), shift = max(-eta f). Per gamma:
+    the phased state's unnormalized transform, masked to each shell t into
+    the rows of X (real parts, then imaginary), each row transformed again
+    (_walsh_rows) and scaled by sqrt(w) and the normalization, so that
+    X X^T gives A_st = <V_s|w V_t>, and g(beta) = sum_st conj(e_s) A_st e_t
+    with e_t = exp(2i beta b t). A flip-invariant cost (f == f[::-1]) works on the
+    lower half, m = n - 1 qubits: V_t(~z) = V_t(z), and t is the even shell
+    |x'| + (|x'| mod 2) of the half's index x'. The margin is
+    SCREEN_MARGIN (n + 1) max(1, |shift|)."""
+    n, f, b = problem.n, problem.dense, lap.b[0]
+    fold = 2 if np.array_equal(f, f[::-1]) else 1
+    size = 1 << (n + 1 - fold)
+    popcount = np.bitwise_count(np.arange(size))
+    shells = popcount + (popcount & 1) if fold == 2 else popcount
+    ts = np.unique(shells)
+    k = ts.size
+    if (17 * k + 56) * size > WALSH_SCREEN_BYTES:
+        return None
+    masks = shells == ts[:, None]
+    weights = -eta * f
+    shift = float(weights.max())
+    root = np.sqrt(fold * np.exp(weights[:size] - shift)) * (fold / 2.0**n)
+    plus = _start(problem, lap, None)[:size]
+    levels, index = problem.phase_table
+    levels, index = (levels[:size], None) if index is None else (levels, index[:size])
+
+    def grid(gammas, betas):
+        phased = np.empty(size, dtype=np.complex128)
+        hat, work, x = np.empty((2, size)), np.empty((2, size)), np.empty((2 * k, size))
+        e = np.exp(2j * b * np.outer(betas, ts))
+        table = np.empty((len(gammas), len(betas)))
+        for i, gamma in enumerate(gammas):
+            _phase(plus, levels, float(gamma), index, out=phased)
+            hat[0], hat[1] = phased.real, phased.imag
+            _walsh_rows(hat, work)
+            np.multiply(hat[0], masks, out=x[:k])
+            np.multiply(hat[1], masks, out=x[k:])
+            _walsh_rows(x, work)
+            x *= root
+            m = x @ x.T
+            a = (m[:k, :k] + m[k:, k:]) + 1j * (m[:k, k:] - m[k:, :k])
+            table[i] = -((e.conj() @ a) * e).sum(axis=1).real
+        return table
+
+    return grid, None, SCREEN_MARGIN * (n + 1) * max(1.0, abs(shift))
 
 
 def _p1_mean_closed_form(problem, b):
@@ -427,16 +541,17 @@ def optimize_schedule(
     and one scorer, both built once per call; so does every gradient, whose
     backward pass runs in the same three buffers.
 
-    When _screen gives a screen (a Mean objective, the |+>^n start, a
-    hypercube mixer with any weights, and no term on more than two qubits),
-    the p=1 stage simulates only what a closed-form value (module docstring)
-    cannot rule out, with _screen's margin m: the grid entries within 2m of
-    the top_k-th smallest closed-form value, and of each compass step's trials
-    those within m of the centre's value. The closed form and the simulated
-    value differ by less than m, so the entries left out cannot enter the
-    top_k and the trials left out cannot be moves: the top_k order, the
-    floor, every move and the returned value are those of the full scan and
-    refinement, to the byte.
+    When _screen gives a screen (the |+>^n start and a hypercube mixer, with
+    Mean and no term on more than two qubits, or with Gibbs and equal
+    weights), the p=1 stage simulates only what the screen's table (module
+    docstring) cannot rule out, with _screen's margin m: the grid entries
+    within 2m of the top_k-th smallest table value, and for Mean, of each
+    compass step's trials those within m of the centre's value; a Gibbs
+    search scores every trial. The table and the simulated value differ by
+    less than m, so the entries left out cannot enter the top_k and the
+    trials left out cannot be moves: the top_k order, the floor, every move
+    and the returned value are those of the full scan and refinement, to the
+    byte.
 
     A p whose dense (2p, 2p) BFGS inverse Hessian would hold more than
     2^max_qubits() entries, one state at the qubit cap, is a ResourceError

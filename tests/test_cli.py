@@ -946,7 +946,7 @@ def test_solve_output_does_not_depend_on_blas_threads():
     assert one == two
 
 
-@pytest.mark.parametrize("name", ["maxcut16", "ballcut8", "fields10"])
+@pytest.mark.parametrize("name", ["maxcut16", "ballcut8", "fields10", "grid12gibbs"])
 def test_solve_prints_the_recorded_bytes(name, capsys):
     # a change that moves any printed digit of a seeded solve fails here; CI cmps the same file
     assert main(["solve", "--manifest", str(DATA / f"{name}_solve.json"), "--seed", "1"]) == 0

@@ -459,9 +459,9 @@ def test_ballcut_basis_is_kept_as_blocks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    q, levels, index, stacks = cut._eig
+    q, levels, index, stacks, qt = cut._eig
     assert [v.shape[1] for v in stacks] == [1, 2, 6, 17, 50, 147, 435]
-    kept = q.data.nbytes + q.indices.nbytes + q.indptr.nbytes + levels.nbytes + index.nbytes
+    kept = levels.nbytes + index.nbytes + sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes for m in (q, qt))
     kept += sum(v.nbytes for v in stacks)
     assert kept < 4 * 2**20 and peak < 12 * 2**20
 
@@ -472,8 +472,10 @@ def test_ballcut_basis_is_kept_as_blocks():
 
 
 def dense_eigenbasis(basis):
-    """(evals, Q^T blockdiag(V_s)): a cached sector basis as one eigenbasis of L_bar."""
-    q, levels, index, stacks = basis
+    """(evals, Q^T blockdiag(V_s)): a cached sector basis as one eigenbasis of L_bar;
+    its kept CSR Q^T must equal Q's transpose."""
+    q, levels, index, stacks, qt = basis
+    assert qt.format == "csr" and abs(qt - q.T).max() == 0
     return levels[index], q.T @ block_diag(*[v for vs in stacks for v in vs])
 
 
@@ -512,8 +514,8 @@ def test_custom_graph_eigenbasis_is_one_whole_eigh():
                 BallCut(inner=unpaired, center=0b00110, radius=3)):
         evolve(rand_state(5, 13), lap, 0.7)
         want = np.linalg.eigh(_lbar(lap).toarray())
-        q, levels, index, [evecs] = lap._eig
-        assert np.array_equal(q.toarray(), np.eye(q.shape[0]))
+        q, levels, index, [evecs], qt = lap._eig
+        assert np.array_equal(q.toarray(), np.eye(q.shape[0])) and np.array_equal(qt.toarray(), q.toarray())
         assert np.array_equal(levels[index], want[0]) and np.array_equal(evecs[0], want[1])
 
 

@@ -914,6 +914,93 @@ def test_p1_mean_closed_form_matches_the_simulation_at_n20():
     assert closed_form_error(prob, lap, gammas, betas, at(gammas, betas)) <= 1e-13
 
 
+GRID_SHAPES = {4: (2, 2), 6: (2, 3), 9: (3, 3), 12: (3, 4)}
+# (family, n): flip-invariant costs, whose table takes the even shells of the
+# lower half, and costs with fields, whose table takes every shell: a grid with
+# a field on qubit 0, and the ramp, whose f_min = 0 gives the smallest margin
+WALSH_CASES = [
+    *[("grid", n) for n in GRID_SHAPES],
+    *[("maxcut", n) for n in (4, 6, 12)],  # no 3-regular graph has 9 vertices
+    *[("field", n) for n in GRID_SHAPES],
+    *[("ramp", n) for n in GRID_SHAPES],
+]
+
+
+def walsh_problem(family, n):
+    if family == "maxcut":
+        return maxcut_3regular(n, seed=1)
+    if family == "ramp":
+        return hamming_ramp(n)
+    prob = grid_ferromagnet_2d(*GRID_SHAPES[n], j2=0.6)
+    return prob if family == "grid" else from_terms(n, [*prob.terms, ZTerm((0,), 0.7)])
+
+
+@pytest.mark.parametrize("eta", [3.0, 20.0])
+@pytest.mark.parametrize("b", [1.0, 0.75])
+@pytest.mark.parametrize(("family", "n"), WALSH_CASES)
+def test_p1_gibbs_walsh_table_matches_the_simulation(monkeypatch, family, n, b, eta):
+    """-g from the Walsh-shell table against the g of evaluate_schedule's value
+    at every point of a grid, g = exp(-value - shift): the gap stays below a
+    thousandth of the screen's margin. b = 1 has time-reversal twins, 0.75
+    has none."""
+    prob, lap, obj = walsh_problem(family, n), WeightedHypercube((b,) * n), Gibbs(eta)
+    shapes = []
+    walsh_rows = optimize._walsh_rows
+
+    def spy(rows, work):
+        shapes.append(rows.shape)
+        walsh_rows(rows, work)
+
+    monkeypatch.setattr(optimize, "_walsh_rows", spy)
+    grid, at, margin = optimize._screen(prob, lap, obj, None)
+    assert at is None
+    gammas, betas = np.linspace(*GAMMA_RANGE, 5), np.linspace(*BETA_RANGE, 4)
+    table = grid(gammas, betas)
+    flip_invariant = family in ("grid", "maxcut")
+    assert np.array_equal(prob.dense, prob.dense[::-1]) == flip_invariant
+    # even shells of the half: n // 2 + 1 of 2^(n-1) entries; every shell: n + 1 of 2^n
+    shells, size = (n // 2 + 1, 1 << (n - 1)) if flip_invariant else (n + 1, 1 << n)
+    assert set(shapes) == {(2, size), (2 * shells, size)}
+    shift = float((-eta * prob.dense).max())
+    for (i, g), (j, beta) in itertools.product(enumerate(gammas), enumerate(betas)):
+        value = evaluate_schedule(prob, lap, Schedule([g], [beta]), obj)
+        assert abs(table[i, j] + math.exp(-value - shift)) <= margin / 1000
+
+
+def test_walsh_screen_declines_past_its_byte_cap():
+    """Flip-invariant costs fit up to n = 13 (the half's table), others up to
+    n = 12; a hypercube with unequal weights is never taken."""
+    gibbs = Gibbs(20.0)
+    for n, fits in ((12, True), (13, True), (14, False)):
+        prob = grid_ferromagnet_2d(1, n)
+        assert (optimize._screen(prob, hypercube(n), gibbs, None) is not None) == fits
+    for n, fits in ((12, True), (13, False)):
+        prob = from_terms(n, [*grid_ferromagnet_2d(1, n).terms, ZTerm((0,), 0.7)])
+        assert (optimize._screen(prob, hypercube(n), gibbs, None) is not None) == fits
+    unequal = WeightedHypercube((1.0,) * 5 + (2.0,))
+    assert optimize._screen(grid_ferromagnet_2d(2, 3), unequal, gibbs, None) is None
+
+
+@pytest.mark.parametrize("family", ["grid", "field"])
+def test_walsh_screen_arrays_stay_within_their_stated_bytes(family):
+    """(17 S + 56) bytes per entry of the table, S its shells (WALSH_SCREEN_BYTES),
+    plus numpy's iterator buffers (8192 entries an operand) and the phase's
+    gather chunk, which do not grow with n."""
+    prob, lap = walsh_problem(family, 12), hypercube(12)
+    grid, _, _ = optimize._screen(prob, lap, Gibbs(20.0), None)
+    gammas, betas = np.linspace(*GAMMA_RANGE, 6), np.linspace(*BETA_RANGE, 48)
+    grid(gammas, betas)  # builds the problem's level table, kept across searches
+    tracemalloc.start()
+    try:
+        grid(gammas, betas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    shells, size = (7, 1 << 11) if family == "grid" else (13, 1 << 12)
+    stated = (17 * shells + 56) * size
+    assert peak <= stated + (256 << 10) and stated <= optimize.WALSH_SCREEN_BYTES
+
+
 @pytest.fixture
 def routes(monkeypatch):
     """What optimize_schedule does, by spies: whether each of its calls to
@@ -941,13 +1028,13 @@ def routes(monkeypatch):
     return seen
 
 
-def both_routes(monkeypatch, routes, prob, lap, p, config):
-    """The Mean search's (schedule, value) with its screen, then with _screen
-    off, and the states each route scored."""
-    screened = optimize_schedule(prob, lap, p, Mean(), config)
+def both_routes(monkeypatch, routes, prob, lap, p, config, objective):
+    """The search's (schedule, value) with its screen, then with _screen off,
+    and the states each route scored."""
+    screened = optimize_schedule(prob, lap, p, objective, config)
     states = routes["states"]
     monkeypatch.setattr(optimize, "_screen", lambda *args: None)
-    full = optimize_schedule(prob, lap, p, Mean(), config)
+    full = optimize_schedule(prob, lap, p, objective, config)
     assert routes["screened"] == [True, False]
     (sched, value), (want, want_value) = screened, full
     assert sched.gammas.tobytes() == want.gammas.tobytes()
@@ -957,8 +1044,8 @@ def both_routes(monkeypatch, routes, prob, lap, p, config):
 
 
 ROUTE_CASES = {
-    # (problem, mixer, resolution). The 7x7 grid holds points of the cost's
-    # symmetries, whose values tie up to last bits.
+    # (problem, mixer, resolution), searched for the Mean. The 7x7 grid holds
+    # points of the cost's symmetries, whose values tie up to last bits.
     "maxcut": lambda: (maxcut_3regular(6, seed=0), hypercube(6), (7, 7)),
     # many exact ties: the value is a function of (gamma, beta) summed over equal spins
     "equal_fields": lambda: (from_terms(6, [ZTerm((q,), 1.0) for q in range(6)]), hypercube(6), (7, 7)),
@@ -973,6 +1060,17 @@ ROUTE_CASES = {
         scaled(maxcut_3regular(8, j2=0.3, seed=2), 1e6), hypercube(8), (12, 10)
     ),
 }
+# Gibbs searches on the Walsh screen: the maxcut and grid above, and a chain
+# with a field and every weight 0.5 (no time-reversal twins, every shell)
+GIBBS_ROUTE_CASES = {
+    "maxcut": ROUTE_CASES["maxcut"],
+    "grid": ROUTE_CASES["grid"],
+    "half_b": lambda: (
+        from_terms(6, [*chain_detuned(6, 0.5).terms, ZTerm((2,), 0.4)]), WeightedHypercube((0.5,) * 6), (12, 10)
+    ),
+}
+ROUTE_OBJECTIVES = {f"gibbs{eta}_{name}": Gibbs(float(eta)) for eta in (3, 20) for name in GIBBS_ROUTE_CASES}
+ROUTE_CASES.update({key: GIBBS_ROUTE_CASES[key.split("_", 1)[1]] for key in ROUTE_OBJECTIVES})
 
 
 def scaled(prob, factor):
@@ -987,7 +1085,7 @@ def scaled(prob, factor):
 def test_screened_search_returns_the_bytes_of_the_full_search(monkeypatch, routes, case, p, top_k):
     prob, lap, resolution = ROUTE_CASES[case]()
     config = SearchConfig(resolution=resolution, top_k=top_k, max_iters=40)
-    screened, full = both_routes(monkeypatch, routes, prob, lap, p, config)
+    screened, full = both_routes(monkeypatch, routes, prob, lap, p, config, ROUTE_OBJECTIVES.get(case, Mean()))
     assert screened <= full
 
 
@@ -995,7 +1093,15 @@ def test_screen_scores_a_pinned_count_of_states(monkeypatch, routes):
     # a screen that went off unnoticed would score the full route's 551 states
     prob, lap = maxcut_3regular(12, seed=1), hypercube(12)
     config = SearchConfig(resolution=(16, 16), top_k=5, max_iters=40)
-    assert both_routes(monkeypatch, routes, prob, lap, 1, config) == (65, 551)
+    assert both_routes(monkeypatch, routes, prob, lap, 1, config, Mean()) == (65, 551)
+
+
+def test_gibbs_screen_scores_a_pinned_count_of_states(monkeypatch, routes):
+    # a screen that went off unnoticed would score the full route's 543 states; the
+    # compass trials are not screened, so the 125 left out are all scan entries
+    prob, lap = grid_ferromagnet_2d(3, 4, j2=0.6), hypercube(12)
+    config = SearchConfig(resolution=(16, 16), top_k=5, max_iters=40)
+    assert both_routes(monkeypatch, routes, prob, lap, 1, config, Gibbs(20.0)) == (418, 543)
 
 
 def test_screened_scan_simulates_its_top_k_and_leaves_inf_elsewhere():
@@ -1011,7 +1117,8 @@ def test_screened_scan_simulates_its_top_k_and_leaves_inf_elsewhere():
 
 
 FULL_SCAN_SEARCHES = {
-    "gibbs": (Gibbs(3.0), hypercube(5), None),
+    # the Walsh screen takes a Gibbs search only on a hypercube with equal weights
+    "gibbs": (Gibbs(3.0), WeightedHypercube((1.0, 2.0, 1.0, 1.0, 1.0)), None),
     "cvar": (CVaR(0.3), hypercube(5), None),
     "ball_start": (Mean(), hypercube(5), ball_uniform_state(5, 6, 2)),
     "ball_cut": (Mean(), BallCut(hypercube(5), center=5, radius=2), None),
