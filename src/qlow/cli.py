@@ -18,6 +18,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from numpy.random import default_rng
 
 from . import _bits, experiments
 from .ansatz import Schedule, qaoa_state
@@ -210,7 +211,7 @@ def cmd_sample(args) -> int:
     problem, lap, _, sched, _ = _run(bound)
     state = qaoa_state(problem, lap, sched)
     probs = state.probabilities()
-    rng = np.random.default_rng(args.seed)
+    rng = default_rng(args.seed)
     lines = []
     if args.shots > 0:
         draws = rng.choice(probs.size, size=args.shots, p=probs)

@@ -19,6 +19,7 @@ import time
 from dataclasses import astuple, dataclass, fields
 
 import numpy as np
+from numpy.random import SeedSequence, default_rng
 
 from . import _bits
 from .analytic import DISTRIBUTIONS, distribution_qaoa, draw_fields, landau_zener, optimal_gamma
@@ -118,7 +119,7 @@ def write_records(records: list[ExperimentRecord], path) -> None:
 
 def task_seed(master_seed: int, index: int) -> int:
     """Stable per-task seed; independent of worker count and ordering."""
-    return int(np.random.SeedSequence([int(master_seed), int(index)]).generate_state(1)[0])
+    return int(SeedSequence([int(master_seed), int(index)]).generate_state(1)[0])
 
 
 def _map_tasks(fn, tasks, jobs: int) -> list[ExperimentRecord]:
@@ -161,7 +162,7 @@ def _batched_uncoupled(dist: str, n: int, gamma: float, beta: float, n_seeds: in
     kernels statevector._phase and laplacians._rotate_qubits, with the
     instance axis leading.
     """
-    alphas = draw_fields(dist, np.random.default_rng(seed), (n_seeds, n))
+    alphas = draw_fields(dist, default_rng(seed), (n_seeds, n))
     signs = _bits.parity_signs(n, 1 << np.arange(n)[:, None])  # (n, 2^n)
     values = alphas @ signs  # (S, 2^n)
     amps = _rotate_qubits(_phase(_plus_amps(n), values, gamma), np.full(n, beta))

@@ -17,9 +17,9 @@ on the uniform state of a connected graph.
 
 CustomSparse and BallCut evolutions, single or batched over betas, share one
 spectral kernel on the explicit L_bar restricted to its support. It applies a
-cached real eigenbasis of L_bar kept as symmetry-sector blocks: a sparse
-orthonormal change of basis Q and one eigh per block. While the blocks hold
-at most DENSE_EIG_VERTEX_CAP^2 = 4096^2 entries in all it does that; above,
+cached real eigenbasis of L_bar kept as symmetry-sector blocks: an orthonormal
+change of basis Q and one eigh per block. While the blocks hold at most
+DENSE_EIG_VERTEX_CAP^2 = 4096^2 entries in all it does that; above,
 expm_multiply runs once per beta. Both are accurate to well under 1e-10.
 
 A ball cut, always over a weighted hypercube, takes its blocks from
@@ -28,12 +28,26 @@ and swapping two qubits of equal weight maps the graph and the ball onto
 themselves, so it commutes with L_bar. Pair such qubits; on each pair keep
 |00> and |11> and replace |10>, |01> by (|10> +- |01>)/sqrt(2). These vectors,
 the rows of Q, keep their Hamming weight, so they span the ball exactly, and
-L_bar is block-diagonal in them, one block per set of antisymmetric pairs. At
-n = 12, radius 6 that is 64 blocks of at most 435 (2.8 MiB of eigenvectors
-instead of 48 MiB for one 2510 x 2510 basis); at n = 14, radius 7, 27 MiB.
-Every ball over the unit hypercube fits up to n = 14, and at n = 15 up to
-radius 7. A custom graph or a ball cut with no equal-weight pair is one block
-with Q the identity, its eigh that of the whole matrix.
+L_bar is block-diagonal in them, one block per set of antisymmetric pairs.
+The blocks have a closed form (_sector_blocks), read off the ball's
+neighbour table (BallCut._neighbours): -deg(y) on the diagonal, b_q between
+y and y ^ 2^q for an unpaired qubit q, sqrt(2) b between a pair's 00 or 11
+row and its symmetric 10 row, where that neighbour is inside the ball, and
+nothing for an antisymmetric row's pair. Q itself is never stored as a
+matrix: swapping the mixed pairs of a vertex (those whose two bits differ)
+splits the ball into orbits, and on an orbit of 2^M vertices Q is
+H^(x M) 2^(-M/2), so Q and Q^T are one gather, one batched matmul per M and
+one scatter (_orbit_basis). At n = 12, radius 6 that is 64 blocks of at most
+435 (2.8 MiB of eigenvectors instead of 48 MiB for one 2510 x 2510 basis); at
+n = 14, radius 7, 27 MiB. Every ball over the unit hypercube fits up to
+n = 14, and at n = 15 up to radius 7. A custom graph or a ball cut with no
+equal-weight pair is one block with Q the identity, its eigh that of the
+whole matrix.
+
+Up to the cap a ball cut is numpy alone. scipy is imported inside the
+functions that need it: a CustomSparse (the caller hands in a scipy graph)
+and custom_from_edges, BallCut.laplacian (the tests' oracle), and the
+expm_multiply route above the cap.
 """
 
 from __future__ import annotations
@@ -41,14 +55,17 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
+from numpy.random import default_rng
 
 from . import _bits
 from .errors import ConfigError, ResourceError
 from .statevector import Statevector, _expect, check_qubit_count
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 MATRIX_N_CAP = 16
 DENSE_EIG_VERTEX_CAP = 1 << 12
@@ -60,21 +77,26 @@ BLOCK_UNITARY_CACHE = 256
 
 
 class SectorBasis(NamedTuple):
-    """L_bar = Q^T V diag(levels[index]) V^T Q on a graph's support: Q sparse and
+    """L_bar = Q^T V diag(levels[index]) V^T Q on a graph's support: Q
     orthonormal, V = blockdiag(V_s) over the symmetry sectors in Q's row order.
     stacks[g] holds the V_s of all c sectors of one size m_s as a (c, m_s, m_s)
-    array. levels are the bitwise-distinct eigenvalues (240 to 338 of 2510 at
-    n = 12, radius 6), so an evolution takes one exp per level and beta. qt is
-    Q^T in CSR, kept beside Q: its product sums each output over Q's rows in
-    ascending order, as the CSC view Q.T does, so it has the same bytes. It
-    took 18 against 53 us at n = 8, radius 5, one beta, and 542 against 579 us
-    at n = 12, radius 6, 12 betas (_spectral_evolve)."""
+    array; before the eighs it held the closed-form blocks Q_s L_bar Q_s^T
+    (_sector_blocks). levels are the bitwise-distinct eigenvalues (240 to 338 of
+    2510 at n = 12, radius 6), so an evolution takes one exp per level and beta.
 
-    q: sp.csr_matrix
+    Q is kept by its orbits (_orbit_basis, _orbit_hadamards): support vertex
+    gather[k] fills slot k of the orbit layout, whose row of Q is rows[k], and
+    hadamards holds (H, count) for each orbit size 2^M present, in slot order:
+    H = H^(x M) 2^(-M/2), and the count orbits of that size fill (2^M, count)
+    slots, one row per swap pattern. gather and rows are None where Q is the
+    identity: a custom graph, or a ball cut with no mixed pair."""
+
     levels: np.ndarray
     index: np.ndarray
     stacks: list[np.ndarray]
-    qt: sp.csr_matrix
+    gather: np.ndarray | None
+    rows: np.ndarray | None
+    hadamards: list[tuple[np.ndarray, int]]
 
 
 @dataclass(frozen=True)
@@ -122,6 +144,8 @@ class CustomSparse:
     _eig: SectorBasis | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        import scipy.sparse as sp
+
         check_qubit_count(self.n)
         size = 1 << self.n
         adj = sp.csr_matrix(self.adjacency, dtype=np.float64)
@@ -145,11 +169,15 @@ class CustomSparse:
         return bool(np.ptp(d) <= 1e-12)
 
     def laplacian(self) -> sp.csr_matrix:
+        import scipy.sparse as sp
+
         return sp.diags(self.degrees) - self.adjacency
 
 
 def custom_from_edges(n: int, edges: Sequence[Sequence[float]]) -> CustomSparse:
     """The graph of (u, v) or (u, v, weight) edges; endpoints are integral numbers."""
+    import scipy.sparse as sp
+
     size = 1 << n
     rows, cols, vals = [], [], []
     for edge in edges:
@@ -195,13 +223,16 @@ class BallCut:
     as qubit-pair symmetry sectors (_block_eigh): swapping two equal-weight
     qubits of y = z ^ center preserves both the graph and the ball, so -(D - A)
     commutes with it and splits exactly into one block per set of antisymmetric
-    pairs.
+    pairs. The blocks, L_bar times a ball state and the kinetic energy read one
+    neighbour table (_neighbours), so none of them needs scipy; laplacian()
+    builds the sparse D - A from the same table.
     """
 
     inner: WeightedHypercube
     center: int
     radius: int
     _ball: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _flips: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False, compare=False)
     _eig: SectorBasis | None = field(default=None, init=False, repr=False, compare=False)
     _lap: sp.csr_matrix | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -220,19 +251,31 @@ class BallCut:
             self._ball = _hamming_ball(self.n, self.center, self.radius)
         return self._ball
 
-    def laplacian(self) -> sp.csr_matrix:
-        """Induced-subgraph Laplacian on the ball vertices (ball-local indexing),
-        built from the ball alone: a vertex's neighbours are its n single-bit
-        flips, found in the sorted ball by searchsorted one qubit at a time (runs
-        of sorted queries, 3x faster than one vertex's n flips at a time)."""
-        if self._lap is None:
+    def _neighbours(self) -> tuple[np.ndarray, np.ndarray]:
+        """(flips, deg): flips[q, k] is the ball index of ball[k] ^ 2^q, or the
+        ball size where that flip leaves the ball, and deg[k] the induced
+        degree, the sum of b_q over the flips that stay. The flips are found in
+        the sorted ball by searchsorted one qubit at a time (runs of sorted
+        queries, 3x faster than one vertex's n flips at a time)."""
+        if self._flips is None:
             ball = self.ball()
             flips = (1 << np.arange(self.n))[:, None] ^ ball
             cols = np.minimum(np.searchsorted(ball, flips), ball.size - 1)
-            qubits, rows = np.nonzero(ball[cols] == flips)
+            inside = ball[cols] == flips
+            deg = (np.asarray(self.inner.b)[:, None] * inside).sum(axis=0)
+            self._flips = np.where(inside, cols, ball.size), deg
+        return self._flips
+
+    def laplacian(self) -> sp.csr_matrix:
+        """Induced-subgraph Laplacian D - A on the ball vertices (ball-local
+        indexing), in scipy CSR, built from the neighbour table."""
+        if self._lap is None:
+            import scipy.sparse as sp
+
+            flips, deg = self._neighbours()
+            qubits, rows = np.nonzero(flips < deg.size)
             weights = np.asarray(self.inner.b, dtype=np.float64)[qubits]
-            adj = sp.csr_matrix((weights, (rows, cols[qubits, rows])), shape=(ball.size,) * 2)
-            deg = np.asarray(adj.sum(axis=1)).ravel()
+            adj = sp.csr_matrix((weights, (rows, flips[qubits, rows])), shape=(deg.size,) * 2)
             self._lap = (sp.diags(deg) - adj).tocsr()
         return self._lap
 
@@ -366,10 +409,22 @@ def _support(lap) -> np.ndarray | slice:
 
 
 def _lbar(lap: CustomSparse | BallCut) -> sp.csr_matrix:
-    """L_bar on the support: -L on the ball; A, or A - D when not regular."""
+    """L_bar on the support in scipy CSR: -L on the ball; A, or A - D when not regular."""
     if isinstance(lap, BallCut):
         return -lap.laplacian()
+    import scipy.sparse as sp
+
     return lap.adjacency if lap.is_regular else lap.adjacency - sp.diags(lap.degrees)
+
+
+def _lbar_times(lap: CustomSparse | BallCut, seg: np.ndarray) -> np.ndarray:
+    """L_bar seg for amplitudes seg on the support. A ball cut sums b_q seg[k ^ 2^q]
+    over its neighbour table, minus deg seg, in numpy; a custom graph is _lbar's
+    sparse product."""
+    if isinstance(lap, BallCut):
+        flips, deg = lap._neighbours()
+        return np.einsum("q,qk->k", lap.inner.b, np.append(seg, 0)[flips]) - deg * seg
+    return _lbar(lap) @ seg
 
 
 def _swap_pairs(inner: WeightedHypercube) -> list[tuple[int, int]]:
@@ -393,32 +448,105 @@ def _sector_labels(lap: CustomSparse | BallCut) -> np.ndarray:
     return label
 
 
-def _pair_sectors(cut: BallCut, label: np.ndarray) -> sp.csr_matrix:
-    """Q: its rows are an orthonormal basis of the ball, in ball order, and row k
-    lies in sector label[k] (_sector_labels).
+def _sector_blocks(lap: CustomSparse | BallCut, label: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """(order, stacks): Q L_bar Q^T as its sector blocks. Q's row k is named by
+    support vertex order[k]: rows sorted by sector size, then by sector, so the
+    sectors of one size are adjacent, and stacks[g] is the (c, m_s, m_s) array
+    of the c blocks of size m_s, in ascending m_s. All stacks are views of one
+    buffer.
 
-    Each row is labelled by a ball vertex y = z ^ center. Write |ab> for bit i = a
-    and bit j = b of a pair (i, j). Where the label has 00 or 11 the row keeps
-    it; where it has 10 the row is (|10> + |01>)/sqrt(2), and where it has 01,
-    (|10> - |01>)/sqrt(2). Each row mixes strings of one Hamming weight, so it
-    lies inside the ball, and the labels are a bijection to the ball.
-    """
+    A custom graph is one block, L_bar itself, taken from scipy. A ball
+    cut's entries come in closed form from its neighbour table (module
+    docstring). Name each row by its ball vertex y = z ^ center. Through an
+    unpaired qubit q the row meets row y ^ 2^q with weight b_q. A pair (i, j)
+    links its 00 and 11 rows to the symmetric 10 row (bit i = 1, bit j = 0)
+    with weight sqrt(2) b: flipping bit i joins 00 and 10 (bit j = 0), flipping
+    bit j joins 10 and 11 (bit i = 1), so an antisymmetric 01 row has no
+    entry through its pair. A flip that leaves the ball has no entry, and the
+    diagonal is -deg(y), equal over a pair's 10 and 01 vertices."""
+    _, inverse, counts = np.unique(label, return_inverse=True, return_counts=True)
+    order = np.lexsort((label, counts[inverse]))
+    size = counts[inverse][order]  # the block size of each row
+    sizes, per_size = np.unique(counts, return_counts=True)
+    flat = np.zeros(per_size @ sizes**2)
+    stacks, a = [], 0
+    for m, c in zip(sizes.tolist(), per_size.tolist()):
+        stacks.append(flat[a : a + c * m * m].reshape(c, m, m))
+        a += c * m * m
+    if isinstance(lap, CustomSparse):
+        flat[:] = _lbar(lap).toarray().ravel()
+        return order, stacks
+    # row k's first entry in flat, and its column within its block
+    first = np.searchsorted(size, size)
+    rel = np.arange(size.size) - first
+    base = np.concatenate([[0], np.cumsum(size)])[first] + rel * size
+    col = rel % size
+    pos = np.empty_like(order)
+    pos[order] = np.arange(order.size)
+    flips, deg = lap._neighbours()
+    y = lap.ball() ^ lap.center
+    weight = np.repeat(np.asarray(lap.inner.b)[:, None], y.size, axis=1)
+    for i, j in _swap_pairs(lap.inner):
+        weight[i] *= math.sqrt(2) * (~(y >> j) & 1)
+        weight[j] *= math.sqrt(2) * ((y >> i) & 1)
+    # a zero weight also marks an antisymmetric row's flips, which leave its sector
+    qubits, vertices = np.nonzero((weight != 0) & (flips < y.size))
+    rows = pos[vertices]
+    flat[base[rows] + col[pos[flips[qubits, vertices]]]] = weight[qubits, vertices]
+    flat[base + col] = -deg[order]
+    return order, stacks
+
+
+def _orbit_basis(cut: BallCut, label: np.ndarray, order: np.ndarray) -> tuple:
+    """(gather, rows, hadamards) of SectorBasis: Q by its orbits.
+
+    Swapping the two bits of any set of a vertex's M mixed pairs (bits
+    differ) keeps it in the ball, so the ball splits into orbits of 2^M
+    vertices. Number an orbit's vertices by pattern: bit t is 1 where the
+    t-th mixed pair reads 01 (bit i = 0, bit j = 1). The rows of Q named by
+    the orbit's vertices span it, and row r's entry at vertex c is
+    2^(-M/2) (-1)^popcount(r & c): + on a symmetric pair, and on an
+    antisymmetric pair + at 10 and - at 01. The slots sort vertices by M,
+    then pattern, then orbit (its vertex with every 01 swapped to 10), so the
+    orbits of one M fill a (2^M, count) block, one row per pattern."""
     y = cut.ball() ^ cut.center
-    pos = np.empty(1 << cut.n, dtype=np.int64)
-    pos[y] = np.arange(y.size)
-    rows, cols, sign = np.arange(y.size), y.copy(), np.ones(y.size)
     mixed = np.zeros(y.size, dtype=np.int64)
+    pattern = np.zeros(y.size, dtype=np.int64)
+    key = y.copy()
     for p, (i, j) in enumerate(_swap_pairs(cut.inner)):
-        differ = ((y >> i) ^ (y >> j)) & 1
-        mixed += differ
-        # entries of rows mixed on this pair get a partner with both bits flipped
-        dup = np.flatnonzero(differ[rows])
-        rows = np.concatenate([rows, rows[dup]])
-        cols = np.concatenate([cols, cols[dup] ^ ((1 << i) | (1 << j))])
-        sign = np.concatenate([sign, sign[dup]])
-        sign[dup[(label[rows[dup]] >> p) & 1 > 0]] *= -1.0  # the 01 entry of an antisymmetric pair
-    vals = sign * 0.5 ** (mixed[rows] / 2)
-    return sp.csr_matrix((vals, (rows, pos[cols])), shape=(y.size, y.size))
+        anti = (label >> p) & 1
+        pattern |= anti << mixed
+        mixed += ((y >> i) ^ (y >> j)) & 1
+        key ^= anti * ((1 << i) | (1 << j))
+    gather = np.lexsort((key, pattern, mixed))
+    hadamards = []
+    for m, count in enumerate(np.bincount(mixed).tolist()):
+        if count:
+            r = np.arange(1 << m)
+            odd = np.bitwise_count(np.bitwise_and.outer(r, r)) & 1
+            hadamards.append((np.where(odd, -(0.5 ** (m / 2)), 0.5 ** (m / 2)), count >> m))
+    return gather, np.argsort(order)[gather], hadamards
+
+
+def _orbit_hadamards(cols: np.ndarray, basis: SectorBasis, forward: bool) -> np.ndarray:
+    """Q cols (forward: support into sector coordinates) or Q^T cols, for an
+    (m, c) array: one gather of rows, one GEMM per orbit size, one scatter.
+    The gathered rows of one size lie as a (2^M, count c) matrix, so H goes on
+    all of them at once; H is symmetric, so both directions apply the same
+    matrices. At n = 12, radius 6 with 128 columns that took 1.1 ms, against
+    2.7 ms for one batched matmul per orbit size on (c, 2^M, count) rows."""
+    if basis.gather is None:
+        return cols
+    take, put = (basis.gather, basis.rows) if forward else (basis.rows, basis.gather)
+    w = cols[take]
+    out = np.empty_like(w)
+    a = 0
+    for h, count in basis.hadamards:
+        b = a + h.shape[0] * count
+        np.matmul(h, w[a:b].reshape(h.shape[0], -1), out=out[a:b].reshape(h.shape[0], -1))
+        a = b
+    w[put] = out
+    return w
 
 
 def _block_eigh(lap: CustomSparse | BallCut, label: np.ndarray) -> SectorBasis:
@@ -426,32 +554,23 @@ def _block_eigh(lap: CustomSparse | BallCut, label: np.ndarray) -> SectorBasis:
 
     L_bar of a ball cut commutes with swapping the two bits of each pair from
     _swap_pairs (in y = z ^ center, which maps the ball to |y| <= radius), so in
-    _pair_sectors' basis Q it is block-diagonal, one block per set of
-    antisymmetric pairs. The rows of Q are sorted by sector size, then by
-    sector, so the sectors of one size are adjacent; each block Q_s L_bar Q_s^T
-    gets its own eigh, and the eigenvectors of the sectors of one size go into
-    one stacked array. At n = 12, radius 6 that is 64 blocks of at most 435 in
-    7 stacks, 2.8 MiB in all, against 48 MiB for the 2510 x 2510 eigenbasis,
-    and about 0.05 s. A custom graph or a ball cut with no equal-weight pair
-    (or a ball inside one sector) is one block with Q the identity, and its one
-    eigh is that of the whole L_bar.
+    Q's basis it is block-diagonal, one block per set of antisymmetric pairs.
+    _sector_blocks writes the blocks in closed form, the sectors of one size
+    stacked, and each block gets its own eigh, whose eigenvectors overwrite it.
+    At n = 12, radius 6 that is 64 blocks of at most 435 in 7 stacks, 2.8 MiB
+    in all, against 48 MiB for the 2510 x 2510 eigenbasis. A custom graph or
+    a ball cut with no equal-weight pair (or a ball inside one sector) is one
+    block with Q the identity, and its one eigh is that of the whole L_bar.
     """
-    sectors, inverse, counts = np.unique(label, return_inverse=True, return_counts=True)
-    if sectors.size == 1:
-        q = sp.identity(label.size, format="csr")
-        lbar = _lbar(lap).tocsr()
-    else:
-        q = _pair_sectors(lap, label)[np.lexsort((label, counts[inverse]))]
-        lbar = (q @ _lbar(lap) @ q.T).tocsr()
-    evals, stacks, a = np.empty(label.size), [], 0
-    for size, count in zip(*np.unique(counts, return_counts=True)):
-        v = np.empty((count, size, size))
-        for k in range(count):
-            evals[a : a + size], v[k] = np.linalg.eigh(lbar[a : a + size, a : a + size].toarray())
-            a += size
-        stacks.append(v)
+    order, stacks = _sector_blocks(lap, label)
+    evals, a = np.empty(label.size), 0
+    for v in stacks:
+        for block in v:
+            evals[a : a + block.shape[0]], block[...] = np.linalg.eigh(block)
+            a += block.shape[0]
     levels, index = np.unique(evals.view(np.int64), return_inverse=True)
-    return SectorBasis(q, levels.view(np.float64), index, stacks, q.T.tocsr())
+    q = _orbit_basis(lap, label, order) if label.any() else (None, None, [])
+    return SectorBasis(levels.view(np.float64), index, stacks, *q)
 
 
 def _times_blocks(rows: np.ndarray, stacks: list[np.ndarray]) -> np.ndarray:
@@ -472,10 +591,10 @@ def _spectral_evolve(lap: CustomSparse | BallCut, seg: np.ndarray, betas: np.nda
     """Columns exp(-i b L_bar) seg for each b in betas, as an (m, k) array.
 
     The cached SectorBasis of _block_eigh gives L_bar = Q^T V Λ V^T Q, so seg
-    goes into sector coordinates by one sparse product with Q, through each
-    stack of equal-size sectors by two batched real matmuls (_times_blocks)
-    around the phases exp(-i b Λ), and back by one sparse product with Q^T
-    (kept in CSR as qt).
+    goes into sector coordinates through Q's orbit Hadamards
+    (_orbit_hadamards), through each stack of equal-size sectors by two
+    batched real matmuls (_times_blocks) around the phases exp(-i b Λ), and
+    back through the same Hadamards.
     The phases take one exp per distinct eigenvalue, gathered by index. The
     eigenvectors of a real symmetric L_bar are real, so each matmul multiplies
     the real and imaginary parts stacked together, and no complex copy of V is
@@ -483,7 +602,8 @@ def _spectral_evolve(lap: CustomSparse | BallCut, seg: np.ndarray, betas: np.nda
     Z^T V^T): for so few vectors BLAS runs that layout about twice as fast as
     V^T X and V Z. At n = 12, radius 6 a call took 0.6 ms for one beta and
     1.4 ms for 12 (5.3 and 10.5 ms through one dense eigenbasis; 2 vCPUs,
-    numpy 2.4.6, OpenBLAS 0.3.31).
+    numpy 2.4.6, OpenBLAS 0.3.31). The orbit Hadamards take the transpose,
+    support positions as rows, so that each orbit size is one GEMM.
 
     When the basis would hold more than DENSE_EIG_VERTEX_CAP^2 entries (the sum
     of m_s^2), expm_multiply runs once per beta instead: custom graphs and
@@ -501,12 +621,14 @@ def _spectral_evolve(lap: CustomSparse | BallCut, seg: np.ndarray, betas: np.nda
                 out[:, j] = expm_multiply(-1j * b * lbar, seg)
             return out
         lap._eig = _block_eigh(lap, label)
-    q, levels, index, stacks, qt = lap._eig
-    y = _times_blocks((q @ np.stack([seg.real, seg.imag], axis=1)).T, stacks)
-    z = np.exp(-1j * np.outer(betas, levels))[:, index] * (y[0] + 1j * y[1])
-    rows = _times_blocks(np.vstack([z.real, z.imag]), [v.transpose(0, 2, 1) for v in stacks])
-    rows = qt @ rows.T
-    return rows[:, : betas.size] + 1j * rows[:, betas.size :]
+    basis = lap._eig
+    y = _times_blocks(_orbit_hadamards(np.stack([seg.real, seg.imag], axis=1), basis, True).T, basis.stacks)
+    z = np.exp(-1j * np.outer(betas, basis.levels))[:, basis.index] * (y[0] + 1j * y[1])
+    # rows 2j and 2j + 1 hold beta j's real and imaginary parts, so the columns
+    # that come back read as complex amplitudes through a view
+    rows = np.stack([z.real, z.imag], axis=1).reshape(2 * betas.size, -1)
+    rows = _times_blocks(rows, [v.transpose(0, 2, 1) for v in basis.stacks])
+    return np.ascontiguousarray(_orbit_hadamards(rows.T, basis, False)).view(np.complex128)
 
 
 def _check_qubits(n: int, lap) -> None:
@@ -582,8 +704,11 @@ def _kinetic(amps: np.ndarray, lap) -> float:
         return float(1.0 - abs(u_amp) ** 2)
     if isinstance(lap, (CustomSparse, BallCut)):
         # Re<seg|L seg> as two chunked real dots, so no BLAS thread split moves its bits
-        seg = amps[lap.ball()] if isinstance(lap, BallCut) else amps
-        lseg = lap.laplacian() @ seg
+        if isinstance(lap, BallCut):
+            seg = amps[lap.ball()]
+            lseg = -_lbar_times(lap, seg)
+        else:
+            seg, lseg = amps, lap.laplacian() @ amps
         return _expect(seg.real, lseg.real) + _expect(seg.imag, lseg.imag)
     raise ConfigError(f"unsupported Laplacian {type(lap).__name__}")
 
@@ -620,7 +745,7 @@ def hamming_shell_state(n: int, weight: int) -> Statevector:
 
 def randomize_phases(state: Statevector, seed: int) -> Statevector:
     """Each nonzero amplitude picks up an i.i.d. uniform phase; magnitudes kept."""
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     thetas = rng.uniform(0.0, 2.0 * np.pi, size=state.amps.shape[0])
     amps = state.amps.copy()
     nz = amps != 0

@@ -17,7 +17,7 @@ mixer, phi and mu after its phase, L_bar the mixer's generator and f the cost:
 
 - scalar beta_k: 2 Im<lambda|L_bar psi>; L_bar psi is sum_q b_q X_q psi on the
   hypercube, mean(psi) times the all-ones vector on the complete graph, and
-  _lbar on the support of a custom graph or ball cut;
+  _lbar_times on the support of a custom graph or ball cut;
 - per-qubit beta_kq: 2 b_q Im<lambda|X_q psi>, X_q psi being psi with bit q of
   the index flipped;
 - scalar gamma_k: 2 Im<mu|f phi>;
@@ -86,6 +86,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import default_rng
 
 from . import _bits
 from .ansatz import (
@@ -104,7 +105,7 @@ from .laplacians import (
     CompleteGraph,
     WeightedHypercube,
     _apply_block,
-    _lbar,
+    _lbar_times,
     _mix_many,
     _support,
     hypercube,
@@ -412,7 +413,7 @@ def _p1_gibbs_walsh(problem, lap, eta):
     size = 1 << (n + 1 - fold)
     popcount = np.bitwise_count(np.arange(size))
     shells = popcount + (popcount & 1) if fold == 2 else popcount
-    ts = np.unique(shells)
+    ts = np.flatnonzero(np.bincount(shells))
     k = ts.size
     if (17 * k + 56) * size > WALSH_SCREEN_BYTES:
         return None
@@ -746,7 +747,7 @@ def _mixer_overlap(lam, psi, lap, b):
     if isinstance(lap, CompleteGraph):
         return float((np.conj(lam.sum()) * psi.mean()).imag)
     support = _support(lap)
-    return _im_overlap(lam[support], _lbar(lap) @ psi[support])
+    return _im_overlap(lam[support], _lbar_times(lap, psi[support]))
 
 
 @dataclass(frozen=True)
@@ -784,7 +785,7 @@ def iterated_rounding(
     """
     if rounding.n_f > problem.n:
         raise ConfigError("n_f cannot exceed the qubit count")
-    rng = np.random.default_rng(rounding.seed)
+    rng = default_rng(rounding.seed)
     frozen: dict[int, int] = {}
     trace: list[RoundingStep] = []
     while len(frozen) < problem.n:
@@ -845,7 +846,7 @@ def classical_restart_baseline(
     if restarts < 1:
         raise ConfigError("need at least one restart")
     import scipy.optimize
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     hits = 0
     for _ in range(restarts):
         theta0 = rng.uniform(0.0, math.pi, size=problem.n)

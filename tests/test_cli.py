@@ -921,6 +921,33 @@ def test_cli_import_leaves_heavy_scipy_modules_unloaded():
     assert run_fresh(["-c", code]).strip() == "[]"
 
 
+def test_cli_calls_load_no_scipy_and_no_numpy_ma(tmp_path):
+    # scipy.sparse cost every qlow process about 0.15 s and 21 MiB at import, and
+    # numpy.ma 14 ms at the first flag-less np.unique. A maxcut solve, a ball cut
+    # below the eigenbasis cap at p=1 and p=2, a dense sample and a small freedom
+    # run need neither.
+    ballcut = json.loads((DATA / "ballcut8_solve.json").read_text())
+    dense = {
+        "experiment": "sample", "problem": {"family": "dense", "n": 2, "values": [0.0, 1.0, -1.0, 2.0]},
+        "schedule": {"gammas": [0.3], "betas": [0.4]},
+    }
+    maxcut = {"experiment": "solve", "problem": {"family": "maxcut", "n": 10, "seed": 3}}
+    calls = [
+        ["solve", "--manifest", write_manifest(tmp_path, maxcut, "maxcut.json")],
+        ["solve", "--manifest", str(DATA / "ballcut8_solve.json")],
+        ["solve", "--manifest", write_manifest(tmp_path, dict(ballcut, p=2), "ballcut_p2.json")],
+        ["sample", "--manifest", write_manifest(tmp_path, dense, "dense.json"), "--shots", "5"],
+        ["reproduce", "freedom", "--manifest", write_manifest(tmp_path, FREEDOM_SMALL, "freedom.json"),
+         "--out", str(tmp_path / "freedom")],
+    ]
+    code = (
+        "import sys; import qlow.cli as cli; "
+        f"codes = [cli.main(args) for args in {calls!r}]; "
+        "print(codes, [m for m in sys.modules if m.startswith('scipy') or m == 'numpy.ma'])"
+    )
+    assert run_fresh(["-c", code]).strip().splitlines()[-1] == "[0, 0, 0, 0, 0] []"
+
+
 def test_gradient_searches_leave_scipy_optimize_unloaded(tmp_path):
     # importing scipy.optimize raises a qlow process's RSS by about 25 MiB; the
     # relaxed and p=2 searches refine with the in-repo BFGS, which needs none of it

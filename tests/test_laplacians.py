@@ -18,9 +18,12 @@ from qlow.laplacians import (
     _BLOCK_XOR,
     _block_unitary,
     _lbar,
+    _lbar_times,
     _mix,
     _mix_many,
+    _orbit_hadamards,
     _rotate_qubits,
+    _sector_blocks,
     ball_uniform_state,
     custom_from_edges,
     evolve,
@@ -459,10 +462,10 @@ def test_ballcut_basis_is_kept_as_blocks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    q, levels, index, stacks, qt = cut._eig
-    assert [v.shape[1] for v in stacks] == [1, 2, 6, 17, 50, 147, 435]
-    kept = levels.nbytes + index.nbytes + sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes for m in (q, qt))
-    kept += sum(v.nbytes for v in stacks)
+    basis = cut._eig
+    assert [v.shape[1] for v in basis.stacks] == [1, 2, 6, 17, 50, 147, 435]
+    kept = basis.levels.nbytes + basis.index.nbytes + basis.gather.nbytes + basis.rows.nbytes
+    kept += sum(v.nbytes for v in basis.stacks) + sum(h.nbytes for h, _ in basis.hadamards)
     assert kept < 4 * 2**20 and peak < 12 * 2**20
 
 
@@ -472,11 +475,54 @@ def test_ballcut_basis_is_kept_as_blocks():
 
 
 def dense_eigenbasis(basis):
-    """(evals, Q^T blockdiag(V_s)): a cached sector basis as one eigenbasis of L_bar;
-    its kept CSR Q^T must equal Q's transpose."""
-    q, levels, index, stacks, qt = basis
-    assert qt.format == "csr" and abs(qt - q.T).max() == 0
-    return levels[index], q.T @ block_diag(*[v for vs in stacks for v in vs])
+    """(evals, Q^T blockdiag(V_s)): a cached sector basis as one eigenbasis of L_bar,
+    with Q^T read off the orbit Hadamards applied to the identity."""
+    size = basis.index.size
+    q = _orbit_hadamards(np.eye(size), basis, True)
+    np.testing.assert_array_equal(_orbit_hadamards(np.eye(size), basis, False), q.T)
+    return basis.levels[basis.index], q.T @ block_diag(*[v for vs in basis.stacks for v in vs])
+
+
+def pair_sector_basis(cut):
+    """Q, row k named by ball vertex k, built vertex by vertex from its definition:
+    with y = z ^ center, a pair (i, j) reading 00 or 11 is kept, one reading 10
+    (bit i = 1) becomes (|10> + |01>)/sqrt(2) and one reading 01 becomes
+    (|10> - |01>)/sqrt(2)."""
+    ball = cut.ball()
+    where = {int(z): k for k, z in enumerate(ball)}
+    pairs = laplacians._swap_pairs(cut.inner)
+    q = np.zeros((ball.size, ball.size))
+    for k, z in enumerate(ball.tolist()):
+        terms = {z: 1.0}
+        for i, j in pairs:
+            y = z ^ cut.center
+            bit_i, bit_j = (y >> i) & 1, (y >> j) & 1
+            if bit_i == bit_j:
+                continue
+            sign = 1.0 if bit_i else -1.0  # the 01 entry of an antisymmetric pair
+            swapped = {}
+            for w, c in terms.items():
+                ten = w if ((w ^ cut.center) >> i) & 1 else w ^ (1 << i) ^ (1 << j)
+                swapped[ten] = c / np.sqrt(2)
+                swapped[ten ^ (1 << i) ^ (1 << j)] = sign * c / np.sqrt(2)
+            terms = swapped
+        for w, c in terms.items():
+            q[k, where[w]] = c
+    return q
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 7, 8])
+def test_closed_form_sector_blocks_match_the_sparse_triple_product(n):
+    for inner in sector_inners(n):
+        for center in {0, (1 << n) - 1, 0b1011010 & ((1 << n) - 1)}:
+            for radius in range(n + 1):
+                cut = BallCut(inner=inner, center=center, radius=radius)
+                q = sp.csr_matrix(pair_sector_basis(cut))
+                assert abs(q @ q.T - sp.identity(q.shape[0])).max() < 1e-15
+                order, stacks = _sector_blocks(cut, laplacians._sector_labels(cut))
+                want = (q[order] @ _lbar(cut) @ q[order].T).toarray()
+                got = block_diag(*[block for stack in stacks for block in stack])
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
 def sector_inners(n):
@@ -514,9 +560,10 @@ def test_custom_graph_eigenbasis_is_one_whole_eigh():
                 BallCut(inner=unpaired, center=0b00110, radius=3)):
         evolve(rand_state(5, 13), lap, 0.7)
         want = np.linalg.eigh(_lbar(lap).toarray())
-        q, levels, index, [evecs], qt = lap._eig
-        assert np.array_equal(q.toarray(), np.eye(q.shape[0])) and np.array_equal(qt.toarray(), q.toarray())
-        assert np.array_equal(levels[index], want[0]) and np.array_equal(evecs[0], want[1])
+        basis = lap._eig
+        [evecs] = basis.stacks
+        assert basis.gather is None and basis.rows is None and basis.hadamards == []
+        assert np.array_equal(basis.levels[basis.index], want[0]) and np.array_equal(evecs[0], want[1])
 
 
 def test_ballcut_eigh_takes_no_block_above_the_largest_sector(monkeypatch):
@@ -588,6 +635,22 @@ def test_custom_and_ballcut_kinetic_energy_match_dense_quadratic_form():
     assert kinetic_energy(state, cut) == pytest.approx(
         float(np.real(np.vdot(seg, lmat @ seg))), abs=1e-12
     )
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 7, 8])
+def test_ballcut_lbar_times_matches_the_sparse_laplacian(n):
+    """L_bar psi and the kinetic energy of a ball cut read the neighbour table,
+    not scipy; both agree with -D + A from BallCut.laplacian()."""
+    for inner in sector_inners(n):
+        for center in {0, (1 << n) - 1, 0b1011010 & ((1 << n) - 1)}:
+            for radius in range(n + 1):
+                cut = BallCut(inner=inner, center=center, radius=radius)
+                state = rand_state(n, 7 * n + radius)
+                seg = state.amps[cut.ball()]
+                want = -cut.laplacian() @ seg
+                np.testing.assert_allclose(_lbar_times(cut, seg), want, rtol=0, atol=1e-13)
+                kinetic = float(np.real(np.vdot(seg, -want)))
+                assert abs(kinetic_energy(state, cut) - kinetic) <= 1e-13
 
 
 KINETIC_N15 = """
