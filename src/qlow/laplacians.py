@@ -4,16 +4,17 @@ The mixer convention throughout is exp(-i beta L_bar) with L_bar = -L_G.
 Regular graphs (hypercube, complete graph) drop the degree term as a global
 phase. The hypercube mixer is then the product of per-qubit rotations
 exp(-i beta b_i X_i). One kernel, _rotate_qubits, applies it in blocks of
-ROTATION_BLOCK = 4 qubits: each block's 16x16 unitary goes on the state in
-one complex GEMM, so the state is read and written once per block instead of
-once per qubit. The complete-graph mixer is the rank-1 update
-psi + (exp(-i beta) - 1) <u|psi> u with u the uniform state. The raw-array
-kernel _mix runs every mixer. The hypercube and complete-graph mixers write
-into a caller's pair of buffers when given one, so that a search keeps its
-states in place, and into new arrays otherwise; evolve checks and wraps a new
-array, and ansatz._simulate calls _mix directly. kinetic_energy always uses
-the positive-semidefinite L_G = D_G - A_G, so it is >= 0 and vanishes exactly
-on the uniform state of a connected graph.
+ROTATION_BLOCK = 4 qubits: each block's 16x16 unitary goes on the state in one
+complex GEMM (statevector._apply_block, which the Walsh transform shares), so
+the state is read and written once per block, not once per qubit. The
+complete-graph mixer is the rank-1 update psi + (exp(-i beta) - 1) <u|psi> u,
+u the uniform state. The raw-array kernel _mix runs every mixer. The
+hypercube and complete-graph mixers write into a caller's pair of buffers when
+given one, so that a search keeps its states in place, and into new arrays
+otherwise; evolve checks and wraps a new array, and ansatz._simulate calls
+_mix directly. kinetic_energy always uses the positive-semidefinite
+L_G = D_G - A_G, so it is >= 0 and vanishes exactly on the uniform state of a
+connected graph.
 
 CustomSparse and BallCut evolutions, single or batched over betas, share one
 spectral kernel on the explicit L_bar restricted to its support. It applies a
@@ -62,15 +63,13 @@ from numpy.random import default_rng
 
 from . import _bits
 from .errors import ConfigError, ResourceError
-from .statevector import Statevector, _expect, check_qubit_count
+from .statevector import ROTATION_BLOCK, Statevector, _apply_block, _expect, check_qubit_count
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
 MATRIX_N_CAP = 16
 DENSE_EIG_VERTEX_CAP = 1 << 12
-ROTATION_BLOCK = 4
-ROTATION_GEMM_COLS = 128
 # entry (r, c) of a block unitary depends only on which qubits differ: r ^ c
 _BLOCK_XOR = np.bitwise_xor.outer(np.arange(1 << ROTATION_BLOCK), np.arange(1 << ROTATION_BLOCK))
 BLOCK_UNITARY_CACHE = 256
@@ -365,21 +364,6 @@ def _rotate_qubits(amps: np.ndarray, thetas, unitaries: dict | None = None, work
     return bufs[0]
 
 
-def _apply_block(amps: np.ndarray, u: np.ndarray, lo: int, out: np.ndarray) -> None:
-    """u, a 2^k x 2^k matrix, on the k qubits from lo up of amps' last axis, into
-    out (amps' shape and dtype, not amps): the lowest block multiplies rows of
-    2^k entries by u.T, a higher block multiplies u into the (2^k, C) slabs of
-    the axes below it, C at most ROTATION_GEMM_COLS (_rotate_qubits)."""
-    k = u.shape[0].bit_length() - 1
-    if lo == 0:
-        shape = (-1, math.gcd(amps.size >> k, ROTATION_GEMM_COLS), 1 << k)
-        np.matmul(amps.reshape(shape), u.T, out=out.reshape(shape))
-    else:
-        cols = min(ROTATION_GEMM_COLS, 1 << lo)
-        shape = (-1, 1 << k, (1 << lo) // cols, cols)
-        np.matmul(u, amps.reshape(shape).swapaxes(-3, -2), out=out.reshape(shape).swapaxes(-3, -2))
-
-
 def _block_unitary(block: np.ndarray) -> np.ndarray:
     """The read-only tensor product of exp(-i theta X) over a block's angles; its factor
     table multiplies Python complex scalars by numpy's formula, highest qubit leftmost."""
@@ -522,9 +506,8 @@ def _orbit_basis(cut: BallCut, label: np.ndarray, order: np.ndarray) -> tuple:
     hadamards = []
     for m, count in enumerate(np.bincount(mixed).tolist()):
         if count:
-            r = np.arange(1 << m)
-            odd = np.bitwise_count(np.bitwise_and.outer(r, r)) & 1
-            hadamards.append((np.where(odd, -(0.5 ** (m / 2)), 0.5 ** (m / 2)), count >> m))
+            signs = _bits.parity_signs(m, np.arange(1 << m)[:, None])
+            hadamards.append((signs * 0.5 ** (m / 2), count >> m))
     return gather, np.argsort(order)[gather], hadamards
 
 

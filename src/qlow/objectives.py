@@ -10,7 +10,7 @@ import numpy as np
 from .ansatz import Schedule, qaoa_state
 from .errors import ConfigError, NumericError
 from .problems import DiagonalProblem
-from .statevector import Statevector, _expect, fwht_array, ground_state_mass
+from .statevector import Statevector, _expect, _walsh, ground_state_mass
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,7 @@ def mean_via_terms(problem: DiagonalProblem, state: Statevector) -> float:
     two can cross-check each other. <Z_S> for every mask S is one unnormalized
     Walsh-Hadamard transform of the probabilities, read at the term masks.
     """
-    signed = fwht_array(state.probabilities()) * 2.0 ** (problem.n / 2)
+    signed = _walsh(state.probabilities())
     return _expect(problem.coeffs, signed[problem.masks])
 
 

@@ -101,10 +101,8 @@ from .ansatz import (
 )
 from .errors import ConfigError, ResourceError
 from .laplacians import (
-    ROTATION_BLOCK,
     CompleteGraph,
     WeightedHypercube,
-    _apply_block,
     _lbar_times,
     _mix_many,
     _support,
@@ -112,7 +110,7 @@ from .laplacians import (
 )
 from .objectives import Gibbs, Mean, _scorer, evaluate
 from .problems import DiagonalProblem, freeze
-from .statevector import GROUND_TOL, Statevector, _expect, _phase, fwht_array, max_qubits
+from .statevector import GROUND_TOL, Statevector, _expect, _phase, _walsh, max_qubits
 
 # a rounding marginal this close to 0.5 is a tie: kernels miss an exact 0.5 by last bits
 MARGINAL_TIE_TOL = 1e-12
@@ -139,8 +137,6 @@ SCREEN_MARGIN = 1e-12
 # its own arrays there; a flip-invariant cost at n = 14 would need 1.5 MiB, so
 # larger searches scan unscreened.
 WALSH_SCREEN_BYTES = 5 << 18
-# entry (r, c) of the 2^k x 2^k Walsh-Hadamard block is (-1)^popcount(r & c)
-_HADAMARD = 1.0 - 2.0 * (np.bitwise_count(np.bitwise_and.outer(*[np.arange(1 << ROTATION_BLOCK)] * 2)) & 1)
 
 
 @dataclass
@@ -376,23 +372,6 @@ def _screen(problem, lap, objective, initial):
     return None
 
 
-def _walsh_rows(rows, work):
-    """The unnormalized Walsh-Hadamard transform of each row of a real (r, 2^m)
-    array, in place: one real Hadamard GEMM per ROTATION_BLOCK qubits, in
-    _rotate_qubits' layout (_apply_block), two rows at a time through work, a
-    (2, 2^m) array, so that no second (r, 2^m) array is made."""
-    m = rows.shape[-1].bit_length() - 1
-    blocks = [(lo, 1 << min(ROTATION_BLOCK, m - lo)) for lo in range(0, m, ROTATION_BLOCK)]
-    for a in range(0, rows.shape[0], 2):
-        src = rows[a : a + 2]
-        cur, other = src, work[: src.shape[0]]
-        for lo, width in blocks:
-            _apply_block(cur, _HADAMARD[:width, :width], lo, other)
-            cur, other = other, cur
-        if cur is not src:
-            src[...] = cur
-
-
 def _p1_gibbs_walsh(problem, lap, eta):
     """(grid, None, margin): the Walsh-shell table of a Gibbs(eta) search from
     |+>^n on a hypercube lap whose weights all equal b (module docstring), or
@@ -402,7 +381,8 @@ def _p1_gibbs_walsh(problem, lap, eta):
     scorer's weights w = exp(-eta f - shift), shift = max(-eta f). Per gamma:
     the phased state's unnormalized transform, masked to each shell t into
     the rows of X (real parts, then imaginary), each row transformed again
-    (_walsh_rows) and scaled by sqrt(w) and the normalization, so that
+    (_walsh, two rows at a time through a (2, 2^m) work, so that no second X
+    is made) and scaled by sqrt(w) and the normalization, so that
     X X^T gives A_st = <V_s|w V_t>, and g(beta) = sum_st conj(e_s) A_st e_t
     with e_t = exp(2i beta b t). A flip-invariant cost (f == f[::-1]) works on the
     lower half, m = n - 1 qubits: V_t(~z) = V_t(z), and t is the even shell
@@ -433,10 +413,10 @@ def _p1_gibbs_walsh(problem, lap, eta):
         for i, gamma in enumerate(gammas):
             _phase(plus, levels, float(gamma), index, out=phased)
             hat[0], hat[1] = phased.real, phased.imag
-            _walsh_rows(hat, work)
+            _walsh(hat, work)
             np.multiply(hat[0], masks, out=x[:k])
             np.multiply(hat[1], masks, out=x[k:])
-            _walsh_rows(x, work)
+            _walsh(x, work)
             x *= root
             m = x @ x.T
             a = (m[:k, :k] + m[k:, k:]) + 1j * (m[:k, k:] - m[k:, :k])
@@ -714,7 +694,7 @@ def _value_and_grad(base, problem, lap, gammas, betas, score, buffers):
         lam = _mix_round(lam, lap, betas[k], -1, (spare(), lam))
         if gammas.ndim == 2:  # Im(conj(mu) phi) read through the Walsh transform
             im = lam.real * psi.imag - lam.imag * psi.real
-            d_gamma[k] = problem.coeffs * fwht_array(im)[problem.masks] * 2.0 ** (problem.n / 2)
+            d_gamma[k] = problem.coeffs * _walsh(im)[problem.masks]
         else:
             d_gamma[k] = _im_overlap(lam, psi, problem.dense)
         if k:

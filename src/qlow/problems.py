@@ -26,7 +26,7 @@ from numpy.random import default_rng
 from . import _bits
 from .analytic import draw_fields
 from .errors import ConfigError, NumericError, bind
-from .statevector import GROUND_TOL, check_qubit_count, fwht_array
+from .statevector import GROUND_TOL, _walsh, check_qubit_count
 
 WALSH_COEFF_CUTOFF = 1e-12
 
@@ -90,7 +90,7 @@ def _dense_from_walsh(n: int, masks: np.ndarray, coeffs: np.ndarray) -> np.ndarr
     """The same table as `_dense_from_terms` by an independent route: scatter the
     coefficients onto their masks (duplicates and the identity add up), then one
     unnormalized Walsh-Hadamard transform."""
-    return fwht_array(np.bincount(masks, weights=coeffs, minlength=1 << n)) * 2.0 ** (n / 2)
+    return _walsh(np.bincount(masks, weights=coeffs, minlength=1 << n))
 
 
 @dataclass
@@ -177,15 +177,15 @@ def from_terms(n: int, terms: Iterable[ZTerm]) -> DiagonalProblem:
 def from_dense(n: int, values: np.ndarray) -> DiagonalProblem:
     """Build a problem from a value table; terms recovered by Walsh expansion.
 
-    The Pauli-Z coefficient of subset mask S is the normalized Walsh transform
-    2^{-n} sum_z f(z) (-1)^{popcount(z & S)}; coefficients below
-    WALSH_COEFF_CUTOFF times max(1, max |values|) are rounding noise and dropped.
+    The Pauli-Z coefficient of subset mask S is 2^{-n} sum_z f(z)
+    (-1)^{popcount(z & S)}, one unnormalized Walsh transform of 2^{-n} f; below
+    WALSH_COEFF_CUTOFF times max(1, max |values|) it is rounding noise, dropped.
     """
     check_qubit_count(n)
     values = np.asarray(values, dtype=np.float64)
     if values.shape != (1 << n,):
         raise ValueError(f"dense table has {values.size} values, not 2^n = {1 << n}")
-    coeffs = fwht_array(values) * 2.0 ** (-n / 2)
+    coeffs = _walsh(values * 2.0**-n)
     masks = np.flatnonzero(np.abs(coeffs) > WALSH_COEFF_CUTOFF * _magnitude(values))
     return DiagonalProblem(n, masks, coeffs[masks], values)
 

@@ -12,15 +12,22 @@ level table (DiagonalProblem.phase_table) when it has one; all other phases
 are dense. The bytes match: each entry is the same exp of the same product.
 The raw kernel _phase writes into a caller's buffer, so a search keeps one phased
 state for all its simulations.
+
+_apply_block, one GEMM of a 2^k x 2^k matrix on ROTATION_BLOCK qubits, runs
+the hypercube mixer (laplacians._rotate_qubits) and _walsh, the one
+Walsh-Hadamard transform: the fast transform's Kronecker factorisation (Fino
+and Algazi, IEEE Trans. Comput. C-25, 1976), one +-1 block GEMM per block.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _bits
 from .errors import ConfigError, ResourceError
 
 DEFAULT_MAX_QUBITS = 24
@@ -33,6 +40,11 @@ EXPECT_CHUNK = 1 << 12
 # complex128 on when x has the temporary's shape; _phase writes that order out
 ELIDE_ENTRIES = 1 << 14
 GATHER_CHUNK = 1 << 12
+# _apply_block's qubits and most columns per GEMM (laplacians._rotate_qubits says why)
+ROTATION_BLOCK = 4
+ROTATION_GEMM_COLS = 128
+# entry (r, c) of the 2^k x 2^k Walsh-Hadamard block is (-1)^popcount(r & c)
+_WALSH_BLOCK = _bits.parity_signs(ROTATION_BLOCK, np.arange(1 << ROTATION_BLOCK)[:, None])
 
 
 def max_qubits() -> int:
@@ -152,28 +164,47 @@ def apply_phase(state: Statevector, values: np.ndarray, gamma: float) -> Stateve
 def fwht(state: Statevector) -> Statevector:
     """H^{tensor n} with 2^(-n/2) normalization; self-inverse, O(n 2^n).
     The result is renormalized only if its norm drifts beyond NORM_TOL."""
-    amps = fwht_array(state.amps)
+    amps = _walsh(state.amps * 2.0 ** (-state.n / 2))
     nrm2 = float(np.sum(np.abs(amps) ** 2))
     if abs(nrm2 - 1.0) > NORM_TOL:
         amps = amps / np.sqrt(nrm2)
     return Statevector(state.n, amps)
 
 
-def fwht_array(values: np.ndarray) -> np.ndarray:
-    """Normalized Walsh-Hadamard transform of a length-2^n array (any dtype)."""
-    a = np.array(values, dtype=np.complex128 if np.iscomplexobj(values) else np.float64)
-    size = a.shape[0]
-    n = size.bit_length() - 1
-    if size != 1 << n:
-        raise ValueError(f"length {size} is not a power of two")
-    h = 1
-    while h < size:
-        a = a.reshape(-1, 2, h)
-        top = a[:, 0, :] + a[:, 1, :]
-        bot = a[:, 0, :] - a[:, 1, :]
-        a = np.stack([top, bot], axis=1)
-        h *= 2
-    return a.reshape(size) * 2.0 ** (-n / 2)
+def _apply_block(amps: np.ndarray, u: np.ndarray, lo: int, out: np.ndarray) -> None:
+    """u, a 2^k x 2^k matrix, on the k qubits from lo up of amps' last axis, into
+    out (amps' shape and dtype, not amps): the lowest block multiplies rows of
+    2^k entries by u.T, a higher block multiplies u into the (2^k, C) slabs of
+    the axes below it, C at most ROTATION_GEMM_COLS."""
+    k = u.shape[0].bit_length() - 1
+    if lo == 0:
+        shape = (-1, math.gcd(amps.size >> k, ROTATION_GEMM_COLS), 1 << k)
+        np.matmul(amps.reshape(shape), u.T, out=out.reshape(shape))
+    else:
+        cols = min(ROTATION_GEMM_COLS, 1 << lo)
+        shape = (-1, 1 << k, (1 << lo) // cols, cols)
+        np.matmul(u, amps.reshape(shape).swapaxes(-3, -2), out=out.reshape(shape).swapaxes(-3, -2))
+
+
+def _walsh(rows: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+    """sum_c (-1)^popcount(s & c) x[c] at every s: the unnormalized Walsh-Hadamard
+    transform, in place, of each row of a real or complex (r, 2^m) array or of
+    a 1-D one; returns rows. One _WALSH_BLOCK GEMM per ROTATION_BLOCK qubits,
+    work.shape[0] rows at a time through work (rows' dtype; rows' shape when
+    None), so that a small work makes no second (r, 2^m) array."""
+    flat = rows.reshape(-1, rows.shape[-1])
+    work = np.empty_like(flat) if work is None else work
+    m = flat.shape[-1].bit_length() - 1
+    blocks = [(lo, 1 << min(ROTATION_BLOCK, m - lo)) for lo in range(0, m, ROTATION_BLOCK)]
+    for a in range(0, flat.shape[0], work.shape[0]):
+        src = flat[a : a + work.shape[0]]
+        cur, other = src, work[: src.shape[0]]
+        for lo, width in blocks:
+            _apply_block(cur, _WALSH_BLOCK[:width, :width], lo, other)
+            cur, other = other, cur
+        if cur is not src:
+            src[...] = cur
+    return rows
 
 
 def overlap_probability(state: Statevector, target: int) -> float:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from scipy.linalg import block_diag, expm
 from scipy.sparse.linalg import expm_multiply
 
-from qlow import laplacians
+from qlow import laplacians, statevector
 from qlow.errors import ConfigError, ResourceError
 from qlow.laplacians import (
     BallCut,
@@ -721,8 +721,20 @@ def test_rotation_gemm_cols_moves_no_state_byte(monkeypatch, cols):
     amps = rand_state(n, 11).amps
     thetas = np.random.default_rng(11).uniform(0.0, np.pi, n)
     want = _rotate_qubits(amps, thetas)
-    monkeypatch.setattr(laplacians, "ROTATION_GEMM_COLS", cols)
+    monkeypatch.setattr(statevector, "ROTATION_GEMM_COLS", cols)
     assert _rotate_qubits(amps, thetas).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("cols", [8, 1 << 10])
+def test_rotation_gemm_cols_moves_no_walsh_byte(monkeypatch, cols):
+    """The same for the real Walsh transform of three rows at n=11, which
+    shares the slabs: 8 binds on every block and 1024 on the lowest alone
+    (384 rows of 16 there). (Real slabs of at most 4 columns, or of 12, move
+    last bits: OpenBLAS takes another dgemm kernel for such tails.)"""
+    rows = np.random.default_rng(11).normal(size=(3, 1 << 11))
+    want = statevector._walsh(rows.copy())
+    monkeypatch.setattr(statevector, "ROTATION_GEMM_COLS", cols)
+    assert statevector._walsh(rows.copy()).tobytes() == want.tobytes()
 
 
 def test_block_unitary_cache_size_moves_no_state_byte(monkeypatch):

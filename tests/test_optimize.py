@@ -945,13 +945,13 @@ def test_p1_gibbs_walsh_table_matches_the_simulation(monkeypatch, family, n, b, 
     has none."""
     prob, lap, obj = walsh_problem(family, n), WeightedHypercube((b,) * n), Gibbs(eta)
     shapes = []
-    walsh_rows = optimize._walsh_rows
+    walsh = optimize._walsh
 
     def spy(rows, work):
         shapes.append(rows.shape)
-        walsh_rows(rows, work)
+        return walsh(rows, work)
 
-    monkeypatch.setattr(optimize, "_walsh_rows", spy)
+    monkeypatch.setattr(optimize, "_walsh", spy)
     grid, at, margin = optimize._screen(prob, lap, obj, None)
     assert at is None
     gammas, betas = np.linspace(*GAMMA_RANGE, 5), np.linspace(*BETA_RANGE, 4)

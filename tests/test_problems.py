@@ -39,7 +39,7 @@ from qlow.problems import (
     spike_band,
     uncoupled_spins,
 )
-from qlow.statevector import _phase, fwht_array
+from qlow.statevector import _phase, _walsh
 
 from conftest import small_problems
 
@@ -102,7 +102,7 @@ def scaled_cutoff(values):
 
 def brute_scan(n, values):
     """Reference Walsh scan: every mask in ascending order, cutoff applied."""
-    coeffs = fwht_array(np.asarray(values, dtype=np.float64)) * 2.0 ** (-n / 2)
+    coeffs = _walsh(np.array(values, dtype=np.float64)) * 2.0**-n
     cutoff = scaled_cutoff(values)
     out = []
     for mask in range(1 << n):
@@ -118,12 +118,13 @@ def test_from_dense_scan_matches_per_mask_loop():
     coeffs[::5] = 0.0
     # max |values| > 1 here, so the cutoff is scaled; four coefficients sit
     # at twice and at half of it, of both signs
-    cutoff = scaled_cutoff(fwht_array(coeffs) * 2.0 ** (n / 2))
+    signs = _bits.parity_signs(n, np.arange(1 << n)[:, None])
+    cutoff = scaled_cutoff(signs @ coeffs)
     assert cutoff > WALSH_COEFF_CUTOFF
     near = {3: 2 * cutoff, 10: -2 * cutoff, 17: cutoff / 2, 40: -cutoff / 2}
     for mask, c in near.items():
         coeffs[mask] = c
-    values = fwht_array(coeffs) * 2.0 ** (n / 2)
+    values = signs @ coeffs
     terms = [(t.qubits, t.coeff) for t in from_dense(n, values).terms]
     assert terms == brute_scan(n, values)
     kept = {_bits.mask_of(qs) for qs, _ in terms}

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from qlow import statevector
+from qlow import _bits, statevector
 from qlow.ansatz import Schedule, qaoa_state
 from qlow.errors import ResourceError
 from qlow.laplacians import hypercube
@@ -13,11 +13,11 @@ from qlow.statevector import (
     Statevector,
     _expect,
     _phase,
+    _walsh,
     apply_phase,
     basis_state,
     check_qubit_count,
     fwht,
-    fwht_array,
     ground_state_mass,
     max_qubits,
     overlap_probability,
@@ -89,6 +89,22 @@ def test_fwht_matches_dense_hadamard():
     amps /= np.linalg.norm(amps)
     out = fwht(Statevector(n, amps))
     np.testing.assert_allclose(out.amps, mat @ amps, atol=1e-12)
+    # the kernel under fwht against the +-1 table, from no block to a ragged last
+    # block (m = 5, 13) and the ROTATION_GEMM_COLS split (m = 11, 13); 1-D, and 5
+    # rows through a 2-row work, each transformed in place and returned
+    for m in (0, 1, 3, 4, 5, 8, 11, 13):
+        signs = _bits.parity_signs(m, np.arange(1 << m)[:, None])
+        for dtype in (np.float64, np.complex128):
+            x = rng.normal(size=(5, 1 << m)).astype(dtype)
+            if dtype is np.complex128:
+                x += 1j * rng.normal(size=x.shape)
+            want = x @ signs
+            for rows, work, expected in (
+                (x[0].copy(), None, want[0]),
+                (x.copy(), np.empty((2, 1 << m), dtype=dtype), want),
+            ):
+                assert _walsh(rows, work) is rows
+                assert np.abs(rows - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def test_fwht_plus_is_zero_string():
@@ -107,11 +123,6 @@ def test_fwht_involution(state):
 @given(random_states())
 def test_fwht_preserves_norm(state):
     assert abs(fwht(state).norm() - 1.0) < 1e-10
-
-
-def test_fwht_array_bad_length():
-    with pytest.raises(ValueError):
-        fwht_array(np.zeros(6))
 
 
 @settings(max_examples=40)
